@@ -14,11 +14,13 @@
 #   6. traced smoke run of the same bench (ME_BENCH_TRACE=1): emits
 #      artifacts/parallel_scaling_trace.json + .prom and structurally
 #      validates the Chrome JSON in-process (lanes, span names, events)
-#   7. kernel matrix: the cross-variant differential harness plus the
-#      trace-integration suite under every micro-kernel the host can run
-#      (ME_KERNEL=scalar, portable, avx2 when CPUID has avx2+fma, and
-#      avx512 when it has avx512f), proving the dispatch override and
-#      the bitwise-identity contract on each variant independently
+#   7. kernel matrix: the cross-variant differential harness, the
+#      trace-integration suite, the me-ozaki suite and the paper-headline
+#      goldens under every micro-kernel the host can run (ME_KERNEL=scalar,
+#      portable, avx2 when CPUID has avx2+fma, and avx512 when it has
+#      avx512f), proving the dispatch override and the bitwise-identity
+#      contract on each variant independently — the simulated-ME Ozaki
+#      path runs its slice products on the dispatched kernel
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM /
 #      HostF16-Ozaki suites at both test parallelisms, then a
@@ -26,10 +28,8 @@
 #      every SIMD variant the host supports and the cross-variant
 #      bitwise check; leaves artifacts/gemm_kernels_ukernel.txt)
 #   8. serve stage: the me-serve fault-injection + stress suites at both
-#      test parallelisms, a --no-default-features build+test of the crate
-#      alone, and a smoke run of the serve_throughput bench (enforces the
-#      >= 2x batched-vs-unbatched gate, the B-cache >= no-cache gate, the
-#      >= 90% steady-state cache hit-rate gate, all bitwise-identical)
+#      test parallelisms and a --no-default-features build+test of the
+#      crate alone (the serve_throughput smoke runs once, in stage 9)
 #   8b. weight-cache + autotune stage: the weight_cache and
 #      prepacked_differential suites with the cache enabled and again
 #      forced off via ME_WEIGHT_CACHE=0 (the serve path must be bitwise
@@ -48,7 +48,10 @@
 #      stress suites forced onto each queue arm via ME_QUEUE; and a
 #      smoke run of the multi-tenant open-loop replay (enforces the
 #      ring >= mutex throughput gate, the p99-within-SLO gate, and exact
-#      global + per-tenant conservation; leaves artifacts/serve_replay.txt)
+#      global + per-tenant conservation; leaves artifacts/serve_replay.txt;
+#      the same run enforces the >= 2x batched-vs-unbatched gate, the
+#      B-cache >= no-cache gate and the >= 90% steady-state cache hit-rate
+#      gate)
 #  10. me-verify: full static analysis (lints + lock-order + env/hot/fma
 #      rule families, deny warnings) + model audit, uploading
 #      artifacts/verify_report.json and .sarif
@@ -90,7 +93,9 @@ if grep -q avx512f /proc/cpuinfo 2>/dev/null; then
 fi
 for K in $KERNELS; do
     echo "==>   ME_KERNEL=$K"
-    ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration
+    ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration \
+        --test paper_headlines
+    ME_KERNEL=$K cargo test -q -p me-ozaki
 done
 
 echo "==> half-precision stage: f16/bf16 codec + GEMM + HostF16 suites (both parallelisms)"
@@ -113,9 +118,6 @@ RUST_TEST_THREADS=1 cargo test -q -p me-serve --test fault_injection --test stre
 echo "==> serve stage: me-serve --no-default-features (trace compiled out)"
 cargo build -q -p me-serve --no-default-features
 cargo test -q -p me-serve --no-default-features
-
-echo "==> serve stage: serve_throughput smoke (release, batching + B-cache gates)"
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench serve_throughput
 
 echo "==> weight-cache stage: cache suites, enabled and ME_WEIGHT_CACHE=0"
 cargo test -q -p me-serve --test weight_cache

@@ -39,7 +39,8 @@ pub mod ukernel;
 use crate::mat::{Mat, MatMut, Scalar};
 pub use blocking::{blocking_for, set_blocking_override, Blocking, BlockingDispatch, BLOCKING_ENV};
 pub use half::{
-    gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind, HalfMat,
+    gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind,
+    HalfMat,
 };
 pub use int8::{dot_i8, dot_i8_portable, dot_i8_scalar, gemm_i8_i32};
 pub use packed::{pack_b_matrix, PackedB};

@@ -17,10 +17,14 @@
 //!   the full blocked GEMM `C ← α·widen(A)·widen(B) + β·C` mirroring
 //!   [`super::gemm_tiled_with`]'s NC→KC→MC loop nest, for half-stored
 //!   operands of any shape.
-//! - [`gemm_half_f32`] — the strided row-panel "engine call" primitive
-//!   mirroring [`super::gemm_i8_i32`]: one call is one emulated FP16
-//!   matrix-engine product over a k-chunk, with `B` supplied transposed.
-//!   The `me-ozaki` HostF16 backend drives this for its slice products.
+//! - [`gemm_half_f32`] / [`gemm_f32_f32`] — the strided row-panel
+//!   "engine call" primitive mirroring [`super::gemm_i8_i32`]: one call is
+//!   one emulated FP16 matrix-engine product over a k-chunk, with `B`
+//!   supplied transposed. Both fronts share one core, generic over the
+//!   stored word: half words are widened in the pack loops, f32 values are
+//!   copied as they are. The `me-ozaki` HostF16 backend drives the half
+//!   front and the simulated matrix engine the f32 front for their slice
+//!   products.
 //!
 //! Narrowing (f32 → 16 bits) happens only in [`HalfMat`] construction and
 //! uses the round-to-nearest-even codecs from `me_numerics::formats`
@@ -146,14 +150,16 @@ impl HalfMat {
     }
 }
 
-/// Pack the `mc × kc` block of half-stored A at (`row0`, `kb`) into MR-row
-/// f32 micro-panels, widening each 16-bit word as it lands. Layout is
+/// Pack the `mc × kc` block of A at (`row0`, `kb`) into MR-row f32
+/// micro-panels, converting each stored word with `widen` as it lands:
+/// binary16/bfloat16 words are widened, f32 values pass through. Layout is
 /// identical to [`super::pack_a`] on the pre-widened matrix (widening is
 /// exact and elementwise), which is the §15 widening-pack contract.
 // me-verify: hot
-fn pack_a_half(
-    kind: HalfKind,
-    a: &[u16],
+#[allow(clippy::too_many_arguments)]
+fn pack_a_widen<W: Copy>(
+    widen: impl Fn(W) -> f32,
+    a: &[W],
     lda: usize,
     row0: usize,
     mc: usize,
@@ -168,7 +174,7 @@ fn pack_a_half(
             if li < mc {
                 let arow = &a[(row0 + li) * lda + kb..(row0 + li) * lda + kb + kc];
                 for (p, &v) in arow.iter().enumerate() {
-                    tile[p * MR + r] = kind.widen(v);
+                    tile[p * MR + r] = widen(v);
                 }
             } else {
                 for p in 0..kc {
@@ -209,14 +215,15 @@ fn pack_b_half(
     }
 }
 
-/// Pack `ncb` rows of a *transposed* half-stored B (`n × k` line-major,
-/// row `j` holding column `j` of the logical B) into the same NR-column
-/// micro-panel layout as [`pack_b_half`]. The engine-call primitive uses
-/// this so both operands stream contiguously from the caller's slices.
+/// Pack `ncb` rows of a *transposed* B (`n × k` line-major, row `j`
+/// holding column `j` of the logical B) into the same NR-column
+/// micro-panel layout as [`pack_b_half`], converting with `widen` like
+/// [`pack_a_widen`]. The engine-call core uses this so both operands
+/// stream contiguously from the caller's slices.
 // me-verify: hot
-fn pack_bt_half(
-    kind: HalfKind,
-    bt: &[u16],
+fn pack_bt_widen<W: Copy>(
+    widen: impl Fn(W) -> f32,
+    bt: &[W],
     ldb: usize,
     kc: usize,
     jb: usize,
@@ -229,7 +236,7 @@ fn pack_bt_half(
             if j < ncb {
                 let line = &bt[(jb + j) * ldb..(jb + j) * ldb + kc];
                 for (p, &v) in line.iter().enumerate() {
-                    buf[jt * NR * kc + p * NR + jj] = kind.widen(v);
+                    buf[jt * NR * kc + p * NR + jj] = widen(v);
                 }
             } else {
                 for p in 0..kc {
@@ -295,7 +302,8 @@ fn gemm_half_packed_panel(
                     let mc = mc_blk.min(rows - ib);
                     {
                         let _t = me_trace::span("gemm.pack_a", "linalg");
-                        pack_a_half(a.kind, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
+                        let widen = |w| a.kind.widen(w);
+                        pack_a_widen(widen, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
                     }
                     let _t = me_trace::span("gemm.micro_kernel", "linalg");
                     for it in 0..mc.div_ceil(MR) {
@@ -406,7 +414,8 @@ pub fn gemm_half_parallel_with(
 /// *transposed* right operand at stride `ldb ≥ kc`. One call is one
 /// "engine call" of the emulated FP16 matrix engine (the `me-ozaki`
 /// HostF16 backend's slice-product primitive), mirroring
-/// [`super::gemm_i8_i32`]'s shape.
+/// [`super::gemm_i8_i32`]'s shape. Counted per call on
+/// `ukernel.half.<variant>`.
 // me-verify: hot
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_half_f32(
@@ -421,13 +430,60 @@ pub fn gemm_half_f32(
     kind: HalfKind,
     out: &mut [f32],
 ) {
-    assert!(lda >= kc && ldb >= kc, "gemm_half_f32: stride below chunk length");
-    assert!(out.len() >= m * n, "gemm_half_f32: output too short");
+    let widen = |w| kind.widen(w);
+    engine_call(variant, KernelVariant::half_counter, widen, m, n, kc, a, lda, bt, ldb, out);
+}
+
+/// [`gemm_half_f32`] on f32-stored operands: the same engine call with
+/// the pack loops copying values as they are. The `me-ozaki` simulated
+/// matrix engine drives this for its integer-valued slice panels, so it
+/// shares one packed micro-kernel path with the HostF16 backend and
+/// differs only in slice storage. Counted per call on
+/// `ukernel.<variant>`.
+// me-verify: hot
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_f32_f32(
+    variant: KernelVariant,
+    m: usize,
+    n: usize,
+    kc: usize,
+    a: &[f32],
+    lda: usize,
+    bt: &[f32],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    engine_call(variant, KernelVariant::counter, |v| v, m, n, kc, a, lda, bt, ldb, out);
+}
+
+/// The engine-call core behind [`gemm_half_f32`] and [`gemm_f32_f32`],
+/// generic over the stored word `W` of the slice panels: pack an MR/NR
+/// tile grid of `m × kc` A rows and `n × kc` transposed-B rows through
+/// `widen`, run the dispatched micro-kernel per tile, and copy the
+/// `m × n` result into `out`. `counter` names the per-call trace counter
+/// of the resolved variant.
+// me-verify: hot
+#[allow(clippy::too_many_arguments)]
+fn engine_call<W: Copy>(
+    variant: KernelVariant,
+    counter: fn(KernelVariant) -> &'static str,
+    widen: impl Fn(W) -> f32 + Copy,
+    m: usize,
+    n: usize,
+    kc: usize,
+    a: &[W],
+    lda: usize,
+    bt: &[W],
+    ldb: usize,
+    out: &mut [f32],
+) {
+    assert!(lda >= kc && ldb >= kc, "engine call: stride below chunk length");
+    assert!(out.len() >= m * n, "engine call: output too short");
     if m == 0 || n == 0 {
         return;
     }
     let variant = variant.resolve_supported();
-    me_trace::counter_add(variant.half_counter(), 1);
+    me_trace::counter_add(counter(variant), 1);
     if kc == 0 {
         out[..m * n].fill(0.0);
         return;
@@ -435,8 +491,8 @@ pub fn gemm_half_f32(
     let a_len = m.div_ceil(MR) * MR * kc;
     let b_len = n.div_ceil(NR) * NR * kc;
     crate::mat::with_pack_scratch::<f32, _>(a_len, b_len, |apack, bpack| {
-        pack_a_half(kind, a, lda, 0, m, 0, kc, apack);
-        pack_bt_half(kind, bt, ldb, kc, 0, n, bpack);
+        pack_a_widen(widen, a, lda, 0, m, 0, kc, apack);
+        pack_bt_widen(widen, bt, ldb, kc, 0, n, bpack);
         for it in 0..m.div_ceil(MR) {
             let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
             let mr = MR.min(m - it * MR);
@@ -551,7 +607,8 @@ mod tests {
     fn engine_call_matches_scalar_chain_bitwise() {
         // gemm_half_f32's contract: bit-identical to the ascending
         // scalar mul_add chain over widened operands, for every variant,
-        // with strided panels.
+        // with strided panels — and so is gemm_f32_f32 on the widened
+        // values, the same core with a pass-through pack.
         let (m, n, kc) = (5, 7, 67);
         let lda = kc + 3;
         let ldb = kc + 1;
@@ -571,11 +628,16 @@ mod tests {
                     want[i * n + j] = s;
                 }
             }
+            let a32: Vec<f32> = a.iter().map(|&w| kind.widen(w)).collect();
+            let bt32: Vec<f32> = bt.iter().map(|&w| kind.widen(w)).collect();
             for v in available_variants() {
                 let mut out = vec![-1.0f32; m * n];
                 gemm_half_f32(v, m, n, kc, &a, lda, &bt, ldb, kind, &mut out);
                 let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&out), bits(&want), "{kind} variant {v}");
+                let mut out32 = vec![-1.0f32; m * n];
+                gemm_f32_f32(v, m, n, kc, &a32, lda, &bt32, ldb, &mut out32);
+                assert_eq!(bits(&out32), bits(&want), "f32 front on {kind} values, variant {v}");
             }
         }
     }
@@ -584,6 +646,9 @@ mod tests {
     fn engine_call_zero_chunk_zeroes_output() {
         let mut out = vec![1.0f32; 6];
         gemm_half_f32(KernelVariant::Scalar, 2, 3, 0, &[], 0, &[], 0, HalfKind::F16, &mut out);
+        assert!(out.iter().all(|&v| v == 0.0));
+        let mut out = vec![1.0f32; 6];
+        gemm_f32_f32(KernelVariant::Scalar, 2, 3, 0, &[], 0, &[], 0, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
     }
 }

@@ -1,13 +1,16 @@
-//! Backend selection: one `ozaki_gemm`-shaped entry point over both
+//! Backend selection: one `ozaki_gemm`-shaped entry point over the three
 //! compute substrates.
 //!
-//! The repo carries two executions of the same scheme: the simulated
+//! The repo carries three executions of the same scheme: the simulated
 //! f16-multiply/f32-accumulate matrix engine ([`crate::gemm`], the
-//! paper's Tensor-Core model) and the host INT8 path ([`crate::int8`],
-//! real `i8×i8→i32` micro-kernels). [`OzakiBackend`] makes the choice a
-//! *config*, so callers — the serving layer, the benches, the energy
-//! policy work queued in ROADMAP item 5 — route through one function and
-//! A/B the substrates without changing call sites.
+//! paper's Tensor-Core model, integer `f32` slices on the host's f32
+//! micro-kernel), the host f16 path ([`crate::host_f16`], the same kernel
+//! core on binary16-stored slices) and the host INT8 path
+//! ([`crate::int8`], real `i8×i8→i32` micro-kernels). [`OzakiBackend`]
+//! makes the choice a *config*, so callers — the serving layer, the
+//! benches, the energy policy work queued in ROADMAP item 5 — route
+//! through one function and A/B the substrates without changing call
+//! sites.
 
 use crate::gemm::{ozaki_gemm, ozaki_gemm_parallel, OzakiConfig, OzakiReport};
 use crate::host_f16::{
@@ -19,15 +22,17 @@ use me_linalg::Mat;
 /// Which substrate executes the slice-pair products.
 #[derive(Debug, Clone, Copy)]
 pub enum OzakiBackend {
-    /// The simulated f16/f32 matrix engine (Tensor-Core model).
+    /// The simulated f16/f32 matrix engine (Tensor-Core model): integer
+    /// `f32` slice panels on the host's dispatched f32 micro-kernel.
     SimulatedMe(OzakiConfig),
     /// Host INT8 kernels (i8×i8→i32; scalar / portable / AVX2
     /// `vpmaddubsw`, per the process kernel dispatch).
     HostInt8(Int8Engine),
     /// Host f16 widening kernels (binary16 storage widened to f32 in the
     /// pack loops; scalar / portable / AVX2 / AVX-512 per the process
-    /// kernel dispatch). Bitwise-equal to `SimulatedMe` at matched slice
-    /// counts.
+    /// kernel dispatch). The same engine-call core as `SimulatedMe`,
+    /// differing only in slice storage, so bitwise-equal to it at matched
+    /// slice counts.
     HostF16(HostF16Engine),
 }
 

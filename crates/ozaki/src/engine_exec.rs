@@ -1,19 +1,19 @@
 //! Ozaki GEMM executed through the cycle-level systolic-array simulator.
 //!
 //! [`crate::gemm::ozaki_gemm`] computes the slice-pair products in plain
-//! `f32` (sound, because the products are exact there). This module pushes
-//! faithfulness one step further: the products run through
+//! `f32` on the host's micro-kernel (sound, because the products are exact
+//! there). This module pushes faithfulness one step further: the products
+//! run through
 //! [`me_engine::systolic_gemm`] — the simulated Tensor-Core datapath with
 //! f16 operand quantization and f32 PE accumulators — and the result is
 //! proven (by test) to be **bit-identical** to the plain implementation.
 //! It also returns the engine's cycle statistics, connecting the algorithm
 //! to the hardware cost model of Table VIII.
 
-use crate::gemm::{OzakiConfig, OzakiReport};
+use crate::gemm::{fold_tile, pair_counts, scale_to_int, OzakiConfig, OzakiReport};
 use crate::split::{required_beta, split_cols, split_rows};
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
 use me_linalg::Mat;
-use me_numerics::formats::pow2;
 use me_numerics::sum::Accumulator;
 
 /// Result of an engine-executed Ozaki GEMM.
@@ -49,47 +49,30 @@ pub fn ozaki_gemm_systolic(
     let kb = cfg.k_block.max(1);
     let beta = required_beta(kb.min(k.max(1)), cfg.acc_precision, cfg.mul_precision);
 
-    let target_bits = match cfg.target {
-        crate::gemm::TargetAccuracy::Exact => u32::MAX,
-        crate::gemm::TargetAccuracy::DgemmEquivalent => 53 + crate::split::ceil_log2(k.max(1)) + 2,
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24 + crate::split::ceil_log2(k.max(1)) + 2,
-    };
-    let budget = if target_bits == u32::MAX {
-        cfg.max_slices
-    } else {
-        (target_bits as usize).div_ceil(beta as usize).saturating_add(2).min(cfg.max_slices)
-    };
-    let cutoff = if target_bits == u32::MAX {
-        usize::MAX
-    } else {
-        (target_bits as usize).div_ceil(beta as usize).saturating_add(1)
-    };
+    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
     let sa = split_rows(a, beta, budget);
     let sb = split_cols(b, beta, budget);
 
     let mut acc = vec![Accumulator::new(); m * n];
-    let mut computed = 0usize;
-    let mut skipped = 0usize;
+    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
     let mut stats = CycleStats { cycles: 0, macs: 0, pe_cycles: 0, tiles: 0 };
 
     for (p, (a_slice, a_exp)) in sa.slices.iter().zip(&sa.scale_exp).enumerate() {
         for (q, (b_slice, b_exp)) in sb.slices.iter().zip(&sb.scale_exp).enumerate() {
             if p + q >= cutoff {
-                skipped += 1;
                 continue;
             }
-            computed += 1;
             for k0 in (0..k).step_by(kb) {
                 let kc = kb.min(k - k0);
                 // Integer-scaled operand blocks (exact in the multiply fmt).
                 let int_a = Mat::from_fn(m, kc, |i, p2| {
                     let v = a_slice[(i, k0 + p2)];
-                    if v == 0.0 { 0.0 } else { v * pow2_chk(beta as i32 - a_exp[i]) }
+                    if v == 0.0 { 0.0 } else { scale_to_int(v, beta as i32 - a_exp[i]) }
                 });
                 let int_b = Mat::from_fn(kc, n, |p2, j| {
                     let v = b_slice[(k0 + p2, j)];
-                    if v == 0.0 { 0.0 } else { v * pow2_chk(beta as i32 - b_exp[j]) }
+                    if v == 0.0 { 0.0 } else { scale_to_int(v, beta as i32 - b_exp[j]) }
                 });
                 // The actual engine execution.
                 let r = systolic_gemm(array, &int_a, &int_b);
@@ -97,16 +80,7 @@ pub fn ozaki_gemm_systolic(
                 stats.macs += r.stats.macs;
                 stats.pe_cycles += r.stats.pe_cycles;
                 stats.tiles += r.stats.tiles;
-                for i in 0..m {
-                    for j in 0..n {
-                        let v = r.c[(i, j)];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let scale = pow2_chk(a_exp[i] + b_exp[j] - 2 * beta as i32);
-                        acc[i * n + j].add(v * scale);
-                    }
-                }
+                fold_tile(r.c.as_slice(), a_exp, b_exp, beta, &mut acc);
             }
         }
     }
@@ -129,16 +103,6 @@ pub fn ozaki_gemm_systolic(
     }
 }
 
-fn pow2_chk(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        pow2(e)
-    } else if e > 1023 {
-        pow2(1023) * pow2(e - 1023)
-    } else {
-        pow2(-1022) * pow2((e + 1022).max(-1074))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +119,23 @@ mod tests {
         assert_eq!(plain.products_computed, engine.report.products_computed);
         for (x, y) in plain.c.as_slice().iter().zip(engine.report.c.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "engine and plain paths must agree exactly");
+        }
+    }
+
+    #[test]
+    fn engine_execution_matches_plain_on_a_subnormal_row() {
+        // Row 3's maximum is subnormal, so its slices scale by 2^(β − e)
+        // beyond f64 range; both paths must split that scaling.
+        let mut a = ranged_matrix(6, 12, 6.0, 5);
+        for p in 0..12 {
+            a[(3, p)] *= 1e-315;
+        }
+        let b = ranged_matrix(12, 5, 6.0, 6);
+        let cfg = OzakiConfig::dgemm_tc();
+        let plain = ozaki_gemm(&a, &b, &cfg);
+        let engine = ozaki_gemm_systolic(&a, &b, &cfg, &SystolicArray::tensor_core());
+        for (x, y) in plain.c.as_slice().iter().zip(engine.report.c.as_slice()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x:e} vs {y:e}");
         }
     }
 

@@ -8,12 +8,21 @@
 //! depends on the row partition, [`ozaki_gemm_parallel`] — which fans row
 //! panels over a persistent [`me_par::WorkerPool`] — is bitwise identical
 //! to [`ozaki_gemm`] for any thread count.
+//!
+//! Every engine call — one slice pair over one k-chunk, in GEMM, GEMV and
+//! dot alike — runs through [`me_linalg::gemm_f32_f32`]: the packed f32
+//! micro-kernel the host selected at startup ([`selected_kernel`]), the
+//! same core the HostF16 backend reaches through `gemm_half_f32`. Each
+//! kernel variant performs one correctly-rounded FMA per accumulator per
+//! ascending k step (DESIGN §9), so a chunk sum carries the bits of the
+//! ascending scalar `mul_add` chain over the chunk — exact or not — and
+//! the result does not depend on the kernel the host picked.
 
 use crate::split::{
     ceil_log2, required_beta, split_cols, split_cols_parallel, split_line, split_rows,
     split_rows_parallel, SplitMatrix,
 };
-use me_linalg::Mat;
+use me_linalg::{gemm_f32_f32, selected_kernel, KernelVariant, Mat};
 use me_numerics::formats::{narrow_f32_exact, pow2};
 use me_numerics::sum::Accumulator;
 
@@ -93,7 +102,7 @@ impl OzakiConfig {
     /// extraction advances at least β bits, so covering `target_bits` needs
     /// `⌈target/β⌉` slices (plus guard), and slice pairs `(p, q)` with
     /// `p + q` beyond the same depth contribute below the target.
-    fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
+    pub(crate) fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
         let target_bits = self.target_bits(k);
         if target_bits == u32::MAX {
             (self.max_slices, usize::MAX)
@@ -132,9 +141,10 @@ pub struct OzakiReport {
 /// Emulated high-precision GEMM `C = A·B` via the Ozaki scheme.
 ///
 /// The slice-pair products run in genuine `f32` arithmetic on
-/// integer-valued matrices — bit-exact for the same reason Tensor-Core
-/// f32 accumulation is — and are recombined in f64 with a deterministic
-/// double-double accumulator, so the result is bitwise reproducible.
+/// integer-valued matrices — on the host's dispatched f32 micro-kernel,
+/// bit-exact for the same reason Tensor-Core f32 accumulation is — and
+/// are recombined in f64 with a deterministic double-double accumulator,
+/// so the result is bitwise reproducible.
 pub fn ozaki_gemm(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig) -> OzakiReport {
     ozaki_gemm_impl(a, b, cfg, None)
 }
@@ -181,23 +191,11 @@ fn ozaki_gemm_impl(
     me_trace::counter_add("ozaki.slices_a", sa.len() as u64);
     me_trace::counter_add("ozaki.slices_b", sb.len() as u64);
 
-    // Pair counters are a property of the schedule, not of the partition:
-    // count them once (the old row-stitching parallel front summed each
-    // panel's counters and over-reported the engine calls).
-    let mut computed = 0usize;
-    let mut skipped = 0usize;
-    for p in 0..sa.len() {
-        for q in 0..sb.len() {
-            if p + q >= cutoff {
-                skipped += 1;
-            } else {
-                computed += 1;
-            }
-        }
-    }
+    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
     me_trace::counter_add("ozaki.products_computed", computed as u64);
     me_trace::counter_add("ozaki.products_skipped", skipped as u64);
 
+    let variant = selected_kernel().resolve_supported();
     let kb = cfg.k_block.max(1);
     let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m * n];
     match pool {
@@ -210,8 +208,8 @@ fn ozaki_gemm_impl(
                 .collect();
             pl.for_each_mut(&mut panels, |_, (r0, panel)| {
                 accumulate_row_panel(
-                    &ints_a, &sa.scale_exp, &ints_b, &sb.scale_exp, beta, k, n, kb, cutoff, *r0,
-                    panel,
+                    &ints_a, &sa.scale_exp, &ints_b, &sb.scale_exp, beta, k, n, kb, cutoff,
+                    variant, *r0, panel,
                 );
             });
         }
@@ -225,6 +223,7 @@ fn ozaki_gemm_impl(
             n,
             kb,
             cutoff,
+            variant,
             0,
             &mut acc,
         ),
@@ -262,10 +261,7 @@ fn int_scale_lines(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool) -> 
             if v == 0.0 {
                 continue;
             }
-            // Subnormal lines need `2^(β − e)` beyond f64 range: split the
-            // scaling so each step stays representable (both exact).
-            let x = if se > 1023 { (v * pow2(1023)) * pow2(se - 1023) } else { v * pow2_checked(se) };
-            *out = narrow_f32_exact(x);
+            *out = narrow_f32_exact(scale_to_int(v, se));
         }
     }
     buf
@@ -275,11 +271,11 @@ fn int_scale_lines(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool) -> 
 /// `[r0, r0 + panel.len()/n)`.
 ///
 /// The per-element order is `(p, q)` pair (p outer) → k-chunk → element,
-/// with exact-zero products skipped — identical for every row partition,
+/// with exact-zero chunk sums skipped — identical for every row partition,
 /// and identical to the systolic-engine path in `engine_exec`. Each
-/// k-chunk's dot product runs in genuine `f32` arithmetic on β-bit
-/// integers, so it is exact — what the accumulator receives does not
-/// depend on how the chunk dot was internally ordered.
+/// k-chunk is one [`gemm_f32_f32`] engine call into a reused `rows × n`
+/// tile: genuine `f32` arithmetic on β-bit integers, exact under the β
+/// budget, and §9-ordered whatever the budget.
 #[allow(clippy::too_many_arguments)]
 fn accumulate_row_panel(
     ints_a: &[Vec<f32>],
@@ -291,6 +287,7 @@ fn accumulate_row_panel(
     n: usize,
     kb: usize,
     cutoff: usize,
+    variant: KernelVariant,
     r0: usize,
     acc: &mut [Accumulator],
 ) {
@@ -301,6 +298,7 @@ fn accumulate_row_panel(
     // One span per panel: under the parallel front this lands on the
     // worker that owns the panel, giving per-lane accumulate phases.
     let _t = me_trace::span("ozaki.accumulate", "ozaki");
+    let mut tile = vec![0.0f32; rows * n];
     for (p, (ia, ea)) in ints_a.iter().zip(a_exp).enumerate() {
         for (q, (ib, eb)) in ints_b.iter().zip(b_exp).enumerate() {
             if p + q >= cutoff {
@@ -308,33 +306,71 @@ fn accumulate_row_panel(
             }
             for k0 in (0..k).step_by(kb) {
                 let kc = kb.min(k - k0);
-                for li in 0..rows {
-                    let gi = r0 + li;
-                    let arow = &ia[gi * k + k0..gi * k + k0 + kc];
-                    let e_ai = ea[gi];
-                    for j in 0..n {
-                        let brow = &ib[j * k + k0..j * k + k0 + kc];
-                        // The engine call: exact f32 integer dot (verified
-                        // by `f32_products_are_exact`).
-                        let mut s = 0.0f32;
-                        for (&x, &y) in arow.iter().zip(brow) {
-                            s = x.mul_add(y, s);
-                        }
-                        if s == 0.0 {
-                            continue;
-                        }
-                        let scale = pow2_checked(e_ai + eb[j] - 2 * beta as i32);
-                        acc[li * n + j].add(s as f64 * scale);
-                    }
-                }
+                // The engine call: f32 multiplies and accumulation on the
+                // dispatched micro-kernel (exactness verified by
+                // `f32_products_are_exact`).
+                gemm_f32_f32(variant, rows, n, kc, &ia[r0 * k + k0..], k, &ib[k0..], k, &mut tile);
+                fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
             }
         }
     }
 }
 
+/// Fold one engine call's `a_exp.len() × b_exp.len()` chunk tile into the
+/// matching accumulators: exact-zero sums are skipped, every other sum is
+/// scaled back by `2^(e_a[i] + e_b[j] − 2β)`. Every substrate folds
+/// through here, so their per-element add streams agree.
+pub(crate) fn fold_tile<T: Copy + Into<f64>>(
+    tile: &[T],
+    a_exp: &[i32],
+    b_exp: &[i32],
+    beta: u32,
+    acc: &mut [Accumulator],
+) {
+    let n = b_exp.len();
+    for ((trow, arow), &e_ai) in tile.chunks_exact(n).zip(acc.chunks_exact_mut(n)).zip(a_exp) {
+        for ((&s, ac), &e_bj) in trow.iter().zip(arow).zip(b_exp) {
+            let s: f64 = s.into();
+            if s == 0.0 {
+                continue;
+            }
+            ac.add(s * pow2_checked(e_ai + e_bj - 2 * beta as i32));
+        }
+    }
+}
+
+/// Slice pairs `(p, q)` computed and skipped by the cutoff `p + q ≥
+/// cutoff`: a property of the schedule, never of the partition, so every
+/// driver counts once per call, not once per row panel.
+pub(crate) fn pair_counts(s_a: usize, s_b: usize, cutoff: usize) -> (usize, usize) {
+    let mut computed = 0usize;
+    let mut skipped = 0usize;
+    for p in 0..s_a {
+        for q in 0..s_b {
+            if p + q >= cutoff {
+                skipped += 1;
+            } else {
+                computed += 1;
+            }
+        }
+    }
+    (computed, skipped)
+}
+
+/// `v · 2^se`, the slice value `v` scaled to its β-bit integer. Subnormal
+/// lines need `2^se` beyond f64 range: the scaling is then split so each
+/// step stays representable (both exact).
+pub(crate) fn scale_to_int(v: f64, se: i32) -> f64 {
+    if se > 1023 {
+        (v * pow2(1023)) * pow2(se - 1023)
+    } else {
+        v * pow2_checked(se)
+    }
+}
+
 /// Power of two that tolerates the full split exponent range by chaining
 /// two `pow2` factors when the exponent exceeds f64's normal range.
-fn pow2_checked(e: i32) -> f64 {
+pub(crate) fn pow2_checked(e: i32) -> f64 {
     if (-1022..=1023).contains(&e) {
         pow2(e)
     } else if e > 1023 {
@@ -362,28 +398,23 @@ pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
     let iy: Vec<Vec<f32>> = sy.vals.iter().zip(&sy.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
 
+    let variant = selected_kernel().resolve_supported();
     let kb = cfg.k_block.max(1);
-    let mut acc = Accumulator::new();
+    let mut acc = [Accumulator::new()];
+    let mut tile = [0.0f32];
     for (p, xs) in ix.iter().enumerate() {
         for (q, ys) in iy.iter().enumerate() {
             if p + q >= cutoff {
                 continue;
             }
-            let scale = pow2_checked(sx.exps[p] + sy.exps[q] - 2 * beta as i32);
             for k0 in (0..k).step_by(kb) {
                 let kc = kb.min(k - k0);
-                let mut s = 0.0f32;
-                for (&a, &b) in xs[k0..k0 + kc].iter().zip(&ys[k0..k0 + kc]) {
-                    s = a.mul_add(b, s);
-                }
-                if s == 0.0 {
-                    continue;
-                }
-                acc.add(s as f64 * scale);
+                gemm_f32_f32(variant, 1, 1, kc, &xs[k0..], k, &ys[k0..], k, &mut tile);
+                fold_tile(&tile, &sx.exps[p..=p], &sy.exps[q..=q], beta, &mut acc);
             }
         }
     }
-    acc.value()
+    acc[0].value()
 }
 
 /// Ozaki-scheme matrix-vector product `y = A·x`: per-row splits of A
@@ -406,8 +437,10 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
         .collect();
     let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
 
+    let variant = selected_kernel().resolve_supported();
     let kb = cfg.k_block.max(1);
     let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m];
+    let mut tile = vec![0.0f32; m];
     for (p, (ia, ea)) in ints_a.iter().zip(&sa.scale_exp).enumerate() {
         for (q, xs) in ix.iter().enumerate() {
             if p + q >= cutoff {
@@ -415,17 +448,8 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
             }
             for k0 in (0..k).step_by(kb) {
                 let kc = kb.min(k - k0);
-                for (i, ai) in acc.iter_mut().enumerate() {
-                    let arow = &ia[i * k + k0..i * k + k0 + kc];
-                    let mut s = 0.0f32;
-                    for (&av, &xv) in arow.iter().zip(&xs[k0..k0 + kc]) {
-                        s = av.mul_add(xv, s);
-                    }
-                    if s == 0.0 {
-                        continue;
-                    }
-                    ai.add(s as f64 * pow2_checked(ea[i] + sx.exps[q] - 2 * beta as i32));
-                }
+                gemm_f32_f32(variant, m, 1, kc, &ia[k0..], k, &xs[k0..], k, &mut tile);
+                fold_tile(&tile, ea, &sx.exps[q..=q], beta, &mut acc);
             }
         }
     }
@@ -434,9 +458,9 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
 
 /// [`int_scale_lines`] for a single line: `v[p] / 2^(e − β)` as exact f32.
 fn int_scale_line(vals: &[f64], e: i32, beta: u32) -> Vec<f32> {
-    let scale = pow2_checked(beta as i32 - e);
+    let se = beta as i32 - e;
     vals.iter()
-        .map(|&v| if v == 0.0 { 0.0 } else { narrow_f32_exact(v * scale) })
+        .map(|&v| if v == 0.0 { 0.0 } else { narrow_f32_exact(scale_to_int(v, se)) })
         .collect()
 }
 
@@ -640,6 +664,215 @@ mod tests {
 
         let empty = ozaki_dot(&[], &[], &OzakiConfig::dgemm_tc());
         assert_eq!(empty, 0.0);
+    }
+
+    /// The retired engine call: one chunk sum as an ascending scalar
+    /// `mul_add` chain. `inexact` counts the sums the chain rounded — the
+    /// f64 sum is exact for β ≤ 11 slice integers at every test length.
+    fn chain(x: &[f32], y: &[f32], inexact: &mut usize) -> f32 {
+        let mut s = 0.0f32;
+        for (&a, &b) in x.iter().zip(y) {
+            s = a.mul_add(b, s);
+        }
+        let exact: f64 = x.iter().zip(y).map(|(&a, &b)| f64::from(a) * f64::from(b)).sum();
+        if f64::from(s) != exact {
+            *inexact += 1;
+        }
+        s
+    }
+
+    /// The retired simulated-ME GEMM: the same split, integer panels and
+    /// fold order, with every C element of every slice pair and k-chunk
+    /// its own [`chain`]. Returns C and the count of inexact chunk sums.
+    fn oracle_gemm(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig) -> (Mat<f64>, usize) {
+        let (m, k) = a.shape();
+        let n = b.cols();
+        let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+        let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
+        let (sa, sb) = (split_rows(a, beta, budget), split_cols(b, beta, budget));
+        let panels = |s: &SplitMatrix, by_rows: bool| -> Vec<Vec<f32>> {
+            s.slices
+                .iter()
+                .zip(&s.scale_exp)
+                .map(|(x, e)| int_scale_lines(x, e, beta, by_rows))
+                .collect()
+        };
+        let (ia, ib) = (panels(&sa, true), panels(&sb, false));
+        let kb = cfg.k_block.max(1);
+        let mut acc = vec![Accumulator::new(); m * n];
+        let mut inexact = 0;
+        for (p, (xa, ea)) in ia.iter().zip(&sa.scale_exp).enumerate() {
+            for (q, (xb, eb)) in ib.iter().zip(&sb.scale_exp).enumerate() {
+                if p + q >= cutoff {
+                    continue;
+                }
+                for k0 in (0..k).step_by(kb) {
+                    let kc = kb.min(k - k0);
+                    for i in 0..m {
+                        for j in 0..n {
+                            let arow = &xa[i * k + k0..i * k + k0 + kc];
+                            let brow = &xb[j * k + k0..j * k + k0 + kc];
+                            let s = chain(arow, brow, &mut inexact);
+                            if s == 0.0 {
+                                continue;
+                            }
+                            let scale = pow2_checked(ea[i] + eb[j] - 2 * beta as i32);
+                            acc[i * n + j].add(s as f64 * scale);
+                        }
+                    }
+                }
+            }
+        }
+        (Mat::from_fn(m, n, |i, j| acc[i * n + j].value()), inexact)
+    }
+
+    /// The retired `ozaki_dot` engine loop, one [`chain`] per chunk.
+    fn oracle_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
+        let k = x.len();
+        let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+        let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
+        let (sx, sy) = (split_line(x, beta, budget), split_line(y, beta, budget));
+        let kb = cfg.k_block.max(1);
+        let mut acc = Accumulator::new();
+        for (p, (xv, &ex)) in sx.vals.iter().zip(&sx.exps).enumerate() {
+            for (q, (yv, &ey)) in sy.vals.iter().zip(&sy.exps).enumerate() {
+                if p + q >= cutoff {
+                    continue;
+                }
+                let (xs, ys) = (int_scale_line(xv, ex, beta), int_scale_line(yv, ey, beta));
+                for k0 in (0..k).step_by(kb) {
+                    let kc = kb.min(k - k0);
+                    let s = chain(&xs[k0..k0 + kc], &ys[k0..k0 + kc], &mut 0);
+                    if s != 0.0 {
+                        acc.add(s as f64 * pow2_checked(ex + ey - 2 * beta as i32));
+                    }
+                }
+            }
+        }
+        acc.value()
+    }
+
+    /// The retired `ozaki_gemv` engine loop, one [`chain`] per row chunk.
+    fn oracle_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
+        let (m, k) = a.shape();
+        let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+        let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
+        let (sa, sx) = (split_rows(a, beta, budget), split_line(x, beta, budget));
+        let kb = cfg.k_block.max(1);
+        let mut acc = vec![Accumulator::new(); m];
+        for (p, (sl, ea)) in sa.slices.iter().zip(&sa.scale_exp).enumerate() {
+            let ia = int_scale_lines(sl, ea, beta, true);
+            for (q, (xv, &ex)) in sx.vals.iter().zip(&sx.exps).enumerate() {
+                if p + q >= cutoff {
+                    continue;
+                }
+                let xs = int_scale_line(xv, ex, beta);
+                for k0 in (0..k).step_by(kb) {
+                    let kc = kb.min(k - k0);
+                    for (i, ai) in acc.iter_mut().enumerate() {
+                        let s = chain(&ia[i * k + k0..i * k + k0 + kc], &xs[k0..k0 + kc], &mut 0);
+                        if s != 0.0 {
+                            ai.add(s as f64 * pow2_checked(ea[i] + ex - 2 * beta as i32));
+                        }
+                    }
+                }
+            }
+        }
+        acc.iter().map(Accumulator::value).collect()
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn engine_call_matches_retired_scalar_chain_bitwise() {
+        // The dispatched micro-kernel replays the retired per-element chain
+        // (DESIGN §9), serial and at 2/3/5 threads, across chunked k, every
+        // target, a narrow multiply format, a subnormal line, and a wide
+        // accumulator whose chunk sums round — so the identity rests on the
+        // FMA order, not only on exactness.
+        let mut sub_a = mk(7, 40, 31, 6);
+        for p in 0..40 {
+            sub_a[(2, p)] *= 1e-312;
+        }
+        assert!(sub_a.row(2).iter().all(|v| v.abs() < f64::MIN_POSITIVE), "row 2 is subnormal");
+        let cases = [
+            (
+                "dgemm, k=700, k_block=64",
+                mk(11, 700, 23, 12),
+                mk(700, 7, 24, 12),
+                OzakiConfig { k_block: 64, ..OzakiConfig::dgemm_tc() },
+            ),
+            (
+                "exact, k=700",
+                mk(6, 700, 25, 3),
+                mk(700, 5, 26, 3),
+                OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() },
+            ),
+            (
+                "sgemm, k_block=100",
+                mk(9, 300, 27, 8),
+                mk(300, 6, 28, 8),
+                OzakiConfig { k_block: 100, ..OzakiConfig::sgemm_tc() },
+            ),
+            (
+                "mul_precision 6",
+                mk(8, 300, 29, 10),
+                mk(300, 6, 30, 10),
+                OzakiConfig { mul_precision: 6, ..OzakiConfig::dgemm_tc() },
+            ),
+            ("subnormal line", sub_a, mk(40, 5, 32, 6), OzakiConfig::dgemm_tc()),
+            (
+                "acc_precision 40",
+                mk(7, 700, 33, 4),
+                mk(700, 6, 34, 4),
+                OzakiConfig { acc_precision: 40, ..OzakiConfig::dgemm_tc() },
+            ),
+        ];
+        for (label, a, b, cfg) in &cases {
+            let (want, inexact) = oracle_gemm(a, b, cfg);
+            if cfg.acc_precision > 24 {
+                assert!(inexact > 0, "{label}: the wide accumulator must round some chunk sums");
+            } else {
+                assert_eq!(inexact, 0, "{label}: the β budget keeps every chunk sum exact");
+            }
+            assert_eq!(bits(ozaki_gemm(a, b, cfg).c.as_slice()), bits(want.as_slice()), "{label}");
+            for threads in [2, 3, 5] {
+                let par = ozaki_gemm_parallel(a, b, cfg, threads);
+                assert_eq!(bits(par.c.as_slice()), bits(want.as_slice()), "{label}, {threads}t");
+            }
+        }
+    }
+
+    #[test]
+    fn dot_and_gemv_match_retired_scalar_chain_bitwise() {
+        let chunked = OzakiConfig { k_block: 64, ..OzakiConfig::dgemm_tc() };
+        let exact = OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::default() };
+        let a = mk(9, 700, 35, 10);
+        let x = mk(1, 700, 36, 10).as_slice().to_vec();
+        let y = mk(1, 700, 37, 10).as_slice().to_vec();
+        for cfg in [chunked, exact, OzakiConfig::sgemm_tc()] {
+            assert_eq!(ozaki_dot(&x, &y, &cfg).to_bits(), oracle_dot(&x, &y, &cfg).to_bits());
+            assert_eq!(bits(&ozaki_gemv(&a, &x, &cfg)), bits(&oracle_gemv(&a, &x, &cfg)));
+        }
+    }
+
+    #[test]
+    fn dot_and_gemv_scale_subnormal_lines() {
+        // A line whose maximum is subnormal needs `2^(β − e)` beyond f64
+        // range; the single-line scaling once overflowed it to inf and the
+        // dot came back NaN. Both fronts must agree with the GEMM.
+        let x = [3e-310, -1e-311, 2.5e-309];
+        let y = [1.0, 2.0, 3.0];
+        let cfg = OzakiConfig::dgemm_tc();
+        let (xm, ym) = (Mat::from_vec(1, 3, x.to_vec()), Mat::from_vec(3, 1, y.to_vec()));
+        let c = ozaki_gemm(&xm, &ym, &cfg);
+        assert!(c.c[(0, 0)] > 0.0);
+        assert_eq!(ozaki_dot(&x, &y, &cfg).to_bits(), c.c[(0, 0)].to_bits());
+        assert_eq!(ozaki_dot(&y, &x, &cfg).to_bits(), c.c[(0, 0)].to_bits());
+        let yx = ozaki_gemv(&Mat::from_vec(1, 3, y.to_vec()), &x, &cfg);
+        assert_eq!(yx[0].to_bits(), c.c[(0, 0)].to_bits());
     }
 
     #[test]

@@ -2,25 +2,26 @@
 //! the half-precision slice products as a *measured* result, not a model.
 //!
 //! [`crate::gemm`] simulates the f16-multiply/f32-accumulate matrix
-//! engine: its slice panels are integer-valued `f32` and the chunk dots
-//! run as an ascending scalar `mul_add` chain. This module stores the
-//! slice panels in genuine 16-bit IEEE binary16 words and executes every
-//! chunk product through [`me_linalg::gemm_half_f32`] — the widening-pack
-//! GEMM over the host's dispatched micro-kernels (strict scalar,
-//! portable-unrolled, AVX2, AVX-512), exactly the memory traffic and
-//! arithmetic a host-SIMD FP16 emulation performs.
+//! engine: its slice panels are integer-valued `f32`, multiplied through
+//! [`me_linalg::gemm_f32_f32`]. This module stores the slice panels in
+//! genuine 16-bit IEEE binary16 words and executes every chunk product
+//! through [`me_linalg::gemm_half_f32`] — the same engine-call core over
+//! the host's dispatched micro-kernels (strict scalar, portable-unrolled,
+//! AVX2, AVX-512), widening in the pack loops: exactly the memory traffic
+//! and arithmetic a host-SIMD FP16 emulation performs. The two substrates
+//! differ only in slice storage.
 //!
-//! Two exactness facts make the result **bitwise identical** to the
-//! simulated path at a matched β:
+//! Two facts make the result **bitwise identical** to the simulated path
+//! at a matched β:
 //!
 //! - slice integers have magnitude ≤ 2^β ≤ 2^11 = 2048, every one exactly
 //!   representable in binary16 (11-bit significand), so the f16 round
 //!   trip of each panel value is the identity on the simulated panel;
-//! - the widening-pack kernels perform exactly one correctly-rounded FMA
-//!   per accumulator per ascending k step (DESIGN §9), which is the same
-//!   operation sequence as the simulated chunk chain — so each chunk sum
-//!   has the same f32 bits, before the identical `(p, q) → k-chunk →
-//!   element` accumulator fold.
+//! - both fronts pack the same f32 values into the same micro-kernel,
+//!   which performs exactly one correctly-rounded FMA per accumulator per
+//!   ascending k step (DESIGN §9) — so each chunk sum has the same f32
+//!   bits, before the identical `(p, q) → k-chunk → element` accumulator
+//!   fold.
 //!
 //! Unlike the INT8 port ([`crate::int8`], which must pin `mul_precision:
 //! 6` on the simulated side to compare), f16 slices carry the *same*
@@ -28,10 +29,10 @@
 //! the matched-slice-count comparison needs no configuration fudge:
 //! `host_f16_matches_simulated_me_bitwise` pins default-vs-default.
 
-use crate::gemm::TargetAccuracy;
+use crate::gemm::{fold_tile, pair_counts, scale_to_int, TargetAccuracy};
 use crate::split::{ceil_log2, required_beta, split_cols, split_cols_parallel, split_rows, split_rows_parallel};
 use me_linalg::{gemm_half_f32, selected_kernel, HalfKind, KernelVariant, Mat};
-use me_numerics::formats::{narrow_f32_exact, pow2};
+use me_numerics::formats::narrow_f32_exact;
 use me_numerics::sum::Accumulator;
 
 /// Configuration of the host-f16 engine. Field meanings (and defaults)
@@ -239,19 +240,7 @@ fn ozaki_gemm_host_f16_impl(
     me_trace::counter_add("ozaki.host_f16.slices_a", sa.len() as u64);
     me_trace::counter_add("ozaki.host_f16.slices_b", sb.len() as u64);
 
-    // Schedule counters are a property of the (slice count, cutoff)
-    // pair, never of the partition: count them once.
-    let mut computed = 0usize;
-    let mut skipped = 0usize;
-    for p in 0..sa.len() {
-        for q in 0..sb.len() {
-            if p + q >= cutoff {
-                skipped += 1;
-            } else {
-                computed += 1;
-            }
-        }
-    }
+    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
     let kb = engine.k_block.max(1);
     let chunks = if k == 0 { 0 } else { k.div_ceil(kb) };
     let engine_calls = computed * chunks;
@@ -326,9 +315,7 @@ fn pack_slice_lines_f16(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool
             if v == 0.0 {
                 continue;
             }
-            // Subnormal lines need `2^(β − e)` beyond f64 range: split the
-            // scaling so each step stays representable (both exact).
-            let x = if se > 1023 { (v * pow2(1023)) * pow2(se - 1023) } else { v * pow2_chk(se) };
+            let x = scale_to_int(v, se);
             let xf = narrow_f32_exact(x);
             let bits = HalfKind::F16.narrow(xf);
             debug_assert_eq!(
@@ -349,7 +336,7 @@ fn pack_slice_lines_f16(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool
 /// with exact-zero chunk sums skipped — identical for every row
 /// partition and kernel variant, and identical to the simulated-ME path
 /// at a matched β (each [`gemm_half_f32`] chunk tile carries the same
-/// f32 bits as the simulated ascending `mul_add` chain, by §9).
+/// f32 bits as the simulated path's `gemm_f32_f32` tile, by §9).
 #[allow(clippy::too_many_arguments)]
 fn accumulate_row_panel_host_f16(
     bits_a: &[Vec<u16>],
@@ -393,31 +380,9 @@ fn accumulate_row_panel_host_f16(
                     HalfKind::F16,
                     &mut tile,
                 );
-                for li in 0..rows {
-                    let e_ai = ea[r0 + li];
-                    for j in 0..n {
-                        let s = tile[li * n + j];
-                        if s == 0.0 {
-                            continue;
-                        }
-                        let scale = pow2_chk(e_ai + eb[j] - 2 * beta as i32);
-                        acc[li * n + j].add(s as f64 * scale);
-                    }
-                }
+                fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
             }
         }
-    }
-}
-
-/// Power of two that tolerates the full split exponent range by chaining
-/// two `pow2` factors when the exponent exceeds f64's normal range.
-fn pow2_chk(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        pow2(e)
-    } else if e > 1023 {
-        pow2(1023) * pow2(e - 1023)
-    } else {
-        pow2(-1022) * pow2((e + 1022).max(-1074))
     }
 }
 

@@ -10,19 +10,18 @@
 //! substrate for high-precision emulation than f16 ones (the published
 //! ozIMMU follow-up line of work: Uchino & Ozaki 2025).
 //!
-//! Unlike the simulated-f32 path in [`crate::gemm`], the inner products
-//! here run on genuine host int8 micro-kernels
-//! ([`me_linalg::gemm_i8_i32`]: strict scalar, portable-unrolled, or AVX2
-//! `vpmaddubsw`), dispatched through the same [`KernelVariant`] table as
-//! the floating-point GEMM. Integer arithmetic is associative, so every
+//! Where the simulated-f32 path in [`crate::gemm`] runs its inner
+//! products on the host's f32 micro-kernels, the products here run on
+//! genuine host int8 micro-kernels ([`me_linalg::gemm_i8_i32`]: strict
+//! scalar, portable-unrolled, or AVX2 `vpmaddubsw`), dispatched through
+//! the same [`KernelVariant`] table as the floating-point GEMM. Integer arithmetic is associative, so every
 //! kernel variant and every thread count returns the same bits; and at a
 //! matched β the whole pipeline is bitwise identical to the simulated-ME
 //! path (`int8_matches_f16_path_at_matched_beta` pins this).
 
-use crate::gemm::TargetAccuracy;
+use crate::gemm::{fold_tile, pair_counts, scale_to_int, TargetAccuracy};
 use crate::split::{ceil_log2, split_cols, split_cols_parallel, split_rows, split_rows_parallel};
 use me_linalg::{gemm_i8_i32, selected_kernel, KernelVariant, Mat};
-use me_numerics::formats::pow2;
 use me_numerics::sum::Accumulator;
 
 /// Configuration of an integer matrix engine.
@@ -254,19 +253,7 @@ fn ozaki_gemm_int8_impl(
     me_trace::counter_add("ozaki.int8.slices_a", sa.len() as u64);
     me_trace::counter_add("ozaki.int8.slices_b", sb.len() as u64);
 
-    // Schedule counters are a property of the (slice count, cutoff)
-    // pair, never of the partition: count them once.
-    let mut computed = 0usize;
-    let mut skipped = 0usize;
-    for p in 0..sa.len() {
-        for q in 0..sb.len() {
-            if p + q >= cutoff {
-                skipped += 1;
-            } else {
-                computed += 1;
-            }
-        }
-    }
+    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
     let kb = engine.k_block.max(1);
     let chunks = if k == 0 { 0 } else { k.div_ceil(kb) };
     let engine_calls = computed * chunks;
@@ -341,9 +328,7 @@ fn pack_slice_lines(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool) ->
             if v == 0.0 {
                 continue;
             }
-            // Subnormal lines need `2^(β − e)` beyond f64 range: split the
-            // scaling so each step stays representable (both exact).
-            let x = if se > 1023 { (v * pow2(1023)) * pow2(se - 1023) } else { v * pow2_chk(se) };
+            let x = scale_to_int(v, se);
             debug_assert!(
                 x.abs() <= 64.0 && x.fract() == 0.0,
                 "slice value {x} is not a 6-bit-safe integer"
@@ -393,31 +378,9 @@ fn accumulate_row_panel_int8(
                 // The engine call: i8 multiplies, i32 accumulation —
                 // pure integer arithmetic, exact by construction.
                 gemm_i8_i32(variant, rows, n, kc, &ia[r0 * k + k0..], k, &ib[k0..], k, &mut tile);
-                for li in 0..rows {
-                    let e_ai = ea[r0 + li];
-                    for j in 0..n {
-                        let s = tile[li * n + j];
-                        if s == 0 {
-                            continue;
-                        }
-                        let scale = pow2_chk(e_ai + eb[j] - 2 * beta as i32);
-                        acc[li * n + j].add(s as f64 * scale);
-                    }
-                }
+                fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
             }
         }
-    }
-}
-
-/// Power of two that tolerates the full split exponent range by chaining
-/// two `pow2` factors when the exponent exceeds f64's normal range.
-fn pow2_chk(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        pow2(e)
-    } else if e > 1023 {
-        pow2(1023) * pow2(e - 1023)
-    } else {
-        pow2(-1022) * pow2((e + 1022).max(-1074))
     }
 }
 

@@ -15,8 +15,11 @@
 //!    (`2β + ⌈log₂k⌉ ≤ 24` for f16-multiply/f32-accumulate Tensor Cores).
 //! 2. Slice pairs are multiplied on the (simulated) matrix engine — in this
 //!    reproduction the inner GEMM genuinely runs in `f32` arithmetic on
-//!    integer-valued matrices, which is bit-exact for the same reason the
-//!    hardware is.
+//!    integer-valued matrices, through the host's dispatched f32
+//!    micro-kernel (`me_linalg::gemm_f32_f32`), which is bit-exact for the
+//!    same reason the hardware is. The HostF16 backend drives the same
+//!    kernel core on binary16-stored slices; the HostInt8 backend runs
+//!    `i8×i8→i32` kernels.
 //! 3. The exact partial products are scaled back by powers of two (integer
 //!    exponent bookkeeping) and accumulated in a deterministic double-double
 //!    accumulator, giving **bitwise-reproducible** results independent of
