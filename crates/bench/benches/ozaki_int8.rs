@@ -18,7 +18,7 @@ use me_linalg::{
 use me_ozaki::gemm::reference_gemm;
 use me_ozaki::perf::ranged_matrix;
 use me_ozaki::{
-    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, ozaki_gemm_int8, Int8Engine, OzakiConfig,
+    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, Int8Engine, OzakiConfig,
 };
 use std::time::Instant;
 
@@ -62,7 +62,7 @@ fn bench_ozaki_substrates(c: &mut Criterion) {
     let cfg = OzakiConfig::dgemm_tc();
     let engine = Int8Engine::default();
     g.bench_function("simulated_f16_me", |bench| bench.iter(|| ozaki_gemm(&a, &b, &cfg)));
-    g.bench_function("host_int8", |bench| bench.iter(|| ozaki_gemm_int8(&a, &b, &engine)));
+    g.bench_function("host_int8", |bench| bench.iter(|| ozaki_gemm(&a, &b, &engine)));
     g.finish();
 }
 
@@ -135,7 +135,7 @@ fn bench_int8_gates(_c: &mut Criterion) {
     let am = ranged_matrix(n, n, 12.0, 23);
     let bm = ranged_matrix(n, n, 12.0, 24);
     let engine = Int8Engine::default();
-    let r = ozaki_gemm_int8(&am, &bm, &engine);
+    let r = ozaki_gemm(&am, &bm, &engine);
     let c_ref = reference_gemm(&am, &bm);
     let err = me_numerics::max_rel_err(r.c.as_slice(), c_ref.as_slice());
     assert!(err < 1e-12, "accuracy gate: int8 ozaki rel err {err} at n={n}");

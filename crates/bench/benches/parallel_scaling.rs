@@ -29,7 +29,7 @@ use me_bench::bench_matrix;
 use me_engine::{catalog, EngineKind, ExecutionModel, GemmShape, HostParallelism, NumericFormat, PowerSampler};
 use me_linalg::{gemm_parallel_on, gemm_tiled, selected_kernel, set_kernel_override, KernelVariant, Mat};
 use me_numerics::{Seconds, Watts};
-use me_ozaki::{ozaki_gemm, ozaki_gemm_parallel_on, OzakiConfig};
+use me_ozaki::{ozaki_gemm, ozaki_gemm_on, OzakiConfig};
 use me_par::WorkerPool;
 use std::time::Instant;
 
@@ -205,7 +205,7 @@ fn main() {
         let pool = WorkerPool::new(t);
         let mut last = None;
         let dt = time(reps, || {
-            last = Some(ozaki_gemm_parallel_on(&oa, &ob, &cfg, &pool));
+            last = Some(ozaki_gemm_on(&oa, &ob, &cfg, selected_kernel(), Some(&pool)));
         });
         if let Some(r) = last {
             assert!(

@@ -1,23 +1,22 @@
 //! Backend selection: one `ozaki_gemm`-shaped entry point over the three
 //! compute substrates.
 //!
-//! The repo carries three executions of the same scheme: the simulated
-//! f16-multiply/f32-accumulate matrix engine ([`crate::gemm`], the
-//! paper's Tensor-Core model, integer `f32` slices on the host's f32
-//! micro-kernel), the host f16 path ([`crate::host_f16`], the same kernel
-//! core on binary16-stored slices) and the host INT8 path
-//! ([`crate::int8`], real `i8×i8→i32` micro-kernels). [`OzakiBackend`]
+//! The repo carries three [`crate::gemm::SliceEngine`]s under one driver:
+//! the simulated f16-multiply/f32-accumulate matrix engine
+//! ([`OzakiConfig`], the paper's Tensor-Core model, integer `f32` slices
+//! on the host's f32 micro-kernel), the host f16 path ([`HostF16Engine`],
+//! the same kernel core on binary16-stored slices) and the host INT8 path
+//! ([`Int8Engine`], real `i8×i8→i32` micro-kernels). [`OzakiBackend`]
 //! makes the choice a *config*, so callers — the serving layer, the
 //! benches, the energy policy work queued in ROADMAP item 5 — route
 //! through one function and A/B the substrates without changing call
 //! sites.
 
-use crate::gemm::{ozaki_gemm, ozaki_gemm_parallel, OzakiConfig, OzakiReport};
-use crate::host_f16::{
-    ozaki_gemm_host_f16, ozaki_gemm_host_f16_parallel, HostF16Engine, HostF16OzakiReport,
-};
-use crate::int8::{ozaki_gemm_int8, ozaki_gemm_int8_parallel, Int8Engine, Int8OzakiReport};
-use me_linalg::Mat;
+use crate::gemm::{ozaki_gemm_on, with_pool, OzakiConfig, OzakiReport};
+use crate::host_f16::HostF16Engine;
+use crate::int8::Int8Engine;
+use me_linalg::{selected_kernel, KernelVariant, Mat};
+use me_par::WorkerPool;
 
 /// Which substrate executes the slice-pair products.
 #[derive(Debug, Clone, Copy)]
@@ -66,61 +65,38 @@ impl OzakiBackend {
             OzakiBackend::HostF16(_) => "host-f16",
         }
     }
-}
 
-impl From<HostF16OzakiReport> for OzakiReport {
-    fn from(r: HostF16OzakiReport) -> Self {
-        OzakiReport {
-            c: r.c,
-            s_a: r.s_a,
-            s_b: r.s_b,
-            products_computed: r.products_computed,
-            products_skipped: r.products_skipped,
-            beta: r.beta,
-            split_exact: r.split_exact,
-        }
-    }
-}
-
-impl From<Int8OzakiReport> for OzakiReport {
-    fn from(r: Int8OzakiReport) -> Self {
-        OzakiReport {
-            c: r.c,
-            s_a: r.s_a,
-            s_b: r.s_b,
-            products_computed: r.products_computed,
-            products_skipped: r.products_skipped,
-            beta: r.beta,
-            split_exact: r.split_exact,
+    /// [`ozaki_gemm_on`] on this backend's engine.
+    fn run(
+        &self,
+        a: &Mat<f64>,
+        b: &Mat<f64>,
+        kernel: KernelVariant,
+        pool: Option<&WorkerPool>,
+    ) -> OzakiReport {
+        match self {
+            OzakiBackend::SimulatedMe(cfg) => ozaki_gemm_on(a, b, cfg, kernel, pool),
+            OzakiBackend::HostInt8(engine) => ozaki_gemm_on(a, b, engine, kernel, pool),
+            OzakiBackend::HostF16(engine) => ozaki_gemm_on(a, b, engine, kernel, pool),
         }
     }
 }
 
 /// Emulated GEMM through the selected backend (serial).
 pub fn ozaki_gemm_backend(a: &Mat<f64>, b: &Mat<f64>, backend: &OzakiBackend) -> OzakiReport {
-    match backend {
-        OzakiBackend::SimulatedMe(cfg) => ozaki_gemm(a, b, cfg),
-        OzakiBackend::HostInt8(engine) => ozaki_gemm_int8(a, b, engine).into(),
-        OzakiBackend::HostF16(engine) => ozaki_gemm_host_f16(a, b, engine).into(),
-    }
+    backend.run(a, b, selected_kernel(), None)
 }
 
 /// Emulated GEMM through the selected backend, row-parallel
-/// (`threads == 0` resolves through `ME_THREADS`/the OS). Both backends
-/// are bitwise identical to their serial counterparts at any width.
+/// (`threads == 0` resolves through `ME_THREADS`/the OS). Every backend
+/// is bitwise identical to its serial path at any width.
 pub fn ozaki_gemm_backend_parallel(
     a: &Mat<f64>,
     b: &Mat<f64>,
     backend: &OzakiBackend,
     threads: usize,
 ) -> OzakiReport {
-    match backend {
-        OzakiBackend::SimulatedMe(cfg) => ozaki_gemm_parallel(a, b, cfg, threads),
-        OzakiBackend::HostInt8(engine) => ozaki_gemm_int8_parallel(a, b, engine, threads).into(),
-        OzakiBackend::HostF16(engine) => {
-            ozaki_gemm_host_f16_parallel(a, b, engine, threads).into()
-        }
-    }
+    with_pool(a.rows(), threads, |pool| backend.run(a, b, selected_kernel(), pool))
 }
 
 #[cfg(test)]
@@ -128,6 +104,7 @@ mod tests {
     use super::*;
     use crate::gemm::reference_gemm;
     use crate::perf::ranged_matrix;
+    use me_linalg::available_variants;
 
     #[test]
     fn both_backends_hit_dgemm_accuracy_through_one_entry() {
@@ -180,5 +157,45 @@ mod tests {
         assert_eq!(OzakiBackend::default().label(), "simulated-me");
         assert_eq!(OzakiBackend::host_int8().label(), "host-int8");
         assert_eq!(OzakiBackend::host_f16().label(), "host-f16");
+    }
+
+    #[test]
+    fn every_substrate_kernel_and_width_matches_scalar_serial_bitwise() {
+        // The bitwise contract as one table: each substrate, on every
+        // kernel the host can run, serially and at 2/3/5/8 threads
+        // (uneven row panels at m = 23), returns the scalar serial bits
+        // and the same schedule. k = 300 spans two k-chunks, the second
+        // ragged.
+        let a = ranged_matrix(23, 300, 9.0, 55);
+        let b = ranged_matrix(300, 7, 9.0, 56);
+        let pools: Vec<WorkerPool> = [2, 3, 5, 8].into_iter().map(WorkerPool::new).collect();
+        let widths = std::iter::once(None).chain(pools.iter().map(Some));
+        let bits = |c: &Mat<f64>| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for backend in
+            [OzakiBackend::dgemm_tc(), OzakiBackend::host_int8(), OzakiBackend::host_f16()]
+        {
+            let k_block = match backend {
+                OzakiBackend::SimulatedMe(cfg) => cfg.k_block,
+                OzakiBackend::HostInt8(engine) => engine.k_block,
+                OzakiBackend::HostF16(engine) => engine.k_block,
+            };
+            let want = backend.run(&a, &b, KernelVariant::Scalar, None);
+            let schedule = |r: &OzakiReport| {
+                (r.s_a, r.s_b, r.beta, r.products_computed, r.products_skipped, r.engine_calls)
+            };
+            for v in available_variants() {
+                for pool in widths.clone() {
+                    let threads = pool.map_or(1, WorkerPool::threads);
+                    let label = format!("{} {v} at {threads} threads", backend.label());
+                    let r = backend.run(&a, &b, v, pool);
+                    assert_eq!(r.kernel, v.resolve_supported(), "{label}");
+                    let chunks = 300usize.div_ceil(k_block);
+                    assert_eq!(r.engine_calls, r.products_computed * chunks, "{label}");
+                    assert_eq!(r.products_computed + r.products_skipped, r.s_a * r.s_b, "{label}");
+                    assert_eq!(schedule(&r), schedule(&want), "{label}");
+                    assert_eq!(bits(&r.c), bits(&want.c), "{label}");
+                }
+            }
+        }
     }
 }

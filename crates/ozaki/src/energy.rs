@@ -13,16 +13,16 @@
 //! ([`emit_energy_counters`]) and rendered into `artifacts/` by the
 //! `ozaki_int8` bench.
 
-use crate::gemm::OzakiConfig;
+use crate::gemm::{OzakiConfig, SliceEngine};
 use crate::host_f16::HostF16Engine;
 use crate::int8::Int8Engine;
-use crate::perf::{charge_emulated, schedule_from_sample, EmulatedGemmPerf};
+use crate::perf::{charge_emulated, schedule_from_sample};
 use me_engine::{catalog, EngineKind, ExecutionModel, NumericFormat};
 
 /// One (substrate, input-range) cell of the FP16-vs-INT8 comparison.
 #[derive(Debug, Clone)]
 pub struct EnergyRow {
-    /// Substrate label: `"f16-me"` or `"int8"`.
+    /// Substrate label: `"f16-host"`, `"f16-me"` or `"int8"`.
     pub config: &'static str,
     /// Input dynamic range in decades (Table VIII's 8 / 16 / 32).
     pub range_decades: f64,
@@ -43,8 +43,22 @@ pub struct EnergyRow {
 /// Problem size for the comparison (matches Table VIII's n = 8192).
 const N: usize = 8192;
 const SAMPLE_N: usize = 48;
+/// Table VIII's input ranges, in decades.
+const RANGES: [f64; 3] = [8.0, 16.0, 32.0];
 
-fn row(config: &'static str, decades: f64, perf: &EmulatedGemmPerf) -> EnergyRow {
+/// One cell: `engine`'s schedule at `decades`, its slice products charged
+/// as `(kind, fmt)` GEMMs on `model`.
+fn row<E: SliceEngine>(
+    config: &'static str,
+    engine: &E,
+    model: &ExecutionModel,
+    kind: EngineKind,
+    fmt: NumericFormat,
+    decades: f64,
+) -> EnergyRow {
+    let seed = 0x5eed ^ decades.to_bits();
+    let (slices, products) = schedule_from_sample(engine, N, decades, SAMPLE_N, seed);
+    let perf = charge_emulated(model, kind, fmt, N, slices, products);
     let joules = perf.avg_power_w * perf.total_time_s;
     let eff_flops = perf.effective_tflops * 1e12 * perf.total_time_s;
     EnergyRow {
@@ -63,115 +77,45 @@ fn row(config: &'static str, decades: f64, perf: &EmulatedGemmPerf) -> EnergyRow
 /// n = 8192 for input ranges of 8, 16 and 32 decades, DGEMM-equivalent
 /// accuracy on both.
 pub fn int8_vs_f16_rows() -> Vec<EnergyRow> {
-    let mut rows = Vec::with_capacity(6);
-    let model = ExecutionModel::new(catalog::a100());
-    let cfg = OzakiConfig::dgemm_tc();
-    let engine = Int8Engine::default();
-    for decades in [8.0f64, 16.0, 32.0] {
-        let seed = 0x5eed ^ decades.to_bits();
-        // FP16 substrate, charged on the A100's FP16 Tensor Cores so the
-        // device is held fixed across the comparison.
-        let kb_s = cfg.k_block.max(1).min(SAMPLE_N);
-        let beta_s = crate::split::required_beta(kb_s, cfg.acc_precision, cfg.mul_precision);
-        let kb_f = cfg.k_block.max(1).min(N);
-        let beta_f = crate::split::required_beta(kb_f, cfg.acc_precision, cfg.mul_precision);
-        let (slices, products) =
-            schedule_from_sample(decades, SAMPLE_N, seed, beta_s, beta_f, 53.0);
-        let f16 = charge_emulated(
-            &model,
-            EngineKind::MatrixEngine,
-            NumericFormat::F16xF32,
-            N,
-            slices,
-            products,
-        );
-        rows.push(row("f16-me", decades, &f16));
-
-        // INT8 substrate on the same device's INT8 Tensor Cores.
-        let (slices, products) = schedule_from_sample(
-            decades,
-            SAMPLE_N,
-            seed,
-            engine.slice_bits(SAMPLE_N),
-            engine.slice_bits(N),
-            53.0,
-        );
-        let i8p =
-            charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::I8, N, slices, products);
-        rows.push(row("int8", decades, &i8p));
-    }
-    rows
+    let a100 = ExecutionModel::new(catalog::a100());
+    let me = EngineKind::MatrixEngine;
+    RANGES
+        .iter()
+        .flat_map(|&d| {
+            [
+                // The FP16 substrate on the A100's FP16 Tensor Cores, so
+                // the device is held fixed across the comparison.
+                row("f16-me", &OzakiConfig::dgemm_tc(), &a100, me, NumericFormat::F16xF32, d),
+                row("int8", &Int8Engine::default(), &a100, me, NumericFormat::I8, d),
+            ]
+        })
+        .collect()
 }
 
-/// The complete three-substrate comparison the PR 8 follow-up asked for:
-/// FP16-host (the measured [`crate::host_f16`] path, charged on the Xeon
-/// Gold 6148's f32 SIMD peak), FP16-ME and INT8 (both on the A100's
-/// Tensor Cores), at n = 8192 for input ranges of 8, 16 and 32 decades —
-/// nine rows, three per range, DGEMM-equivalent accuracy everywhere.
+/// The complete three-substrate comparison: FP16-host (the measured
+/// [`crate::host_f16`] path, charged on the Xeon Gold 6148's f32 SIMD
+/// peak), FP16-ME and INT8 (both on the A100's Tensor Cores), at n = 8192
+/// for input ranges of 8, 16 and 32 decades — nine rows, three per range,
+/// DGEMM-equivalent accuracy everywhere.
 ///
 /// The host arm runs the *same* schedule as FP16-ME (identical β by
 /// construction, see `host_f16_matches_simulated_me_bitwise`); only the
 /// charged substrate differs, which is exactly the paper's §V question:
 /// what does the matrix engine buy over the host SIMD units it displaced.
 pub fn host_f16_vs_me_vs_int8_rows() -> Vec<EnergyRow> {
-    let mut rows = Vec::with_capacity(9);
-    let me_model = ExecutionModel::new(catalog::a100());
-    let host_model = ExecutionModel::new(catalog::xeon_gold_6148());
-    let cfg = OzakiConfig::dgemm_tc();
-    let host = HostF16Engine::default();
-    let engine = Int8Engine::default();
-    for decades in [8.0f64, 16.0, 32.0] {
-        let seed = 0x5eed ^ decades.to_bits();
-        // One f16 schedule serves both f16 arms: HostF16Engine::beta and
-        // required_beta(cfg) agree at every k by construction.
-        let kb_s = cfg.k_block.max(1).min(SAMPLE_N);
-        let beta_s = crate::split::required_beta(kb_s, cfg.acc_precision, cfg.mul_precision);
-        let kb_f = cfg.k_block.max(1).min(N);
-        let beta_f = crate::split::required_beta(kb_f, cfg.acc_precision, cfg.mul_precision);
-        debug_assert_eq!(beta_s, host.beta(SAMPLE_N));
-        debug_assert_eq!(beta_f, host.beta(N));
-        let (slices, products) =
-            schedule_from_sample(decades, SAMPLE_N, seed, beta_s, beta_f, 53.0);
-
-        let hf = charge_emulated(
-            &host_model,
-            EngineKind::Simd,
-            NumericFormat::F32,
-            N,
-            slices,
-            products,
-        );
-        rows.push(row("f16-host", decades, &hf));
-
-        let f16 = charge_emulated(
-            &me_model,
-            EngineKind::MatrixEngine,
-            NumericFormat::F16xF32,
-            N,
-            slices,
-            products,
-        );
-        rows.push(row("f16-me", decades, &f16));
-
-        let (slices, products) = schedule_from_sample(
-            decades,
-            SAMPLE_N,
-            seed,
-            engine.slice_bits(SAMPLE_N),
-            engine.slice_bits(N),
-            53.0,
-        );
-        let i8p = charge_emulated(
-            &me_model,
-            EngineKind::MatrixEngine,
-            NumericFormat::I8,
-            N,
-            slices,
-            products,
-        );
-        rows.push(row("int8", decades, &i8p));
-    }
-    rows
+    let a100 = ExecutionModel::new(catalog::a100());
+    let xeon = ExecutionModel::new(catalog::xeon_gold_6148());
+    let (me, simd) = (EngineKind::MatrixEngine, EngineKind::Simd);
+    RANGES
+        .iter()
+        .flat_map(|&d| {
+            [
+                row("f16-host", &HostF16Engine::default(), &xeon, simd, NumericFormat::F32, d),
+                row("f16-me", &OzakiConfig::dgemm_tc(), &a100, me, NumericFormat::F16xF32, d),
+                row("int8", &Int8Engine::default(), &a100, me, NumericFormat::I8, d),
+            ]
+        })
+        .collect()
 }
 
 /// Export the comparison through `me_trace` counters (counter names must

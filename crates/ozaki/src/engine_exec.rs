@@ -10,10 +10,10 @@
 //! It also returns the engine's cycle statistics, connecting the algorithm
 //! to the hardware cost model of Table VIII.
 
-use crate::gemm::{fold_tile, pair_counts, scale_to_int, OzakiConfig, OzakiReport};
-use crate::split::{required_beta, split_cols, split_rows};
+use crate::gemm::{fold_tile, pair_counts, scale_to_int, OzakiConfig, OzakiReport, SliceEngine};
+use crate::split::{split_cols, split_rows};
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
-use me_linalg::Mat;
+use me_linalg::{KernelVariant, Mat};
 use me_numerics::sum::Accumulator;
 
 /// Result of an engine-executed Ozaki GEMM.
@@ -47,8 +47,7 @@ pub fn ozaki_gemm_systolic(
     let (m, k) = a.shape();
     let n = b.cols();
     let kb = cfg.k_block.max(1);
-    let beta = required_beta(kb.min(k.max(1)), cfg.acc_precision, cfg.mul_precision);
-
+    let beta = cfg.beta(k);
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
     let sa = split_rows(a, beta, budget);
@@ -96,8 +95,12 @@ pub fn ozaki_gemm_systolic(
             s_b: sb.len(),
             products_computed: computed,
             products_skipped: skipped,
+            engine_calls: computed * k.div_ceil(kb),
             beta,
             split_exact: sa.complete && sb.complete,
+            // Each PE accumulates in ascending k, one rounding per step:
+            // the strict scalar kernel's order (bit-identity pinned below).
+            kernel: KernelVariant::Scalar,
         },
         engine_stats: stats,
     }

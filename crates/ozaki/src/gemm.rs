@@ -1,30 +1,40 @@
-//! The Ozaki-scheme GEMM, dot product, and GEMV (steps 2–3 of the scheme).
+//! The Ozaki-scheme GEMM, dot product and GEMV (steps 2–3 of the scheme),
+//! written once for every substrate.
 //!
-//! One serial core serves every front end: the slice matrices are converted
-//! to integer-valued `f32` panels **once** (line-major, B transposed so each
-//! column streams contiguously), and [`accumulate_row_panel`] folds the
-//! slice-pair products into a row panel of accumulators in a fixed
-//! `(p, q) → k-chunk → element` order. Because that per-element order never
-//! depends on the row partition, [`ozaki_gemm_parallel`] — which fans row
-//! panels over a persistent [`me_par::WorkerPool`] — is bitwise identical
-//! to [`ozaki_gemm`] for any thread count.
+//! A substrate is a [`SliceEngine`]. It decides only what Uchino & Ozaki
+//! show differs between substrates: the slice width β (its storage and
+//! accumulator caps), the stored slice word with its exact narrowing, the
+//! engine call, and the names it traces under. The driver behind every
+//! GEMM entry point ([`ozaki_gemm_on`]) does the rest once: split, pack
+//! each slice **once** into a line-major panel of words (B transposed so
+//! each column streams contiguously), and fold the slice-pair engine calls
+//! into a row panel of accumulators in a fixed `(p, q) → k-chunk →
+//! element` order. Because that per-element order never depends on the
+//! row partition, [`ozaki_gemm_parallel`] — which fans row panels over a
+//! persistent [`me_par::WorkerPool`] — is bitwise identical to
+//! [`ozaki_gemm`] for any thread count. Each substrate gets its own
+//! monomorphized copy of the driver.
 //!
-//! Every engine call — one slice pair over one k-chunk, in GEMM, GEMV and
-//! dot alike — runs through [`me_linalg::gemm_f32_f32`]: the packed f32
-//! micro-kernel the host selected at startup ([`selected_kernel`]), the
-//! same core the HostF16 backend reaches through `gemm_half_f32`. Each
-//! kernel variant performs one correctly-rounded FMA per accumulator per
-//! ascending k step (DESIGN §9), so a chunk sum carries the bits of the
-//! ascending scalar `mul_add` chain over the chunk — exact or not — and
-//! the result does not depend on the kernel the host picked.
+//! [`OzakiConfig`], the simulated f16-multiply/f32-accumulate matrix
+//! engine, stores integer-valued `f32` slices and runs every engine call —
+//! in GEMM, GEMV and dot alike — through [`me_linalg::gemm_f32_f32`]: the
+//! packed f32 micro-kernel the host selected at startup
+//! ([`selected_kernel`]), the same core the host-f16 substrate reaches
+//! through `gemm_half_f32`. Each kernel variant performs one
+//! correctly-rounded FMA per accumulator per ascending k step (DESIGN §9),
+//! so a chunk sum carries the bits of the ascending scalar `mul_add` chain
+//! over the chunk — exact or not — and the result does not depend on the
+//! kernel the host picked.
 
 use crate::split::{
     ceil_log2, required_beta, split_cols, split_cols_parallel, split_line, split_rows,
     split_rows_parallel, SplitMatrix,
 };
+use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::{gemm_f32_f32, selected_kernel, KernelVariant, Mat};
 use me_numerics::formats::{narrow_f32_exact, pow2};
 use me_numerics::sum::Accumulator;
+use me_par::WorkerPool;
 
 /// Target accuracy / truncation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +53,7 @@ pub enum TargetAccuracy {
     SgemmEquivalent,
 }
 
-/// Configuration of the emulated engine and accuracy target.
+/// Configuration of the simulated matrix engine and accuracy target.
 #[derive(Debug, Clone, Copy)]
 pub struct OzakiConfig {
     /// Precision (significand bits incl. implicit bit) of the engine's
@@ -87,39 +97,169 @@ impl OzakiConfig {
     pub fn sgemm_tc() -> Self {
         OzakiConfig { target: TargetAccuracy::SgemmEquivalent, ..Self::default() }
     }
+}
 
-    /// Bits of accuracy the target requires below each line maximum.
-    fn target_bits(&self, k: usize) -> u32 {
+pub(crate) mod sealed {
+    /// Closes [`super::SliceEngine`] to the crate's three substrates: the
+    /// driver's exactness rests on each implementation's β cap.
+    pub trait Sealed {}
+}
+
+/// The span and counter names one substrate traces under.
+#[derive(Debug, Clone, Copy)]
+pub struct SliceTrace {
+    /// Span over the split and the slice packing.
+    pub split: &'static str,
+    /// Span over one row panel's engine calls and fold.
+    pub accumulate: &'static str,
+    /// Counter: slices of A.
+    pub slices_a: &'static str,
+    /// Counter: slices of B.
+    pub slices_b: &'static str,
+    /// Counter: slice pairs computed.
+    pub products_computed: &'static str,
+    /// Counter: slice pairs skipped by the cutoff.
+    pub products_skipped: &'static str,
+    /// Counter: engine calls (pairs × k-chunks).
+    pub engine_calls: &'static str,
+}
+
+/// The [`SliceTrace`] whose names are `$prefix.split`, `$prefix.accumulate`
+/// and so on.
+macro_rules! slice_trace {
+    ($prefix:literal) => {
+        $crate::gemm::SliceTrace {
+            split: concat!($prefix, ".split"),
+            accumulate: concat!($prefix, ".accumulate"),
+            slices_a: concat!($prefix, ".slices_a"),
+            slices_b: concat!($prefix, ".slices_b"),
+            products_computed: concat!($prefix, ".products_computed"),
+            products_skipped: concat!($prefix, ".products_skipped"),
+            engine_calls: concat!($prefix, ".engine_calls"),
+        }
+    };
+}
+pub(crate) use slice_trace;
+
+/// One Ozaki substrate: what differs between the simulated matrix engine
+/// ([`OzakiConfig`]), the host f16 kernels
+/// ([`crate::host_f16::HostF16Engine`]) and the host INT8 kernels
+/// ([`crate::int8::Int8Engine`]). Everything else — split, budget and
+/// cutoff, panel packing, pool fan-out and fold — is the one driver in
+/// this module. Sealed: only these three implement it.
+pub trait SliceEngine: sealed::Sealed {
+    /// The stored slice word: integer-valued `f32`, binary16 bits or `i8`.
+    type Word: Copy + Default + Sync;
+    /// One engine call's chunk sum: `f32`, or `i32` for INT8.
+    type Sum: Copy + Default + Into<f64>;
+    /// Span and counter names.
+    const TRACE: SliceTrace;
+
+    /// Slice width β for inner dimension `k`: the widest slice whose
+    /// integers fit the stored word and whose [`Self::effective_k`]-long
+    /// chunk sums fit the accumulator's exactness budget.
+    fn beta(&self, k: usize) -> u32;
+    /// Accuracy target.
+    fn target(&self) -> TargetAccuracy;
+    /// Hard cap on slices per operand.
+    fn max_slices(&self) -> usize;
+    /// Inner-dimension blocking: the accumulation length of one engine
+    /// call.
+    fn k_block(&self) -> usize;
+    /// Narrow a scaled slice integer into the stored word, exactly.
+    fn narrow(x: f64) -> Self::Word;
+    /// One engine call on kernel `variant`:
+    /// `out[i·n + j] = Σ_{p<kc} a[i·lda + p] · bt[j·ldb + p]`.
+    #[allow(clippy::too_many_arguments)]
+    fn engine_call(
+        variant: KernelVariant,
+        m: usize,
+        n: usize,
+        kc: usize,
+        a: &[Self::Word],
+        lda: usize,
+        bt: &[Self::Word],
+        ldb: usize,
+        out: &mut [Self::Sum],
+    );
+    /// The device, engine and format [`crate::perf::project_emulated`]
+    /// charges the slice products on.
+    fn charged_on() -> (Device, EngineKind, NumericFormat);
+
+    /// Accumulation length of one engine call for inner dimension `k`.
+    fn effective_k(&self, k: usize) -> usize {
+        k.max(1).min(self.k_block().max(1))
+    }
+
+    /// Slice budget and pair cutoff for inner dimension `k` at width
+    /// `beta`: each extraction advances at least β bits, so covering the
+    /// target's bits needs `⌈target/β⌉` slices (plus guard), and slice
+    /// pairs `(p, q)` with `p + q` beyond the same depth contribute below
+    /// the target.
+    fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
         let log2k = ceil_log2(k.max(1));
-        match self.target {
-            TargetAccuracy::Exact => u32::MAX,
+        let target_bits = match self.target() {
+            TargetAccuracy::Exact => return (self.max_slices(), usize::MAX),
             TargetAccuracy::DgemmEquivalent => 53 + log2k + 2,
             TargetAccuracy::SgemmEquivalent => 24 + log2k + 2,
-        }
-    }
-
-    /// Slice budget and pair cutoff derived from the target bits: each
-    /// extraction advances at least β bits, so covering `target_bits` needs
-    /// `⌈target/β⌉` slices (plus guard), and slice pairs `(p, q)` with
-    /// `p + q` beyond the same depth contribute below the target.
-    pub(crate) fn budget_and_cutoff(&self, k: usize, beta: u32) -> (usize, usize) {
-        let target_bits = self.target_bits(k);
-        if target_bits == u32::MAX {
-            (self.max_slices, usize::MAX)
-        } else {
-            let depth = (target_bits as usize).div_ceil(beta as usize);
-            (depth.saturating_add(2).min(self.max_slices), depth.saturating_add(1))
-        }
-    }
-
-    /// Effective accumulation length per engine call.
-    fn effective_k(&self, k: usize) -> usize {
-        k.max(1).min(self.k_block.max(1))
+        };
+        let depth = (target_bits as usize).div_ceil(beta as usize);
+        (depth.saturating_add(2).min(self.max_slices()), depth.saturating_add(1))
     }
 }
 
-/// Result of an Ozaki-scheme operation, with the counters the performance
-/// model (Table VIII) needs.
+impl sealed::Sealed for OzakiConfig {}
+
+impl SliceEngine for OzakiConfig {
+    type Word = f32;
+    type Sum = f32;
+    const TRACE: SliceTrace = slice_trace!("ozaki");
+
+    /// [`required_beta`] over the chunk length, capped by `mul_precision`.
+    fn beta(&self, k: usize) -> u32 {
+        required_beta(self.effective_k(k), self.acc_precision, self.mul_precision)
+    }
+
+    fn target(&self) -> TargetAccuracy {
+        self.target
+    }
+
+    fn max_slices(&self) -> usize {
+        self.max_slices
+    }
+
+    fn k_block(&self) -> usize {
+        self.k_block
+    }
+
+    fn narrow(x: f64) -> f32 {
+        narrow_f32_exact(x)
+    }
+
+    /// f32 multiplies and accumulation on the dispatched micro-kernel
+    /// (exactness under the β budget verified by `f32_products_are_exact`).
+    fn engine_call(
+        variant: KernelVariant,
+        m: usize,
+        n: usize,
+        kc: usize,
+        a: &[f32],
+        lda: usize,
+        bt: &[f32],
+        ldb: usize,
+        out: &mut [f32],
+    ) {
+        gemm_f32_f32(variant, m, n, kc, a, lda, bt, ldb, out);
+    }
+
+    /// The V100's f16 Tensor Cores, where Table VIII was measured.
+    fn charged_on() -> (Device, EngineKind, NumericFormat) {
+        (catalog::v100(), EngineKind::MatrixEngine, NumericFormat::F16xF32)
+    }
+}
+
+/// Result of an Ozaki-scheme GEMM on any substrate, with the counters the
+/// performance model (Table VIII) needs.
 #[derive(Debug, Clone)]
 pub struct OzakiReport {
     /// The computed product.
@@ -128,75 +268,145 @@ pub struct OzakiReport {
     pub s_a: usize,
     /// Number of slices of B.
     pub s_b: usize,
-    /// Slice-pair GEMMs actually executed on the (simulated) engine.
+    /// Slice-pair GEMMs executed on the engine.
     pub products_computed: usize,
     /// Slice pairs skipped by the accuracy cutoff.
     pub products_skipped: usize,
+    /// Engine calls (slice pairs × k-chunks) — a property of the
+    /// schedule, identical for every partition and kernel variant.
+    pub engine_calls: usize,
     /// Slice bit width β.
     pub beta: u32,
     /// Whether both splits were exact decompositions.
     pub split_exact: bool,
+    /// The host kernel variant the engine calls ran on.
+    pub kernel: KernelVariant,
 }
 
-/// Emulated high-precision GEMM `C = A·B` via the Ozaki scheme.
+/// Emulated high-precision GEMM `C = A·B` via the Ozaki scheme on
+/// `engine`, serial, on the process-selected kernel.
 ///
-/// The slice-pair products run in genuine `f32` arithmetic on
-/// integer-valued matrices — on the host's dispatched f32 micro-kernel,
-/// bit-exact for the same reason Tensor-Core f32 accumulation is — and
-/// are recombined in f64 with a deterministic double-double accumulator,
-/// so the result is bitwise reproducible.
-pub fn ozaki_gemm(a: &Mat<f64>, b: &Mat<f64>, cfg: &OzakiConfig) -> OzakiReport {
-    ozaki_gemm_impl(a, b, cfg, None)
+/// The slice-pair products run on integer-valued slices — exact under
+/// each engine's β budget, as Tensor-Core f32 accumulation is — and are
+/// recombined in f64 with a deterministic double-double accumulator, so
+/// the result is bitwise reproducible.
+pub fn ozaki_gemm<E: SliceEngine>(a: &Mat<f64>, b: &Mat<f64>, engine: &E) -> OzakiReport {
+    ozaki_gemm_on(a, b, engine, selected_kernel(), None)
 }
 
-/// The shared serial/parallel core: split, convert each slice to an integer
-/// `f32` panel once, then fold slice-pair products into per-element
-/// accumulators — over the whole matrix (serial) or over disjoint row
-/// panels of the accumulator grid, one pool job per panel.
-fn ozaki_gemm_impl(
+/// Row-parallel [`ozaki_gemm`]: the per-line splits run one line per job,
+/// and the accumulator grid is divided into disjoint row panels, one job
+/// each. The result and every report counter are **bitwise identical** to
+/// the serial path for any thread count — the reproducibility property
+/// the paper highlights, under real parallel execution.
+///
+/// `threads == 0` resolves through [`me_par::resolve_threads`] (the
+/// `ME_THREADS` knob, then the OS).
+pub fn ozaki_gemm_parallel<E: SliceEngine>(
     a: &Mat<f64>,
     b: &Mat<f64>,
-    cfg: &OzakiConfig,
-    pool: Option<&me_par::WorkerPool>,
+    engine: &E,
+    threads: usize,
+) -> OzakiReport {
+    with_pool(a.rows(), threads, |pool| ozaki_gemm_on(a, b, engine, selected_kernel(), pool))
+}
+
+/// Run `f` on the pool a `threads` request resolves to for an `m`-row
+/// GEMM: none at one thread, the global pool at its width, else a fresh
+/// pool.
+pub(crate) fn with_pool<R>(
+    m: usize,
+    threads: usize,
+    f: impl FnOnce(Option<&WorkerPool>) -> R,
+) -> R {
+    let nthreads = me_par::resolve_threads(threads).min(m.max(1));
+    if nthreads <= 1 {
+        f(None)
+    } else if nthreads == me_par::global().threads() {
+        f(Some(me_par::global()))
+    } else {
+        f(Some(&WorkerPool::new(nthreads)))
+    }
+}
+
+/// The driver behind every GEMM entry point, pinned to a kernel variant
+/// (unsupported variants degrade via `resolve_supported`) and a pool
+/// (`None` runs serially). The differential suites and the scaling benches
+/// call it directly.
+///
+/// Splits both operands, packs every slice once — A's panels `m×k`, B's
+/// transposed to `n×k` — and folds the scheduled slice-pair engine calls
+/// into per-element accumulators, over the whole grid or over disjoint
+/// row panels, one pool job per panel.
+pub fn ozaki_gemm_on<E: SliceEngine>(
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    engine: &E,
+    kernel: KernelVariant,
+    pool: Option<&WorkerPool>,
 ) -> OzakiReport {
     assert_eq!(a.cols(), b.rows(), "ozaki_gemm: inner dimension mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
+    let kernel = kernel.resolve_supported();
+    let names = E::TRACE;
+    let beta = engine.beta(k);
+    let (budget, cutoff) = engine.budget_and_cutoff(k, beta);
 
-    let split_span = me_trace::span("ozaki.split", "ozaki");
+    let split_span = me_trace::span(names.split, "ozaki");
     let (sa, sb) = match pool {
-        Some(p) => (split_rows_parallel(a, beta, budget, p), split_cols_parallel(b, beta, budget, p)),
+        Some(p) => {
+            (split_rows_parallel(a, beta, budget, p), split_cols_parallel(b, beta, budget, p))
+        }
         None => (split_rows(a, beta, budget), split_cols(b, beta, budget)),
     };
-
-    // Integer-scale every slice once. `ints_a[p]` is m×k line-major;
-    // `ints_b[q]` is transposed to n×k so a column of B streams
-    // contiguously in the inner dot loop. The old implementation rebuilt
-    // these inside every (p, q) pair and k-chunk.
-    let ints_a: Vec<Vec<f32>> = sa
-        .slices
-        .iter()
-        .zip(&sa.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, true))
-        .collect();
-    let ints_b: Vec<Vec<f32>> = sb
-        .slices
-        .iter()
-        .zip(&sb.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, false))
-        .collect();
+    let pack = |s: &SplitMatrix, by_rows: bool| -> Vec<Vec<E::Word>> {
+        let lines = s.slices.iter().zip(&s.scale_exp);
+        lines.map(|(x, e)| pack_lines::<E>(x, e, beta, by_rows)).collect()
+    };
+    let (words_a, words_b) = (pack(&sa, true), pack(&sb, false));
     drop(split_span);
-    me_trace::counter_add("ozaki.slices_a", sa.len() as u64);
-    me_trace::counter_add("ozaki.slices_b", sb.len() as u64);
 
     let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
-    me_trace::counter_add("ozaki.products_computed", computed as u64);
-    me_trace::counter_add("ozaki.products_skipped", skipped as u64);
+    let kb = engine.k_block().max(1);
+    let engine_calls = computed * k.div_ceil(kb);
+    for (name, count) in [
+        (names.slices_a, sa.len()),
+        (names.slices_b, sb.len()),
+        (names.products_computed, computed),
+        (names.products_skipped, skipped),
+        (names.engine_calls, engine_calls),
+    ] {
+        me_trace::counter_add(name, count as u64);
+    }
 
-    let variant = selected_kernel().resolve_supported();
-    let kb = cfg.k_block.max(1);
+    // Fold every scheduled engine call into the accumulator rows
+    // `[r0, r0 + acc.len()/n)`, in `(p, q)` pair (p outer) → k-chunk →
+    // element order with exact-zero chunk sums skipped: identical for
+    // every row partition, and identical to the systolic-engine path in
+    // `engine_exec`. One span per panel, so under a pool it lands on the
+    // worker that owns the panel.
+    let fold = |r0: usize, acc: &mut [Accumulator]| {
+        let rows = acc.len().checked_div(n).unwrap_or(0);
+        if rows == 0 || k == 0 {
+            return;
+        }
+        let _t = me_trace::span(names.accumulate, "ozaki");
+        let mut tile = vec![E::Sum::default(); rows * n];
+        for (p, (wa, ea)) in words_a.iter().zip(&sa.scale_exp).enumerate() {
+            for (q, (wb, eb)) in words_b.iter().zip(&sb.scale_exp).enumerate() {
+                if p + q >= cutoff {
+                    continue;
+                }
+                for k0 in (0..k).step_by(kb) {
+                    let kc = kb.min(k - k0);
+                    let wa = &wa[r0 * k + k0..];
+                    E::engine_call(kernel, rows, n, kc, wa, k, &wb[k0..], k, &mut tile);
+                    fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
+                }
+            }
+        }
+    };
     let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m * n];
     match pool {
         Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
@@ -206,114 +416,57 @@ fn ozaki_gemm_impl(
                 .enumerate()
                 .map(|(t, chunk)| (t * rows_per, chunk))
                 .collect();
-            pl.for_each_mut(&mut panels, |_, (r0, panel)| {
-                accumulate_row_panel(
-                    &ints_a, &sa.scale_exp, &ints_b, &sb.scale_exp, beta, k, n, kb, cutoff,
-                    variant, *r0, panel,
-                );
-            });
+            pl.for_each_mut(&mut panels, |_, (r0, panel)| fold(*r0, panel));
         }
-        _ => accumulate_row_panel(
-            &ints_a,
-            &sa.scale_exp,
-            &ints_b,
-            &sb.scale_exp,
-            beta,
-            k,
-            n,
-            kb,
-            cutoff,
-            variant,
-            0,
-            &mut acc,
-        ),
+        _ => fold(0, &mut acc),
     }
 
-    let mut c = Mat::zeros(m, n);
-    for (out, a) in c.as_mut_slice().iter_mut().zip(&acc) {
-        *out = a.value();
-    }
     OzakiReport {
-        c,
+        c: Mat::from_vec(m, n, acc.iter().map(Accumulator::value).collect()),
         s_a: sa.len(),
         s_b: sb.len(),
         products_computed: computed,
         products_skipped: skipped,
+        engine_calls,
         beta,
         split_exact: sa.complete && sb.complete,
+        kernel,
     }
 }
 
-/// Scale one slice matrix to its integer `f32` panel:
-/// `Int[i][p] = slice[i][p] / 2^(exp[line] − β)`, line-major (`by_rows`
-/// selects whether lines are rows of A or columns of B; the B panel comes
-/// out transposed, n×k). The integers have at most β+1 bits, exactly
-/// representable in the engine's multiply format.
-fn int_scale_lines(slice: &Mat<f64>, exps: &[i32], beta: u32, by_rows: bool) -> Vec<f32> {
-    let nlines = exps.len();
+/// Pack one slice matrix into its panel of words:
+/// `word[li][p] = narrow(slice[li][p] · 2^(β − exp[li]))`, line-major
+/// (`by_rows` selects rows of A or columns of B; the B panel comes out
+/// transposed, n×k). The scaled values are integers of magnitude ≤ 2^β by
+/// the split invariant, and each engine's β cap keeps them exactly
+/// representable in its word.
+fn pack_lines<E: SliceEngine>(
+    slice: &Mat<f64>,
+    exps: &[i32],
+    beta: u32,
+    by_rows: bool,
+) -> Vec<E::Word> {
     let line_len = if by_rows { slice.cols() } else { slice.rows() };
-    let mut buf = vec![0.0f32; nlines * line_len];
+    let mut buf = vec![E::Word::default(); exps.len() * line_len];
     for (li, &e) in exps.iter().enumerate() {
         let se = beta as i32 - e;
         let line = &mut buf[li * line_len..(li + 1) * line_len];
         for (p, out) in line.iter_mut().enumerate() {
             let v = if by_rows { slice[(li, p)] } else { slice[(p, li)] };
-            if v == 0.0 {
-                continue;
+            if v != 0.0 {
+                *out = E::narrow(scale_to_int(v, se));
             }
-            *out = narrow_f32_exact(scale_to_int(v, se));
         }
     }
     buf
 }
 
-/// Fold every scheduled slice-pair product into the accumulator rows
-/// `[r0, r0 + panel.len()/n)`.
-///
-/// The per-element order is `(p, q)` pair (p outer) → k-chunk → element,
-/// with exact-zero chunk sums skipped — identical for every row partition,
-/// and identical to the systolic-engine path in `engine_exec`. Each
-/// k-chunk is one [`gemm_f32_f32`] engine call into a reused `rows × n`
-/// tile: genuine `f32` arithmetic on β-bit integers, exact under the β
-/// budget, and §9-ordered whatever the budget.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_row_panel(
-    ints_a: &[Vec<f32>],
-    a_exp: &[Vec<i32>],
-    ints_b: &[Vec<f32>],
-    b_exp: &[Vec<i32>],
-    beta: u32,
-    k: usize,
-    n: usize,
-    kb: usize,
-    cutoff: usize,
-    variant: KernelVariant,
-    r0: usize,
-    acc: &mut [Accumulator],
-) {
-    let rows = if n == 0 { 0 } else { acc.len() / n };
-    if rows == 0 || k == 0 {
-        return;
-    }
-    // One span per panel: under the parallel front this lands on the
-    // worker that owns the panel, giving per-lane accumulate phases.
-    let _t = me_trace::span("ozaki.accumulate", "ozaki");
-    let mut tile = vec![0.0f32; rows * n];
-    for (p, (ia, ea)) in ints_a.iter().zip(a_exp).enumerate() {
-        for (q, (ib, eb)) in ints_b.iter().zip(b_exp).enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                // The engine call: f32 multiplies and accumulation on the
-                // dispatched micro-kernel (exactness verified by
-                // `f32_products_are_exact`).
-                gemm_f32_f32(variant, rows, n, kc, &ia[r0 * k + k0..], k, &ib[k0..], k, &mut tile);
-                fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
-            }
-        }
-    }
+/// [`pack_lines`] for a single line with exponent `e`.
+fn pack_line<E: SliceEngine>(vals: &[f64], e: i32, beta: u32) -> Vec<E::Word> {
+    let se = beta as i32 - e;
+    vals.iter()
+        .map(|&v| if v == 0.0 { E::Word::default() } else { E::narrow(scale_to_int(v, se)) })
+        .collect()
 }
 
 /// Fold one engine call's `a_exp.len() × b_exp.len()` chunk tile into the
@@ -391,12 +544,14 @@ pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     if k == 0 {
         return 0.0;
     }
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+    let beta = cfg.beta(k);
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
     let sx = split_line(x, beta, budget);
     let sy = split_line(y, beta, budget);
-    let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
-    let iy: Vec<Vec<f32>> = sy.vals.iter().zip(&sy.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
+    let ix: Vec<Vec<f32>> =
+        sx.vals.iter().zip(&sx.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
+    let iy: Vec<Vec<f32>> =
+        sy.vals.iter().zip(&sy.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
 
     let variant = selected_kernel().resolve_supported();
     let kb = cfg.k_block.max(1);
@@ -425,7 +580,7 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     if k == 0 {
         return vec![0.0; m];
     }
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+    let beta = cfg.beta(k);
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
     let sa = split_rows(a, beta, budget);
     let sx = split_line(x, beta, budget);
@@ -433,9 +588,10 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
         .slices
         .iter()
         .zip(&sa.scale_exp)
-        .map(|(s, exps)| int_scale_lines(s, exps, beta, true))
+        .map(|(s, exps)| pack_lines::<OzakiConfig>(s, exps, beta, true))
         .collect();
-    let ix: Vec<Vec<f32>> = sx.vals.iter().zip(&sx.exps).map(|(v, &e)| int_scale_line(v, e, beta)).collect();
+    let ix: Vec<Vec<f32>> =
+        sx.vals.iter().zip(&sx.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
 
     let variant = selected_kernel().resolve_supported();
     let kb = cfg.k_block.max(1);
@@ -454,14 +610,6 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
         }
     }
     acc.iter().map(|a| a.value()).collect()
-}
-
-/// [`int_scale_lines`] for a single line: `v[p] / 2^(e − β)` as exact f32.
-fn int_scale_line(vals: &[f64], e: i32, beta: u32) -> Vec<f32> {
-    let se = beta as i32 - e;
-    vals.iter()
-        .map(|&v| if v == 0.0 { 0.0 } else { narrow_f32_exact(scale_to_int(v, se)) })
-        .collect()
 }
 
 /// Reference product computed with doubled-precision dot products
@@ -484,7 +632,7 @@ pub fn reference_gemm(a: &Mat<f64>, b: &Mat<f64>) -> Mat<f64> {
 
 /// Expose the split types for callers assembling custom pipelines.
 pub fn split_for_gemm(a: &Mat<f64>, k: usize, cfg: &OzakiConfig) -> (SplitMatrix, u32) {
-    let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
+    let beta = cfg.beta(k);
     (split_rows(a, beta, cfg.max_slices), beta)
 }
 
@@ -694,7 +842,7 @@ mod tests {
             s.slices
                 .iter()
                 .zip(&s.scale_exp)
-                .map(|(x, e)| int_scale_lines(x, e, beta, by_rows))
+                .map(|(x, e)| pack_lines::<OzakiConfig>(x, e, beta, by_rows))
                 .collect()
         };
         let (ia, ib) = (panels(&sa, true), panels(&sb, false));
@@ -739,7 +887,8 @@ mod tests {
                 if p + q >= cutoff {
                     continue;
                 }
-                let (xs, ys) = (int_scale_line(xv, ex, beta), int_scale_line(yv, ey, beta));
+                let xs = pack_line::<OzakiConfig>(xv, ex, beta);
+                let ys = pack_line::<OzakiConfig>(yv, ey, beta);
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
                     let s = chain(&xs[k0..k0 + kc], &ys[k0..k0 + kc], &mut 0);
@@ -761,12 +910,12 @@ mod tests {
         let kb = cfg.k_block.max(1);
         let mut acc = vec![Accumulator::new(); m];
         for (p, (sl, ea)) in sa.slices.iter().zip(&sa.scale_exp).enumerate() {
-            let ia = int_scale_lines(sl, ea, beta, true);
+            let ia = pack_lines::<OzakiConfig>(sl, ea, beta, true);
             for (q, (xv, &ex)) in sx.vals.iter().zip(&sx.exps).enumerate() {
                 if p + q >= cutoff {
                     continue;
                 }
-                let xs = int_scale_line(xv, ex, beta);
+                let xs = pack_line::<OzakiConfig>(xv, ex, beta);
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
                     for (i, ai) in acc.iter_mut().enumerate() {
@@ -888,51 +1037,6 @@ mod tests {
     }
 }
 
-/// Row-parallel Ozaki GEMM on a persistent [`me_par::WorkerPool`].
-///
-/// Both the per-line slicing and the slice-pair accumulation fan out over
-/// the pool: the splits run one line per job, and the accumulator grid is
-/// divided into disjoint row panels, each folded by the same serial core
-/// ([`ozaki_gemm`] shares it). Because the per-element accumulation order
-/// is independent of the row partition, the result is **bitwise identical**
-/// to the serial path for any thread count — the reproducibility property
-/// the paper highlights, demonstrated under real parallel execution (see
-/// `parallel_is_bit_identical`). Unlike the old row-stitching front, the
-/// report's counters are exact (not summed per panel).
-///
-/// `threads == 0` resolves through [`me_par::resolve_threads`] (the
-/// `ME_THREADS` knob, then the OS).
-pub fn ozaki_gemm_parallel(
-    a: &Mat<f64>,
-    b: &Mat<f64>,
-    cfg: &OzakiConfig,
-    threads: usize,
-) -> OzakiReport {
-    assert_eq!(a.cols(), b.rows(), "ozaki_gemm_parallel: inner dimension mismatch");
-    let m = a.rows();
-    let nthreads = me_par::resolve_threads(threads).min(m.max(1));
-    if nthreads <= 1 || m < 2 {
-        return ozaki_gemm(a, b, cfg);
-    }
-    if nthreads == me_par::global().threads() {
-        ozaki_gemm_parallel_on(a, b, cfg, me_par::global())
-    } else {
-        let pool = me_par::WorkerPool::new(nthreads);
-        ozaki_gemm_parallel_on(a, b, cfg, &pool)
-    }
-}
-
-/// [`ozaki_gemm_parallel`] on a caller-supplied pool (the scaling benches
-/// sweep pool widths explicitly).
-pub fn ozaki_gemm_parallel_on(
-    a: &Mat<f64>,
-    b: &Mat<f64>,
-    cfg: &OzakiConfig,
-    pool: &me_par::WorkerPool,
-) -> OzakiReport {
-    ozaki_gemm_impl(a, b, cfg, Some(pool))
-}
-
 #[cfg(test)]
 mod parallel_tests {
     use super::*;
@@ -1044,7 +1148,7 @@ mod parallel_tests {
         let cfg = OzakiConfig::dgemm_tc();
         let s = ozaki_gemm(&a, &b, &cfg);
         let pool = me_par::WorkerPool::new(4);
-        let p = ozaki_gemm_parallel_on(&a, &b, &cfg, &pool);
+        let p = ozaki_gemm_on(&a, &b, &cfg, selected_kernel(), Some(&pool));
         for (x, y) in s.c.as_slice().iter().zip(p.c.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }

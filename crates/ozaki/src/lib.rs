@@ -17,9 +17,11 @@
 //!    reproduction the inner GEMM genuinely runs in `f32` arithmetic on
 //!    integer-valued matrices, through the host's dispatched f32
 //!    micro-kernel (`me_linalg::gemm_f32_f32`), which is bit-exact for the
-//!    same reason the hardware is. The HostF16 backend drives the same
-//!    kernel core on binary16-stored slices; the HostInt8 backend runs
-//!    `i8×i8→i32` kernels.
+//!    same reason the hardware is. The host-f16 substrate drives the same
+//!    kernel core on binary16-stored slices; the host-INT8 substrate runs
+//!    `i8×i8→i32` kernels. All three are [`SliceEngine`]s under one driver
+//!    ([`gemm::ozaki_gemm_on`]): an engine decides only the slice width β,
+//!    the stored slice word and the engine call.
 //! 3. The exact partial products are scaled back by powers of two (integer
 //!    exponent bookkeeping) and accumulated in a deterministic double-double
 //!    accumulator, giving **bitwise-reproducible** results independent of
@@ -47,20 +49,12 @@ pub use energy::{
 };
 pub use engine_exec::{ozaki_gemm_systolic, EngineOzakiResult};
 pub use gemm::{
-    ozaki_dot, ozaki_gemm, ozaki_gemm_parallel, ozaki_gemm_parallel_on, ozaki_gemv, OzakiConfig,
-    OzakiReport, TargetAccuracy,
+    ozaki_dot, ozaki_gemm, ozaki_gemm_on, ozaki_gemm_parallel, ozaki_gemv, OzakiConfig,
+    OzakiReport, SliceEngine, TargetAccuracy,
 };
-pub use host_f16::{
-    ozaki_gemm_host_f16, ozaki_gemm_host_f16_parallel, ozaki_gemm_host_f16_parallel_on,
-    ozaki_gemm_host_f16_parallel_with, ozaki_gemm_host_f16_with, HostF16Engine, HostF16OzakiReport,
-};
-pub use int8::{
-    ozaki_gemm_int8, ozaki_gemm_int8_parallel, ozaki_gemm_int8_parallel_on,
-    ozaki_gemm_int8_parallel_with, ozaki_gemm_int8_with, Int8Engine, Int8OzakiReport,
-};
-pub use perf::{
-    project_emulated_host_f16, project_emulated_int8, table8_rows, EmulatedGemmPerf, Table8Row,
-};
+pub use host_f16::HostF16Engine;
+pub use int8::Int8Engine;
+pub use perf::{project_emulated, table8_rows, EmulatedGemmPerf, Table8Row};
 pub use split::{
     required_beta, split_cols, split_cols_parallel, split_rows, split_rows_parallel, SplitMatrix,
 };

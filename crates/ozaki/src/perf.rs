@@ -11,7 +11,7 @@
 //!   needs, then charge each product as one f16 Tensor-Core GEMM plus the
 //!   f64 split/scale/sum overhead on the CUDA cores.
 
-use crate::gemm::OzakiConfig;
+use crate::gemm::{OzakiConfig, SliceEngine, TargetAccuracy};
 use me_engine::{catalog, EngineKind, ExecutionModel, GemmShape, NumericFormat};
 use me_linalg::Mat;
 
@@ -63,95 +63,32 @@ pub fn ranged_matrix(m: usize, n: usize, decades: f64, seed: u64) -> Mat<f64> {
     })
 }
 
-/// Project the full-size (n×n×n) cost of an emulated GEMM whose slice
-/// behaviour was measured on a small sample with the same dynamic range.
+/// Project the full-size (n×n×n) cost of an emulated GEMM on `engine`
+/// whose slice behaviour was measured on a small sample with the same
+/// dynamic range, charged on the engine's device
+/// ([`SliceEngine::charged_on`]): the V100's f16 Tensor Cores for the
+/// simulated ME, the A100's INT8 Tensor Cores for INT8 (the device the
+/// energy comparison in [`crate::energy`] runs on), and an AVX-512 host's
+/// f32 SIMD units for host f16.
 ///
 /// The slice count scales from the sample because the bits the target needs
 /// are range- and k-dependent, not n-dependent: we measure `bits =
 /// slices·β_sample` on the sample and re-derive the slice count at the full
-/// problem's β (β shrinks as k grows, per [`crate::split::required_beta`]).
-pub fn project_emulated(
+/// problem's β (β shrinks as k grows, per [`SliceEngine::beta`]).
+pub fn project_emulated<E: SliceEngine>(
     n: usize,
     decades: f64,
-    cfg: &OzakiConfig,
+    engine: &E,
     sample_n: usize,
     seed: u64,
 ) -> EmulatedGemmPerf {
-    let kb = cfg.k_block.max(1).min(sample_n);
-    let beta_sample = crate::split::required_beta(kb, cfg.acc_precision, cfg.mul_precision);
-    let kb_full = cfg.k_block.max(1).min(n);
-    let beta_full = crate::split::required_beta(kb_full, cfg.acc_precision, cfg.mul_precision);
-    let t_bits = match cfg.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
-    };
-    let (slices, products) =
-        schedule_from_sample(decades, sample_n, seed, beta_sample, beta_full, t_bits);
-    let model = ExecutionModel::new(catalog::v100());
-    charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::F16xF32, n, slices, products)
-}
-
-/// [`project_emulated`] for the INT8 engine: identical schedule
-/// derivation (β from [`crate::int8::Int8Engine::slice_bits`], so 6-bit
-/// slices instead of f16's 7+), with the slice products charged on the
-/// A100's INT8 Tensor-Core peak — the device the energy comparison
-/// ([`crate::energy`]) runs both substrates on.
-pub fn project_emulated_int8(
-    n: usize,
-    decades: f64,
-    engine: &crate::int8::Int8Engine,
-    sample_n: usize,
-    seed: u64,
-) -> EmulatedGemmPerf {
-    let t_bits = match engine.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
-    };
-    let (slices, products) = schedule_from_sample(
-        decades,
-        sample_n,
-        seed,
-        engine.slice_bits(sample_n),
-        engine.slice_bits(n),
-        t_bits,
-    );
-    let model = ExecutionModel::new(catalog::a100());
-    charge_emulated(&model, EngineKind::MatrixEngine, NumericFormat::I8, n, slices, products)
-}
-
-/// [`project_emulated`] for the host-f16 substrate
-/// ([`crate::host_f16`]): identical schedule derivation (β from
-/// [`crate::host_f16::HostF16Engine::beta`], the same
-/// `required_beta(k_block, 24, 11)` the Tensor-Core model uses), with
-/// the slice products charged on an AVX-512 host CPU's f32 SIMD peak —
-/// the widening-pack kernels run f32 FMAs on the vector units, there is
-/// no matrix engine in the loop. The Xeon Gold 6148 (Table VI System 2)
-/// is the charged host.
-pub fn project_emulated_host_f16(
-    n: usize,
-    decades: f64,
-    engine: &crate::host_f16::HostF16Engine,
-    sample_n: usize,
-    seed: u64,
-) -> EmulatedGemmPerf {
-    let t_bits = match engine.target {
-        crate::gemm::TargetAccuracy::SgemmEquivalent => 24.0,
-        _ => 53.0,
-    };
-    let (slices, products) = schedule_from_sample(
-        decades,
-        sample_n,
-        seed,
-        engine.beta(sample_n),
-        engine.beta(n),
-        t_bits,
-    );
-    let model = ExecutionModel::new(catalog::xeon_gold_6148());
-    charge_emulated(&model, EngineKind::Simd, NumericFormat::F32, n, slices, products)
+    let (slices, products) = schedule_from_sample(engine, n, decades, sample_n, seed);
+    let (device, kind, fmt) = E::charged_on();
+    charge_emulated(&ExecutionModel::new(device), kind, fmt, n, slices, products)
 }
 
 /// Measure the input's exponent spread with the real splitter and derive
-/// the full-size slice count and pair-product count.
+/// `engine`'s slice count and pair-product count for an `n`-order GEMM.
 ///
 /// An *exact* split of a sample with the requested dynamic range tells
 /// us how many bits below the per-line maximum the inputs carry
@@ -162,20 +99,24 @@ pub fn project_emulated_host_f16(
 /// 1e+8 to 1e+32 inputs). The target needs the fraction `t_bits/53` of
 /// that information; wider ranges spread it over more slices,
 /// proportionally for every target.
-pub(crate) fn schedule_from_sample(
+pub(crate) fn schedule_from_sample<E: SliceEngine>(
+    engine: &E,
+    n: usize,
     decades: f64,
     sample_n: usize,
     seed: u64,
-    beta_sample: u32,
-    beta_full: u32,
-    t_bits: f64,
 ) -> (usize, usize) {
+    let beta_sample = engine.beta(sample_n);
+    let t_bits = match engine.target() {
+        TargetAccuracy::SgemmEquivalent => 24.0,
+        _ => 53.0,
+    };
     let a = ranged_matrix(sample_n, sample_n, decades, seed);
     let exact = crate::split::split_rows(&a, beta_sample, 512);
     let bits_total = exact.len() as f64 * beta_sample as f64; // ≈ 53 + φ
     let spread_bits = (bits_total - 53.0).max(0.0);
 
-    let slices = ((t_bits * (1.0 + spread_bits / 53.0)) / beta_full as f64).ceil() as usize;
+    let slices = ((t_bits * (1.0 + spread_bits / 53.0)) / engine.beta(n) as f64).ceil() as usize;
     let cutoff = slices + 1;
     let mut products = 0usize;
     for p in 0..slices {

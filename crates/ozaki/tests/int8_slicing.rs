@@ -10,7 +10,7 @@
 //! 2. **i8-safe**: every slice integer `v · 2^(β − e)` is an integer of
 //!    magnitude ≤ 2^β; at the Int8Engine's β ≤ 6 cap it fits an `i8`
 //!    even on the round-to-nearest edge that produces exactly ±2^β —
-//!    which is why `slice_bits` caps at 6 and not 7.
+//!    which is why `beta` caps at 6 and not 7.
 //! 3. **Correctly-rounded dot**: the Exact-target INT8 path matches a
 //!    correctly rounded reference dot (f64 expansion arithmetic via
 //!    two_prod/two_sum, summed without error and rounded once).
@@ -18,7 +18,7 @@
 use me_numerics::eft::{two_prod, two_sum};
 use me_numerics::Rng64;
 use me_ozaki::int8::Int8Engine;
-use me_ozaki::{ozaki_gemm_int8, split_cols, split_rows, TargetAccuracy};
+use me_ozaki::{ozaki_gemm, split_cols, split_rows, SliceEngine, TargetAccuracy};
 use me_linalg::Mat;
 
 /// Draw one entry: moderate values salted with the special values the
@@ -111,7 +111,7 @@ fn slice_integers_bounded_by_two_pow_beta() {
 /// Claim 2's edge: round-to-nearest extraction of `1 − 2^-53` (the value
 /// closest to the binade top) emits the slice integer exactly ±2^β. At
 /// β = 6 that is ±64 — inside i8 — and the full INT8 GEMM runs through
-/// it; β = 7 would need ±128, which is why `slice_bits` caps at 6.
+/// it; β = 7 would need ±128, which is why `beta` caps at 6.
 #[test]
 fn round_to_nearest_edge_hits_exactly_two_pow_beta() {
     let top = 1.0 - 2f64.powi(-53);
@@ -124,28 +124,45 @@ fn round_to_nearest_edge_hits_exactly_two_pow_beta() {
     // The full INT8 path (which packs these integers into i8) survives it.
     let b = Mat::from_fn(2, 1, |_, _| top);
     let engine = Int8Engine::default();
-    let r = ozaki_gemm_int8(&a, &b, &engine);
+    let r = ozaki_gemm(&a, &b, &engine);
     assert_eq!(r.beta, 6);
     let want = top * top - top * top; // top·top + (−top)·top = 0 exactly
     assert_eq!(r.c[(0, 0)], want);
 }
 
-/// `slice_bits` never exceeds the i8 cap for any (acc_bits, k_block, k):
-/// the property behind claim 2's "fits i8" guarantee.
+/// `beta` never exceeds the i8 cap for any (acc_bits, k_block, k), and
+/// its chunk sums always fit the real i32 accumulator, whatever `acc_bits`
+/// claims: the properties behind claim 2's "fits i8" guarantee and the
+/// engine's exactness.
 #[test]
 fn slice_bits_capped_at_six_everywhere() {
     for acc_bits in [2u32, 8, 16, 24, 31, 64] {
         for k_block in [1usize, 2, 17, 256, 4096, 1 << 20] {
-            for k in [1usize, 7, 256, 100_000] {
+            for k in [1usize, 7, 256, 100_000, 1 << 20] {
                 let e = Int8Engine { acc_bits, k_block, ..Int8Engine::default() };
-                let beta = e.slice_bits(k);
+                let beta = e.beta(k);
                 assert!(
                     (1..=6).contains(&beta),
                     "acc={acc_bits} kb={k_block} k={k}: beta {beta}"
                 );
+                assert!(
+                    k_block.min(k) << (2 * beta) < 1 << 31,
+                    "acc={acc_bits} kb={k_block} k={k}: beta {beta} overflows i32"
+                );
             }
         }
     }
+}
+
+/// An accumulator configured wider than i32 must not widen the slices: a
+/// 2^20-long all-ones dot in one engine call sums 2^20 · 2^(2β), which at
+/// β = 6 wraps the i32 accumulator to 0.
+#[test]
+fn wide_acc_bits_dot_stays_exact_in_i32() {
+    let k = 1usize << 20;
+    let engine = Int8Engine { acc_bits: 40, k_block: k, ..Int8Engine::default() };
+    let r = ozaki_gemm(&Mat::from_fn(1, k, |_, _| 1.0), &Mat::from_fn(k, 1, |_, _| 1.0), &engine);
+    assert_eq!(r.c[(0, 0)], k as f64, "beta {}", r.beta);
 }
 
 /// Sum a list of f64 exactly as a nonoverlapping expansion
@@ -205,7 +222,7 @@ fn exact_target_int8_dot_is_correctly_rounded() {
         let bv: Vec<f64> = (0..k).map(|_| gen(&mut rng)).collect();
         let a = Mat::from_fn(1, k, |_, j| av[j]);
         let b = Mat::from_fn(k, 1, |i, _| bv[i]);
-        let r = ozaki_gemm_int8(&a, &b, &engine);
+        let r = ozaki_gemm(&a, &b, &engine);
         assert!(r.split_exact, "seed {seed}: Exact target must exhaust the residual");
         let want = reference_dot(&av, &bv);
         assert!(

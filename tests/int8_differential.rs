@@ -21,10 +21,10 @@
 
 use matrix_engines::linalg::{available_variants, KernelVariant, Mat};
 use matrix_engines::ozaki::gemm::reference_gemm;
-use matrix_engines::ozaki::int8::{
-    ozaki_gemm_int8_parallel_with, ozaki_gemm_int8_with, Int8Engine,
-};
+use matrix_engines::ozaki::gemm::ozaki_gemm_on;
+use matrix_engines::ozaki::int8::Int8Engine;
 use matrix_engines::ozaki::TargetAccuracy;
+use matrix_engines::par::WorkerPool;
 use me_numerics::Rng64;
 
 const MR: usize = me_linalg::blas3::MR;
@@ -140,7 +140,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                 let a = gen_mat(&mut rng, m, k);
                 let b = gen_mat(&mut rng, k, n);
 
-                let r_ref = ozaki_gemm_int8_with(&a, &b, engine, KernelVariant::Scalar);
+                let r_ref = ozaki_gemm_on(&a, &b, engine, KernelVariant::Scalar, None);
                 let c_f64 = reference_gemm(&a, &b);
                 assert_accurate(
                     &format!("{cname} m={m} k={k} n={n}"),
@@ -154,14 +154,14 @@ fn int8_grid_variants_bitwise_and_accurate() {
                 if vol <= 5_000 {
                     // Small: every variant, serial + cycled-thread parallel.
                     for &v in &variants {
-                        let r = ozaki_gemm_int8_with(&a, &b, engine, v);
+                        let r = ozaki_gemm_on(&a, &b, engine, v, None);
                         assert_bitwise(
                             &format!("{cname} {v} serial m={m} k={k} n={n}"),
                             &r.c,
                             &r_ref.c,
                         );
                         assert_eq!(r.engine_calls, r_ref.engine_calls, "{v} schedule drifted");
-                        let rp = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, threads);
+                        let rp = ozaki_gemm_on(&a, &b, engine, v, Some(&WorkerPool::new(threads)));
                         assert_bitwise(
                             &format!("{cname} {v} parallel(t={threads}) m={m} k={k} n={n}"),
                             &rp.c,
@@ -172,7 +172,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                     // Large: one cycled non-scalar variant serial; parallel
                     // on every other shape.
                     let v = variants[cycle % variants.len()];
-                    let r = ozaki_gemm_int8_with(&a, &b, engine, v);
+                    let r = ozaki_gemm_on(&a, &b, engine, v, None);
                     assert_bitwise(
                         &format!("{cname} {v} serial m={m} k={k} n={n}"),
                         &r.c,
@@ -180,7 +180,7 @@ fn int8_grid_variants_bitwise_and_accurate() {
                     );
                     assert_eq!(r.engine_calls, r_ref.engine_calls, "{v} schedule drifted");
                     if cycle % 2 == 0 {
-                        let rp = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, threads);
+                        let rp = ozaki_gemm_on(&a, &b, engine, v, Some(&WorkerPool::new(threads)));
                         assert_bitwise(
                             &format!("{cname} {v} parallel(t={threads}) m={m} k={k} n={n}"),
                             &rp.c,
@@ -205,10 +205,10 @@ fn int8_full_cross_on_focused_shapes() {
         let a = gen_mat(&mut rng, m, k);
         let b = gen_mat(&mut rng, k, n);
         for (engine, _, cname) in &configs() {
-            let r_ref = ozaki_gemm_int8_with(&a, &b, engine, KernelVariant::Scalar);
+            let r_ref = ozaki_gemm_on(&a, &b, engine, KernelVariant::Scalar, None);
             for &v in &variants {
                 for &t in &THREADS {
-                    let r = ozaki_gemm_int8_parallel_with(&a, &b, engine, v, t);
+                    let r = ozaki_gemm_on(&a, &b, engine, v, Some(&WorkerPool::new(t)));
                     assert_bitwise(
                         &format!("{cname} {v} t={t} m={m} k={k} n={n}"),
                         &r.c,
@@ -234,7 +234,7 @@ fn int8_exact_target_on_small_shapes() {
                 let mut rng = Rng64::seed_from_u64(seed);
                 let a = gen_mat(&mut rng, m, k);
                 let b = gen_mat(&mut rng, k, n);
-                let r = ozaki_gemm_int8_with(&a, &b, &engine, KernelVariant::Scalar);
+                let r = ozaki_gemm_on(&a, &b, &engine, KernelVariant::Scalar, None);
                 assert!(r.split_exact, "m={m} k={k} n={n}: exact split must terminate");
                 let c_ref = reference_gemm(&a, &b);
                 for i in 0..m {

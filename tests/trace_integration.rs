@@ -55,7 +55,13 @@ fn exercise_stack() {
 
     let oa = mk(12, 10, 3);
     let ob = mk(10, 8, 4);
-    let _ = matrix_engines::ozaki::ozaki_gemm_parallel_on(&oa, &ob, &OzakiConfig::dgemm_tc(), &pool);
+    let _ = matrix_engines::ozaki::ozaki_gemm_on(
+        &oa,
+        &ob,
+        &OzakiConfig::dgemm_tc(),
+        matrix_engines::linalg::selected_kernel(),
+        Some(&pool),
+    );
 
     // Modeled timeline: exec-model spans + an NVML-style power poll.
     let model = ExecutionModel::new(catalog::v100());
