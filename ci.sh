@@ -20,7 +20,9 @@
 #      portable, avx2 when CPUID has avx2+fma, and avx512 when it has
 #      avx512f), proving the dispatch override and the bitwise-identity
 #      contract on each variant independently — the simulated-ME Ozaki
-#      path runs its slice products on the dispatched kernel
+#      path runs its slice products on the dispatched kernel; the pinned
+#      Ozaki output digest also runs on the optimized build the
+#      benchmark times
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM
 #      suites at both test parallelisms (the HostF16-Ozaki tests run with
@@ -97,6 +99,7 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration \
         --test paper_headlines
     ME_KERNEL=$K cargo test -q -p me-ozaki
+    ME_KERNEL=$K cargo test -q --release -p me-ozaki --test pinned_digest
 done
 
 echo "==> half-precision stage: f16/bf16 codec + GEMM suites (both parallelisms)"

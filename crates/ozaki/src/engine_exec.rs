@@ -10,8 +10,8 @@
 //! It also returns the engine's cycle statistics, connecting the algorithm
 //! to the hardware cost model of Table VIII.
 
-use crate::gemm::{fold_tile, pair_counts, scale_to_int, OzakiConfig, OzakiReport, SliceEngine};
-use crate::split::{split_cols, split_rows};
+use crate::gemm::{fold_tile, pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
+use crate::split::{lines_of, split_panels};
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
 use me_linalg::{KernelVariant, Mat};
 use me_numerics::sum::Accumulator;
@@ -50,29 +50,23 @@ pub fn ozaki_gemm_systolic(
     let beta = cfg.beta(k);
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
-    let sa = split_rows(a, beta, budget);
-    let sb = split_cols(b, beta, budget);
+    // The slice integers as f64 panels (exact in the multiply format).
+    let ints = |(rest, lines)| split_panels(rest, lines, beta, budget, None, |r, _| r);
+    let (pa, pb) = (ints(lines_of(a, true)), ints(lines_of(b, false)));
 
     let mut acc = vec![Accumulator::new(); m * n];
-    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
+    let (computed, skipped) = pair_counts(pa.words.len(), pb.words.len(), cutoff);
     let mut stats = CycleStats { cycles: 0, macs: 0, pe_cycles: 0, tiles: 0 };
 
-    for (p, (a_slice, a_exp)) in sa.slices.iter().zip(&sa.scale_exp).enumerate() {
-        for (q, (b_slice, b_exp)) in sb.slices.iter().zip(&sb.scale_exp).enumerate() {
+    for (p, (wa, a_exp)) in pa.words.iter().zip(&pa.exps).enumerate() {
+        for (q, (wb, b_exp)) in pb.words.iter().zip(&pb.exps).enumerate() {
             if p + q >= cutoff {
                 continue;
             }
             for k0 in (0..k).step_by(kb) {
                 let kc = kb.min(k - k0);
-                // Integer-scaled operand blocks (exact in the multiply fmt).
-                let int_a = Mat::from_fn(m, kc, |i, p2| {
-                    let v = a_slice[(i, k0 + p2)];
-                    if v == 0.0 { 0.0 } else { scale_to_int(v, beta as i32 - a_exp[i]) }
-                });
-                let int_b = Mat::from_fn(kc, n, |p2, j| {
-                    let v = b_slice[(k0 + p2, j)];
-                    if v == 0.0 { 0.0 } else { scale_to_int(v, beta as i32 - b_exp[j]) }
-                });
+                let int_a = Mat::from_fn(m, kc, |i, t| wa[i * k + k0 + t]);
+                let int_b = Mat::from_fn(kc, n, |t, j| wb[j * k + k0 + t]);
                 // The actual engine execution.
                 let r = systolic_gemm(array, &int_a, &int_b);
                 stats.cycles += r.stats.cycles;
@@ -84,20 +78,18 @@ pub fn ozaki_gemm_systolic(
         }
     }
 
-    let mut c = Mat::zeros(m, n);
-    for (out, ac) in c.as_mut_slice().iter_mut().zip(&acc) {
-        *out = ac.value();
-    }
+    let mut c: Vec<f64> = acc.iter().map(Accumulator::value).collect();
+    poison(&mut c, n, &pa.poisoned, &pb.poisoned);
     EngineOzakiResult {
         report: OzakiReport {
-            c,
-            s_a: sa.len(),
-            s_b: sb.len(),
+            c: Mat::from_vec(m, n, c),
+            s_a: pa.words.len(),
+            s_b: pb.words.len(),
             products_computed: computed,
             products_skipped: skipped,
             engine_calls: computed * k.div_ceil(kb),
             beta,
-            split_exact: sa.complete && sb.complete,
+            split_exact: pa.complete && pb.complete,
             // Each PE accumulates in ascending k, one rounding per step:
             // the strict scalar kernel's order (bit-identity pinned below).
             kernel: KernelVariant::Scalar,

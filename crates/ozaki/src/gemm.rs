@@ -5,9 +5,9 @@
 //! show differs between substrates: the slice width β (its storage and
 //! accumulator caps), the stored slice word with its exact narrowing, the
 //! engine call, and the names it traces under. The driver behind every
-//! GEMM entry point ([`ozaki_gemm_on`]) does the rest once: split, pack
-//! each slice **once** into a line-major panel of words (B transposed so
-//! each column streams contiguously), and fold the slice-pair engine calls
+//! GEMM entry point ([`ozaki_gemm_on`]) does the rest once: split each
+//! line straight into a line-major panel of words per slice (B transposed
+//! so each column streams contiguously), and fold the slice-pair engine calls
 //! into a row panel of accumulators in a fixed `(p, q) → k-chunk →
 //! element` order. Because that per-element order never depends on the
 //! row partition, [`ozaki_gemm_parallel`] — which fans row panels over a
@@ -27,8 +27,7 @@
 //! kernel the host picked.
 
 use crate::split::{
-    ceil_log2, required_beta, split_cols, split_cols_parallel, split_line, split_rows,
-    split_rows_parallel, SplitMatrix,
+    ceil_log2, lines_of, required_beta, split_panels, split_rows, Panels, SplitMatrix,
 };
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::{gemm_f32_f32, selected_kernel, KernelVariant, Mat};
@@ -112,6 +111,8 @@ pub struct SliceTrace {
     pub split: &'static str,
     /// Span over one row panel's engine calls and fold.
     pub accumulate: &'static str,
+    /// Span over one engine call, inside `accumulate`.
+    pub products: &'static str,
     /// Counter: slices of A.
     pub slices_a: &'static str,
     /// Counter: slices of B.
@@ -124,13 +125,14 @@ pub struct SliceTrace {
     pub engine_calls: &'static str,
 }
 
-/// The [`SliceTrace`] whose names are `$prefix.split`, `$prefix.accumulate`
-/// and so on.
+/// The [`SliceTrace`] whose names are `$prefix.split`, `$prefix.accumulate`,
+/// `$prefix.products` and so on.
 macro_rules! slice_trace {
     ($prefix:literal) => {
         $crate::gemm::SliceTrace {
             split: concat!($prefix, ".split"),
             accumulate: concat!($prefix, ".accumulate"),
+            products: concat!($prefix, ".products"),
             slices_a: concat!($prefix, ".slices_a"),
             slices_b: concat!($prefix, ".slices_b"),
             products_computed: concat!($prefix, ".products_computed"),
@@ -149,7 +151,7 @@ pub(crate) use slice_trace;
 /// this module. Sealed: only these three implement it.
 pub trait SliceEngine: sealed::Sealed {
     /// The stored slice word: integer-valued `f32`, binary16 bits or `i8`.
-    type Word: Copy + Default + Sync;
+    type Word: Copy + Default + Send + Sync;
     /// One engine call's chunk sum: `f32`, or `i32` for INT8.
     type Sum: Copy + Default + Into<f64>;
     /// Span and counter names.
@@ -334,10 +336,11 @@ pub(crate) fn with_pool<R>(
 /// (`None` runs serially). The differential suites and the scaling benches
 /// call it directly.
 ///
-/// Splits both operands, packs every slice once — A's panels `m×k`, B's
+/// Splits both operands straight into their word panels — A's `m×k`, B's
 /// transposed to `n×k` — and folds the scheduled slice-pair engine calls
 /// into per-element accumulators, over the whole grid or over disjoint
-/// row panels, one pool job per panel.
+/// row panels, one pool job per panel. Outputs in the row or column of a
+/// line the split poisoned (non-finite, or overflowing) are NaN.
 pub fn ozaki_gemm_on<E: SliceEngine>(
     a: &Mat<f64>,
     b: &Mat<f64>,
@@ -351,28 +354,19 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
     let kernel = kernel.resolve_supported();
     let names = E::TRACE;
     let beta = engine.beta(k);
-    let (budget, cutoff) = engine.budget_and_cutoff(k, beta);
+    let (_, cutoff) = engine.budget_and_cutoff(k, beta);
 
     let split_span = me_trace::span(names.split, "ozaki");
-    let (sa, sb) = match pool {
-        Some(p) => {
-            (split_rows_parallel(a, beta, budget, p), split_cols_parallel(b, beta, budget, p))
-        }
-        None => (split_rows(a, beta, budget), split_cols(b, beta, budget)),
-    };
-    let pack = |s: &SplitMatrix, by_rows: bool| -> Vec<Vec<E::Word>> {
-        let lines = s.slices.iter().zip(&s.scale_exp);
-        lines.map(|(x, e)| pack_lines::<E>(x, e, beta, by_rows)).collect()
-    };
-    let (words_a, words_b) = (pack(&sa, true), pack(&sb, false));
+    let pa = split_words(engine, k, lines_of(a, true), pool);
+    let pb = split_words(engine, k, lines_of(b, false), pool);
     drop(split_span);
 
-    let (computed, skipped) = pair_counts(sa.len(), sb.len(), cutoff);
-    let kb = engine.k_block().max(1);
-    let engine_calls = computed * k.div_ceil(kb);
+    let (s_a, s_b) = (pa.words.len(), pb.words.len());
+    let (computed, skipped) = pair_counts(s_a, s_b, cutoff);
+    let engine_calls = computed * k.div_ceil(engine.k_block().max(1));
     for (name, count) in [
-        (names.slices_a, sa.len()),
-        (names.slices_b, sb.len()),
+        (names.slices_a, s_a),
+        (names.slices_b, s_b),
         (names.products_computed, computed),
         (names.products_skipped, skipped),
         (names.engine_calls, engine_calls),
@@ -380,12 +374,51 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
         me_trace::counter_add(name, count as u64);
     }
 
-    // Fold every scheduled engine call into the accumulator rows
-    // `[r0, r0 + acc.len()/n)`, in `(p, q)` pair (p outer) → k-chunk →
-    // element order with exact-zero chunk sums skipped: identical for
-    // every row partition, and identical to the systolic-engine path in
-    // `engine_exec`. One span per panel, so under a pool it lands on the
-    // worker that owns the panel.
+    OzakiReport {
+        c: Mat::from_vec(m, n, multiply(engine, &pa, &pb, k, kernel, pool)),
+        s_a,
+        s_b,
+        products_computed: computed,
+        products_skipped: skipped,
+        engine_calls,
+        beta,
+        split_exact: pa.complete && pb.complete,
+        kernel,
+    }
+}
+
+/// Split `lines` contiguous lines of length `k` into `engine`'s word
+/// panels, at its β and slice budget for inner dimension `k`.
+fn split_words<E: SliceEngine>(
+    engine: &E,
+    k: usize,
+    (rest, lines): (Vec<f64>, usize),
+    pool: Option<&WorkerPool>,
+) -> Panels<E::Word> {
+    let beta = engine.beta(k);
+    let (budget, _) = engine.budget_and_cutoff(k, beta);
+    split_panels(rest, lines, beta, budget, pool, |r, _| E::narrow(r))
+}
+
+/// `C = A·B` (row-major `pa.lines × pb.lines`) from the word panels of A's
+/// rows and B's columns: each row panel folds every scheduled engine call
+/// in `(p, q)` pair (p outer) → k-chunk → element order, as `engine_exec`
+/// does, so the bits never depend on the partition. One `accumulate` span
+/// per row panel (on the worker that owns it), one `products` span per
+/// engine call inside it.
+fn multiply<E: SliceEngine>(
+    engine: &E,
+    pa: &Panels<E::Word>,
+    pb: &Panels<E::Word>,
+    k: usize,
+    kernel: KernelVariant,
+    pool: Option<&WorkerPool>,
+) -> Vec<f64> {
+    let names = E::TRACE;
+    let (m, n) = (pa.lines, pb.lines);
+    let beta = engine.beta(k);
+    let (_, cutoff) = engine.budget_and_cutoff(k, beta);
+    let kb = engine.k_block().max(1);
     let fold = |r0: usize, acc: &mut [Accumulator]| {
         let rows = acc.len().checked_div(n).unwrap_or(0);
         if rows == 0 || k == 0 {
@@ -393,15 +426,18 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
         }
         let _t = me_trace::span(names.accumulate, "ozaki");
         let mut tile = vec![E::Sum::default(); rows * n];
-        for (p, (wa, ea)) in words_a.iter().zip(&sa.scale_exp).enumerate() {
-            for (q, (wb, eb)) in words_b.iter().zip(&sb.scale_exp).enumerate() {
+        for (p, (wa, ea)) in pa.words.iter().zip(&pa.exps).enumerate() {
+            for (q, (wb, eb)) in pb.words.iter().zip(&pb.exps).enumerate() {
                 if p + q >= cutoff {
                     continue;
                 }
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
                     let wa = &wa[r0 * k + k0..];
-                    E::engine_call(kernel, rows, n, kc, wa, k, &wb[k0..], k, &mut tile);
+                    {
+                        let _p = me_trace::span(names.products, "ozaki");
+                        E::engine_call(kernel, rows, n, kc, wa, k, &wb[k0..], k, &mut tile);
+                    }
                     fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
                 }
             }
@@ -420,59 +456,29 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
         }
         _ => fold(0, &mut acc),
     }
-
-    OzakiReport {
-        c: Mat::from_vec(m, n, acc.iter().map(Accumulator::value).collect()),
-        s_a: sa.len(),
-        s_b: sb.len(),
-        products_computed: computed,
-        products_skipped: skipped,
-        engine_calls,
-        beta,
-        split_exact: sa.complete && sb.complete,
-        kernel,
-    }
+    let mut c: Vec<f64> = acc.iter().map(Accumulator::value).collect();
+    poison(&mut c, n, &pa.poisoned, &pb.poisoned);
+    c
 }
 
-/// Pack one slice matrix into its panel of words:
-/// `word[li][p] = narrow(slice[li][p] · 2^(β − exp[li]))`, line-major
-/// (`by_rows` selects rows of A or columns of B; the B panel comes out
-/// transposed, n×k). The scaled values are integers of magnitude ≤ 2^β by
-/// the split invariant, and each engine's β cap keeps them exactly
-/// representable in its word.
-fn pack_lines<E: SliceEngine>(
-    slice: &Mat<f64>,
-    exps: &[i32],
-    beta: u32,
-    by_rows: bool,
-) -> Vec<E::Word> {
-    let line_len = if by_rows { slice.cols() } else { slice.rows() };
-    let mut buf = vec![E::Word::default(); exps.len() * line_len];
-    for (li, &e) in exps.iter().enumerate() {
-        let se = beta as i32 - e;
-        let line = &mut buf[li * line_len..(li + 1) * line_len];
-        for (p, out) in line.iter_mut().enumerate() {
-            let v = if by_rows { slice[(li, p)] } else { slice[(p, li)] };
-            if v != 0.0 {
-                *out = E::narrow(scale_to_int(v, se));
-            }
-        }
+/// Set every output in rows `rows` and columns `cols` of the row-major
+/// `c` (`n` columns) to NaN: the split could not represent their line.
+pub(crate) fn poison(c: &mut [f64], n: usize, rows: &[usize], cols: &[usize]) {
+    for &i in rows {
+        c[i * n..(i + 1) * n].fill(f64::NAN);
     }
-    buf
-}
-
-/// [`pack_lines`] for a single line with exponent `e`.
-fn pack_line<E: SliceEngine>(vals: &[f64], e: i32, beta: u32) -> Vec<E::Word> {
-    let se = beta as i32 - e;
-    vals.iter()
-        .map(|&v| if v == 0.0 { E::Word::default() } else { E::narrow(scale_to_int(v, se)) })
-        .collect()
+    for &j in cols {
+        c.iter_mut().skip(j).step_by(n).for_each(|v| *v = f64::NAN);
+    }
 }
 
 /// Fold one engine call's `a_exp.len() × b_exp.len()` chunk tile into the
 /// matching accumulators: exact-zero sums are skipped, every other sum is
 /// scaled back by `2^(e_a[i] + e_b[j] − 2β)`. Every substrate folds
 /// through here, so their per-element add streams agree.
+/// Where every exponent sum of the tile is normal, the scale comes from its
+/// bits and a zero sum selects the unchanged accumulator: no branch, same
+/// adds in the same order.
 pub(crate) fn fold_tile<T: Copy + Into<f64>>(
     tile: &[T],
     a_exp: &[i32],
@@ -480,14 +486,30 @@ pub(crate) fn fold_tile<T: Copy + Into<f64>>(
     beta: u32,
     acc: &mut [Accumulator],
 ) {
+    let bounds = |e: &[i32]| Some((*e.iter().min()?, *e.iter().max()?));
+    let (Some((a_lo, a_hi)), Some((b_lo, b_hi))) = (bounds(a_exp), bounds(b_exp)) else {
+        return;
+    };
     let n = b_exp.len();
+    let two_beta = 2 * beta as i32;
+    let normal = a_lo + b_lo - two_beta >= -1022 && a_hi + b_hi - two_beta <= 1023;
     for ((trow, arow), &e_ai) in tile.chunks_exact(n).zip(acc.chunks_exact_mut(n)).zip(a_exp) {
-        for ((&s, ac), &e_bj) in trow.iter().zip(arow).zip(b_exp) {
-            let s: f64 = s.into();
-            if s == 0.0 {
-                continue;
+        let cells = trow.iter().zip(arow).zip(b_exp);
+        if normal {
+            for ((&s, ac), &e_bj) in cells {
+                let s: f64 = s.into();
+                let scale = f64::from_bits(((e_ai + e_bj - two_beta + 1023) as u64) << 52);
+                let mut sum = *ac;
+                sum.add(s * scale);
+                *ac = if s == 0.0 { *ac } else { sum };
             }
-            ac.add(s * pow2_checked(e_ai + e_bj - 2 * beta as i32));
+        } else {
+            for ((&s, ac), &e_bj) in cells {
+                let s: f64 = s.into();
+                if s != 0.0 {
+                    ac.add(s * pow2_checked(e_ai + e_bj - two_beta));
+                }
+            }
         }
     }
 }
@@ -510,17 +532,6 @@ pub(crate) fn pair_counts(s_a: usize, s_b: usize, cutoff: usize) -> (usize, usiz
     (computed, skipped)
 }
 
-/// `v · 2^se`, the slice value `v` scaled to its β-bit integer. Subnormal
-/// lines need `2^se` beyond f64 range: the scaling is then split so each
-/// step stays representable (both exact).
-pub(crate) fn scale_to_int(v: f64, se: i32) -> f64 {
-    if se > 1023 {
-        (v * pow2(1023)) * pow2(se - 1023)
-    } else {
-        v * pow2_checked(se)
-    }
-}
-
 /// Power of two that tolerates the full split exponent range by chaining
 /// two `pow2` factors when the exponent exceeds f64's normal range.
 pub(crate) fn pow2_checked(e: i32) -> f64 {
@@ -536,80 +547,23 @@ pub(crate) fn pow2_checked(e: i32) -> f64 {
 /// Ozaki-scheme dot product (paper §IV-B note (2): the scheme extends to
 /// BLAS-1/2, letting MEs serve those levels' internals).
 ///
-/// Runs directly on per-line splits — no 1×k/k×1 matrix shims, no
-/// allocation beyond the slice buffers.
+/// Runs directly on per-line splits — no 1×k/k×1 matrix shims.
 pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     assert_eq!(x.len(), y.len(), "ozaki_dot: length mismatch");
     let k = x.len();
-    if k == 0 {
-        return 0.0;
-    }
-    let beta = cfg.beta(k);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-    let sx = split_line(x, beta, budget);
-    let sy = split_line(y, beta, budget);
-    let ix: Vec<Vec<f32>> =
-        sx.vals.iter().zip(&sx.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
-    let iy: Vec<Vec<f32>> =
-        sy.vals.iter().zip(&sy.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
-
-    let variant = selected_kernel().resolve_supported();
-    let kb = cfg.k_block.max(1);
-    let mut acc = [Accumulator::new()];
-    let mut tile = [0.0f32];
-    for (p, xs) in ix.iter().enumerate() {
-        for (q, ys) in iy.iter().enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                gemm_f32_f32(variant, 1, 1, kc, &xs[k0..], k, &ys[k0..], k, &mut tile);
-                fold_tile(&tile, &sx.exps[p..=p], &sy.exps[q..=q], beta, &mut acc);
-            }
-        }
-    }
-    acc[0].value()
+    let (px, py) =
+        (split_words(cfg, k, (x.to_vec(), 1), None), split_words(cfg, k, (y.to_vec(), 1), None));
+    multiply(cfg, &px, &py, k, selected_kernel().resolve_supported(), None)[0]
 }
 
 /// Ozaki-scheme matrix-vector product `y = A·x`: per-row splits of A
-/// against a single line split of x, no column-matrix shim.
+/// against a single line split of x.
 pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "ozaki_gemv: inner dimension mismatch");
-    let (m, k) = a.shape();
-    if k == 0 {
-        return vec![0.0; m];
-    }
-    let beta = cfg.beta(k);
-    let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-    let sa = split_rows(a, beta, budget);
-    let sx = split_line(x, beta, budget);
-    let ints_a: Vec<Vec<f32>> = sa
-        .slices
-        .iter()
-        .zip(&sa.scale_exp)
-        .map(|(s, exps)| pack_lines::<OzakiConfig>(s, exps, beta, true))
-        .collect();
-    let ix: Vec<Vec<f32>> =
-        sx.vals.iter().zip(&sx.exps).map(|(v, &e)| pack_line::<OzakiConfig>(v, e, beta)).collect();
-
-    let variant = selected_kernel().resolve_supported();
-    let kb = cfg.k_block.max(1);
-    let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m];
-    let mut tile = vec![0.0f32; m];
-    for (p, (ia, ea)) in ints_a.iter().zip(&sa.scale_exp).enumerate() {
-        for (q, xs) in ix.iter().enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                gemm_f32_f32(variant, m, 1, kc, &ia[k0..], k, &xs[k0..], k, &mut tile);
-                fold_tile(&tile, ea, &sx.exps[q..=q], beta, &mut acc);
-            }
-        }
-    }
-    acc.iter().map(|a| a.value()).collect()
+    let k = x.len();
+    let (pa, px) =
+        (split_words(cfg, k, lines_of(a, true), None), split_words(cfg, k, (x.to_vec(), 1), None));
+    multiply(cfg, &pa, &px, k, selected_kernel().resolve_supported(), None)
 }
 
 /// Reference product computed with doubled-precision dot products
@@ -639,6 +593,7 @@ pub fn split_for_gemm(a: &Mat<f64>, k: usize, cfg: &OzakiConfig) -> (SplitMatrix
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split::split_cols;
     use me_numerics::{max_rel_err, ulp_diff};
 
     fn mk(m: usize, n: usize, seed: u64, range_decades: i32) -> Mat<f64> {
@@ -829,6 +784,39 @@ mod tests {
         s
     }
 
+    /// The retired slice packing: each line of each dense slice scaled by
+    /// `2^(β − e)` to its integer and narrowed to f32, zeros left +0.
+    fn pack(s: &SplitMatrix) -> Vec<Vec<f32>> {
+        let by_rows = s.by_rows;
+        let scale = |v: f64, se: i32| {
+            if se > 1023 {
+                (v * pow2(1023)) * pow2(se - 1023)
+            } else {
+                v * pow2_checked(se)
+            }
+        };
+        let mut panels = Vec::new();
+        for (x, exps) in s.slices.iter().zip(&s.scale_exp) {
+            let len = if by_rows { x.cols() } else { x.rows() };
+            let mut buf = vec![0.0f32; exps.len() * len];
+            for (li, &e) in exps.iter().enumerate() {
+                for (p, out) in buf[li * len..(li + 1) * len].iter_mut().enumerate() {
+                    let v = if by_rows { x[(li, p)] } else { x[(p, li)] };
+                    if v != 0.0 {
+                        *out = narrow_f32_exact(scale(v, s.beta as i32 - e));
+                    }
+                }
+            }
+            panels.push(buf);
+        }
+        panels
+    }
+
+    /// One line as a 1×k split.
+    fn split_vec(x: &[f64], beta: u32, budget: usize) -> SplitMatrix {
+        split_rows(&Mat::from_vec(1, x.len(), x.to_vec()), beta, budget)
+    }
+
     /// The retired simulated-ME GEMM: the same split, integer panels and
     /// fold order, with every C element of every slice pair and k-chunk
     /// its own [`chain`]. Returns C and the count of inexact chunk sums.
@@ -838,14 +826,7 @@ mod tests {
         let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
         let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
         let (sa, sb) = (split_rows(a, beta, budget), split_cols(b, beta, budget));
-        let panels = |s: &SplitMatrix, by_rows: bool| -> Vec<Vec<f32>> {
-            s.slices
-                .iter()
-                .zip(&s.scale_exp)
-                .map(|(x, e)| pack_lines::<OzakiConfig>(x, e, beta, by_rows))
-                .collect()
-        };
-        let (ia, ib) = (panels(&sa, true), panels(&sb, false));
+        let (ia, ib) = (pack(&sa), pack(&sb));
         let kb = cfg.k_block.max(1);
         let mut acc = vec![Accumulator::new(); m * n];
         let mut inexact = 0;
@@ -879,21 +860,19 @@ mod tests {
         let k = x.len();
         let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
         let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-        let (sx, sy) = (split_line(x, beta, budget), split_line(y, beta, budget));
+        let (sx, sy) = (split_vec(x, beta, budget), split_vec(y, beta, budget));
         let kb = cfg.k_block.max(1);
         let mut acc = Accumulator::new();
-        for (p, (xv, &ex)) in sx.vals.iter().zip(&sx.exps).enumerate() {
-            for (q, (yv, &ey)) in sy.vals.iter().zip(&sy.exps).enumerate() {
+        for (p, (xs, ex)) in pack(&sx).iter().zip(&sx.scale_exp).enumerate() {
+            for (q, (ys, ey)) in pack(&sy).iter().zip(&sy.scale_exp).enumerate() {
                 if p + q >= cutoff {
                     continue;
                 }
-                let xs = pack_line::<OzakiConfig>(xv, ex, beta);
-                let ys = pack_line::<OzakiConfig>(yv, ey, beta);
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
                     let s = chain(&xs[k0..k0 + kc], &ys[k0..k0 + kc], &mut 0);
                     if s != 0.0 {
-                        acc.add(s as f64 * pow2_checked(ex + ey - 2 * beta as i32));
+                        acc.add(s as f64 * pow2_checked(ex[0] + ey[0] - 2 * beta as i32));
                     }
                 }
             }
@@ -906,22 +885,20 @@ mod tests {
         let (m, k) = a.shape();
         let beta = required_beta(cfg.effective_k(k), cfg.acc_precision, cfg.mul_precision);
         let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
-        let (sa, sx) = (split_rows(a, beta, budget), split_line(x, beta, budget));
+        let (sa, sx) = (split_rows(a, beta, budget), split_vec(x, beta, budget));
         let kb = cfg.k_block.max(1);
         let mut acc = vec![Accumulator::new(); m];
-        for (p, (sl, ea)) in sa.slices.iter().zip(&sa.scale_exp).enumerate() {
-            let ia = pack_lines::<OzakiConfig>(sl, ea, beta, true);
-            for (q, (xv, &ex)) in sx.vals.iter().zip(&sx.exps).enumerate() {
+        for (p, (ia, ea)) in pack(&sa).iter().zip(&sa.scale_exp).enumerate() {
+            for (q, (xs, ex)) in pack(&sx).iter().zip(&sx.scale_exp).enumerate() {
                 if p + q >= cutoff {
                     continue;
                 }
-                let xs = pack_line::<OzakiConfig>(xv, ex, beta);
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
                     for (i, ai) in acc.iter_mut().enumerate() {
                         let s = chain(&ia[i * k + k0..i * k + k0 + kc], &xs[k0..k0 + kc], &mut 0);
                         if s != 0.0 {
-                            ai.add(s as f64 * pow2_checked(ea[i] + ex - 2 * beta as i32));
+                            ai.add(s as f64 * pow2_checked(ea[i] + ex[0] - 2 * beta as i32));
                         }
                     }
                 }

@@ -105,17 +105,19 @@ impl SliceEngine for HostF16Engine {
         self.k_block
     }
 
-    /// Binary16 bits of the slice integer, exact under the β cap
-    /// (debug-asserted through the exact widening).
+    /// Binary16 bits of the slice integer, exact under the β cap: sign,
+    /// exponent rebiased from 1023 to 15, top 10 significand bits.
     fn narrow(x: f64) -> u16 {
-        let xf = narrow_f32_exact(x);
-        let bits = HalfKind::F16.narrow(xf);
-        debug_assert_eq!(
-            HalfKind::F16.widen(bits),
-            xf,
-            "slice value {xf} is not exactly representable in binary16"
+        let bits = x.to_bits();
+        let magnitude = (bits & !(1 << 63)) >> 42;
+        let rebiased = if magnitude == 0 { 0 } else { magnitude - ((1023 - 15) << 10) };
+        let half = (rebiased | (bits >> 63 << 15)) as u16;
+        debug_assert!(
+            half == HalfKind::F16.narrow(narrow_f32_exact(x))
+                && f64::from(HalfKind::F16.widen(half)) == x,
+            "slice value {x} is not exactly representable in binary16"
         );
-        bits
+        half
     }
 
     /// Binary16 operands widened in the pack loops, one f32 FMA per

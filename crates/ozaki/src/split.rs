@@ -1,7 +1,9 @@
-//! Error-free matrix slicing (step 1 of the Ozaki scheme).
+//! Error-free matrix slicing (step 1 of the Ozaki scheme). Every
+//! extraction goes through [`split_panels`]; DESIGN §4 has its exactness.
 
 use me_linalg::Mat;
 use me_numerics::formats::pow2;
+use me_par::WorkerPool;
 
 /// The slice bit width β for a given inner dimension `k` and accumulator
 /// precision (in bits, e.g. 24 for f32, 53 for f64):
@@ -42,6 +44,9 @@ pub(crate) fn ceil_log2(k: usize) -> u32 {
 /// `2^(e − β)` with magnitude at most `2^e` — i.e.
 /// `slice[p][(i,j)] · 2^(β − e)` is a β-bit integer, exactly representable
 /// in the engine's multiply format.
+///
+/// A line with a non-finite element, or whose first slice overflows to
+/// `2^1024`, is not split: its slice-0 entries are NaN, `complete` false.
 #[derive(Debug, Clone)]
 pub struct SplitMatrix {
     /// Slice matrices, highest-order first.
@@ -86,52 +91,172 @@ impl SplitMatrix {
     }
 }
 
-/// Ceiling of log2|x| as an exponent: the smallest `e` with `|x| ≤ 2^e`.
+/// `1.5 · 2^52`: for `|y| ≤ 2^51`, `((|y| + ROUND) − ROUND)` is `|y|`
+/// rounded to an integer, ties to even.
+const ROUND: f64 = 6_755_399_441_055_744.0;
+/// Every bit of an f64 but the sign.
+const MAGNITUDE: u64 = !(1 << 63);
+/// Magnitude bits of `+inf`: at or above it an element is not finite.
+const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
+
+/// Ceiling of log2|x| as an exponent: the smallest `e` with `|x| ≤ 2^e`,
+/// read off the exponent and significand bits (`x` nonzero; `1024` for
+/// an infinity).
 fn ceil_exp(x: f64) -> i32 {
-    debug_assert!(x > 0.0 && x.is_finite());
-    let e = x.abs().log2().ceil() as i32;
-    // log2 can be off by one ulp near powers of two; fix up exactly.
-    let mut e = e;
-    while pow2_safe(e) < x {
-        e += 1;
-    }
-    while e > -1000 && pow2_safe(e - 1) >= x {
-        e -= 1;
-    }
-    e
-}
-
-fn pow2_safe(e: i32) -> f64 {
-    if (-1074..=1023).contains(&e) {
-        pow2(e)
-    } else if e > 1023 {
-        f64::INFINITY
+    let bits = x.to_bits() & MAGNITUDE;
+    debug_assert!(bits != 0, "ceil_exp of zero");
+    let (biased, frac) = ((bits >> 52) as i32, bits & ((1 << 52) - 1));
+    if biased == 0 {
+        // Subnormal: |x| = frac · 2^-1074, so e = ⌈log₂ frac⌉ − 1074.
+        (u64::BITS - (frac - 1).leading_zeros()) as i32 - 1074
     } else {
-        0.0
+        biased - 1023 + i32::from(frac != 0)
     }
 }
 
-/// Extract the top `beta` bits of `x` relative to the binade `2^e`:
-/// returns `(hi, lo)` with `x = hi + lo` **exactly**, `hi` an integer
-/// multiple of `q = 2^(e − beta)` with `|hi| ≤ 2^e`, and `|lo| ≤ q/2`.
-///
-/// Rounds directly on the target grid (round-ties-even). Both the quotient
-/// rounding and the residual subtraction are exact: `x/q` is an exact
-/// power-of-two scaling, `hi` has at most `beta`-bit significand, and the
-/// residual `x − hi` is representable (its magnitude is at most `q/2` and
-/// it is a multiple of `ulp(x)`), so `fl(x − hi) = x − hi`.
+/// One extraction over `line` at scale exponent `e`: each element `x`
+/// splits into the slice value `hi = round_ties_even(x / q) · q`, `q =
+/// 2^(e − β)`, and the residual `x − hi` left in place, and `out[t] =
+/// word(hi / q, hi)` with `−0` made `+0`. Returns the residual's largest
+/// magnitude bits. The quotient is a multiplication where `2^(β − e)` is
+/// normal, else (subnormal line maxima) a division.
 #[inline]
-fn extract(x: f64, e: i32, beta: u32) -> (f64, f64) {
+fn extract<W>(
+    line: &mut [f64],
+    out: &mut [W],
+    e: i32,
+    beta: u32,
+    word: &impl Fn(f64, f64) -> W,
+) -> u64 {
+    let se = beta as i32 - e;
     // Clamp the grid at the smallest subnormal: once `2^(e − β)` falls
     // below 2^-1074 every remaining residual is an exact multiple of the
-    // clamped grid (all f64 are multiples of the minimum subnormal) and
-    // at most `2^e < 2^(β − 1074)` — so the quotient is a tiny exact
-    // integer, `hi = x`, and the residual terminates at zero instead of
-    // degenerating through a zero divisor.
-    let q = pow2_safe((e - beta as i32).max(-1074));
-    let hi = (x / q).round_ties_even() * q;
-    let lo = x - hi;
-    (hi, lo)
+    // clamped grid, so `hi = x` and the residual terminates at zero.
+    let q = pow2((-se).max(-1074));
+    let mut mx = 0;
+    if (-1022..=1023).contains(&se) {
+        let scale = pow2(se);
+        for (x, w) in line.iter_mut().zip(out) {
+            let y = *x * scale;
+            let r = ((y.abs() + ROUND) - ROUND).copysign(y);
+            let hi = r * q;
+            *x -= hi;
+            *w = word(r + 0.0, hi);
+            mx = mx.max(x.to_bits() & MAGNITUDE);
+        }
+    } else {
+        for (x, w) in line.iter_mut().zip(out) {
+            let hi = (*x / q).round_ties_even() * q;
+            *x -= hi;
+            // `2^se` may exceed f64 range here: scale in two exact steps.
+            let int = if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) };
+            *w = word(int + 0.0, hi);
+            mx = mx.max(x.to_bits() & MAGNITUDE);
+        }
+    }
+    mx
+}
+
+/// The next slice of each live line in a block: `rest`, `out` hold the
+/// lines back to back, `exp` and `mx` one entry per line.
+fn extract_lines<W>(
+    rest: &mut [f64],
+    out: &mut [W],
+    exp: &mut [i32],
+    mx: &mut [u64],
+    beta: u32,
+    word: &impl Fn(f64, f64) -> W,
+) {
+    let len = rest.len() / exp.len();
+    let lines = rest.chunks_mut(len).zip(out.chunks_mut(len));
+    for ((line, out), (e, m)) in lines.zip(exp.iter_mut().zip(mx.iter_mut())) {
+        if (1..INF_BITS).contains(m) {
+            *e = ceil_exp(f64::from_bits(*m));
+            *m = extract(line, out, *e, beta, word);
+        }
+    }
+}
+
+/// A matrix's lines split into β-bit slices and packed as words.
+#[derive(Debug)]
+pub(crate) struct Panels<W> {
+    /// Number of lines.
+    pub lines: usize,
+    /// Per slice, its line-major panel of words (`line · len + t`), the
+    /// default word past a line's last slice.
+    pub words: Vec<Vec<W>>,
+    /// Per slice, each line's scale exponent (0 past its last slice).
+    pub exps: Vec<Vec<i32>>,
+    /// Whether every line's residual reached exactly zero.
+    pub complete: bool,
+    /// Lines that hold a non-finite element or whose extraction
+    /// overflowed; they stop splitting.
+    pub poisoned: Vec<usize>,
+}
+
+/// Split the `lines` contiguous lines of `rest` (consumed as the residual)
+/// into at most `max_slices` β-bit slices, writing `word(integer, slice
+/// value)` per element. A pool takes each slice's lines in contiguous
+/// blocks; lines never interact, so any pool width gives the serial bits.
+pub(crate) fn split_panels<W: Copy + Default + Send>(
+    mut rest: Vec<f64>,
+    lines: usize,
+    beta: u32,
+    max_slices: usize,
+    pool: Option<&WorkerPool>,
+    word: impl Fn(f64, f64) -> W + Sync,
+) -> Panels<W> {
+    assert!((1..=26).contains(&beta), "beta out of range: {beta}");
+    let len = rest.len().checked_div(lines).unwrap_or(0);
+    // Each line's largest magnitude bits, with every `−0` made `+0` so that
+    // a zero element packs to the all-zero word.
+    let mut mx: Vec<u64> = rest
+        .chunks_mut(len.max(1))
+        .map(|line| {
+            line.iter_mut().fold(0, |m, x| {
+                *x += 0.0;
+                m.max(x.to_bits() & MAGNITUDE)
+            })
+        })
+        .collect();
+    mx.resize(lines, 0);
+    let (mut words, mut exps) = (Vec::new(), Vec::new());
+    while words.len() < max_slices && mx.iter().any(|m| (1..INF_BITS).contains(m)) {
+        let mut panel = vec![W::default(); rest.len()];
+        let mut exp = vec![0i32; lines];
+        match pool {
+            Some(p) => {
+                let block = lines.div_ceil(p.threads());
+                let mut jobs: Vec<_> = rest
+                    .chunks_mut(block * len)
+                    .zip(panel.chunks_mut(block * len))
+                    .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
+                    .collect();
+                p.for_each_mut(&mut jobs, |_, ((r, o), (e, m))| {
+                    extract_lines(r, o, e, m, beta, &word)
+                });
+            }
+            None => extract_lines(&mut rest, &mut panel, &mut exp, &mut mx, beta, &word),
+        }
+        words.push(panel);
+        exps.push(exp);
+    }
+    Panels {
+        lines,
+        words,
+        exps,
+        complete: mx.iter().all(|&m| m == 0),
+        poisoned: (0..lines).filter(|&li| mx[li] >= INF_BITS).collect(),
+    }
+}
+
+/// `a`'s rows (`by_rows`) or columns as contiguous lines, and their count.
+pub(crate) fn lines_of(a: &Mat<f64>, by_rows: bool) -> (Vec<f64>, usize) {
+    if by_rows {
+        (a.as_slice().to_vec(), a.rows())
+    } else {
+        (a.transpose().as_slice().to_vec(), a.cols())
+    }
 }
 
 /// Split `A` by rows into β-bit slices (for the left operand of GEMM).
@@ -141,12 +266,12 @@ fn extract(x: f64, e: i32, beta: u32) -> (f64, f64) {
 /// "reduced number of split matrices" mode the paper mentions for
 /// DGEMM-equivalent (rather than exact) accuracy.
 pub fn split_rows(a: &Mat<f64>, beta: u32, max_slices: usize) -> SplitMatrix {
-    split_lines(a, beta, max_slices, true, None)
+    split_matrix(a, beta, max_slices, true, None)
 }
 
 /// Split `B` by columns into β-bit slices (for the right operand of GEMM).
 pub fn split_cols(b: &Mat<f64>, beta: u32, max_slices: usize) -> SplitMatrix {
-    split_lines(b, beta, max_slices, false, None)
+    split_matrix(b, beta, max_slices, false, None)
 }
 
 /// [`split_rows`] with the per-line extractions fanned out over `pool`.
@@ -158,9 +283,9 @@ pub fn split_rows_parallel(
     a: &Mat<f64>,
     beta: u32,
     max_slices: usize,
-    pool: &me_par::WorkerPool,
+    pool: &WorkerPool,
 ) -> SplitMatrix {
-    split_lines(a, beta, max_slices, true, Some(pool))
+    split_matrix(a, beta, max_slices, true, Some(pool))
 }
 
 /// [`split_cols`] with the per-line extractions fanned out over `pool`.
@@ -168,116 +293,44 @@ pub fn split_cols_parallel(
     b: &Mat<f64>,
     beta: u32,
     max_slices: usize,
-    pool: &me_par::WorkerPool,
+    pool: &WorkerPool,
 ) -> SplitMatrix {
-    split_lines(b, beta, max_slices, false, Some(pool))
+    split_matrix(b, beta, max_slices, false, Some(pool))
 }
 
-/// The β-bit decomposition of one line (row of A / column of B): the
-/// per-line unit of work the serial and parallel fronts share.
-#[derive(Debug, Default)]
-pub(crate) struct LineSplit {
-    /// Per-slice values for this line, highest-order first.
-    pub vals: Vec<Vec<f64>>,
-    /// Per-slice scale exponents (one per entry of `vals`).
-    pub exps: Vec<i32>,
-    /// Whether the residual reached exactly zero within the budget.
-    pub complete: bool,
-}
-
-/// Extract up to `max_slices` β-bit slices from one contiguous line.
-pub(crate) fn split_line(line: &[f64], beta: u32, max_slices: usize) -> LineSplit {
-    let mut rest = line.to_vec();
-    let mut out = LineSplit::default();
-    for _ in 0..max_slices {
-        let mut mx = 0.0f64;
-        for &v in &rest {
-            let av = v.abs();
-            if av > mx {
-                mx = av;
-            }
-        }
-        if mx == 0.0 {
-            out.complete = true;
-            break;
-        }
-        let e = ceil_exp(mx);
-        let mut sv = vec![0.0f64; rest.len()];
-        for (s, r) in sv.iter_mut().zip(rest.iter_mut()) {
-            let x = *r;
-            if x == 0.0 {
-                continue;
-            }
-            let (hi, lo) = extract(x, e, beta);
-            *s = hi;
-            *r = lo;
-        }
-        out.vals.push(sv);
-        out.exps.push(e);
-    }
-    if !out.complete {
-        out.complete = rest.iter().all(|&v| v == 0.0);
-    }
-    out
-}
-
-fn split_lines(
+/// The dense f64 form of [`split_panels`]: each slice's words are its
+/// values, reshaped into a matrix of `a`'s shape.
+fn split_matrix(
     a: &Mat<f64>,
     beta: u32,
     max_slices: usize,
     by_rows: bool,
-    pool: Option<&me_par::WorkerPool>,
+    pool: Option<&WorkerPool>,
 ) -> SplitMatrix {
-    assert!((1..=26).contains(&beta), "beta out of range: {beta}");
-    let nlines = if by_rows { a.rows() } else { a.cols() };
-    let line_len = if by_rows { a.cols() } else { a.rows() };
-
-    // Gather each line into a contiguous buffer (columns of B are strided),
-    // then run the per-line core — serially or one line per pool job. Lines
-    // never interact, so the fan-out is bitwise-exact.
-    let mut slots: Vec<(Vec<f64>, LineSplit)> = (0..nlines)
-        .map(|li| {
-            let line = (0..line_len)
-                .map(|p| if by_rows { a[(li, p)] } else { a[(p, li)] })
-                .collect();
-            (line, LineSplit::default())
-        })
-        .collect();
-    match pool {
-        Some(p) => p.for_each_mut(&mut slots, |_, (line, out)| {
-            *out = split_line(line, beta, max_slices);
-        }),
-        None => {
-            for (line, out) in &mut slots {
-                *out = split_line(line, beta, max_slices);
-            }
-        }
+    let (rest, lines) = lines_of(a, by_rows);
+    let size = rest.len();
+    let mut p = split_panels(rest, lines, beta, max_slices, pool, |_, hi| hi);
+    if p.words.is_empty() && !p.poisoned.is_empty() {
+        p.words.push(vec![0.0; size]);
+        p.exps.push(vec![0; lines]);
     }
-
-    // Reassemble: slice p of the matrix is the p-th extraction of every
-    // line (zero where a line's residual was already exhausted).
-    let nslices = slots.iter().map(|(_, ls)| ls.vals.len()).max().unwrap_or(0);
-    let complete = slots.iter().all(|(_, ls)| ls.complete);
-    let mut slices = Vec::with_capacity(nslices);
-    let mut scale_exp = Vec::with_capacity(nslices);
-    for p in 0..nslices {
-        let mut slice = Mat::zeros(a.rows(), a.cols());
-        let mut exps = vec![0i32; nlines];
-        for (li, (_, ls)) in slots.iter().enumerate() {
-            if p >= ls.vals.len() {
-                continue;
-            }
-            exps[li] = ls.exps[p];
-            for (q, &v) in ls.vals[p].iter().enumerate() {
-                let (i, j) = if by_rows { (li, q) } else { (q, li) };
-                slice[(i, j)] = v;
-            }
-        }
-        slices.push(slice);
-        scale_exp.push(exps);
+    let len = size.checked_div(lines).unwrap_or(0);
+    for &li in &p.poisoned {
+        p.words[0][li * len..(li + 1) * len].fill(f64::NAN);
     }
-    SplitMatrix { slices, scale_exp, beta, complete, by_rows }
+    let (r, c) = a.shape();
+    let slices = p.words.into_iter().map(|w| {
+        if by_rows {
+            Mat::from_vec(r, c, w)
+        } else {
+            Mat::from_vec(c, r, w).transpose()
+        }
+    });
+    SplitMatrix { slices: slices.collect(), scale_exp: p.exps, beta, complete: p.complete, by_rows }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -409,7 +462,7 @@ mod tests {
                 if ei == 0 && slice.row(i).iter().all(|&v| v == 0.0) {
                     continue;
                 }
-                let q = pow2_safe(ei - beta as i32);
+                let q = pow2((ei - beta as i32).max(-1074));
                 for &v in slice.row(i) {
                     if v == 0.0 {
                         continue;
@@ -460,5 +513,19 @@ mod tests {
         assert_eq!(ceil_exp(0.5), -1);
         assert_eq!(ceil_exp(3.0), 2);
         assert_eq!(ceil_exp(0.75), 0);
+        assert_eq!(ceil_exp(-3.0), 2);
+    }
+
+    #[test]
+    fn ceil_exp_reads_subnormals_and_the_top_binade_off_the_bits() {
+        assert_eq!(ceil_exp(pow2(-1074)), -1074);
+        assert_eq!(ceil_exp(3.0 * pow2(-1074)), -1072);
+        assert_eq!(ceil_exp(pow2(-1023) + pow2(-1074)), -1022);
+        assert_eq!(ceil_exp(f64::MIN_POSITIVE), -1022);
+        assert_eq!(ceil_exp(pow2(1023)), 1023);
+        // The old log2 search saturated at i32::MAX and stepped down ~2^31
+        // times for these two.
+        assert_eq!(ceil_exp(f64::MAX), 1024);
+        assert_eq!(ceil_exp(f64::INFINITY), 1024);
     }
 }
