@@ -17,8 +17,8 @@
 #   7. kernel matrix: the cross-variant differential harness, the
 #      trace-integration suite, the me-ozaki suite and the paper-headline
 #      goldens under every micro-kernel the host can run (ME_KERNEL=scalar,
-#      portable, avx2 when CPUID has avx2+fma, and avx512 when it has
-#      avx512f), proving the dispatch override and the bitwise-identity
+#      avx2 when CPUID has avx2+fma, and avx512 when it has avx512f),
+#      proving the dispatch override and the bitwise-identity
 #      contract on each variant independently — the simulated-ME Ozaki
 #      path runs its slice products on the dispatched kernel; the pinned
 #      Ozaki output digest also runs on the optimized build the
@@ -28,8 +28,9 @@
 #      suites at both test parallelisms (the HostF16-Ozaki tests run with
 #      the full me-ozaki suite in stages 2, 3 and 7), then a
 #      gemm_kernels smoke run (enforces the >= 2x-over-scalar gate on
-#      every SIMD variant the host supports and the cross-variant
-#      bitwise check; leaves artifacts/gemm_kernels_ukernel.txt)
+#      every SIMD variant the host supports — avx2, avx512 — and the
+#      cross-variant bitwise check; leaves
+#      artifacts/gemm_kernels_ukernel.txt)
 #   8. serve stage: the me-serve fault-injection + stress suites at both
 #      test parallelisms and a --no-default-features build+test of the
 #      crate alone (the serve_throughput smoke runs once, in stage 9)
@@ -46,11 +47,10 @@
 #      gate, and the INT8-beats-FP16 energy gate; leaves
 #      artifacts/ozaki_int8.txt behind)
 #   9. serve-scale stage: the lock-free ring linearizability suite, the
-#      mutex-vs-ring differential replay, and the fairness + SLO
-#      property suites at both test parallelisms; the fault-injection +
-#      stress suites forced onto each queue arm via ME_QUEUE; and a
-#      smoke run of the multi-tenant open-loop replay (enforces the
-#      ring >= mutex throughput gate, the p99-within-SLO gate, and exact
+#      golden-digest replay, and the fairness + SLO property suites at
+#      both test parallelisms (stage 8 already runs fault-injection +
+#      stress on the ring at both); and a smoke run of the multi-tenant
+#      open-loop replay (enforces the p99-within-SLO gate and exact
 #      global + per-tenant conservation; leaves artifacts/serve_replay.txt;
 #      the same run enforces the >= 2x batched-vs-unbatched gate, the
 #      B-cache >= no-cache gate and the >= 90% steady-state cache hit-rate
@@ -87,7 +87,7 @@ test -s artifacts/parallel_scaling_trace.json
 test -s artifacts/parallel_scaling_metrics.prom
 
 echo "==> kernel matrix (ME_KERNEL x differential + trace suites)"
-KERNELS="scalar portable"
+KERNELS="scalar"
 if grep -q avx2 /proc/cpuinfo 2>/dev/null && grep -q fma /proc/cpuinfo 2>/dev/null; then
     KERNELS="$KERNELS avx2"
 fi
@@ -146,12 +146,6 @@ test -s artifacts/ozaki_int8.txt
 echo "==> serve-scale stage: ring + differential + fairness suites (both parallelisms)"
 cargo test -q -p me-serve --test ring --test differential --test fairness
 RUST_TEST_THREADS=1 cargo test -q -p me-serve --test ring --test differential --test fairness
-
-echo "==> serve-scale stage: fault injection + stress on each queue arm (ME_QUEUE)"
-for Q in mutex ring; do
-    echo "==>   ME_QUEUE=$Q"
-    ME_QUEUE=$Q cargo test -q -p me-serve --test fault_injection --test stress
-done
 
 echo "==> serve-scale stage: multi-tenant replay smoke (throughput/SLO/conservation gates)"
 rm -f artifacts/serve_replay.txt

@@ -4,7 +4,7 @@
 //! thread-parallel), plus the LAPACK layer, BLAS-1/2 kernels, and the
 //! micro-kernel variant A/B (`ukernel_variants`).
 //!
-//! `--kernel scalar|portable|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
+//! `--kernel scalar|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
 //! micro-kernel for the whole run, so any group can be A/B'd across
 //! variants; the `ukernel_variants` section always sweeps every variant
 //! the host supports and records the single-thread speedups (the paper's
@@ -175,7 +175,7 @@ fn main() {
                 Some(k) => set_kernel_override(Some(k)),
                 None => {
                     eprintln!(
-                        "gemm_kernels: unknown --kernel {v:?} (want scalar|portable|avx2|avx512)"
+                        "gemm_kernels: unknown --kernel {v:?} (want scalar|avx2|avx512)"
                     );
                     std::process::exit(2);
                 }

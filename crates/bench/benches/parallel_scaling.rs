@@ -20,7 +20,7 @@
 //! structurally validated in-process — CI fails if the emitted JSON does
 //! not load or the expected lanes/spans are missing.
 
-//! `--kernel scalar|portable|avx2` pins the GEMM micro-kernel variant for
+//! `--kernel scalar|avx2|avx512` pins the GEMM micro-kernel variant for
 //! the whole sweep (otherwise `ME_KERNEL` / CPUID dispatch decides); the
 //! active variant is printed up front and rides into the worker-lane spans
 //! and `ukernel.<variant>` trace counters.
@@ -147,7 +147,7 @@ fn main() {
             match KernelVariant::parse(&v) {
                 Some(k) => set_kernel_override(Some(k)),
                 None => {
-                    eprintln!("parallel_scaling: unknown --kernel {v:?} (want scalar|portable|avx2)");
+                    eprintln!("parallel_scaling: unknown --kernel {v:?} (want scalar|avx2|avx512)");
                     std::process::exit(2);
                 }
             }

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use me_bench::bench_matrix;
 use me_linalg::{gemm_tiled_with, KernelVariant, Mat};
 use me_serve::{
-    Job, Outcome, QueueKind, Scheduler, ServeConfig, StatsSnapshot, SubmitError, TenantId, Ticket,
+    Job, Outcome, Scheduler, ServeConfig, StatsSnapshot, SubmitError, TenantId, Ticket,
 };
 
 /// One request of the trace: which app it models, its `A` operand, and
@@ -153,10 +153,9 @@ fn main() {
     let (total, reps, passes) = if smoke { (400, 3, 10) } else { (4000, 2, 3) };
     // The cache A/B runs at a small coalescing window (one B-pack per
     // ~12 stacked rows — the regime the cache is for) and on the fastest
-    // runnable kernel: on the slow scalar/portable kernels compute
-    // drowns the pack entirely (~1 % of a batch), so the A/B would
-    // measure noise. The batching A/B below keeps the original
-    // Portable / batch_max = 64 arms (the PR 5 gate, unchanged).
+    // runnable kernel: on the slow scalar kernel compute drowns the
+    // pack entirely (~1 % of a batch), so the A/B would measure noise.
+    // The batching A/B below runs the scalar kernel at batch_max = 64.
     let cache_batch = 8;
     let fast = *me_linalg::available_variants().last().expect("scalar always runs");
     let (trace, weights) = build_trace(total, 42);
@@ -187,10 +186,10 @@ fn main() {
             .collect()
     };
     let t_ref = Instant::now();
-    let refs = serial_refs(KernelVariant::Portable);
+    let refs = serial_refs(KernelVariant::Scalar);
     let refs_fast = serial_refs(fast);
     println!(
-        "  serial reference loops (Portable + {}): {:.3} s",
+        "  serial reference loops (Scalar + {}): {:.3} s",
         fast.name(),
         t_ref.elapsed().as_secs_f64()
     );
@@ -201,8 +200,8 @@ fn main() {
     let mut best_cached = f64::INFINITY;
     let mut cached_stats = None;
     for _ in 0..reps {
-        let (t_u, out_u, _) = run_arm(&trace, &weights, KernelVariant::Portable, 1, 0, 1);
-        let (t_b, out_b, _) = run_arm(&trace, &weights, KernelVariant::Portable, 64, 0, 1);
+        let (t_u, out_u, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 1, 0, 1);
+        let (t_b, out_b, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 64, 0, 1);
         let (t_n, out_n, _) = run_arm(&trace, &weights, fast, cache_batch, 0, passes);
         let (t_c, out_c, stats_c) =
             run_arm(&trace, &weights, fast, cache_batch, 64 << 20, passes);
@@ -274,15 +273,14 @@ fn main() {
 //
 // Five model-shaped tenants (attention + MLP GEMM shapes from the
 // aiter model-GEMM runner, scaled 1/64 at TP = 8, skinny-m dominant)
-// drive a Poisson-ish arrival curve against the ring-arm scheduler.
-// Three in-bench gates:
+// drive a Poisson-ish arrival curve against the scheduler, at 60 % of
+// the closed-loop rate measured by best-of-CAL_REPS calibration bursts.
+// Two in-bench gates:
 //
-//   1. throughput — the lock-free ring arm sustains at least the mutex
-//      arm's closed-loop rate (best-of-CAL_REPS calibration bursts);
-//   2. latency SLO — open-loop p99 at 60 % of calibrated capacity stays
+//   1. latency SLO — open-loop p99 at 60 % of calibrated capacity stays
 //      under max(250 ms, 3 × closed-loop p99), overridable via
 //      ME_SERVE_SLO_MS;
-//   3. conservation — enqueued == ok + timed_out + shed + failed,
+//   2. conservation — enqueued == ok + timed_out + shed + failed,
 //      globally and per tenant, with upstream (QueueFull) rejections
 //      accounted separately.
 //
@@ -404,31 +402,28 @@ fn replay_job(
         .with_tenant(TenantId(spec.tenant))
 }
 
-fn replay_config(kind: QueueKind, capacity: usize) -> ServeConfig {
+fn replay_config(capacity: usize) -> ServeConfig {
     ServeConfig {
         shards: 2,
         shard_threads: 2,
         queue_capacity: capacity,
         batch_max: 32,
         weight_cache_bytes: 64 << 20,
-        queue: Some(kind),
         tenant_weights: MODELS.iter().map(|m| m.weight).collect(),
         ..Default::default()
     }
 }
 
-/// Closed-loop calibration burst: `count` requests submitted flat-out
-/// through one arm, drained in submission order. Returns (req/s,
-/// closed-loop p99 ns).
+/// Closed-loop calibration burst: `count` requests submitted flat-out,
+/// drained in submission order. Returns (req/s, closed-loop p99 ns).
 fn calibrate(
-    kind: QueueKind,
     count: usize,
     sweep: &[usize],
     weights: &[Arc<Mat<f64>>],
     variant: KernelVariant,
     seed: u64,
 ) -> (f64, u64) {
-    let sched = Scheduler::new(replay_config(kind, 4096));
+    let sched = Scheduler::new(replay_config(4096));
     let mut rng = me_numerics::Rng64::seed_from_u64(seed);
     let t0 = Instant::now();
     let mut pending: std::collections::VecDeque<Ticket> = std::collections::VecDeque::new();
@@ -467,7 +462,7 @@ struct ReplayTally {
 
 /// The open-loop replay: `total` requests, Poisson-ish arrivals at
 /// `rate` req/s split over `SUBMITTERS` independent streams, against a
-/// fresh ring-arm scheduler. Returns (elapsed s, accepted, rejected,
+/// fresh scheduler. Returns (elapsed s, accepted, rejected,
 /// tally, stats, per-tenant stats).
 fn open_loop_replay(
     total: usize,
@@ -480,7 +475,7 @@ fn open_loop_replay(
     // that pacing overhead cannot starve the shard threads on the small
     // CPU budgets this bench must run under.
     const SUBMITTERS: usize = 2;
-    let sched = Arc::new(Scheduler::new(replay_config(QueueKind::Ring, 4096)));
+    let sched = Arc::new(Scheduler::new(replay_config(4096)));
     let (tx, rx) = std::sync::mpsc::channel::<Ticket>();
     let collector = std::thread::spawn(move || {
         let mut tally = ReplayTally::default();
@@ -569,23 +564,20 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
         MODELS.len()
     );
 
-    // Gate 1 calibration: best-of-N closed-loop service rate per arm.
-    let mut rate_mutex = 0.0f64;
-    let mut rate_ring = 0.0f64;
+    // Calibration: best-of-N closed-loop service rate.
+    let mut rate_closed = 0.0f64;
     let mut p99_closed = u64::MAX;
     for rep in 0..cal_reps {
-        let (rm, _) = calibrate(QueueKind::Mutex, cal_count, &sweep, &weights, variant, 100 + rep);
-        let (rr, p99) = calibrate(QueueKind::Ring, cal_count, &sweep, &weights, variant, 200 + rep);
-        rate_mutex = rate_mutex.max(rm);
-        rate_ring = rate_ring.max(rr);
+        let (rate, p99) = calibrate(cal_count, &sweep, &weights, variant, 200 + rep);
+        rate_closed = rate_closed.max(rate);
         p99_closed = p99_closed.min(p99);
     }
     println!(
-        "  calibration (best of {cal_reps}): mutex {rate_mutex:.0} req/s, ring {rate_ring:.0} req/s, closed-loop p99 {:.2} ms",
+        "  calibration (best of {cal_reps}): {rate_closed:.0} req/s, closed-loop p99 {:.2} ms",
         p99_closed as f64 / 1e6
     );
 
-    // Gate 2 SLO: generous floor, or 3x the closed-loop p99, whichever
+    // Gate 1 SLO: generous floor, or 3x the closed-loop p99, whichever
     // is larger; ME_SERVE_SLO_MS overrides for exploratory runs.
     let slo_ns = std::env::var("ME_SERVE_SLO_MS")
         .ok()
@@ -593,9 +585,8 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
         .map(|ms| ms * 1_000_000)
         .unwrap_or_else(|| (3 * p99_closed).max(250_000_000));
 
-    // The replay proper: open loop at 60 % of the ring arm's calibrated
-    // capacity.
-    let rate = 0.6 * rate_ring;
+    // The replay proper: open loop at 60 % of the calibrated capacity.
+    let rate = 0.6 * rate_closed;
     let (elapsed, accepted, rejected, tally, stats, tenants) =
         open_loop_replay(total, rate, &sweep, &weights, variant);
     let achieved = accepted as f64 / elapsed;
@@ -611,7 +602,6 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
     let _ = writeln!(report, "# serve_replay report");
     let _ = writeln!(report, "mode: {}", if smoke { "smoke" } else { "full" });
     let _ = writeln!(report, "requests: {total}");
-    let _ = writeln!(report, "queue_arm: ring (mutex as calibration baseline)");
     let _ = writeln!(report, "kernel: {}", variant.name());
     let _ = writeln!(report, "skinny_m: {SKINNY_M:?}");
     let _ = writeln!(report, "m_sweep: 1..={sweep_cap} (powers of two, once each)");
@@ -625,10 +615,9 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
         );
     }
     let _ = writeln!(report, "\n## calibration (closed loop, best of {cal_reps})");
-    let _ = writeln!(report, "mutex_rate_rps: {rate_mutex:.1}");
-    let _ = writeln!(report, "ring_rate_rps: {rate_ring:.1}");
+    let _ = writeln!(report, "closed_loop_rate_rps: {rate_closed:.1}");
     let _ = writeln!(report, "closed_loop_p99_ms: {:.3}", p99_closed as f64 / 1e6);
-    let _ = writeln!(report, "\n## open loop replay (ring arm, 60% of calibrated capacity)");
+    let _ = writeln!(report, "\n## open loop replay (60% of calibrated capacity)");
     let _ = writeln!(report, "target_rate_rps: {rate:.1}");
     let _ = writeln!(report, "achieved_rate_rps: {achieved:.1}");
     let _ = writeln!(report, "elapsed_s: {elapsed:.2}");
@@ -663,33 +652,12 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
         );
     }
     let _ = writeln!(report, "\n## gates");
-    // The throughput gate holds the ring to >= the mutex arm, but only
-    // where the ring can win on merit: lock contention needs concurrent
-    // lockers, so on a single-core host (everything serialized, the
-    // mutex never contended) the two arms measure equal within scheduler
-    // noise and a strict comparison is a coin flip. Floors: strict 1.0x
-    // for a full run on a multi-core host (the contention regime the
-    // ring exists for), 0.9x for a full run on one core, and 0.85x for
-    // the short CI smoke calibration, whose confetti-sized requests add
-    // park/unpark churn swinging ±10 % run to run. Every floor still
-    // fails on a real collapse of the ring arm.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let tp_floor = if smoke {
-        0.85
-    } else if cores > 1 {
-        1.0
-    } else {
-        0.9
-    };
-    let gate_tp = rate_ring >= rate_mutex * tp_floor;
     let gate_slo = stats.p99_ns <= slo_ns;
     let gate_conserved = stats.is_conserved()
         && stats.enqueued == accepted
         && stats.rejected_full == rejected
         && tenants.iter().all(|t| t.is_conserved())
         && tenants.iter().map(|t| t.enqueued).sum::<u64>() == stats.enqueued;
-    let _ = writeln!(report, "throughput_floor: {tp_floor} (host cores: {cores})");
-    let _ = writeln!(report, "throughput_ring_ge_mutex: {gate_tp}");
     let _ = writeln!(report, "p99_within_slo: {gate_slo}");
     let _ = writeln!(report, "conservation_exact: {gate_conserved}");
     // Workspace-root artifacts/, next to the other emitted artifacts
@@ -699,11 +667,6 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
     std::fs::write(dir.join("serve_replay.txt"), &report).expect("write replay report");
     println!("  report: artifacts/serve_replay.txt");
 
-    assert!(
-        gate_tp,
-        "replay gate: lock-free ring arm ({rate_ring:.0} req/s) must sustain at least \
-         {tp_floor:.2}x the mutex arm ({rate_mutex:.0} req/s)"
-    );
     assert!(
         gate_slo,
         "replay gate: open-loop p99 {:.2} ms exceeded the SLO {:.2} ms at 60% load",

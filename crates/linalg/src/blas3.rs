@@ -20,8 +20,8 @@
 //! tile membership.
 //!
 //! The packed core's inner MR×NR tile is computed by a runtime-dispatched
-//! micro-kernel ([`ukernel`]): strictly scalar, portable-unrolled, or
-//! hand-written AVX2+FMA intrinsics — all bitwise identical by the
+//! micro-kernel ([`ukernel`]): strictly scalar, or hand-written AVX2+FMA
+//! or AVX-512F intrinsics — all bitwise identical by the
 //! fixed-FMA-order contract, so the dispatch choice (env `ME_KERNEL`, the
 //! benches' `--kernel` flag, or CPUID detection) never changes a result
 //! bit. The `_with` entry points ([`gemm_tiled_with`],
@@ -42,7 +42,7 @@ pub use half::{
     gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind,
     HalfMat,
 };
-pub use int8::{dot_i8, dot_i8_portable, dot_i8_scalar, gemm_i8_i32};
+pub use int8::{dot_i8, dot_i8_scalar, gemm_i8_i32};
 pub use packed::{pack_b_matrix, PackedB};
 pub use ukernel::{
     available_variants, avx2_supported, avx512_supported, selected_kernel, set_kernel_override,
@@ -155,7 +155,7 @@ pub fn gemm_tiled<T: Scalar>(alpha: T, a: &Mat<T>, b: &Mat<T>, beta: T, c: &mut 
 
 /// [`gemm_tiled`] with an explicitly pinned micro-kernel variant
 /// (sanitized through [`KernelVariant::resolve_supported`], so requesting
-/// `Avx2` on a non-AVX2 host runs `Portable` instead of faulting).
+/// `Avx2` on a non-AVX2 host runs `Scalar` instead of faulting).
 pub fn gemm_tiled_with<T: Scalar>(
     variant: KernelVariant,
     alpha: T,
@@ -723,7 +723,7 @@ mod tests {
     #[test]
     fn unsupported_variant_request_still_correct() {
         // Requesting Avx2 must work everywhere: honored when detected,
-        // degraded to Portable otherwise — never a fault, and always the
+        // degraded to Scalar otherwise — never a fault, and always the
         // same bits either way.
         let a = mk(20, 33, 141);
         let b = mk(33, 17, 142);

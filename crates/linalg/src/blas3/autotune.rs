@@ -305,7 +305,7 @@ mod tests {
                     gflops: 1.5,
                 },
                 TunedEntry {
-                    variant: KernelVariant::Portable,
+                    variant: KernelVariant::Avx2,
                     blocking: Blocking { mc: 128, kc: 512, nc: 4096 },
                     gflops: 9.25,
                 },
@@ -332,9 +332,14 @@ mod tests {
         assert!(from_json("{\"version\": 999, \"entries\": []}").is_none());
         assert!(from_json("{\"version\": 1}").is_none(), "missing shape/entries");
         // A valid shell with an undecodable entry fails loudly.
-        let bad = "{\"version\": 1, \"shape\": {\"m\":1,\"k\":1,\"n\":1},\n \
-                   \"entries\": [{\"variant\": \"warp9\", \"mc\":1,\"kc\":1,\"nc\":8,\"gflops\":1}]}";
-        assert!(from_json(bad).is_none());
+        // `portable` is a retired variant: an artifact naming it is stale.
+        for variant in ["warp9", "portable"] {
+            let bad = format!(
+                "{{\"version\": 1, \"shape\": {{\"m\":1,\"k\":1,\"n\":1}},\n \
+                 \"entries\": [{{\"variant\": \"{variant}\", \"mc\":1,\"kc\":1,\"nc\":8,\"gflops\":1}}]}}"
+            );
+            assert!(from_json(&bad).is_none(), "{variant}");
+        }
     }
 
     #[test]

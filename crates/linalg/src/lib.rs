@@ -36,8 +36,8 @@ pub mod mixed;
 pub mod qr;
 
 pub use blas3::{
-    available_variants, avx2_supported, avx512_supported, blocking_for, dot_i8, dot_i8_portable,
-    dot_i8_scalar, gemm, gemm_blocked, gemm_f32_f32, gemm_half, gemm_half_f32,
+    available_variants, avx2_supported, avx512_supported, blocking_for, dot_i8, dot_i8_scalar,
+    gemm, gemm_blocked, gemm_f32_f32, gemm_half, gemm_half_f32,
     gemm_half_parallel_with, gemm_half_with, gemm_i8_i32, gemm_naive,
     gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with, gemm_parallel_on_with,
     gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with, gemm_tiled_with,

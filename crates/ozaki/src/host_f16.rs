@@ -6,7 +6,7 @@
 //! through [`me_linalg::gemm_half_f32`] — the engine-call core the
 //! simulated matrix engine ([`crate::gemm::OzakiConfig`]) reaches through
 //! `gemm_f32_f32`, over the host's dispatched micro-kernels (strict
-//! scalar, portable-unrolled, AVX2, AVX-512), widening in the pack loops:
+//! scalar, AVX2, AVX-512), widening in the pack loops:
 //! exactly the memory traffic and arithmetic a host-SIMD FP16 emulation
 //! performs. The two substrates differ only in slice storage; the driver
 //! is [`crate::gemm::ozaki_gemm_on`].

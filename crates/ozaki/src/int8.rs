@@ -11,8 +11,8 @@
 //! ozIMMU follow-up line of work: Uchino & Ozaki 2025).
 //!
 //! [`Int8Engine`] is the [`SliceEngine`] whose products run on genuine
-//! host int8 micro-kernels ([`me_linalg::gemm_i8_i32`]: strict scalar,
-//! portable-unrolled, or AVX2 `vpmaddubsw`), dispatched through the same
+//! host int8 micro-kernels ([`me_linalg::gemm_i8_i32`]: strict scalar
+//! or AVX2 `vpmaddubsw`), dispatched through the same
 //! [`KernelVariant`] table as the floating-point GEMM; the driver is
 //! [`crate::gemm::ozaki_gemm_on`]. Integer arithmetic is associative, so
 //! every kernel variant and every thread count returns the same bits; and

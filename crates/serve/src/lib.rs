@@ -64,7 +64,7 @@ pub use request::{
     BucketKey, Completion, GemmJob, Job, JobKind, Outcome, OzakiJob, SubmitError, TenantId, Ticket,
 };
 pub use ring::MpmcRing;
-pub use scheduler::{QueueKind, Scheduler, ServeConfig};
+pub use scheduler::{Scheduler, ServeConfig};
 pub use stats::{StatsSnapshot, TenantSnapshot};
 
 /// Environment variable consulted by [`resolve_shards`] when the
@@ -129,35 +129,6 @@ pub fn resolve_weight_cache(requested: usize) -> usize {
         }
     }
     DEFAULT_WEIGHT_CACHE_BYTES
-}
-
-/// Environment variable consulted by [`resolve_queue`] when
-/// [`ServeConfig::queue`] is `None`. Accepts `mutex` or `ring`
-/// (case-insensitive).
-pub const QUEUE_ENV: &str = "ME_QUEUE";
-
-/// Resolve the shard queue implementation for a scheduler.
-///
-/// Priority: an explicit `Some(kind)` wins; else `ME_QUEUE`
-/// (`"mutex"` / `"ring"`, case-insensitive); else [`QueueKind::Ring`].
-///
-/// **Startup-read contract** (DESIGN.md §10): like [`resolve_shards`],
-/// this reads the environment at [`Scheduler::new`] time only — mutating
-/// `ME_QUEUE` afterwards never swaps a live scheduler's queues, and
-/// tests that set it must serialize through [`me_par::env_lock`].
-// me-verify: env-startup
-pub fn resolve_queue(requested: Option<QueueKind>) -> QueueKind {
-    if let Some(kind) = requested {
-        return kind;
-    }
-    if let Ok(raw) = std::env::var(QUEUE_ENV) {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "mutex" => return QueueKind::Mutex,
-            "ring" => return QueueKind::Ring,
-            _ => {}
-        }
-    }
-    QueueKind::Ring
 }
 
 /// Environment variable consulted by [`resolve_tenant_weights`] when
@@ -251,7 +222,7 @@ fn parse_byte_size(raw: &str) -> Option<usize> {
         _ => (s, 0),
     };
     let base: usize = digits.trim().parse().ok()?;
-    base.checked_shl(shift)
+    base.checked_mul(1 << shift)
 }
 
 #[cfg(test)]
@@ -265,7 +236,17 @@ mod tests {
         assert_eq!(parse_byte_size("64m"), Some(64 << 20));
         assert_eq!(parse_byte_size(" 2G "), Some(2 << 30));
         assert_eq!(parse_byte_size("8k"), Some(8 << 10));
-        for bad in ["", "m", "-1", "64q", "1.5m"] {
+        // Values whose scaled size overflows usize must not parse: a bare
+        // shift wraps 2^34 GiB to 0 (silently disabling the cache) and
+        // 2^34 + 1 GiB to 1 GiB.
+        let wraps = [
+            format!("{}g", 1u64 << 34),
+            format!("{}g", (1u64 << 34) + 1),
+            format!("{}m", 1u64 << 44),
+            format!("{}k", 1u64 << 54),
+            format!("{}k", usize::MAX),
+        ];
+        for bad in wraps.iter().map(String::as_str).chain(["", "m", "-1", "64q", "1.5m"]) {
             assert_eq!(parse_byte_size(bad), None, "{bad:?} must not parse");
         }
     }
@@ -286,30 +267,6 @@ mod tests {
         std::env::remove_var(WEIGHT_CACHE_ENV);
         if let Some(v) = saved {
             std::env::set_var(WEIGHT_CACHE_ENV, v);
-        }
-    }
-
-    #[test]
-    fn queue_kind_resolution_priority() {
-        let _guard = me_par::env_lock().lock().unwrap_or_else(|e| e.into_inner());
-        let saved = std::env::var(QUEUE_ENV).ok();
-        std::env::remove_var(QUEUE_ENV);
-        assert_eq!(resolve_queue(None), QueueKind::Ring, "default is ring");
-        assert_eq!(resolve_queue(Some(QueueKind::Mutex)), QueueKind::Mutex);
-        std::env::set_var(QUEUE_ENV, "mutex");
-        assert_eq!(resolve_queue(None), QueueKind::Mutex);
-        assert_eq!(
-            resolve_queue(Some(QueueKind::Ring)),
-            QueueKind::Ring,
-            "explicit beats env"
-        );
-        std::env::set_var(QUEUE_ENV, " RING ");
-        assert_eq!(resolve_queue(None), QueueKind::Ring);
-        std::env::set_var(QUEUE_ENV, "garbage");
-        assert_eq!(resolve_queue(None), QueueKind::Ring, "garbage falls back");
-        std::env::remove_var(QUEUE_ENV);
-        if let Some(v) = saved {
-            std::env::set_var(QUEUE_ENV, v);
         }
     }
 

@@ -1,7 +1,7 @@
 //! A bounded, lock-free MPMC ring (Vyukov-style sequence slots).
 //!
-//! This is the hot admission path of the ring-backed scheduler arm
-//! (`ME_QUEUE=ring`): producers and consumers synchronize exclusively
+//! This is the hot admission path of every scheduler shard queue:
+//! producers and consumers synchronize exclusively
 //! through `std` atomics — one CAS per push and one per pop on the
 //! uncontended path, no mutex anywhere. The algorithm is Dmitry Vyukov's
 //! bounded MPMC queue: every slot carries a *sequence* number that

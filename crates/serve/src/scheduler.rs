@@ -20,29 +20,21 @@
 //! - **Ozaki buckets** execute per request, fanned over the pool; each
 //!   request is the exact serial [`me_ozaki::ozaki_gemm`].
 //!
-//! ## Queue arms
+//! ## The shard queue
 //!
-//! The hot admission path runs on one of two interchangeable queues,
-//! selected by [`ServeConfig::queue`] / `ME_QUEUE` (see
-//! [`crate::resolve_queue`]):
+//! Each shard's queue is a bounded lock-free Vyukov MPMC ring
+//! ([`crate::ring::MpmcRing`]) fronted by a single atomic admission gate
+//! (closed-bit + logical depth in one word). Producers never take a
+//! lock; the shard thread drains the ring into a consumer-local ready
+//! queue and parks on a `Condvar` **only at the idle edge** (SeqCst-fence
+//! Dekker handshake against the producers — DESIGN.md §14), then serves
+//! tenants by deficit-weighted fair selection. `tests/differential.rs`
+//! pins seeded replays of this path to golden per-request digests.
 //!
-//! - [`QueueKind::Ring`] (default): a bounded lock-free Vyukov MPMC ring
-//!   ([`crate::ring::MpmcRing`]) fronted by a single atomic admission
-//!   gate (closed-bit + logical depth in one word). Producers never take
-//!   a lock; the shard thread drains the ring into a consumer-local
-//!   ready queue and parks on a `Condvar` **only at the idle edge**
-//!   (SeqCst-fence Dekker handshake against the producers — DESIGN.md
-//!   §14). Per-tenant deficit-weighted fair selection runs on this arm.
-//! - [`QueueKind::Mutex`]: the original `Mutex<VecDeque>` queue, kept
-//!   bitwise-intact (strict FIFO, no tenant weighting) as the
-//!   differential baseline — `tests/differential.rs` replays identical
-//!   seeded traces through both arms and requires identical outcomes and
-//!   bitwise-identical GEMM payloads.
-//!
-//! Robustness (identical on both arms): per-request deadlines (checked
-//! at dequeue and again after execution), bounded retries with
-//! exponential backoff for transient failures, drop-head load shedding
-//! beyond the configured watermark, and panic isolation — a panicking
+//! Robustness: per-request deadlines (checked at dequeue and again
+//! after execution), bounded retries with exponential backoff for
+//! transient failures, drop-head load shedding beyond the configured
+//! watermark, and panic isolation — a panicking
 //! job fails its own ticket and never takes down the shard. The shard
 //! thread alone resolves tickets, in batch FIFO order, stamping a global
 //! resolution sequence number and the submission→resolution latency
@@ -52,7 +44,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,32 +69,12 @@ const BACKOFF_EXP_CAP: u32 = 10;
 // silent zero backoff). Fail the build, not the retry path.
 const _: () = assert!(BACKOFF_EXP_CAP < 32, "backoff exponent cap must fit a u32 shift");
 
-/// Which per-shard queue implementation the scheduler runs. Resolved at
-/// [`Scheduler::new`] by [`crate::resolve_queue`] (`ME_QUEUE` env under
-/// the DESIGN.md §10 startup-read contract).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// The original `Mutex<VecDeque>` queue: strict FIFO, no tenant
-    /// weighting. Kept as the differential baseline.
-    Mutex,
-    /// The lock-free Vyukov MPMC ring with atomic admission gate,
-    /// Condvar parking at the idle edge only, and per-tenant
-    /// deficit-weighted fair selection. The default.
-    Ring,
-}
-
 /// Scheduler configuration. `Default` is a production-shaped setup:
-/// auto queue arm (`ME_QUEUE`, else the lock-free ring), auto
-/// shards/threads, a 1024-deep queue per shard, batches of up to 64,
+/// auto shards/threads, a 1024-deep queue per shard, batches of up to 64,
 /// two retries with 1 ms base backoff, shedding disabled (watermark =
 /// capacity), single-tenant, no fault injection.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Queue arm; `None` = auto ([`crate::resolve_queue`]: `ME_QUEUE`
-    /// `mutex`/`ring`, else [`QueueKind::Ring`]). Read once at
-    /// [`Scheduler::new`] — see DESIGN.md §10 for the startup-read
-    /// contract.
-    pub queue: Option<QueueKind>,
     /// Shard count; `0` = auto ([`crate::resolve_shards`]: `ME_SHARDS`,
     /// else min(4, available parallelism)). Read once at
     /// [`Scheduler::new`] — see DESIGN.md §10 for the startup-read
@@ -136,11 +108,11 @@ pub struct ServeConfig {
     /// (every batch re-packs, the pre-cache behavior). Resolved once at
     /// [`Scheduler::new`] under the §10 startup-read contract.
     pub weight_cache_bytes: usize,
-    /// Per-tenant weights for deficit-weighted fair selection on the
-    /// ring arm; empty = auto ([`crate::resolve_tenant_weights`]:
+    /// Per-tenant weights for deficit-weighted fair selection; empty =
+    /// auto ([`crate::resolve_tenant_weights`]:
     /// `ME_TENANT_WEIGHTS` comma list, else single-tenant FIFO). Tenant
     /// ids map onto slots modulo the weight count; zero weights clamp
-    /// to 1. The mutex arm ignores weights (strict FIFO) by design.
+    /// to 1.
     pub tenant_weights: Vec<u64>,
     /// Startup blocking-autotune policy; `None` = auto
     /// ([`crate::resolve_autotune`]: `ME_AUTOTUNE` `startup`/`off`, else
@@ -159,7 +131,6 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            queue: None,
             shards: 0,
             shard_threads: 0,
             queue_capacity: 1024,
@@ -197,36 +168,15 @@ struct Delayed {
     pending: Pending,
 }
 
-struct QueueState {
-    ready: VecDeque<Pending>,
-    delayed: Vec<Delayed>,
-    shutdown: bool,
-    /// Monotone sequence for stable ordering of same-instant retries.
-    delay_seq: u64,
-}
-
-/// The mutex queue arm: the original bounded `Mutex<VecDeque>`.
-struct MutexQueue {
-    state: Mutex<QueueState>,
-    cv: Condvar,
-    capacity: usize,
-}
-
-impl MutexQueue {
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Closed bit of the ring arm's admission gate; the low 63 bits hold the
-/// logical queue depth (in-ring + consumer-local ready + delayed +
+/// Closed bit of a shard queue's admission gate; the low 63 bits hold
+/// the logical queue depth (in-ring + consumer-local ready + delayed +
 /// admissions between gate-CAS and ring-publish).
 const GATE_CLOSED: u64 = 1 << 63;
 
-/// The lock-free queue arm: admissions CAS the gate (bound + shutdown in
-/// one atomic word) and publish through the MPMC ring; the park
-/// mutex/condvar pair is touched **only** on the idle edge (empty ring)
-/// and by shutdown, never on the hot path.
+/// One shard's lock-free queue: admissions CAS the gate (bound +
+/// shutdown in one atomic word) and publish through the MPMC ring; the
+/// park mutex/condvar pair is touched **only** on the idle edge (empty
+/// ring) and by shutdown, never on the hot path.
 struct RingQueue {
     ring: MpmcRing<Pending>,
     /// `GATE_CLOSED` bit + logical depth. One word, so the shard
@@ -261,12 +211,6 @@ impl RingQueue {
     }
 }
 
-/// One shard's queue, either arm.
-enum ShardQueue {
-    Mutex(MutexQueue),
-    Ring(RingQueue),
-}
-
 /// Everything a shard thread needs, cloneable into the thread.
 #[derive(Clone)]
 struct ShardCtx {
@@ -292,7 +236,7 @@ struct ShardCtx {
 /// request — including in-flight retries — resolves, and the shard
 /// threads are joined.
 pub struct Scheduler {
-    queues: Vec<Arc<ShardQueue>>,
+    queues: Vec<Arc<RingQueue>>,
     threads: Vec<Option<JoinHandle<()>>>,
     stats: Arc<ServeStats>,
     order: Arc<AtomicU64>,
@@ -300,15 +244,13 @@ pub struct Scheduler {
     accepting: AtomicBool,
     plan: Option<FaultPlan>,
     pool_width: usize,
-    queue_kind: QueueKind,
     tenant_weights: Arc<[u64]>,
     cache: Option<Arc<WeightCache>>,
 }
 
 impl Scheduler {
-    /// Build and start a scheduler. Queue arm, shard count, pool width,
-    /// tenant weights, and cache size resolve through
-    /// [`crate::resolve_queue`] / [`crate::resolve_shards`] /
+    /// Build and start a scheduler. Shard count, pool width, tenant
+    /// weights, and cache size resolve through [`crate::resolve_shards`] /
     /// [`me_par::resolve_threads`] / [`crate::resolve_tenant_weights`] /
     /// [`crate::resolve_weight_cache`] **here, once** — environment
     /// changes after construction do not retarget a live scheduler.
@@ -328,7 +270,6 @@ impl Scheduler {
                 ),
             }
         }
-        let kind = crate::resolve_queue(config.queue);
         let nshards = crate::resolve_shards(config.shards);
         let width = me_par::resolve_threads(config.shard_threads);
         let capacity = config.queue_capacity.max(1);
@@ -350,25 +291,13 @@ impl Scheduler {
         let mut queues = Vec::with_capacity(nshards);
         let mut threads = Vec::with_capacity(nshards);
         for i in 0..nshards {
-            let queue = Arc::new(match kind {
-                QueueKind::Mutex => ShardQueue::Mutex(MutexQueue {
-                    state: Mutex::new(QueueState {
-                        ready: VecDeque::new(),
-                        delayed: Vec::new(),
-                        shutdown: false,
-                        delay_seq: 0,
-                    }),
-                    cv: Condvar::new(),
-                    capacity,
-                }),
-                QueueKind::Ring => ShardQueue::Ring(RingQueue {
-                    ring: MpmcRing::new(capacity),
-                    gate: AtomicU64::new(0),
-                    park: Mutex::new(()),
-                    cv: Condvar::new(),
-                    parked: AtomicBool::new(false),
-                    capacity: capacity as u64,
-                }),
+            let queue = Arc::new(RingQueue {
+                ring: MpmcRing::new(capacity),
+                gate: AtomicU64::new(0),
+                park: Mutex::new(()),
+                cv: Condvar::new(),
+                parked: AtomicBool::new(false),
+                capacity: capacity as u64,
             });
             let ctx = ShardCtx {
                 stats: Arc::clone(&stats),
@@ -388,12 +317,7 @@ impl Scheduler {
             // the caller's thread (see `submit`). Nothing is lost, only
             // the asynchrony.
             let thread_queue = Arc::clone(&queue);
-            let handle = builder
-                .spawn(move || match &*thread_queue {
-                    ShardQueue::Mutex(mq) => mutex_shard_loop(ctx, mq),
-                    ShardQueue::Ring(rq) => ring_shard_loop(ctx, rq),
-                })
-                .ok();
+            let handle = builder.spawn(move || shard_loop(ctx, &thread_queue)).ok();
             queues.push(queue);
             threads.push(handle);
         }
@@ -406,7 +330,6 @@ impl Scheduler {
             accepting: AtomicBool::new(true),
             plan: config.fault_plan,
             pool_width: width,
-            queue_kind: kind,
             tenant_weights,
             cache,
         }
@@ -420,11 +343,6 @@ impl Scheduler {
     /// Worker-pool width each shard executes with.
     pub fn pool_width(&self) -> usize {
         self.pool_width
-    }
-
-    /// Which queue arm this scheduler resolved to at construction.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue_kind
     }
 
     /// The resolved per-tenant weights (len ≥ 1, every weight ≥ 1).
@@ -501,70 +419,17 @@ impl Scheduler {
             submitted: now,
             ticket: Arc::clone(&ticket_state),
         };
-        let has_thread = self.threads[shard].is_some();
-        match &*self.queues[shard] {
-            ShardQueue::Mutex(mq) => self.submit_mutex(mq, pending, has_thread)?,
-            ShardQueue::Ring(rq) => self.submit_ring(rq, pending, has_thread)?,
-        }
+        self.admit(&self.queues[shard], pending, self.threads[shard].is_some())?;
         Ok(Ticket { state: ticket_state, id })
     }
 
-    /// Mutex-arm admission. The `enqueued` counters are bumped **under
-    /// the queue lock, before the push** — the shard thread can only
-    /// observe the request after the unlock, so any snapshot that sees a
-    /// resolution also sees its admission (stats.rs ordering contract).
-    fn submit_mutex(
-        &self,
-        mq: &MutexQueue,
-        pending: Pending,
-        has_thread: bool,
-    ) -> Result<(), SubmitError> {
-        let tenant = pending.tenant;
-        let inline = {
-            let mut q = mq.lock();
-            if q.shutdown {
-                ServeStats::bump(&self.stats.rejected_shutdown);
-                return Err(SubmitError::ShuttingDown);
-            }
-            if q.ready.len() + q.delayed.len() >= mq.capacity {
-                ServeStats::bump(&self.stats.rejected_full);
-                me_trace::counter_add("serve.rejected", 1);
-                return Err(SubmitError::QueueFull);
-            }
-            ServeStats::bump(&self.stats.enqueued);
-            ServeStats::bump(&self.stats.tenant_slot(tenant).enqueued);
-            if has_thread {
-                q.ready.push_back(pending);
-                let depth = q.ready.len() as u64;
-                ServeStats::record_max(&self.stats.queue_high_water, depth);
-                me_trace::hist_record("serve.queue_depth", depth);
-                mq.cv.notify_one();
-                None
-            } else {
-                // Synchronous fallback shard (spawn failed at startup).
-                Some(pending)
-            }
-        };
-        me_trace::counter_add("serve.enqueued", 1);
-        if let Some(pending) = inline {
-            self.execute_inline(pending);
-        }
-        Ok(())
-    }
-
-    /// Ring-arm admission: one CAS on the gate decides
-    /// shutdown/backpressure, then the value publishes through the
-    /// lock-free ring. The `enqueued` counters are bumped inside the
+    /// Admission: one CAS on the gate decides shutdown/backpressure, then
+    /// the value publishes through the lock-free ring. The `enqueued` counters are bumped inside the
     /// ring's claimed-slot window (after the gate admitted, before the
     /// publishing sequence store), so the shard thread can never resolve
     /// a request whose admission a snapshot has not seen.
     // me-verify: hot
-    fn submit_ring(
-        &self,
-        rq: &RingQueue,
-        pending: Pending,
-        has_thread: bool,
-    ) -> Result<(), SubmitError> {
+    fn admit(&self, rq: &RingQueue, pending: Pending, has_thread: bool) -> Result<(), SubmitError> {
         let mut g = rq.gate.load(Ordering::Relaxed);
         loop {
             if g & GATE_CLOSED != 0 {
@@ -658,22 +523,13 @@ impl Scheduler {
 
     fn begin_shutdown(&self) {
         self.accepting.store(false, Ordering::Release);
-        for queue in &self.queues {
-            match &**queue {
-                ShardQueue::Mutex(mq) => {
-                    let mut q = mq.lock();
-                    q.shutdown = true;
-                    mq.cv.notify_all();
-                }
-                ShardQueue::Ring(rq) => {
-                    rq.gate.fetch_or(GATE_CLOSED, Ordering::Relaxed);
-                    // Notify under the park lock: the shard thread
-                    // re-checks the closed bit under this same lock
-                    // before waiting, so the wakeup cannot be lost.
-                    let _guard = rq.park.lock().unwrap_or_else(|e| e.into_inner());
-                    rq.cv.notify_all();
-                }
-            }
+        for rq in &self.queues {
+            rq.gate.fetch_or(GATE_CLOSED, Ordering::Relaxed);
+            // Notify under the park lock: the shard thread re-checks the
+            // closed bit under this same lock before waiting, so the
+            // wakeup cannot be lost.
+            let _guard = rq.park.lock().unwrap_or_else(|e| e.into_inner());
+            rq.cv.notify_all();
         }
     }
 }
@@ -690,7 +546,6 @@ impl Drop for Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("queue", &self.queue_kind)
             .field("shards", &self.queues.len())
             .field("pool_width", &self.pool_width)
             .field("tenants", &self.tenant_weights.len())
@@ -702,11 +557,10 @@ impl std::fmt::Debug for Scheduler {
 ///
 /// Entries whose **deadline** has already expired are drained into
 /// `dead` instead of being dispatched — the caller resolves them
-/// `TimedOut` after releasing any queue lock (ticket slots are never
-/// locked under the queue mutex). Before this check, a retried request
-/// whose deadline passed mid-backoff would still be promoted and
-/// executed dead. Shared by both queue arms (the ring arm's `delayed` /
-/// `ready` are consumer-local, so no lock is involved there).
+/// `TimedOut`. Before this check, a retried request whose deadline
+/// passed mid-backoff would still be promoted and executed dead. Both
+/// queues are consumer-local to the shard thread, so no lock is
+/// involved.
 fn promote_due(
     delayed: &mut Vec<Delayed>,
     ready: &mut VecDeque<Pending>,
@@ -734,7 +588,7 @@ fn promote_due(
     }
 }
 
-/// Deficit-weighted round-robin tenant selection (ring arm only).
+/// Deficit-weighted round-robin tenant selection.
 ///
 /// Classic DRR with a per-request cost of 1: each round-robin visit
 /// grants a tenant its weight in credit; the first backlogged tenant
@@ -828,8 +682,8 @@ impl FairState {
 /// Coalesce a batch out of the local ready queue: fair-select the next
 /// request to serve, then collect up to `batch_max` members of its
 /// bucket **in full queue order** (requests earlier in the queue that
-/// share the bucket ride along — FIFO-per-bucket is preserved exactly as
-/// on the mutex arm), charging each admitted request to its own tenant.
+/// share the bucket ride along, so FIFO-per-bucket is preserved),
+/// charging each admitted request to its own tenant.
 fn coalesce_fair(
     fair: &mut FairState,
     ready: &mut VecDeque<Pending>,
@@ -853,80 +707,7 @@ fn coalesce_fair(
     batch
 }
 
-/// The mutex-arm shard loop: the original lock-and-wait dequeue path,
-/// kept semantically intact as the differential baseline.
-fn mutex_shard_loop(ctx: ShardCtx, mq: &MutexQueue) {
-    me_trace::register_current_thread();
-    let pool = me_par::WorkerPool::new(ctx.width);
-    loop {
-        let mut shed: Vec<Pending> = Vec::new();
-        let mut batch: Vec<Pending> = Vec::new();
-        let mut dead: Vec<Pending> = Vec::new();
-        {
-            let mut q = mq.lock();
-            loop {
-                let now = Instant::now();
-                let qs = &mut *q;
-                promote_due(&mut qs.delayed, &mut qs.ready, now, &ctx.stats, &mut dead);
-                if !q.ready.is_empty() || !dead.is_empty() {
-                    break;
-                }
-                if q.shutdown && q.delayed.is_empty() {
-                    return;
-                }
-                if let Some(next) = q.delayed.iter().map(|d| d.ready_at).min() {
-                    let wait = next
-                        .saturating_duration_since(now)
-                        .max(Duration::from_micros(50));
-                    let (guard, _) =
-                        mq.cv.wait_timeout(q, wait).unwrap_or_else(|e| e.into_inner());
-                    q = guard;
-                } else {
-                    q = mq.cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                }
-            }
-            // Drop-head load shedding: beyond the watermark, the oldest
-            // requests resolve Shed so queue latency stays bounded.
-            while q.ready.len() > ctx.shed_watermark {
-                if let Some(p) = q.ready.pop_front() {
-                    shed.push(p);
-                }
-            }
-            // Coalesce the head's bucket, preserving FIFO order within
-            // the bucket and the relative order of everything skipped.
-            if let Some(head) = q.ready.pop_front() {
-                let key = head.key;
-                batch.push(head);
-                if ctx.batch_max > 1 && !q.ready.is_empty() {
-                    let mut rest = VecDeque::with_capacity(q.ready.len());
-                    while let Some(p) = q.ready.pop_front() {
-                        if batch.len() < ctx.batch_max && p.key == key {
-                            batch.push(p);
-                        } else {
-                            rest.push_back(p);
-                        }
-                    }
-                    q.ready = rest;
-                }
-            }
-        }
-        for p in dead {
-            ServeStats::bump(&ctx.stats.retries_timed_out);
-            me_trace::counter_add("serve.retry_timeout", 1);
-            resolve(&ctx, p, Outcome::TimedOut);
-        }
-        for p in shed {
-            resolve(&ctx, p, Outcome::Shed);
-        }
-        if !batch.is_empty() {
-            let retries = execute_batch(&ctx, &pool, batch);
-            requeue_mutex(&ctx, mq, retries);
-        }
-        me_trace::flush_thread();
-    }
-}
-
-/// The ring-arm shard loop. The shard thread is the ring's only
+/// The shard loop. The shard thread is the ring's only
 /// consumer: it drains admissions into a consumer-local ready queue (no
 /// lock), promotes due retries, fair-selects and coalesces a batch, and
 /// parks on the condvar only when there is genuinely nothing to do.
@@ -937,7 +718,7 @@ fn mutex_shard_loop(ctx: ShardCtx, mq: &MutexQueue) {
 /// shed / dead set, so an in-flight admission (gate bumped, ring push
 /// not yet visible) holds the loop alive — a drained scheduler can never
 /// strand a request.
-fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
+fn shard_loop(ctx: ShardCtx, rq: &RingQueue) {
     me_trace::register_current_thread();
     let pool = me_par::WorkerPool::new(ctx.width);
     let mut ready: VecDeque<Pending> = VecDeque::new();
@@ -986,8 +767,8 @@ fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
             rq.parked.store(false, Ordering::Relaxed);
             continue;
         }
-        // Drop-head load shedding, same watermark semantics as the
-        // mutex arm.
+        // Drop-head load shedding: beyond the watermark, the oldest
+        // requests resolve Shed so queue latency stays bounded.
         let mut shed: Vec<Pending> = Vec::new();
         while ready.len() > ctx.shed_watermark {
             if let Some(p) = ready.pop_front() {
@@ -1011,7 +792,7 @@ fn ring_shard_loop(ctx: ShardCtx, rq: &RingQueue) {
         }
         if !batch.is_empty() {
             let retries = execute_batch(&ctx, &pool, batch);
-            requeue_ring(&ctx, rq, &mut delayed, &mut delay_seq, retries);
+            requeue(&ctx, rq, &mut delayed, &mut delay_seq, retries);
         }
         me_trace::flush_thread();
     }
@@ -1037,45 +818,11 @@ fn retry_schedule(ctx: &ShardCtx, pending: &Pending, now: Instant) -> Option<Ins
     }
 }
 
-/// Requeue retries on the mutex arm (under the queue lock; dead-on-
-/// requeue requests resolve after it drops — ticket slots are never
-/// locked under the queue mutex).
-fn requeue_mutex(ctx: &ShardCtx, mq: &MutexQueue, retries: Vec<Pending>) {
-    if retries.is_empty() {
-        return;
-    }
-    let mut dead: Vec<Pending> = Vec::new();
-    {
-        let mut q = mq.lock();
-        let now = Instant::now();
-        for pending in retries {
-            match retry_schedule(ctx, &pending, now) {
-                None => {
-                    ServeStats::bump(&ctx.stats.retries_timed_out);
-                    me_trace::counter_add("serve.retry_timeout", 1);
-                    dead.push(pending);
-                }
-                Some(ready_at) => {
-                    ServeStats::bump(&ctx.stats.retries);
-                    me_trace::counter_add("serve.retry", 1);
-                    let seq = q.delay_seq;
-                    q.delay_seq += 1;
-                    q.delayed.push(Delayed { ready_at, seq, pending });
-                }
-            }
-        }
-        mq.cv.notify_all();
-    }
-    for pending in dead {
-        resolve(ctx, pending, Outcome::TimedOut);
-    }
-}
-
-/// Requeue retries on the ring arm: the delayed queue is consumer-local,
-/// so no lock — but each re-entering request re-claims admission-gate
-/// depth (retries re-enter above the capacity bound, exactly like the
-/// mutex arm's `ready + delayed` accounting).
-fn requeue_ring(
+/// Requeue retries: the delayed queue is consumer-local, so no lock —
+/// but each re-entering request re-claims admission-gate depth (retries
+/// re-enter above the capacity bound, so an admitted request is never
+/// lost to backpressure).
+fn requeue(
     ctx: &ShardCtx,
     rq: &RingQueue,
     delayed: &mut Vec<Delayed>,
@@ -1130,8 +877,8 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Execute one coalesced batch and resolve every member in FIFO order.
 /// Members that failed transiently and still have retry budget are
-/// returned to the caller for arm-specific requeueing (their `attempt`
-/// already incremented).
+/// returned to the caller for requeueing (their `attempt` already
+/// incremented).
 fn execute_batch(ctx: &ShardCtx, pool: &me_par::WorkerPool, batch: Vec<Pending>) -> Vec<Pending> {
     let _b = me_trace::span("serve.batch", "serve");
     ServeStats::bump(&ctx.stats.batches);

@@ -12,7 +12,7 @@
 //!
 //! ## Memory-ordering contract (per field)
 //!
-//! With the lock-free ring arm there is no queue mutex to order counter
+//! The shard queues are lock-free: no queue mutex orders counter
 //! traffic, so every snapshot read races live bumps. The orderings below
 //! are chosen so a *point-in-time* [`StatsSnapshot`] is still internally
 //! coherent — specifically `resolved() ≤ enqueued` always holds, and
@@ -20,8 +20,8 @@
 //!
 //! | field(s)                                   | bump              | snapshot load | why |
 //! |--------------------------------------------|-------------------|---------------|-----|
-//! | `completed_ok`,`timed_out`,`shed`,`failed` | `Release`         | `Acquire`     | the resolving thread observed the request's admission (ring slot `Acquire` / queue-mutex lock), so an `Acquire` read of the outcome makes the matching `enqueued` bump visible to loads that follow |
-//! | `enqueued` (total and per-tenant)          | `Relaxed`¹        | `Relaxed`²    | ¹ bumped strictly before the request becomes consumable (inside the ring publish window / under the queue mutex); ² loaded *after* the outcome `Acquire`s, so it can never lag them |
+//! | `completed_ok`,`timed_out`,`shed`,`failed` | `Release`         | `Acquire`     | the resolving thread observed the request's admission (ring slot `Acquire`), so an `Acquire` read of the outcome makes the matching `enqueued` bump visible to loads that follow |
+//! | `enqueued` (total and per-tenant)          | `Relaxed`¹        | `Relaxed`²    | ¹ bumped strictly before the request becomes consumable (inside the ring publish window); ² loaded *after* the outcome `Acquire`s, so it can never lag them |
 //! | everything else (diagnostics)              | `Relaxed`         | `Relaxed`     | monotone counters with no cross-field invariant tighter than "snapshot of a monotone counter" |
 //!
 //! The latency histogram's buckets are `Relaxed`; a snapshot rebuilds
@@ -141,7 +141,7 @@ impl ServeStats {
 
     /// Relaxed bump for diagnostics and admission-side counters (the
     /// admission counters get their ordering from the publish they
-    /// precede — ring slot release / queue-mutex unlock).
+    /// precede — the ring slot release).
     // me-verify: hot
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);

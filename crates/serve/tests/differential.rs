@@ -1,48 +1,91 @@
-//! Differential replay: the mutex and ring queue arms are semantically
-//! identical.
+//! Golden replay: seeded fault traces resolve to pinned per-request
+//! fingerprints.
 //!
-//! The lock-free refactor (DESIGN.md §14) keeps the old mutex+Condvar
-//! shard queue alive behind `ServeConfig::queue` / `ME_QUEUE` precisely
-//! so this suite can exist: every seeded trace is replayed twice — once
-//! per arm — under a configuration whose outcomes are
+//! Every seeded trace runs under a configuration whose outcomes are
 //! *schedule-independent* (no wall-clock deadlines, no shedding, faults
-//! drawn purely from `(stage, request id, attempt)`), and the two runs
-//! must agree request-by-request:
+//! drawn purely from `(stage, request id, attempt)`), so each request's
+//! outcome label and result bits are a pure function of the seed. The
+//! suite folds them, in submit order, into FNV-1a digests and compares
+//! against constants captured when the scheduler still carried a second,
+//! mutex-guarded queue beside the lock-free ring: both queues produced
+//! these exact digests, so the constants pin the ring to the behaviour
+//! it was differentially proven against.
 //!
-//! - identical outcome label (Ok / Failed) for every request id;
-//! - **bitwise-identical** result matrices on every Ok — coalescing is
-//!   required to be a pure batching optimization on both arms;
-//! - identical conservation books (`enqueued == ok + failed`, zero
-//!   double-resolves) on both sides.
+//! Each fingerprint is the outcome label (Ok / Failed) plus, on Ok, the
+//! result shape and the exact bit pattern of every element — coalescing
+//! must remain a pure batching optimization. The conservation books
+//! (`enqueued == ok + failed`, zero double-resolves) are checked on
+//! every run.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use me_linalg::{KernelVariant, Mat};
 use me_numerics::Rng64;
 use me_ozaki::OzakiConfig;
-use me_serve::{
-    FaultConfig, FaultPlan, Job, Outcome, QueueKind, Scheduler, ServeConfig, TenantId,
-};
+use me_serve::{FaultConfig, FaultPlan, Job, Outcome, Scheduler, ServeConfig, TenantId};
 
 fn mat(m: usize, n: usize, seed: u64) -> Arc<Mat<f64>> {
     let mut rng = Rng64::seed_from_u64(seed);
     Arc::new(Mat::from_fn(m, n, |_, _| rng.range_f64(-1.0, 1.0)))
 }
 
-/// A serializable fingerprint of one completion: the outcome label plus,
-/// for Ok, the exact bit pattern of the result.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Digest of the faulted replays: seeds 7000–7011, 14000–14011 and
+/// 21000–21011 at widths 1, 2 and 8 (864 requests).
+const FAULTED_DIGEST: u64 = 0x5838_fc1f_6335_743e;
+/// Ok / Failed split of those 864 requests.
+const FAULTED_OK: u64 = 751;
+const FAULTED_FAILED: u64 = 113;
+/// Digest of the fault-free replays at widths 1, 2 and 8.
+const FAULT_FREE_DIGEST: u64 = 0xa2c4_3126_556c_0f0d;
+
+/// FNV-1a over 64-bit words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Fold one completion: label word 0 then shape and bits for Ok,
+    /// label word 1 for Failed.
+    fn fingerprint(&mut self, fp: &Fingerprint) {
+        match fp {
+            Fingerprint::Ok { shape, bits } => {
+                self.word(0);
+                self.word(shape.0 as u64);
+                self.word(shape.1 as u64);
+                for &b in bits {
+                    self.word(b);
+                }
+            }
+            Fingerprint::Failed => self.word(1),
+        }
+    }
+}
+
+/// The fingerprint of one completion: the outcome label plus, for Ok,
+/// the exact bit pattern of the result.
 enum Fingerprint {
     Ok { shape: (usize, usize), bits: Vec<u64> },
     Failed,
 }
 
+fn ok_fingerprint(c: &Mat<f64>) -> Fingerprint {
+    Fingerprint::Ok { shape: c.shape(), bits: c.as_slice().iter().map(|v| v.to_bits()).collect() }
+}
+
 /// Build the seeded job list for one trace: a mix of shared-B GEMM
 /// buckets (coalescable), unique-B GEMMs, and Ozaki jobs, spread over 3
-/// tenants. Returns `(job, submit-order id)` pairs; job construction is
-/// a pure function of `seed`, so both arms replay the identical trace.
+/// tenants, in submit order; job construction is a pure function of
+/// `seed`.
 fn trace_jobs(seed: u64) -> Vec<Job> {
     let mut rng = Rng64::seed_from_u64(seed);
     let b_shared_a = mat(4, 3, seed ^ 0xaaaa);
@@ -80,14 +123,12 @@ fn trace_jobs(seed: u64) -> Vec<Job> {
     jobs
 }
 
-/// Replay one seeded trace on one queue arm; fingerprints keyed by
-/// submit order (request ids are per-scheduler, submit order is the
-/// cross-arm invariant).
-fn run_arm(seed: u64, width: usize, kind: QueueKind) -> BTreeMap<usize, Fingerprint> {
+/// Replay one seeded fault trace; fingerprints in submit order.
+fn run_faulted(seed: u64, width: usize) -> Vec<Fingerprint> {
     // Panics and transients only: FaultPlan::decide is a pure function
     // of (stage, id, attempt), and ids are assigned in submit order, so
-    // fault draws agree across arms. No deadlines, no shedding — those
-    // depend on wall-clock scheduling and may legitimately differ.
+    // fault draws do not depend on the schedule. No deadlines, no
+    // shedding — those depend on wall-clock scheduling.
     let plan = FaultPlan::new(
         seed,
         FaultConfig {
@@ -106,112 +147,89 @@ fn run_arm(seed: u64, width: usize, kind: QueueKind) -> BTreeMap<usize, Fingerpr
         max_retries: 2,
         backoff_base: Duration::from_micros(50),
         fault_plan: Some(plan),
-        queue: Some(kind),
         tenant_weights: vec![1, 2, 3],
         ..Default::default()
     });
-    assert_eq!(sched.queue_kind(), kind);
     let tickets: Vec<_> = trace_jobs(seed)
         .into_iter()
         .map(|job| sched.submit(job).expect("trace fits a 64-deep queue"))
         .collect();
     let stats = sched.shutdown();
-    assert!(stats.is_conserved(), "seed {seed} {kind:?}: {stats:?}");
-    assert_eq!(stats.enqueued, 24, "seed {seed} {kind:?}");
-    assert_eq!(stats.double_resolves, 0, "seed {seed} {kind:?}");
-    assert_eq!(stats.shed, 0, "seed {seed} {kind:?}: shedding must be off");
-    assert_eq!(stats.timed_out, 0, "seed {seed} {kind:?}: no deadline may fire");
+    assert!(stats.is_conserved(), "seed {seed}: {stats:?}");
+    assert_eq!(stats.enqueued, 24, "seed {seed}");
+    assert_eq!(stats.double_resolves, 0, "seed {seed}");
+    assert_eq!(stats.shed, 0, "seed {seed}: shedding must be off");
+    assert_eq!(stats.timed_out, 0, "seed {seed}: no deadline may fire");
     tickets
         .into_iter()
-        .enumerate()
-        .map(|(order, t)| {
-            let fp = match t.wait().outcome {
-                Outcome::Ok(c) => Fingerprint::Ok {
-                    shape: c.shape(),
-                    bits: c.as_slice().iter().map(|v| v.to_bits()).collect(),
-                },
-                Outcome::Failed(_) => Fingerprint::Failed,
-                other => panic!("seed {seed} {kind:?}: schedule-dependent outcome {other:?}"),
-            };
-            (order, fp)
+        .map(|t| match t.wait().outcome {
+            Outcome::Ok(c) => ok_fingerprint(&c),
+            Outcome::Failed(_) => Fingerprint::Failed,
+            other => panic!("seed {seed}: schedule-dependent outcome {other:?}"),
         })
         .collect()
 }
 
-/// The headline differential gate: seeded traces × widths {1, 2, 8},
-/// mutex and ring arms produce identical per-request outcome labels and
-/// bitwise-identical Ok payloads.
+/// Replay one seeded trace with no faults; every request must succeed.
+fn run_fault_free(seed: u64, width: usize) -> Vec<Fingerprint> {
+    let sched = Scheduler::new(ServeConfig {
+        shards: 1,
+        shard_threads: width,
+        queue_capacity: 64,
+        batch_max: 8,
+        ..Default::default()
+    });
+    let tickets: Vec<_> =
+        trace_jobs(seed).into_iter().map(|job| sched.submit(job).expect("room")).collect();
+    let stats = sched.shutdown();
+    assert!(stats.is_conserved(), "width {width}: {stats:?}");
+    assert_eq!(stats.completed_ok, 24, "width {width}: {stats:?}");
+    tickets
+        .into_iter()
+        .map(|t| match t.wait().outcome {
+            Outcome::Ok(c) => ok_fingerprint(&c),
+            other => panic!("width {width}: unexpected {other:?}"),
+        })
+        .collect()
+}
+
+/// The headline gate: seeded fault traces × widths {1, 2, 8} reproduce
+/// the golden per-request outcome labels and Ok payload bits.
 #[test]
-fn mutex_and_ring_arms_agree_bitwise() {
+fn faulted_replays_match_golden_digest() {
+    let mut h = Fnv::new();
     let mut ok_seen = 0u64;
     let mut failed_seen = 0u64;
     for (w, width) in [1usize, 2, 8].into_iter().enumerate() {
         for i in 0..12u64 {
             let seed = 7_000 * (w as u64 + 1) + i;
-            let mutex = run_arm(seed, width, QueueKind::Mutex);
-            let ring = run_arm(seed, width, QueueKind::Ring);
-            assert_eq!(mutex.len(), ring.len(), "seed {seed} width {width}");
-            for (order, m) in &mutex {
-                let r = ring.get(order).expect("same request set");
-                assert_eq!(
-                    m, r,
-                    "seed {seed} width {width}: request #{order} diverged between arms"
-                );
-                match m {
+            for fp in run_faulted(seed, width) {
+                match fp {
                     Fingerprint::Ok { .. } => ok_seen += 1,
                     Fingerprint::Failed => failed_seen += 1,
                 }
+                h.fingerprint(&fp);
             }
         }
     }
     // The chaos mix must actually exercise both terminal labels, or the
-    // bitwise assertion above proves less than it claims.
-    assert!(ok_seen > 0, "no trace ever produced an Ok to compare");
-    assert!(failed_seen > 0, "no trace ever produced a Failed to compare");
+    // digest below pins less than it claims.
+    assert!(ok_seen > 0, "no trace ever produced an Ok");
+    assert!(failed_seen > 0, "no trace ever produced a Failed");
+    assert_eq!((ok_seen, failed_seen), (FAULTED_OK, FAULTED_FAILED), "outcome split moved");
+    assert_eq!(h.0, FAULTED_DIGEST, "faulted replay digest {:#018x} moved", h.0);
 }
 
 /// Fault-free determinism: without any injected faults, every request
-/// succeeds on both arms and the payloads are bitwise identical — the
-/// coalescing path itself (the hot one) is arm-invariant.
+/// succeeds and the payloads reproduce the golden digest — the
+/// coalescing path itself (the hot one) is pinned bit for bit.
 #[test]
-fn fault_free_traces_are_bitwise_identical() {
+fn fault_free_replays_match_golden_digest() {
+    let mut h = Fnv::new();
     for width in [1usize, 2, 8] {
-        let seed = 0x5eed ^ width as u64;
-        let run = |kind: QueueKind| -> BTreeMap<usize, Fingerprint> {
-            let sched = Scheduler::new(ServeConfig {
-                shards: 1,
-                shard_threads: width,
-                queue_capacity: 64,
-                batch_max: 8,
-                queue: Some(kind),
-                ..Default::default()
-            });
-            let tickets: Vec<_> = trace_jobs(seed)
-                .into_iter()
-                .map(|job| sched.submit(job).expect("room"))
-                .collect();
-            let stats = sched.shutdown();
-            assert!(stats.is_conserved(), "{kind:?}: {stats:?}");
-            assert_eq!(stats.completed_ok, 24, "{kind:?}: {stats:?}");
-            tickets
-                .into_iter()
-                .enumerate()
-                .map(|(order, t)| match t.wait().outcome {
-                    Outcome::Ok(c) => (
-                        order,
-                        Fingerprint::Ok {
-                            shape: c.shape(),
-                            bits: c.as_slice().iter().map(|v| v.to_bits()).collect(),
-                        },
-                    ),
-                    other => panic!("{kind:?}: unexpected {other:?}"),
-                })
-                .collect()
-        };
-        assert_eq!(
-            run(QueueKind::Mutex),
-            run(QueueKind::Ring),
-            "width {width}: fault-free payloads diverged"
-        );
+        for fp in run_fault_free(0x5eed ^ width as u64, width) {
+            h.fingerprint(&fp);
+        }
     }
+    assert_eq!(h.0, FAULT_FREE_DIGEST, "fault-free replay digest {:#018x} moved", h.0);
 }

@@ -1,6 +1,6 @@
 //! Weighted-fair admission and SLO-percentile property tests.
 //!
-//! The ring arm's deficit round-robin (DESIGN.md §14) promises
+//! The scheduler's deficit round-robin (DESIGN.md §14) promises
 //! *work-conserving weighted fairness*: when several tenants are
 //! backlogged, dequeues converge to the configured weight ratio; when
 //! only one tenant has work, it gets the full shard (no idling on
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use me_linalg::{KernelVariant, Mat};
 use me_numerics::Rng64;
-use me_serve::{Job, Outcome, QueueKind, Scheduler, ServeConfig, TenantId, Ticket};
+use me_serve::{Job, Outcome, Scheduler, ServeConfig, TenantId, Ticket};
 
 fn mat(m: usize, n: usize, seed: u64) -> Arc<Mat<f64>> {
     let mut rng = Rng64::seed_from_u64(seed);
@@ -31,7 +31,6 @@ fn plugged_scheduler(weights: Vec<u64>) -> Scheduler {
         shard_threads: 1,
         queue_capacity: 1024,
         batch_max: 1, // one dequeue per DRR decision: order == fairness
-        queue: Some(QueueKind::Ring),
         tenant_weights: weights,
         ..Default::default()
     })
@@ -183,42 +182,39 @@ fn tenant_books_balance_and_fold_modulo() {
 }
 
 /// The snapshot's SLO percentiles are wired to the recorded latencies:
-/// count matches resolutions, the quantiles are ordered, every recorded
-/// latency is ≤ the p100-style upper bound implied by the histogram, and
-/// both queue arms expose the same plumbing.
+/// count matches resolutions, the quantiles are ordered, and every
+/// recorded latency is ≤ the p100-style upper bound implied by the
+/// histogram.
 #[test]
 fn snapshot_percentiles_track_recorded_latencies() {
-    for kind in [QueueKind::Mutex, QueueKind::Ring] {
-        let sched = Scheduler::new(ServeConfig {
-            shards: 1,
-            shard_threads: 2,
-            queue_capacity: 256,
-            queue: Some(kind),
-            ..Default::default()
-        });
-        let b = mat(4, 3, 500);
-        let tickets: Vec<_> = (0..64u64)
-            .map(|i| {
-                sched
-                    .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(2, 4, 5_000 + i), Arc::clone(&b)))
-                    .expect("fits")
-            })
-            .collect();
-        for t in tickets {
-            assert!(matches!(t.wait().outcome, Outcome::Ok(_)));
-        }
-        let hist = sched.latency_histogram();
-        let stats = sched.shutdown();
-        assert!(stats.is_conserved(), "{kind:?}: {stats:?}");
-        assert_eq!(stats.latency_count, 64, "{kind:?}: one latency sample per resolution");
-        assert!(hist.is_consistent(), "{kind:?}");
-        assert_eq!(hist.count, 64, "{kind:?}");
-        assert!(
-            stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns,
-            "{kind:?}: quantiles out of order: {stats:?}"
-        );
-        assert!(stats.p50_ns > 0, "{kind:?}: a real GEMM takes nonzero time");
-        assert_eq!(stats.p50_ns, hist.quantile(0.50), "{kind:?}: snapshot p50 is the histogram's");
-        assert_eq!(stats.p99_ns, hist.quantile(0.99), "{kind:?}: snapshot p99 is the histogram's");
+    let sched = Scheduler::new(ServeConfig {
+        shards: 1,
+        shard_threads: 2,
+        queue_capacity: 256,
+        ..Default::default()
+    });
+    let b = mat(4, 3, 500);
+    let tickets: Vec<_> = (0..64u64)
+        .map(|i| {
+            sched
+                .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(2, 4, 5_000 + i), Arc::clone(&b)))
+                .expect("fits")
+        })
+        .collect();
+    for t in tickets {
+        assert!(matches!(t.wait().outcome, Outcome::Ok(_)));
     }
+    let hist = sched.latency_histogram();
+    let stats = sched.shutdown();
+    assert!(stats.is_conserved(), "{stats:?}");
+    assert_eq!(stats.latency_count, 64, "one latency sample per resolution");
+    assert!(hist.is_consistent());
+    assert_eq!(hist.count, 64);
+    assert!(
+        stats.p50_ns <= stats.p95_ns && stats.p95_ns <= stats.p99_ns,
+        "quantiles out of order: {stats:?}"
+    );
+    assert!(stats.p50_ns > 0, "a real GEMM takes nonzero time");
+    assert_eq!(stats.p50_ns, hist.quantile(0.50), "snapshot p50 is the histogram's");
+    assert_eq!(stats.p99_ns, hist.quantile(0.99), "snapshot p99 is the histogram's");
 }

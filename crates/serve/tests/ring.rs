@@ -1,6 +1,6 @@
 //! Linearizability stress for the Vyukov MPMC ring (`me_serve::MpmcRing`).
 //!
-//! The scheduler's lock-free arm (DESIGN.md §14) is only as sound as the
+//! The scheduler's lock-free queue (DESIGN.md §14) is only as sound as the
 //! ring underneath it, so this suite proves the queue-level contract
 //! directly, without any scheduler machinery on top:
 //!

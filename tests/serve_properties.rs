@@ -69,7 +69,7 @@ fn fifo_order_within_a_bucket() {
 
 #[test]
 fn batched_results_are_bitwise_identical_to_serial() {
-    for variant in [KernelVariant::Scalar, KernelVariant::Portable] {
+    for variant in [KernelVariant::Scalar, KernelVariant::Avx2] {
         let sched = Scheduler::new(ServeConfig {
             shards: 1,
             shard_threads: 1,
