@@ -42,10 +42,12 @@
 #      artifacts/autotune.json behind
 #   8c. int8 stage: the INT8-Ozaki slicing property suite and the
 #      cross-variant int8 differential harness at both test
-#      parallelisms, then a smoke run of the ozaki_int8 bench (enforces
-#      the >= 2x vectorized-dot speed gate, the DGEMM-grade accuracy
-#      gate, and the INT8-beats-FP16 energy gate; leaves
-#      artifacts/ozaki_int8.txt behind)
+#      parallelisms and again in release (integer overflow panics in
+#      debug builds and wraps in release, and the int8 path must be
+#      exact in both), then a smoke run of the ozaki_int8 bench
+#      (enforces the >= 2x vectorized engine-call speed gate, the
+#      DGEMM-grade accuracy gate, and the INT8-beats-FP16 energy gate;
+#      leaves artifacts/ozaki_int8.txt behind)
 #   9. serve-scale stage: the lock-free ring linearizability suite, the
 #      golden-digest replay, and the fairness + SLO property suites at
 #      both test parallelisms (stage 8 already runs fault-injection +
@@ -132,11 +134,13 @@ rm -f artifacts/autotune.json
 ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench autotune_blocking
 test -s artifacts/autotune.json
 
-echo "==> int8 stage: slicing property + differential suites (both parallelisms)"
+echo "==> int8 stage: slicing property + differential suites (both parallelisms, debug + release)"
 cargo test -q -p me-ozaki --test int8_slicing
 cargo test -q --test int8_differential
 RUST_TEST_THREADS=1 cargo test -q -p me-ozaki --test int8_slicing
 RUST_TEST_THREADS=1 cargo test -q --test int8_differential
+cargo test -q --release -p me-ozaki --test int8_slicing
+cargo test -q --release --test int8_differential
 
 echo "==> int8 stage: ozaki_int8 smoke (release, speed/accuracy/energy gates)"
 rm -f artifacts/ozaki_int8.txt

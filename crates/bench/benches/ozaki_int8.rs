@@ -1,8 +1,9 @@
-//! Benchmarks of the INT8 Ozaki path: the i8×i8→i32 dot micro-kernel
-//! variant A/B (with the "vectorized ≥ 2× scalar" speed gate), the
-//! emulated-GEMM substrate comparison (simulated f16 ME vs host INT8),
-//! and the analytic FP16-vs-INT8 energy table — written to
-//! `artifacts/ozaki_int8.txt` with the accuracy gate asserted in-bench.
+//! Benchmarks of the INT8 Ozaki path: the int8 engine-call variant A/B
+//! (one packed 128×128×128 call on β = 6 operands, with the "vectorized
+//! ≥ 2× scalar" speed gate), the emulated-GEMM substrate comparison
+//! (simulated f16 ME vs host INT8, plus a measured host-int8 vs host-f16
+//! call-time record), and the analytic FP16-vs-INT8 energy table — written
+//! to `artifacts/ozaki_int8.txt` with the accuracy gate asserted in-bench.
 //!
 //! `--kernel scalar|avx2|avx512` (or `ME_KERNEL`) pins the dispatched
 //! micro-kernel for the criterion groups; the gated A/B section always
@@ -12,13 +13,13 @@
 use me_bench::crit::{BenchmarkId, Criterion};
 use me_bench::criterion_group;
 use me_linalg::{
-    available_variants, avx2_supported, dot_i8, selected_kernel, set_kernel_override,
-    KernelVariant,
+    available_variants, gemm_i8_i32, selected_kernel, set_kernel_override, vnni_supported,
+    KernelVariant, PanelLayout,
 };
 use me_ozaki::gemm::reference_gemm;
 use me_ozaki::perf::ranged_matrix;
 use me_ozaki::{
-    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, Int8Engine, OzakiConfig,
+    emit_energy_counters, int8_vs_f16_rows, ozaki_gemm, HostF16Engine, Int8Engine, OzakiConfig,
 };
 use std::time::Instant;
 
@@ -40,14 +41,45 @@ fn slice_vec(len: usize, seed: u64) -> Vec<i8> {
         .collect()
 }
 
-fn bench_dot_variants(c: &mut Criterion) {
-    let mut g = c.benchmark_group("int8_dot");
-    let len = if smoke() { 4096 } else { 65536 };
-    let a = slice_vec(len, 1);
-    let b = slice_vec(len, 2);
+/// One engine call's operands: `n` rows of A and `n` columns of B of
+/// length `n`, packed once into the int8 tile layouts.
+struct Operands {
+    n: usize,
+    a: Vec<i8>,
+    b: Vec<i8>,
+}
+
+impl Operands {
+    fn new(n: usize, seed: u64) -> Self {
+        let pack = |layout: PanelLayout, lines: &[i8]| {
+            let mut panel = layout.blank(n, n, n);
+            for (li, line) in lines.chunks(n).enumerate() {
+                layout.put_line(&mut panel, li, line, n);
+            }
+            panel
+        };
+        let a = pack(PanelLayout::I8_A, &slice_vec(n * n, seed));
+        let b = pack(PanelLayout::I8_B, &slice_vec(n * n, seed + 1));
+        Operands { n, a, b }
+    }
+
+    /// The `n × n × n` engine call on kernel `v`.
+    fn call(&self, v: KernelVariant, out: &mut [i32]) {
+        let n = self.n;
+        let a = PanelLayout::I8_A.chunk(&self.a, 0, 0, n, n);
+        let b = PanelLayout::I8_B.chunk(&self.b, 0, 0, n, n);
+        gemm_i8_i32(v, n, n, n, a, b, out);
+    }
+}
+
+fn bench_engine_call_variants(c: &mut Criterion) {
+    let mut g = c.benchmark_group("int8_engine_call");
+    let n = if smoke() { 64 } else { 128 };
+    let ops = Operands::new(n, 1);
+    let mut out = vec![0i32; n * n];
     for v in available_variants() {
-        g.bench_with_input(BenchmarkId::new(v.name(), len), &len, |bench, _| {
-            bench.iter(|| dot_i8(v, &a, &b))
+        g.bench_with_input(BenchmarkId::new(v.name(), n), &n, |bench, _| {
+            bench.iter(|| ops.call(v, &mut out))
         });
     }
     g.finish();
@@ -69,41 +101,41 @@ fn bench_ozaki_substrates(c: &mut Criterion) {
 /// Gated A/B + report section, timed directly (min of fixed-iteration
 /// loops) like `gemm_kernels::bench_ukernel_variants`:
 ///
-/// 1. i8 dot across every supported variant; asserts all variants return
-///    the identical i32 (integer associativity) and that the fastest
-///    vectorized variant is ≥ 2× scalar — the speed gate.
-/// 2. The INT8 Ozaki GEMM accuracy gate vs the f64 reference.
+/// 1. One packed 128×128×128 int8 engine call on β = 6 operands across
+///    every supported variant; asserts all variants return the identical
+///    i32 tile (integer associativity) and that the fastest vectorized
+///    variant is ≥ 2× scalar — the speed gate.
+/// 2. The INT8 Ozaki GEMM accuracy gate vs the f64 reference, and the
+///    measured host-int8 vs host-f16 Ozaki call time beside it (a record,
+///    not a gate).
 /// 3. The analytic FP16-ME vs INT8 energy rows (A100, Table VIII
 ///    ranges), asserting INT8 wins throughput and Gflop/J, exported via
 ///    me-trace counters and `artifacts/ozaki_int8.txt`.
 fn bench_int8_gates(_c: &mut Criterion) {
     let sm = smoke();
-    let (len, reps) = if sm { (16384, 20) } else { (131072, 50) };
-    let a = slice_vec(len, 3);
-    let b = slice_vec(len, 4);
-    let expect = dot_i8(KernelVariant::Scalar, &a, &b);
+    let (n, reps) = (128, if sm { 5 } else { 30 });
+    let ops = Operands::new(n, 3);
+    let mut expect = vec![0i32; n * n];
+    ops.call(KernelVariant::Scalar, &mut expect);
 
     let mut lines = vec![
-        format!("# ozaki_int8: i8 dot A/B at len {len}, host avx2+fma: {}", avx2_supported()),
+        format!(
+            "# ozaki_int8: int8 engine call A/B, {n}x{n}x{n} packed, beta 6, host vnni: {}",
+            vnni_supported()
+        ),
         "# variant  time_us  gi8ops  speedup_vs_scalar".to_string(),
     ];
     let mut scalar_time = None;
     let mut best_vectorized: Option<(KernelVariant, f64)> = None;
+    let mut out = vec![0i32; n * n];
     for v in available_variants() {
         let mut best = f64::INFINITY;
-        let mut sink = 0i64;
         for _ in 0..reps {
             let t0 = Instant::now();
-            let r = dot_i8(v, &a, &b);
+            ops.call(v, &mut out);
             best = best.min(t0.elapsed().as_secs_f64());
-            sink = sink.wrapping_add(r as i64);
         }
-        assert_eq!(
-            dot_i8(v, &a, &b),
-            expect,
-            "{v} kernel diverged from scalar on the slice domain"
-        );
-        assert_ne!(sink, i64::MIN, "keep the timed loop live");
+        assert!(out == expect, "{v} engine call diverged from scalar on the slice domain");
         if v == KernelVariant::Scalar {
             scalar_time = Some(best);
         } else if best_vectorized.is_none_or(|(_, t)| best < t) {
@@ -114,10 +146,10 @@ fn bench_int8_gates(_c: &mut Criterion) {
             "{:<9} {:>8.2} {:>7.2} {:>18.2}",
             v.name(),
             best * 1e6,
-            2.0 * len as f64 / best / 1e9,
+            2.0 * (n * n * n) as f64 / best / 1e9,
             speedup
         );
-        println!("bench int8_dot_gate/{line}");
+        println!("bench int8_engine_call_gate/{line}");
         lines.push(line);
     }
     let scalar_time = scalar_time.expect("scalar variant always available");
@@ -142,6 +174,30 @@ fn bench_int8_gates(_c: &mut Criterion) {
     lines.push(format!(
         "# accuracy gate: int8 ozaki n={n} range 1e12 beta={} rel_err={err:.3e} (< 1e-12) ok",
         r.beta
+    ));
+
+    // Measured record beside the modeled energy gate: the host's own
+    // int8 and f16 Ozaki call times at the benchmark's n = 128, dispatched
+    // kernel, min of 5 calls.
+    let n = 128;
+    let am = ranged_matrix(n, n, 16.0, 25);
+    let bm = ranged_matrix(n, n, 16.0, 26);
+    let call_ms = |f: &dyn Fn()| {
+        (0..5)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let int8_ms = call_ms(&|| drop(ozaki_gemm(&am, &bm, &Int8Engine::default())));
+    let f16_ms = call_ms(&|| drop(ozaki_gemm(&am, &bm, &HostF16Engine::default())));
+    lines.push(format!(
+        "# measured (record, not a gate): {} kernel, ozaki n={n} range 1e16: host-int8 {int8_ms:.2} ms, \
+         host-f16 {f16_ms:.2} ms per call ({:.2}x)",
+        selected_kernel().resolve_supported(),
+        f16_ms / int8_ms
     ));
 
     // Energy table: FP16-ME vs INT8 on the A100, Table VIII ranges.
@@ -186,7 +242,7 @@ fn bench_int8_gates(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(ozaki_int8, bench_dot_variants, bench_ozaki_substrates, bench_int8_gates);
+criterion_group!(ozaki_int8, bench_engine_call_variants, bench_ozaki_substrates, bench_int8_gates);
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

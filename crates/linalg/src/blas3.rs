@@ -34,6 +34,7 @@ pub mod blocking;
 pub mod half;
 pub mod int8;
 pub mod packed;
+pub mod panel;
 pub mod ukernel;
 
 use crate::mat::{Mat, MatMut, Scalar};
@@ -42,8 +43,9 @@ pub use half::{
     gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind,
     HalfMat,
 };
-pub use int8::{dot_i8, dot_i8_scalar, gemm_i8_i32};
+pub use int8::{dot_i8_scalar, gemm_i8_i32, vnni_supported, MR_I8, NR_I8};
 pub use packed::{pack_b_matrix, PackedB};
+pub use panel::{PanelChunk, PanelFormat, PanelLayout, PanelWord};
 pub use ukernel::{
     available_variants, avx2_supported, avx512_supported, selected_kernel, set_kernel_override,
     KernelDispatch, KernelVariant, KERNEL_ENV, MR, NR,

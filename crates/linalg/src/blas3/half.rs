@@ -17,19 +17,21 @@
 //!   the full blocked GEMM `C ← α·widen(A)·widen(B) + β·C` mirroring
 //!   [`super::gemm_tiled_with`]'s NC→KC→MC loop nest, for half-stored
 //!   operands of any shape.
-//! - [`gemm_half_f32`] / [`gemm_f32_f32`] — the strided row-panel
-//!   "engine call" primitive mirroring [`super::gemm_i8_i32`]: one call is
-//!   one emulated FP16 matrix-engine product over a k-chunk, with `B`
-//!   supplied transposed. Both fronts share one core, generic over the
-//!   stored word: half words are widened in the pack loops, f32 values are
-//!   copied as they are. The `me-ozaki` HostF16 backend drives the half
-//!   front and the simulated matrix engine the f32 front for their slice
-//!   products.
+//! - [`gemm_half_f32`] / [`gemm_f32_f32`] — the "engine call" primitive
+//!   beside [`super::gemm_i8_i32`]: one call is one emulated FP16
+//!   matrix-engine product over a k-chunk, on operand panels the caller
+//!   packed once into the micro-kernel's layout ([`super::panel`]). The
+//!   f32 front hands its panels to the micro-kernel as they are; the half
+//!   front first widens each tile's chunk block in one contiguous pass
+//!   (`vcvtph2ps` on AVX-512, the software codec elsewhere). The `me-ozaki`
+//!   HostF16 backend drives the half front and the simulated matrix engine
+//!   the f32 front for their slice products.
 //!
 //! Narrowing (f32 → 16 bits) happens only in [`HalfMat`] construction and
 //! uses the round-to-nearest-even codecs from `me_numerics::formats`
 //! ([`F16Bits`] / [`Bf16Bits`]); the compute path never rounds to 16 bits.
 
+use super::panel::{PanelChunk, PanelLayout};
 use super::ukernel::{self, KernelVariant, MR, NR};
 use super::{blocking_for, Blocking};
 use crate::mat::{Mat, MatMut};
@@ -150,16 +152,15 @@ impl HalfMat {
     }
 }
 
-/// Pack the `mc × kc` block of A at (`row0`, `kb`) into MR-row f32
-/// micro-panels, converting each stored word with `widen` as it lands:
-/// binary16/bfloat16 words are widened, f32 values pass through. Layout is
-/// identical to [`super::pack_a`] on the pre-widened matrix (widening is
-/// exact and elementwise), which is the §15 widening-pack contract.
+/// Pack the `mc × kc` block of half-stored A at (`row0`, `kb`) into MR-row
+/// f32 micro-panels, widening each word as it lands. Layout is identical
+/// to [`super::pack_a`] on the pre-widened matrix (widening is exact and
+/// elementwise), which is the §15 widening-pack contract.
 // me-verify: hot
 #[allow(clippy::too_many_arguments)]
-fn pack_a_widen<W: Copy>(
-    widen: impl Fn(W) -> f32,
-    a: &[W],
+fn pack_a_half(
+    kind: HalfKind,
+    a: &[u16],
     lda: usize,
     row0: usize,
     mc: usize,
@@ -174,7 +175,7 @@ fn pack_a_widen<W: Copy>(
             if li < mc {
                 let arow = &a[(row0 + li) * lda + kb..(row0 + li) * lda + kb + kc];
                 for (p, &v) in arow.iter().enumerate() {
-                    tile[p * MR + r] = widen(v);
+                    tile[p * MR + r] = kind.widen(v);
                 }
             } else {
                 for p in 0..kc {
@@ -210,38 +211,6 @@ fn pack_b_half(
             }
             for v in &mut dst[w..] {
                 *v = 0.0;
-            }
-        }
-    }
-}
-
-/// Pack `ncb` rows of a *transposed* B (`n × k` line-major, row `j`
-/// holding column `j` of the logical B) into the same NR-column
-/// micro-panel layout as [`pack_b_half`], converting with `widen` like
-/// [`pack_a_widen`]. The engine-call core uses this so both operands
-/// stream contiguously from the caller's slices.
-// me-verify: hot
-fn pack_bt_widen<W: Copy>(
-    widen: impl Fn(W) -> f32,
-    bt: &[W],
-    ldb: usize,
-    kc: usize,
-    jb: usize,
-    ncb: usize,
-    buf: &mut [f32],
-) {
-    for jt in 0..ncb.div_ceil(NR) {
-        for jj in 0..NR {
-            let j = jt * NR + jj;
-            if j < ncb {
-                let line = &bt[(jb + j) * ldb..(jb + j) * ldb + kc];
-                for (p, &v) in line.iter().enumerate() {
-                    buf[jt * NR * kc + p * NR + jj] = widen(v);
-                }
-            } else {
-                for p in 0..kc {
-                    buf[jt * NR * kc + p * NR + jj] = 0.0;
-                }
             }
         }
     }
@@ -302,8 +271,7 @@ fn gemm_half_packed_panel(
                     let mc = mc_blk.min(rows - ib);
                     {
                         let _t = me_trace::span("gemm.pack_a", "linalg");
-                        let widen = |w| a.kind.widen(w);
-                        pack_a_widen(widen, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
+                        pack_a_half(a.kind, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
                     }
                     let _t = me_trace::span("gemm.micro_kernel", "linalg");
                     for it in 0..mc.div_ceil(MR) {
@@ -402,20 +370,20 @@ pub fn gemm_half_parallel_with(
     }
 }
 
-/// Strided row-panel GEMM on the half widening path:
-/// `out[i·n + j] = Σ_p widen(a[i·lda + p]) · widen(bt[j·ldb + p])` for
-/// `p < kc` (overwrite semantics, no accumulation across calls), computed
-/// in f32 with exactly one correctly-rounded FMA per ascending `p` — the
-/// §9 contract, so every kernel variant returns the same bits and the
-/// chunk sums are bit-identical to a scalar `mul_add` chain over the
-/// widened operands.
+/// One engine call of the emulated FP16 matrix engine on packed binary16
+/// or bfloat16 panels: `out[i·n + j] = Σ_{p<kc} widen(a_i[p]) ·
+/// widen(b_j[p])` (overwrite semantics, no accumulation across calls),
+/// computed in f32 with exactly one correctly-rounded FMA per ascending
+/// `p` — the §9 contract, so every kernel variant returns the same bits
+/// and the chunk sums are bit-identical to a scalar `mul_add` chain over
+/// the widened operands.
 ///
-/// `a` holds `m` rows at stride `lda ≥ kc`; `bt` holds `n` rows of the
-/// *transposed* right operand at stride `ldb ≥ kc`. One call is one
-/// "engine call" of the emulated FP16 matrix engine (the `me-ozaki`
-/// HostF16 backend's slice-product primitive), mirroring
-/// [`super::gemm_i8_i32`]'s shape. Counted per call on
-/// `ukernel.half.<variant>`.
+/// `a` is the chunk of `m` A rows in [`PanelLayout::F32_A`] and `b` the
+/// chunk of `n` B columns in [`PanelLayout::F32_B`], both packed once by
+/// the caller. Each tile's chunk block is widened in one contiguous pass
+/// (`vcvtph2ps` on AVX-512, the codec elsewhere) and handed to the
+/// f32 core of [`gemm_f32_f32`]. The `me-ozaki` HostF16 backend's slice
+/// product; counted per call on `ukernel.half.<variant>`.
 // me-verify: hot
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_half_f32(
@@ -423,97 +391,148 @@ pub fn gemm_half_f32(
     m: usize,
     n: usize,
     kc: usize,
-    a: &[u16],
-    lda: usize,
-    bt: &[u16],
-    ldb: usize,
+    a: PanelChunk<'_, u16>,
+    b: PanelChunk<'_, u16>,
     kind: HalfKind,
     out: &mut [f32],
 ) {
-    let widen = |w| kind.widen(w);
-    engine_call(variant, KernelVariant::half_counter, widen, m, n, kc, a, lda, bt, ldb, out);
+    if m == 0 || n == 0 {
+        return;
+    }
+    let variant = variant.resolve_supported();
+    me_trace::counter_add(variant.half_counter(), 1);
+    let (ta, tb) = (m.div_ceil(MR), n.div_ceil(NR));
+    crate::mat::with_pack_scratch::<f32, _>(ta * MR * kc, tb * NR * kc, |apack, bpack| {
+        for (t, dst) in apack.chunks_exact_mut((MR * kc).max(1)).enumerate() {
+            widen_into(variant, kind, a.tile(t, MR * kc), dst);
+        }
+        for (t, dst) in bpack.chunks_exact_mut((NR * kc).max(1)).enumerate() {
+            widen_into(variant, kind, b.tile(t, NR * kc), dst);
+        }
+        let a = PanelChunk::new(apack, MR * kc, PanelLayout::F32_A);
+        let b = PanelChunk::new(bpack, NR * kc, PanelLayout::F32_B);
+        engine_core(variant, m, n, kc, a, b, out);
+    });
 }
 
-/// [`gemm_half_f32`] on f32-stored operands: the same engine call with
-/// the pack loops copying values as they are. The `me-ozaki` simulated
-/// matrix engine drives this for its integer-valued slice panels, so it
-/// shares one packed micro-kernel path with the HostF16 backend and
-/// differs only in slice storage. Counted per call on
-/// `ukernel.<variant>`.
+/// [`gemm_half_f32`] on f32 panels, which the micro-kernel reads as they
+/// are: the call only computes. The `me-ozaki` simulated matrix engine
+/// drives this for its integer-valued slice panels, so it shares one
+/// micro-kernel path with the HostF16 backend and differs only in slice
+/// storage. Counted per call on `ukernel.<variant>`.
 // me-verify: hot
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_f32_f32(
     variant: KernelVariant,
     m: usize,
     n: usize,
     kc: usize,
-    a: &[f32],
-    lda: usize,
-    bt: &[f32],
-    ldb: usize,
+    a: PanelChunk<'_, f32>,
+    b: PanelChunk<'_, f32>,
     out: &mut [f32],
 ) {
-    engine_call(variant, KernelVariant::counter, |v| v, m, n, kc, a, lda, bt, ldb, out);
-}
-
-/// The engine-call core behind [`gemm_half_f32`] and [`gemm_f32_f32`],
-/// generic over the stored word `W` of the slice panels: pack an MR/NR
-/// tile grid of `m × kc` A rows and `n × kc` transposed-B rows through
-/// `widen`, run the dispatched micro-kernel per tile, and copy the
-/// `m × n` result into `out`. `counter` names the per-call trace counter
-/// of the resolved variant.
-// me-verify: hot
-#[allow(clippy::too_many_arguments)]
-fn engine_call<W: Copy>(
-    variant: KernelVariant,
-    counter: fn(KernelVariant) -> &'static str,
-    widen: impl Fn(W) -> f32 + Copy,
-    m: usize,
-    n: usize,
-    kc: usize,
-    a: &[W],
-    lda: usize,
-    bt: &[W],
-    ldb: usize,
-    out: &mut [f32],
-) {
-    assert!(lda >= kc && ldb >= kc, "engine call: stride below chunk length");
-    assert!(out.len() >= m * n, "engine call: output too short");
     if m == 0 || n == 0 {
         return;
     }
     let variant = variant.resolve_supported();
-    me_trace::counter_add(counter(variant), 1);
+    me_trace::counter_add(variant.counter(), 1);
+    engine_core(variant, m, n, kc, a, b, out);
+}
+
+/// The engine-call core behind [`gemm_half_f32`] and [`gemm_f32_f32`]: the
+/// dispatched micro-kernel per MR×NR tile of the packed chunks, the valid
+/// `m × n` part copied into `out`. `variant` must be resolved.
+// me-verify: hot
+fn engine_core(
+    variant: KernelVariant,
+    m: usize,
+    n: usize,
+    kc: usize,
+    a: PanelChunk<'_, f32>,
+    b: PanelChunk<'_, f32>,
+    out: &mut [f32],
+) {
+    assert!(out.len() >= m * n, "engine call: output too short");
+    debug_assert!(
+        a.layout() == PanelLayout::F32_A && b.layout() == PanelLayout::F32_B,
+        "engine call: panels not in the f32 micro-panel layout"
+    );
     if kc == 0 {
         out[..m * n].fill(0.0);
         return;
     }
-    let a_len = m.div_ceil(MR) * MR * kc;
-    let b_len = n.div_ceil(NR) * NR * kc;
-    crate::mat::with_pack_scratch::<f32, _>(a_len, b_len, |apack, bpack| {
-        pack_a_widen(widen, a, lda, 0, m, 0, kc, apack);
-        pack_bt_widen(widen, bt, ldb, kc, 0, n, bpack);
-        for it in 0..m.div_ceil(MR) {
-            let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-            let mr = MR.min(m - it * MR);
-            for jt in 0..n.div_ceil(NR) {
-                let bp = &bpack[jt * NR * kc..(jt + 1) * NR * kc];
-                let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                let j0 = jt * NR;
-                let nc = NR.min(n - j0);
-                for (r, accr) in acc.iter().enumerate().take(mr) {
-                    let orow = &mut out[(it * MR + r) * n + j0..(it * MR + r) * n + j0 + nc];
-                    orow.copy_from_slice(&accr[..nc]);
-                }
+    for it in 0..m.div_ceil(MR) {
+        let ap = a.tile(it, MR * kc);
+        let mr = MR.min(m - it * MR);
+        for jt in 0..n.div_ceil(NR) {
+            let acc = ukernel::micro_kernel(variant, ap, b.tile(jt, NR * kc), kc);
+            let j0 = jt * NR;
+            let nc = NR.min(n - j0);
+            for (r, accr) in acc.iter().enumerate().take(mr) {
+                let at = (it * MR + r) * n + j0;
+                out[at..at + nc].copy_from_slice(&accr[..nc]);
             }
         }
-    });
+    }
+}
+
+/// Widen `src` into `dst` exactly (the same bits as [`HalfKind::widen`]
+/// for every pattern, NaNs quieted alike).
+// me-verify: hot
+fn widen_into(variant: KernelVariant, kind: HalfKind, src: &[u16], dst: &mut [f32]) {
+    let done = match kind {
+        HalfKind::F16 => widen_f16_simd(variant, src, dst),
+        HalfKind::Bf16 => 0,
+    };
+    for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
+        *d = kind.widen(s);
+    }
+}
+
+/// The leading words of `src` the variant's hardware conversion widened
+/// into `dst`: whole 16-word blocks on AVX-512, none otherwise.
+#[cfg(target_arch = "x86_64")]
+fn widen_f16_simd(variant: KernelVariant, src: &[u16], dst: &mut [f32]) -> usize {
+    match variant {
+        // SAFETY: `Avx512` only resolves when `avx512_supported()` proved
+        // AVX512F, all `vcvtph2ps` zmm needs; the kernel bounds its loads
+        // and stores by both slice lengths.
+        KernelVariant::Avx512 => unsafe { widen_f16_avx512(src, dst) },
+        _ => 0,
+    }
+}
+
+/// Non-x86 stand-in: no hardware conversion.
+#[cfg(not(target_arch = "x86_64"))]
+fn widen_f16_simd(_variant: KernelVariant, _src: &[u16], _dst: &mut [f32]) -> usize {
+    0
+}
+
+/// `vcvtph2ps` zmm over whole 16-word blocks; returns the words done.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX512F (runtime-detected).
+// me-verify: hot
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn widen_f16_avx512(src: &[u16], dst: &mut [f32]) -> usize {
+    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm512_cvtph_ps, _mm512_storeu_ps};
+    let n = src.len().min(dst.len());
+    let mut i = 0;
+    while i + 16 <= n {
+        // SAFETY (pointers): i + 16 <= n bounds both the 32-byte load and
+        // the 64-byte store.
+        let h = _mm256_loadu_si256(src.as_ptr().add(i).cast::<__m256i>());
+        _mm512_storeu_ps(dst.as_mut_ptr().add(i), _mm512_cvtph_ps(h));
+        i += 16;
+    }
+    i
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::{available_variants, gemm_naive, gemm_tiled_with};
+    use crate::blas3::{available_variants, gemm_naive, gemm_tiled_with, PanelWord};
     use me_numerics::Rng64;
 
     fn seeded_mat(rows: usize, cols: usize, seed: u64) -> Mat<f32> {
@@ -603,40 +622,53 @@ mod tests {
         }
     }
 
+    /// `lines` line-major lines of length `k` packed into `layout`, one
+    /// chunk of `k`.
+    fn pack<W: PanelWord>(layout: PanelLayout, lines: &[W], k: usize) -> Vec<W> {
+        let count = lines.len().checked_div(k).unwrap_or(0);
+        let mut panel = layout.blank(count, k, k.max(1));
+        for (li, line) in lines.chunks(k.max(1)).enumerate().take(count) {
+            layout.put_line(&mut panel, li, line, k.max(1));
+        }
+        panel
+    }
+
     #[test]
     fn engine_call_matches_scalar_chain_bitwise() {
-        // gemm_half_f32's contract: bit-identical to the ascending
-        // scalar mul_add chain over widened operands, for every variant,
-        // with strided panels — and so is gemm_f32_f32 on the widened
-        // values, the same core with a pass-through pack.
-        let (m, n, kc) = (5, 7, 67);
-        let lda = kc + 3;
-        let ldb = kc + 1;
+        // gemm_half_f32's contract: bit-identical to the ascending scalar
+        // mul_add chain over widened operands, for every variant, on
+        // ragged tiles — and so is gemm_f32_f32 on the widened values, the
+        // same core without the widening pass.
+        let (m, n, kc) = (5, 13, 67);
         let mut rng = Rng64::seed_from_u64(11);
         for kind in HalfKind::ALL {
             let a: Vec<u16> =
-                (0..m * lda).map(|_| kind.narrow((rng.next_f64() * 4.0 - 2.0) as f32)).collect();
+                (0..m * kc).map(|_| kind.narrow((rng.next_f64() * 4.0 - 2.0) as f32)).collect();
             let bt: Vec<u16> =
-                (0..n * ldb).map(|_| kind.narrow((rng.next_f64() * 4.0 - 2.0) as f32)).collect();
+                (0..n * kc).map(|_| kind.narrow((rng.next_f64() * 4.0 - 2.0) as f32)).collect();
             let mut want = vec![0.0f32; m * n];
             for i in 0..m {
                 for j in 0..n {
                     let mut s = 0.0f32;
                     for p in 0..kc {
-                        s = kind.widen(a[i * lda + p]).mul_add(kind.widen(bt[j * ldb + p]), s);
+                        s = kind.widen(a[i * kc + p]).mul_add(kind.widen(bt[j * kc + p]), s);
                     }
                     want[i * n + j] = s;
                 }
             }
-            let a32: Vec<f32> = a.iter().map(|&w| kind.widen(w)).collect();
-            let bt32: Vec<f32> = bt.iter().map(|&w| kind.widen(w)).collect();
+            let (la, lb) = (PanelLayout::F32_A, PanelLayout::F32_B);
+            let (pa, pb) = (pack(la, &a, kc), pack(lb, &bt, kc));
+            let wide = |w: &[u16]| w.iter().map(|&w| kind.widen(w)).collect::<Vec<f32>>();
+            let (pa32, pb32) = (wide(&pa), wide(&pb));
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             for v in available_variants() {
                 let mut out = vec![-1.0f32; m * n];
-                gemm_half_f32(v, m, n, kc, &a, lda, &bt, ldb, kind, &mut out);
-                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let (ca, cb) = (la.chunk(&pa, 0, 0, kc, kc), lb.chunk(&pb, 0, 0, kc, kc));
+                gemm_half_f32(v, m, n, kc, ca, cb, kind, &mut out);
                 assert_eq!(bits(&out), bits(&want), "{kind} variant {v}");
                 let mut out32 = vec![-1.0f32; m * n];
-                gemm_f32_f32(v, m, n, kc, &a32, lda, &bt32, ldb, &mut out32);
+                let (ca, cb) = (la.chunk(&pa32, 0, 0, kc, kc), lb.chunk(&pb32, 0, 0, kc, kc));
+                gemm_f32_f32(v, m, n, kc, ca, cb, &mut out32);
                 assert_eq!(bits(&out32), bits(&want), "f32 front on {kind} values, variant {v}");
             }
         }
@@ -644,11 +676,30 @@ mod tests {
 
     #[test]
     fn engine_call_zero_chunk_zeroes_output() {
+        let (la, lb) = (PanelLayout::F32_A, PanelLayout::F32_B);
         let mut out = vec![1.0f32; 6];
-        gemm_half_f32(KernelVariant::Scalar, 2, 3, 0, &[], 0, &[], 0, HalfKind::F16, &mut out);
+        let (ha, hb) = (PanelChunk::<u16>::new(&[], 0, la), PanelChunk::<u16>::new(&[], 0, lb));
+        gemm_half_f32(KernelVariant::Scalar, 2, 3, 0, ha, hb, HalfKind::F16, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
         let mut out = vec![1.0f32; 6];
-        gemm_f32_f32(KernelVariant::Scalar, 2, 3, 0, &[], 0, &[], 0, &mut out);
+        let (a, b) = (PanelChunk::<f32>::new(&[], 0, la), PanelChunk::<f32>::new(&[], 0, lb));
+        gemm_f32_f32(KernelVariant::Scalar, 2, 3, 0, a, b, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn hardware_widening_matches_the_codec_on_every_pattern() {
+        // All 65536 patterns, NaNs included, at an odd length so the
+        // software tail runs too.
+        let src: Vec<u16> = (0..=u16::MAX).chain([0x7c01, 0xfe00, 0x0001]).collect();
+        for v in available_variants() {
+            for kind in HalfKind::ALL {
+                let want: Vec<u32> = src.iter().map(|&w| kind.widen(w).to_bits()).collect();
+                let mut dst = vec![0.0f32; src.len()];
+                widen_into(v, kind, &src, &mut dst);
+                let got: Vec<u32> = dst.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{kind} variant {v}");
+            }
+        }
     }
 }

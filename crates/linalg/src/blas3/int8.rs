@@ -1,99 +1,151 @@
-//! INT8 dot/GEMM micro-kernels for integer matrix-engine emulation.
+//! INT8 engine-call micro-kernels for integer matrix-engine emulation.
 //!
 //! The INT8 Ozaki path (`me-ozaki`) slices f64 operands into signed
 //! β-bit integers (β ≤ 6, so every slice value is in `[-64, 64]`) and
 //! needs a host kernel computing `Σ a[p]·b[p]` exactly in i32. Unlike
 //! the floating-point micro-kernels in `ukernel.rs`, integer addition is
-//! associative: both kernels — the strict serial reference and the
-//! AVX2 `vpmaddubsw` kernel — return the *same* i32 by arithmetic identity, not by a rounding-order contract.
-//! `tests/int8_differential.rs` pins that agreement over a shape ×
-//! variant × thread grid anyway.
+//! associative: every kernel returns the *same* i32 by arithmetic
+//! identity, not by a rounding-order contract. The strict serial
+//! reference is [`dot_i8_scalar`]; `tests/int8_differential.rs` and the
+//! tile-edge grid in `crates/linalg/tests/int8_tile_edges.rs` pin the
+//! agreement.
 //!
-//! **Exactness budget.** The caller must guarantee
-//! `len · 2^(2β) < 2^31` (the Ozaki engine k-chunks at its `k_block` to
-//! enforce this). Within the budget no product or partial sum can wrap
-//! i32, and the AVX2 path's intermediate i16 pair sums cannot saturate
-//! (see [`dot_i8`] for the `vpmaddubsw` domain restriction).
+//! **Register tile.** [`gemm_i8_i32`] computes an [`MR_I8`] × [`NR_I8`]
+//! (8 × 32) tile of C per kernel call from operands packed once by the
+//! caller ([`PanelLayout::I8_A`], [`PanelLayout::I8_B`]). On AVX-512 hosts
+//! with VNNI and BW (checked by CPUID inside [`KernelVariant::Avx512`]) the
+//! tile is 16 zmm accumulators: per group of 4 k values, two 64-byte loads
+//! of B (32 columns × 4 bytes) and, per row, one 4-byte broadcast of A and
+//! two `vpdpbusd`. Elsewhere the AVX2 kernel runs the same tile four
+//! columns at a time, widening both operands to i16 for `vpmaddwd`, and
+//! the scalar kernel loops. The B layout is AMX's B-tile layout and each A
+//! chunk is row-major, so an AMX `tdpbusd` kernel would need no new
+//! packing.
 //!
-//! **Signed/unsigned fixup.** AVX2 has no signed×signed byte
-//! multiply-add; `vpmaddubsw` computes *unsigned* × signed bytes with
-//! i16 pair-saturation. The kernel therefore rewrites each product as
-//! `|a| · sign(a)·b` via two `vpsignb` ops: `_mm256_sign_epi8(a, a)`
-//! yields `|a|` (correct as a u8 operand even for `a = -128`, which
-//! wraps to the byte `0x80` = 128), and `_mm256_sign_epi8(b, a)` moves
-//! `a`'s sign onto `b`. The only input the rewrite cannot represent is
-//! `a = b = -128` in the same position (negating `-128` as an i8 wraps
-//! back to `-128`, flipping that product's sign); β ≤ 6 slices never
-//! reach ±128, and [`dot_i8`] debug-asserts the exclusion. Pair sums
-//! are bounded by `2·127·128 = 32512 < 32767` on that domain, so the
-//! saturating add never saturates. `_mm256_madd_epi16(pairs, 1)` then
-//! widens the i16 pairs into 8 exact i32 lanes.
+//! **Offset operand.** `vpdpbusd` multiplies *unsigned* bytes of its first
+//! operand by signed bytes of its second. A is therefore stored biased:
+//! the word of `a` holds the bits of the u8 `a + 128`. The kernel sums
+//! `Σ (a+128)·b` and subtracts `128·colsum(b)`, where each B chunk's
+//! column sums follow the chunk's block in the packed panel. Both are the
+//! int8 layouts' [`super::panel::PanelFormat`]: packing a plain i8 line
+//! with [`PanelLayout::put_line`] applies them, so the format stays in
+//! this crate. Padding reads as `a = 0` and `b = 0`.
+//!
+//! **Exactness modulo 2^32.** The caller guarantees the true chunk sum
+//! fits: `kc · 2^(2β) < 2^31` (the Ozaki engine k-chunks at its `k_block`
+//! to enforce this). The biased sum need not fit: at `kc = 2^20`, β = 5 it
+//! reaches `kc·(2^7 + 2^β)·2^β ≈ 5.4e9`. But `vpdpbusd` (not the
+//! saturating `vpdpbusds`) and `vpaddd` wrap, so the accumulator holds
+//! `Σ (a+128)·b mod 2^32`; the correction `128·colsum` is formed with a
+//! wrapping shift and subtracted with a wrapping subtract; and
+//! `Σ (a+128)·b − 128·Σ b = Σ a·b` holds in the integers, hence mod 2^32.
+//! A value in `[−2^31, 2^31)` is the unique i32 with that residue, so the
+//! result is exact — in debug builds too, because the scalar kernel uses
+//! the same wrapping operations instead of panicking on the biased sum.
+//!
+//! **Whole i8 domain.** No kernel saturates: `vpdpbusd` sums its four
+//! products in 32 bits, and the AVX2 kernel's `vpmaddwd` pair sums of
+//! zero-extended `a + 128` and sign-extended `b` are at most
+//! `2 · 255 · 128` in 32 bits. So every variant is exact for every pair of
+//! i8 values, −128 · −128 included, under the same chunk-sum budget.
 
+use super::panel::{PanelChunk, PanelLayout, SUM_WORDS};
 use super::ukernel::KernelVariant;
 
-/// Exact i32 dot product of two equal-length i8 slices, dispatched over
-/// [`KernelVariant`] (unsupported variants degrade via
-/// [`KernelVariant::resolve_supported`]).
-///
-/// Caller contract (debug-asserted): `a.len() == b.len()`, the
-/// `k · 2^(2β) < 2^31` exactness budget holds, and no position has
-/// `a[i] == b[i] == -128` (outside the AVX2 sign-fixup domain; Ozaki
-/// slices are bounded ±64 and never get close).
-pub fn dot_i8(variant: KernelVariant, a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
-    debug_assert!(
-        a.iter().zip(b).all(|(&x, &y)| x != i8::MIN || y != i8::MIN),
-        "dot_i8: an (-128, -128) pair is outside the maddubs fixup domain"
-    );
-    match variant.resolve_supported() {
-        KernelVariant::Scalar => dot_i8_scalar(a, b),
-        KernelVariant::Avx2 => dot_i8_avx2_entry(a, b),
-        // AVX512F alone has no byte multiply-add (that needs AVX512BW,
-        // which we do not require); every avx512f host also has AVX2, so
-        // the integer path rides the `vpmaddubsw` kernel unchanged.
-        KernelVariant::Avx512 => {
-            if super::ukernel::avx2_supported() {
-                dot_i8_avx2_entry(a, b)
-            } else {
-                dot_i8_scalar(a, b)
-            }
-        }
-    }
-}
+/// Rows of A in the int8 register tile.
+pub const MR_I8: usize = 8;
+/// Columns of B in the int8 register tile.
+pub const NR_I8: usize = 32;
+/// k values per `vpdpbusd` lane.
+const KG: usize = 4;
 
-/// Strided row-panel GEMM on the int8 kernels:
-/// `out[i·n + j] = Σ_p a[i·lda + p] · bt[j·ldb + p]` for `p < kc`
-/// (overwrite semantics, no accumulation across calls).
+/// One engine call of the emulated INT8 matrix engine:
+/// `out[i·n + j] = Σ_{p<kc} a_i[p] · b_j[p]`, exact in i32 (overwrite
+/// semantics, no accumulation across calls).
 ///
-/// `a` holds `m` rows at stride `lda ≥ kc`; `bt` holds `n` rows of the
-/// *transposed* right operand at stride `ldb ≥ kc`, so both operands
-/// stream contiguously in the inner dot. One call is one "engine call"
-/// of the emulated INT8 matrix engine; the caller owns the exactness
-/// budget (`kc · 2^(2β) < 2^31`).
+/// `a` is the chunk of `m` A rows in [`PanelLayout::I8_A`] and `b` the
+/// chunk of `n` B columns in [`PanelLayout::I8_B`], both packed once with
+/// [`PanelLayout::put_line`]. Any i8 values are exact; the caller owns the
+/// budget that the true chunk sums fit i32 (`kc · 2^(2β) < 2^31` for
+/// β-bit slices). Counted per call on `ukernel.int8.<variant>`.
 // me-verify: hot
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_i8_i32(
     variant: KernelVariant,
     m: usize,
     n: usize,
     kc: usize,
-    a: &[i8],
-    lda: usize,
-    bt: &[i8],
-    ldb: usize,
+    a: PanelChunk<'_, i8>,
+    b: PanelChunk<'_, i8>,
     out: &mut [i32],
 ) {
-    assert!(lda >= kc && ldb >= kc, "gemm_i8_i32: stride below chunk length");
     assert!(out.len() >= m * n, "gemm_i8_i32: output too short");
+    debug_assert!(
+        a.layout() == PanelLayout::I8_A && b.layout() == PanelLayout::I8_B,
+        "gemm_i8_i32: panels not in the int8 tile layout"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
     let v = variant.resolve_supported();
     me_trace::counter_add(v.int8_counter(), 1);
-    for i in 0..m {
-        let arow = &a[i * lda..i * lda + kc];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = dot_i8(v, arow, &bt[j * ldb..j * ldb + kc]);
+    if kc == 0 {
+        out[..m * n].fill(0);
+        return;
+    }
+    let kcp = kc.next_multiple_of(KG);
+    let kernel = tile_kernel(v);
+    for it in 0..m.div_ceil(MR_I8) {
+        let ap = a.tile(it, MR_I8 * kcp);
+        let mr = MR_I8.min(m - it * MR_I8);
+        for jt in 0..n.div_ceil(NR_I8) {
+            let bp = b.tile(jt, NR_I8 * (kcp + SUM_WORDS));
+            let j0 = jt * NR_I8;
+            let nr = NR_I8.min(n - j0);
+            let acc = kernel(ap, bp, kcp, mr, nr);
+            for (r, accr) in acc.iter().enumerate().take(mr) {
+                let at = (it * MR_I8 + r) * n + j0;
+                out[at..at + nr].copy_from_slice(&accr[..nr]);
+            }
         }
     }
+}
+
+/// An int8 tile kernel: `(A tile, B tile with its column sums, padded kc,
+/// valid rows, valid columns) → C tile`.
+type TileKernel = fn(&[i8], &[i8], usize, usize, usize) -> [[i32; NR_I8]; MR_I8];
+
+/// The tile kernel for a resolved variant: VNNI inside `Avx512` when the
+/// host has it, the AVX2 kernel on every other AVX2 host, else scalar.
+fn tile_kernel(v: KernelVariant) -> TileKernel {
+    match v {
+        KernelVariant::Avx512 if vnni_supported() => tile_vnni_entry,
+        KernelVariant::Avx512 | KernelVariant::Avx2 if super::ukernel::avx2_supported() => {
+            tile_avx2_entry
+        }
+        _ => tile_scalar,
+    }
+}
+
+/// Does the host have AVX-512 VNNI and BW (`vpdpbusd` on zmm)?
+pub fn vnni_supported() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vnni")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Column `j`'s sum in a B tile block whose chunk is `kcp` long: the
+/// 4 little-endian bytes after the chunk's groups.
+#[inline]
+fn col_sum(bp: &[i8], kcp: usize, j: usize) -> i32 {
+    let at = NR_I8 * kcp + j * SUM_WORDS;
+    i32::from_le_bytes(std::array::from_fn(|i| bp[at + i] as u8))
 }
 
 /// Strictly serial reference: one widening multiply and one i64 add per
@@ -113,78 +165,186 @@ pub fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     s as i32
 }
 
-/// Safe entry to the AVX2 kernel; falls back to the scalar kernel when
-/// dispatch resolution handed us `Avx2` off x86-64 (cannot happen via
-/// [`KernelVariant::resolve_supported`], but keeps the match total).
+/// The portable tile kernel: the same wrapping sum of `(a+128)·b` and
+/// the same wrapping correction as the SIMD kernels, over the valid
+/// `mr × nr` part only.
+// me-verify: hot
+fn tile_scalar(ap: &[i8], bp: &[i8], kcp: usize, mr: usize, nr: usize) -> [[i32; NR_I8]; MR_I8] {
+    let mut acc = [[0i32; NR_I8]; MR_I8];
+    for (accr, arow) in acc.iter_mut().zip(ap.chunks_exact(kcp)).take(mr) {
+        for (j, o) in accr.iter_mut().enumerate().take(nr) {
+            let mut s = 0i32;
+            for (quad, group) in
+                arow.chunks_exact(KG).zip(bp[..NR_I8 * kcp].chunks_exact(NR_I8 * KG))
+            {
+                let col = &group[j * KG..(j + 1) * KG];
+                for (&x, &y) in quad.iter().zip(col) {
+                    s = s.wrapping_add(i32::from(x as u8) * i32::from(y));
+                }
+            }
+            *o = s.wrapping_sub(col_sum(bp, kcp, j).wrapping_shl(7));
+        }
+    }
+    acc
+}
+
+/// Safe entry to the VNNI kernel.
 #[cfg(target_arch = "x86_64")]
-fn dot_i8_avx2_entry(a: &[i8], b: &[i8]) -> i32 {
-    // SAFETY: this arm is only reachable through
-    // `KernelVariant::resolve_supported()`, which yields `Avx2` solely
-    // when `avx2_supported()` proved the host features at startup; the
-    // kernel itself only requires AVX2 plus in-bounds slices, which it
-    // checks internally against `a.len().min(b.len())`.
-    unsafe { dot_i8_avx2(a, b) }
+fn tile_vnni_entry(
+    ap: &[i8],
+    bp: &[i8],
+    kcp: usize,
+    _mr: usize,
+    _nr: usize,
+) -> [[i32; NR_I8]; MR_I8] {
+    assert!(ap.len() >= MR_I8 * kcp && bp.len() >= NR_I8 * (kcp + SUM_WORDS));
+    // SAFETY: this entry is only chosen by `tile_kernel` after
+    // `vnni_supported()` proved AVX512F, BW and VNNI, and the assert
+    // above covers every load the kernel makes.
+    unsafe { tile_vnni(ap, bp, kcp) }
 }
 
-/// Non-x86 stand-in (the `Avx2` variant is never resolvable here).
+/// Non-x86 stand-in (never chosen there).
 #[cfg(not(target_arch = "x86_64"))]
-fn dot_i8_avx2_entry(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_scalar(a, b)
+fn tile_vnni_entry(
+    ap: &[i8],
+    bp: &[i8],
+    kcp: usize,
+    mr: usize,
+    nr: usize,
+) -> [[i32; NR_I8]; MR_I8] {
+    tile_scalar(ap, bp, kcp, mr, nr)
 }
 
-/// AVX2 `vpmaddubsw` dot kernel: 32 byte-products per instruction,
-/// widened to 8 exact i32 lanes per step via `vpmaddwd` against ones.
-/// See the module docs for the signed/unsigned operand fixup and its
-/// `(-128, -128)` domain exclusion; within the Ozaki ±64 slice domain
-/// every step of this kernel is exact integer arithmetic.
+/// 8×32 int8 tile on AVX-512 VNNI: `acc[r]` holds row `r` as two 16-lane
+/// i32 vectors. Per group of 4 k values: two loads of B, and per row a
+/// broadcast of A's 4 offset bytes and two `vpdpbusd` (u8 × i8, four
+/// products summed into each i32 lane, wrapping). The correction
+/// `colsum << 7` is subtracted at the end, wrapping (module docs).
 ///
 /// # Safety
 ///
-/// Caller must guarantee the host supports AVX2 (runtime-detected).
-/// Slice bounds are handled internally (the vector loop covers whole
-/// 32-byte blocks of `min(a.len(), b.len())`; a scalar tail finishes).
+/// Caller must guarantee AVX512F, AVX512BW and AVX512VNNI, and
+/// `ap.len() >= 8·kcp`, `bp.len() >= 32·(kcp + 4)`.
+// me-verify: hot
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+unsafe fn tile_vnni(ap: &[i8], bp: &[i8], kcp: usize) -> [[i32; NR_I8]; MR_I8] {
+    use std::arch::x86_64::{
+        __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
+        _mm512_slli_epi32, _mm512_storeu_si512, _mm512_sub_epi32,
+    };
+    let mut acc = [[_mm512_setzero_si512(); 2]; MR_I8];
+    for q in 0..kcp / KG {
+        // SAFETY (pointers): q < kcp/4, so the two 64-byte loads end at
+        // most at 32·kcp <= bp.len(), and each 4-byte A read at
+        // r·kcp + 4q + 4 <= 8·kcp <= ap.len().
+        let b0 = _mm512_loadu_si512(bp.as_ptr().add(q * NR_I8 * KG).cast::<__m512i>());
+        let b1 = _mm512_loadu_si512(bp.as_ptr().add(q * NR_I8 * KG + 64).cast::<__m512i>());
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let quad = ap.as_ptr().add(r * kcp + q * KG).cast::<i32>().read_unaligned();
+            let av = _mm512_set1_epi32(quad);
+            accr[0] = _mm512_dpbusd_epi32(accr[0], av, b0);
+            accr[1] = _mm512_dpbusd_epi32(accr[1], av, b1);
+        }
+    }
+    // SAFETY (pointers): the column sums are the 128 bytes from 32·kcp
+    // on, inside bp.
+    let sums = bp.as_ptr().add(NR_I8 * kcp);
+    let c0 = _mm512_slli_epi32::<7>(_mm512_loadu_si512(sums.cast::<__m512i>()));
+    let c1 = _mm512_slli_epi32::<7>(_mm512_loadu_si512(sums.add(64).cast::<__m512i>()));
+    let mut out = [[0i32; NR_I8]; MR_I8];
+    for (outr, accr) in out.iter_mut().zip(&acc) {
+        // SAFETY: outr is an [i32; 32]; the two 16-lane stores cover it.
+        _mm512_storeu_si512(outr.as_mut_ptr().cast::<__m512i>(), _mm512_sub_epi32(accr[0], c0));
+        let hi = outr.as_mut_ptr().add(16).cast::<__m512i>();
+        _mm512_storeu_si512(hi, _mm512_sub_epi32(accr[1], c1));
+    }
+    out
+}
+
+/// Safe entry to the AVX2 kernel.
+#[cfg(target_arch = "x86_64")]
+fn tile_avx2_entry(
+    ap: &[i8],
+    bp: &[i8],
+    kcp: usize,
+    _mr: usize,
+    _nr: usize,
+) -> [[i32; NR_I8]; MR_I8] {
+    assert!(ap.len() >= MR_I8 * kcp && bp.len() >= NR_I8 * (kcp + SUM_WORDS));
+    // SAFETY: this entry is only chosen by `tile_kernel` after
+    // `avx2_supported()` proved AVX2, and the assert above covers every
+    // load the kernel makes.
+    unsafe { tile_avx2(ap, bp, kcp) }
+}
+
+/// Non-x86 stand-in (never chosen there).
+#[cfg(not(target_arch = "x86_64"))]
+fn tile_avx2_entry(
+    ap: &[i8],
+    bp: &[i8],
+    kcp: usize,
+    mr: usize,
+    nr: usize,
+) -> [[i32; NR_I8]; MR_I8] {
+    tile_scalar(ap, bp, kcp, mr, nr)
+}
+
+/// 8×32 int8 tile on AVX2, four columns per pass: per group of 4 k values
+/// one 16-byte load of B sign-extended to 16 i16, and per row A's 4 offset
+/// bytes broadcast and zero-extended to i16, one `vpmaddwd` (pair sums in
+/// i32, never saturating) and a wrapping `vpaddd`. Lanes `2c` and `2c + 1`
+/// hold column `c`'s two halves; they are added and the correction
+/// subtracted, wrapping, at the end of the pass.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2, and `ap.len() >= 8·kcp`,
+/// `bp.len() >= 32·(kcp + 4)`.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
+unsafe fn tile_avx2(ap: &[i8], bp: &[i8], kcp: usize) -> [[i32; NR_I8]; MR_I8] {
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_extracti128_si256,
-        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_maddubs_epi16, _mm256_set1_epi16,
-        _mm256_setzero_si256, _mm256_sign_epi8, _mm_add_epi32, _mm_cvtsi128_si32,
-        _mm_shuffle_epi32,
+        __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_cvtepu8_epi16,
+        _mm256_madd_epi16, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
+        _mm_set1_epi32,
     };
-    let n = a.len().min(b.len());
-    let ones = _mm256_set1_epi16(1);
-    let mut acc = _mm256_setzero_si256();
-    let mut p = 0usize;
-    while p + 32 <= n {
-        // SAFETY (loads): p + 32 <= n <= len of both slices, so both
-        // 32-byte unaligned loads stay in bounds.
-        let va = _mm256_loadu_si256(a.as_ptr().add(p).cast::<__m256i>());
-        let vb = _mm256_loadu_si256(b.as_ptr().add(p).cast::<__m256i>());
-        // |a| as unsigned bytes, and a's sign moved onto b — the maddubs
-        // operand fixup documented in the module docs.
-        let ua = _mm256_sign_epi8(va, va);
-        let sb = _mm256_sign_epi8(vb, va);
-        let pairs = _mm256_maddubs_epi16(ua, sb);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pairs, ones));
-        p += 32;
+    const COLS: usize = 4;
+    let mut out = [[0i32; NR_I8]; MR_I8];
+    for h in 0..NR_I8 / COLS {
+        let mut acc = [_mm256_setzero_si256(); MR_I8];
+        for q in 0..kcp / KG {
+            // SAFETY (pointers): q < kcp/4 and h < 8, so the 16-byte B
+            // load ends at most at 32·kcp <= bp.len(), and each 4-byte A
+            // read at r·kcp + 4q + 4 <= 8·kcp <= ap.len().
+            let at = q * NR_I8 * KG + h * COLS * KG;
+            let bw = _mm256_cvtepi8_epi16(_mm_loadu_si128(bp.as_ptr().add(at).cast::<__m128i>()));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let quad = ap.as_ptr().add(r * kcp + q * KG).cast::<i32>().read_unaligned();
+                let aw = _mm256_cvtepu8_epi16(_mm_set1_epi32(quad));
+                *accr = _mm256_add_epi32(*accr, _mm256_madd_epi16(aw, bw));
+            }
+        }
+        for (outr, accr) in out.iter_mut().zip(&acc) {
+            let mut lanes = [0i32; 2 * COLS];
+            // SAFETY: `lanes` is 8 i32, the 32 bytes the store writes.
+            _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), *accr);
+            for (c, pair) in lanes.chunks_exact(2).enumerate() {
+                let j = h * COLS + c;
+                let corr = col_sum(bp, kcp, j).wrapping_shl(7);
+                outr[j] = pair[0].wrapping_add(pair[1]).wrapping_sub(corr);
+            }
+        }
     }
-    // Horizontal sum of the 8 i32 lanes.
-    let quad = _mm_add_epi32(_mm256_castsi256_si128(acc), _mm256_extracti128_si256::<1>(acc));
-    let pair = _mm_add_epi32(quad, _mm_shuffle_epi32::<0b00_00_11_10>(quad));
-    let one = _mm_add_epi32(pair, _mm_shuffle_epi32::<0b00_00_00_01>(pair));
-    let mut s = _mm_cvtsi128_si32(one);
-    for q in p..n {
-        s += a[q] as i32 * b[q] as i32;
-    }
-    s
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blas3::ukernel::{available_variants, avx2_supported};
+    use crate::blas3::ukernel::available_variants;
 
     /// Seeded i8 values bounded ±`bound` (the Ozaki slice domain when
     /// `bound = 64`).
@@ -199,97 +359,147 @@ mod tests {
             .collect()
     }
 
+    /// `lines` line-major lines of length `k` packed into `layout` in
+    /// chunks of `kb`.
+    fn pack(layout: PanelLayout, lines: &[i8], k: usize, kb: usize) -> Vec<i8> {
+        let count = lines.len().checked_div(k).unwrap_or(0);
+        let mut panel = layout.blank(count, k, kb);
+        for (li, line) in lines.chunks(k.max(1)).enumerate().take(count) {
+            layout.put_line(&mut panel, li, line, kb);
+        }
+        panel
+    }
+
+    /// `gemm_i8_i32` on line-major `a` (`m × k`) and `bt` (`n × k`), one
+    /// chunk of `k`.
+    fn engine(v: KernelVariant, m: usize, n: usize, k: usize, a: &[i8], bt: &[i8]) -> Vec<i32> {
+        let kb = k.max(1);
+        let (pa, pb) = (pack(PanelLayout::I8_A, a, k, kb), pack(PanelLayout::I8_B, bt, k, kb));
+        let mut out = vec![i32::MIN; m * n];
+        let ca = PanelLayout::I8_A.chunk(&pa, 0, 0, k, kb);
+        let cb = PanelLayout::I8_B.chunk(&pb, 0, 0, k, kb);
+        gemm_i8_i32(v, m, n, k, ca, cb, &mut out);
+        out
+    }
+
+    /// One `len`-long dot as a 1 × 1 engine call.
+    fn dot(v: KernelVariant, a: &[i8], b: &[i8]) -> i32 {
+        engine(v, 1, 1, a.len(), a, b)[0]
+    }
+
     #[test]
     fn variants_agree_on_slice_domain() {
-        // Lengths straddle the 32-byte vector width; values cover the
-        // full ±64 Ozaki slice domain.
+        // Lengths straddle the 4-value groups and the 16/32/64-byte
+        // vector widths; values cover the full ±64 Ozaki slice domain.
         for len in [0usize, 1, 15, 16, 17, 31, 32, 33, 64, 100, 256, 1000] {
             let a = ranged_i8(len, 64, len as u64 + 1);
             let b = ranged_i8(len, 64, len as u64 + 1000);
             let want = dot_i8_scalar(&a, &b);
             for v in available_variants() {
-                assert_eq!(dot_i8(v, &a, &b), want, "variant {v} at len {len}");
+                assert_eq!(dot(v, &a, &b), want, "variant {v} at len {len}");
             }
         }
     }
 
     #[test]
     fn saturation_edges_are_exact() {
-        // All-(+64)·(+64) and alternating ±64 maximize the maddubs pair
-        // sums within the slice domain; also exercise ±127 (legal as
-        // long as both operands are not -128).
+        // All-(+64)·(+64) and alternating ±64 maximize the slice-domain
+        // sums; ±127 and −128 (biased A bytes 255 and 0) are exact on
+        // every variant too: no kernel saturates (module docs).
         let n = 256;
-        for (av, bv) in [(64i8, 64i8), (64, -64), (-64, -64), (127, 127), (127, -127)] {
+        let edges = [(64i8, 64i8), (64, -64), (-64, -64), (127, 127), (127, -127), (-128, 127)];
+        for (av, bv) in edges {
             let a = vec![av; n];
             let b = vec![bv; n];
             let want = n as i32 * av as i32 * bv as i32;
             for v in available_variants() {
-                assert_eq!(dot_i8(v, &a, &b), want, "variant {v} with ({av},{bv})");
+                assert_eq!(dot(v, &a, &b), want, "variant {v} with ({av},{bv})");
+                // The same operands on a full 8 × 32 tile.
+                let full = engine(v, 8, 32, n, &vec![av; 8 * n], &vec![bv; 32 * n]);
+                assert!(full.iter().all(|&x| x == want), "variant {v} tile with ({av},{bv})");
             }
         }
     }
 
     #[test]
     fn minus_128_is_fine_when_not_paired() {
-        // a = -128 against arbitrary b > -128 stays inside the fixup
-        // domain: |−128| wraps to the unsigned byte 128 and the sign
-        // moves onto b, so the product is exact.
+        // a = -128 is the biased byte 0; against arbitrary b in
+        // [-127, 127] the product is exact.
         let a = vec![i8::MIN; 64];
         let b = ranged_i8(64, 127, 9);
         let want = dot_i8_scalar(&a, &b);
         for v in available_variants() {
-            assert_eq!(dot_i8(v, &a, &b), want, "variant {v}");
+            assert_eq!(dot(v, &a, &b), want, "variant {v}");
         }
     }
 
     #[test]
-    fn minus_128_pair_is_outside_the_avx2_domain() {
-        // The documented exclusion: sign(-128, -128) wraps back to -128,
-        // so the AVX2 kernel computes 128·(−128) = −16384 instead of
-        // (+16384) for that position. Assert the kernel really does
-        // disagree there — this is why `dot_i8` debug-asserts the domain.
-        if !avx2_supported() {
-            return;
-        }
+    fn minus_128_pair_is_exact_on_every_variant() {
+        // (−128)·(−128) is the one product outside the symmetric range of
+        // i8 ± 127: biased A byte 0, B byte −128; the true 32 · 2^14.
         let a = vec![i8::MIN; 32];
-        let b = vec![i8::MIN; 32];
-        let exact = dot_i8_scalar(&a, &b); // 32 · 2^14 = 524288
-        // SAFETY: guarded by `avx2_supported()` above; slices in bounds.
-        let got = unsafe { dot_i8_avx2(&a, &b) };
-        assert_eq!(exact, 32 * 16384);
-        assert_eq!(got, -32 * 16384, "the wrap flips every product's sign");
+        let want = dot_i8_scalar(&a, &a);
+        assert_eq!(want, 32 * 16384);
+        for v in available_variants() {
+            assert_eq!(dot(v, &a, &a), want, "variant {v}");
+        }
     }
 
     #[test]
     fn gemm_i8_i32_matches_scalar_dots() {
-        let (m, n, kc) = (5, 7, 67);
-        let lda = kc + 3; // strided rows
-        let ldb = kc + 1;
-        let a = ranged_i8(m * lda, 64, 21);
-        let bt = ranged_i8(n * ldb, 64, 22);
-        let mut want = vec![0i32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                want[i * n + j] =
-                    dot_i8_scalar(&a[i * lda..i * lda + kc], &bt[j * ldb..j * ldb + kc]);
+        // Ragged tiles, two k-chunks (the second 3 long) read from one
+        // packed panel.
+        let (m, n, k, kb) = (13, 37, 67, 64);
+        let a = ranged_i8(m * k, 64, 21);
+        let bt = ranged_i8(n * k, 64, 22);
+        let (pa, pb) = (pack(PanelLayout::I8_A, &a, k, kb), pack(PanelLayout::I8_B, &bt, k, kb));
+        for k0 in [0, kb] {
+            let kc = kb.min(k - k0);
+            let mut want = vec![0i32; m * n];
+            for i in 0..m {
+                for j in 0..n {
+                    let (ra, rb) = (i * k + k0, j * k + k0);
+                    want[i * n + j] = dot_i8_scalar(&a[ra..ra + kc], &bt[rb..rb + kc]);
+                }
             }
-        }
-        for v in available_variants() {
-            let mut out = vec![-1i32; m * n];
-            gemm_i8_i32(v, m, n, kc, &a, lda, &bt, ldb, &mut out);
-            assert_eq!(out, want, "variant {v}");
+            for v in available_variants() {
+                let mut out = vec![-1i32; m * n];
+                let ca = PanelLayout::I8_A.chunk(&pa, 0, k0, k, kb);
+                let cb = PanelLayout::I8_B.chunk(&pb, 0, k0, k, kb);
+                gemm_i8_i32(v, m, n, kc, ca, cb, &mut out);
+                assert_eq!(out, want, "variant {v} chunk at {k0}");
+            }
         }
     }
 
     #[test]
     fn exactness_budget_bound_holds() {
-        // The worst case the Ozaki engine can emit: k_block = 256 steps
-        // of (±64)² products. 256 · 2^12 = 2^20 — far inside i32.
+        // The worst case the Ozaki engine emits at its default k_block:
+        // 256 steps of (±64)² products. 256 · 2^12 = 2^20 — far inside i32.
         let a = vec![64i8; 256];
         let want = 256 * 64 * 64;
         for v in available_variants() {
-            assert_eq!(dot_i8(v, &a, &a), want, "variant {v}");
+            assert_eq!(dot(v, &a, &a), want, "variant {v}");
         }
         assert!((256i64) << 12 < 1i64 << 31);
+    }
+
+    #[test]
+    fn biased_sum_wraps_back_to_the_exact_dot_at_the_budget_edge() {
+        // k_block = 2^20 at β = 5: the true dot ±2^20 · 32 · 32 = ±2^30
+        // fits i32; the biased sums 2^20 · 160 · 32 ≈ 5.4e9 and
+        // 2^20 · 96 · 32 ≈ 3.2e9 do not, and 128 · colsum = 2^32 wraps to
+        // 0. Exact in debug and release.
+        let k = 1usize << 20;
+        for (av, bv) in [(32i8, 32i8), (-32, 32)] {
+            let want = (k as i64 * i64::from(av) * i64::from(bv)) as i32;
+            for v in available_variants() {
+                assert_eq!(
+                    dot(v, &vec![av; k], &vec![bv; k]),
+                    want,
+                    "variant {v} with ({av}, {bv})"
+                );
+            }
+        }
     }
 }

@@ -24,12 +24,13 @@ pub enum OzakiBackend {
     /// The simulated f16/f32 matrix engine (Tensor-Core model): integer
     /// `f32` slice panels on the host's dispatched f32 micro-kernel.
     SimulatedMe(OzakiConfig),
-    /// Host INT8 kernels (i8×i8→i32; scalar / AVX2 `vpmaddubsw`, per
-    /// the process kernel dispatch).
+    /// Host INT8 kernels (i8×i8→i32 on an 8×32 register tile: AVX-512
+    /// VNNI `vpdpbusd` / AVX2 `vpmaddwd` / scalar, per the process
+    /// kernel dispatch).
     HostInt8(Int8Engine),
-    /// Host f16 widening kernels (binary16 storage widened to f32 in the
-    /// pack loops; scalar / AVX2 / AVX-512 per the process
-    /// kernel dispatch). The same engine-call core as `SimulatedMe`,
+    /// Host f16 widening kernels (binary16 panels widened to f32 one
+    /// contiguous tile block per engine call; scalar / AVX2 / AVX-512 per
+    /// the process kernel dispatch). The same engine-call core as `SimulatedMe`,
     /// differing only in slice storage, so bitwise-equal to it at matched
     /// slice counts.
     HostF16(HostF16Engine),

@@ -11,7 +11,7 @@
 //! to the hardware cost model of Table VIII.
 
 use crate::gemm::{fold_tile, pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
-use crate::split::{lines_of, split_panels};
+use crate::split::{lines_of, split_panels, Pack};
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
 use me_linalg::{KernelVariant, Mat};
 use me_numerics::sum::Accumulator;
@@ -51,7 +51,8 @@ pub fn ozaki_gemm_systolic(
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
     // The slice integers as f64 panels (exact in the multiply format).
-    let ints = |(rest, lines)| split_panels(rest, lines, beta, budget, None, |r, _| r);
+    let ints =
+        |(rest, lines)| split_panels(rest, lines, beta, budget, None, Pack::lines(k), |r, _| r);
     let (pa, pb) = (ints(lines_of(a, true)), ints(lines_of(b, false)));
 
     let mut acc = vec![Accumulator::new(); m * n];

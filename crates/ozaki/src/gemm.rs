@@ -4,16 +4,22 @@
 //! A substrate is a [`SliceEngine`]. It decides only what Uchino & Ozaki
 //! show differs between substrates: the slice width β (its storage and
 //! accumulator caps), the stored slice word with its exact narrowing, the
-//! engine call, and the names it traces under. The driver behind every
-//! GEMM entry point ([`ozaki_gemm_on`]) does the rest once: split each
-//! line straight into a line-major panel of words per slice (B transposed
-//! so each column streams contiguously), and fold the slice-pair engine calls
-//! into a row panel of accumulators in a fixed `(p, q) → k-chunk →
-//! element` order. Because that per-element order never depends on the
-//! row partition, [`ozaki_gemm_parallel`] — which fans row panels over a
-//! persistent [`me_par::WorkerPool`] — is bitwise identical to
-//! [`ozaki_gemm`] for any thread count. Each substrate gets its own
-//! monomorphized copy of the driver.
+//! packed panel layouts its kernel streams, the engine call, and the names
+//! it traces under. The driver behind every GEMM entry point
+//! ([`ozaki_gemm_on`]) does the rest once: split each line of A (rows) and
+//! B (columns) straight into one panel of words per slice, packed as the
+//! split writes it into the engine's micro-panel layout
+//! ([`SliceEngine::LAYOUT_A`], [`SliceEngine::LAYOUT_B`]; a layout also
+//! carries any operand format its kernel wants, such as INT8's offset A
+//! bytes and B column sums) — so each slice is packed once per call and
+//! every engine call only computes — and fold the
+//! slice-pair engine calls into a row panel of accumulators in a fixed
+//! `(p, q) → k-chunk → element` order. Because that per-element order never
+//! depends on the row partition, [`ozaki_gemm_parallel`] — which fans row
+//! panels, rounded to A's tile height, over a persistent
+//! [`me_par::WorkerPool`] — is bitwise identical to [`ozaki_gemm`] for any
+//! thread count. Each substrate gets its own monomorphized copy of the
+//! driver.
 //!
 //! [`OzakiConfig`], the simulated f16-multiply/f32-accumulate matrix
 //! engine, stores integer-valued `f32` slices and runs every engine call —
@@ -27,10 +33,12 @@
 //! kernel the host picked.
 
 use crate::split::{
-    ceil_log2, lines_of, required_beta, split_panels, split_rows, Panels, SplitMatrix,
+    ceil_log2, lines_of, required_beta, split_panels, split_rows, Pack, Panels, SplitMatrix,
 };
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
-use me_linalg::{gemm_f32_f32, selected_kernel, KernelVariant, Mat};
+use me_linalg::{
+    gemm_f32_f32, selected_kernel, KernelVariant, Mat, PanelChunk, PanelLayout, PanelWord,
+};
 use me_numerics::formats::{narrow_f32_exact, pow2};
 use me_numerics::sum::Accumulator;
 use me_par::WorkerPool;
@@ -123,6 +131,9 @@ pub struct SliceTrace {
     pub products_skipped: &'static str,
     /// Counter: engine calls (pairs × k-chunks).
     pub engine_calls: &'static str,
+    /// Counter: slice panels packed into the engine's layout, one per
+    /// slice of A and of B (`s_a + s_b` per GEMM).
+    pub panel_packs: &'static str,
 }
 
 /// The [`SliceTrace`] whose names are `$prefix.split`, `$prefix.accumulate`,
@@ -138,6 +149,7 @@ macro_rules! slice_trace {
             products_computed: concat!($prefix, ".products_computed"),
             products_skipped: concat!($prefix, ".products_skipped"),
             engine_calls: concat!($prefix, ".engine_calls"),
+            panel_packs: concat!($prefix, ".panel_packs"),
         }
     };
 }
@@ -151,7 +163,7 @@ pub(crate) use slice_trace;
 /// this module. Sealed: only these three implement it.
 pub trait SliceEngine: sealed::Sealed {
     /// The stored slice word: integer-valued `f32`, binary16 bits or `i8`.
-    type Word: Copy + Default + Send + Sync;
+    type Word: PanelWord + Send + Sync;
     /// One engine call's chunk sum: `f32`, or `i32` for INT8.
     type Sum: Copy + Default + Into<f64>;
     /// Span and counter names.
@@ -168,20 +180,23 @@ pub trait SliceEngine: sealed::Sealed {
     /// Inner-dimension blocking: the accumulation length of one engine
     /// call.
     fn k_block(&self) -> usize;
+    /// Packed layout of A's slice panels (rows).
+    const LAYOUT_A: PanelLayout;
+    /// Packed layout of B's slice panels (columns).
+    const LAYOUT_B: PanelLayout;
+
     /// Narrow a scaled slice integer into the stored word, exactly.
     fn narrow(x: f64) -> Self::Word;
-    /// One engine call on kernel `variant`:
-    /// `out[i·n + j] = Σ_{p<kc} a[i·lda + p] · bt[j·ldb + p]`.
-    #[allow(clippy::too_many_arguments)]
+    /// One engine call on kernel `variant` over one k-chunk of the packed
+    /// panels: `out[i·n + j] = Σ_{p<kc} a_i[p] · b_j[p]` for the `m` rows of
+    /// `a` and the `n` columns of `b`.
     fn engine_call(
         variant: KernelVariant,
         m: usize,
         n: usize,
         kc: usize,
-        a: &[Self::Word],
-        lda: usize,
-        bt: &[Self::Word],
-        ldb: usize,
+        a: PanelChunk<'_, Self::Word>,
+        b: PanelChunk<'_, Self::Word>,
         out: &mut [Self::Sum],
     );
     /// The device, engine and format [`crate::perf::project_emulated`]
@@ -234,6 +249,11 @@ impl SliceEngine for OzakiConfig {
         self.k_block
     }
 
+    /// The f32 micro-kernel's MR-row micro-panels.
+    const LAYOUT_A: PanelLayout = PanelLayout::F32_A;
+    /// The f32 micro-kernel's NR-column micro-panels.
+    const LAYOUT_B: PanelLayout = PanelLayout::F32_B;
+
     fn narrow(x: f64) -> f32 {
         narrow_f32_exact(x)
     }
@@ -245,13 +265,11 @@ impl SliceEngine for OzakiConfig {
         m: usize,
         n: usize,
         kc: usize,
-        a: &[f32],
-        lda: usize,
-        bt: &[f32],
-        ldb: usize,
+        a: PanelChunk<'_, f32>,
+        b: PanelChunk<'_, f32>,
         out: &mut [f32],
     ) {
-        gemm_f32_f32(variant, m, n, kc, a, lda, bt, ldb, out);
+        gemm_f32_f32(variant, m, n, kc, a, b, out);
     }
 
     /// The V100's f16 Tensor Cores, where Table VIII was measured.
@@ -357,8 +375,8 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
 
     let split_span = me_trace::span(names.split, "ozaki");
-    let pa = split_words(engine, k, lines_of(a, true), pool);
-    let pb = split_words(engine, k, lines_of(b, false), pool);
+    let pa = split_words(engine, k, lines_of(a, true), E::LAYOUT_A, pool);
+    let pb = split_words(engine, k, lines_of(b, false), E::LAYOUT_B, pool);
     drop(split_span);
 
     let (s_a, s_b) = (pa.words.len(), pb.words.len());
@@ -388,24 +406,29 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
 }
 
 /// Split `lines` contiguous lines of length `k` into `engine`'s word
-/// panels, at its β and slice budget for inner dimension `k`.
+/// panels, at its β and slice budget for inner dimension `k`, each slice
+/// packed once into `layout` (the engine's A or B layout).
 fn split_words<E: SliceEngine>(
     engine: &E,
     k: usize,
     (rest, lines): (Vec<f64>, usize),
+    layout: PanelLayout,
     pool: Option<&WorkerPool>,
 ) -> Panels<E::Word> {
     let beta = engine.beta(k);
     let (budget, _) = engine.budget_and_cutoff(k, beta);
-    split_panels(rest, lines, beta, budget, pool, |r, _| E::narrow(r))
+    let pack = Pack { layout, kb: engine.k_block().max(1) };
+    let panels = split_panels(rest, lines, beta, budget, pool, pack, |r, _| E::narrow(r));
+    me_trace::counter_add(E::TRACE.panel_packs, panels.words.len() as u64);
+    panels
 }
 
-/// `C = A·B` (row-major `pa.lines × pb.lines`) from the word panels of A's
-/// rows and B's columns: each row panel folds every scheduled engine call
-/// in `(p, q)` pair (p outer) → k-chunk → element order, as `engine_exec`
-/// does, so the bits never depend on the partition. One `accumulate` span
-/// per row panel (on the worker that owns it), one `products` span per
-/// engine call inside it.
+/// `C = A·B` (row-major `pa.lines × pb.lines`) from the packed word panels
+/// of A's rows and B's columns: each row panel folds every scheduled
+/// engine call in `(p, q)` pair (p outer) → k-chunk → element order, as
+/// `engine_exec` does, so the bits never depend on the partition. Row
+/// panels start on A's tile grid. One `accumulate` span per row panel (on
+/// the worker that owns it), one `products` span per engine call inside it.
 fn multiply<E: SliceEngine>(
     engine: &E,
     pa: &Panels<E::Word>,
@@ -419,6 +442,7 @@ fn multiply<E: SliceEngine>(
     let beta = engine.beta(k);
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
     let kb = engine.k_block().max(1);
+    let (la, lb) = (E::LAYOUT_A, E::LAYOUT_B);
     let fold = |r0: usize, acc: &mut [Accumulator]| {
         let rows = acc.len().checked_div(n).unwrap_or(0);
         if rows == 0 || k == 0 {
@@ -433,10 +457,11 @@ fn multiply<E: SliceEngine>(
                 }
                 for k0 in (0..k).step_by(kb) {
                     let kc = kb.min(k - k0);
-                    let wa = &wa[r0 * k + k0..];
+                    let a = la.chunk(wa, r0, k0, k, kb);
+                    let b = lb.chunk(wb, 0, k0, k, kb);
                     {
                         let _p = me_trace::span(names.products, "ozaki");
-                        E::engine_call(kernel, rows, n, kc, wa, k, &wb[k0..], k, &mut tile);
+                        E::engine_call(kernel, rows, n, kc, a, b, &mut tile);
                     }
                     fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
                 }
@@ -446,7 +471,7 @@ fn multiply<E: SliceEngine>(
     let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m * n];
     match pool {
         Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
-            let rows_per = m.div_ceil(pl.threads());
+            let rows_per = m.div_ceil(pl.threads()).next_multiple_of(la.tile);
             let mut panels: Vec<(usize, &mut [Accumulator])> = acc
                 .chunks_mut(rows_per * n)
                 .enumerate()
@@ -551,8 +576,10 @@ pub(crate) fn pow2_checked(e: i32) -> f64 {
 pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     assert_eq!(x.len(), y.len(), "ozaki_dot: length mismatch");
     let k = x.len();
-    let (px, py) =
-        (split_words(cfg, k, (x.to_vec(), 1), None), split_words(cfg, k, (y.to_vec(), 1), None));
+    let (px, py) = (
+        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_A, None),
+        split_words(cfg, k, (y.to_vec(), 1), OzakiConfig::LAYOUT_B, None),
+    );
     multiply(cfg, &px, &py, k, selected_kernel().resolve_supported(), None)[0]
 }
 
@@ -561,8 +588,10 @@ pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
 pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "ozaki_gemv: inner dimension mismatch");
     let k = x.len();
-    let (pa, px) =
-        (split_words(cfg, k, lines_of(a, true), None), split_words(cfg, k, (x.to_vec(), 1), None));
+    let (pa, px) = (
+        split_words(cfg, k, lines_of(a, true), OzakiConfig::LAYOUT_A, None),
+        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_B, None),
+    );
     multiply(cfg, &pa, &px, k, selected_kernel().resolve_supported(), None)
 }
 

@@ -6,9 +6,11 @@
 //! through [`me_linalg::gemm_half_f32`] — the engine-call core the
 //! simulated matrix engine ([`crate::gemm::OzakiConfig`]) reaches through
 //! `gemm_f32_f32`, over the host's dispatched micro-kernels (strict
-//! scalar, AVX2, AVX-512), widening in the pack loops:
-//! exactly the memory traffic and arithmetic a host-SIMD FP16 emulation
-//! performs. The two substrates differ only in slice storage; the driver
+//! scalar, AVX2, AVX-512). The binary16 panels are packed once per call in
+//! the f32 micro-kernel's layout, and each engine call widens the tile
+//! blocks it reads in one contiguous pass (`vcvtph2ps` where the variant
+//! has it): the memory traffic and arithmetic of a host-SIMD FP16
+//! emulation. The two substrates differ only in slice storage; the driver
 //! is [`crate::gemm::ozaki_gemm_on`].
 //!
 //! Two facts make the result **bitwise identical** to the simulated path
@@ -32,7 +34,7 @@
 use crate::gemm::{sealed, slice_trace, SliceEngine, SliceTrace, TargetAccuracy};
 use crate::split::required_beta;
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
-use me_linalg::{gemm_half_f32, HalfKind, KernelVariant};
+use me_linalg::{gemm_half_f32, HalfKind, KernelVariant, PanelChunk, PanelLayout};
 use me_numerics::formats::narrow_f32_exact;
 
 /// Significand bits of binary16: integers up to 2^11 are exact in it.
@@ -105,6 +107,11 @@ impl SliceEngine for HostF16Engine {
         self.k_block
     }
 
+    /// The f32 micro-kernel's MR-row micro-panels, in binary16 words.
+    const LAYOUT_A: PanelLayout = PanelLayout::F32_A;
+    /// The f32 micro-kernel's NR-column micro-panels, in binary16 words.
+    const LAYOUT_B: PanelLayout = PanelLayout::F32_B;
+
     /// Binary16 bits of the slice integer, exact under the β cap: sign,
     /// exponent rebiased from 1023 to 15, top 10 significand bits.
     fn narrow(x: f64) -> u16 {
@@ -120,20 +127,19 @@ impl SliceEngine for HostF16Engine {
         half
     }
 
-    /// Binary16 operands widened in the pack loops, one f32 FMA per
-    /// ascending k step on the host's dispatched micro-kernels.
+    /// Binary16 operands widened per tile block in one contiguous pass,
+    /// one f32 FMA per ascending k step on the host's dispatched
+    /// micro-kernels.
     fn engine_call(
         variant: KernelVariant,
         m: usize,
         n: usize,
         kc: usize,
-        a: &[u16],
-        lda: usize,
-        bt: &[u16],
-        ldb: usize,
+        a: PanelChunk<'_, u16>,
+        b: PanelChunk<'_, u16>,
         out: &mut [f32],
     ) {
-        gemm_half_f32(variant, m, n, kc, a, lda, bt, ldb, HalfKind::F16, out);
+        gemm_half_f32(variant, m, n, kc, a, b, HalfKind::F16, out);
     }
 
     /// An AVX-512 host CPU's f32 SIMD units — the widening-pack kernels run

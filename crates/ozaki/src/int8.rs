@@ -11,18 +11,25 @@
 //! ozIMMU follow-up line of work: Uchino & Ozaki 2025).
 //!
 //! [`Int8Engine`] is the [`SliceEngine`] whose products run on genuine
-//! host int8 micro-kernels ([`me_linalg::gemm_i8_i32`]: strict scalar
-//! or AVX2 `vpmaddubsw`), dispatched through the same
+//! host int8 register tiles ([`me_linalg::gemm_i8_i32`]: an 8×32
+//! `vpdpbusd` tile on AVX-512 VNNI hosts, the same tile on AVX2
+//! `vpmaddwd`, or the scalar loop), dispatched through the same
 //! [`KernelVariant`] table as the floating-point GEMM; the driver is
-//! [`crate::gemm::ozaki_gemm_on`]. Integer arithmetic is associative, so
-//! every kernel variant and every thread count returns the same bits; and
-//! at a matched β the whole pipeline is bitwise identical to the
-//! simulated-ME path (`int8_matches_f16_path_at_matched_beta` pins this).
+//! [`crate::gemm::ozaki_gemm_on`]. Each slice is packed once per call into
+//! `me_linalg`'s int8 layouts, which store A as the offset bytes `a + 128`
+//! the unsigned `vpdpbusd` operand wants and follow each B chunk with its
+//! column sums, from which the kernel subtracts `128·colsum` — exact
+//! modulo 2^32 and therefore exact, because the true
+//! chunk sum fits i32 (the `me_linalg` int8 module docs have the
+//! argument). Integer arithmetic is associative, so every kernel variant
+//! and every thread count returns the same bits; and at a matched β the
+//! whole pipeline is bitwise identical to the simulated-ME path
+//! (`int8_matches_f16_path_at_matched_beta` pins this).
 
 use crate::gemm::{sealed, slice_trace, SliceEngine, SliceTrace, TargetAccuracy};
 use crate::split::required_beta;
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
-use me_linalg::{gemm_i8_i32, KernelVariant};
+use me_linalg::{gemm_i8_i32, KernelVariant, PanelChunk, PanelLayout};
 
 /// Magnitude bits of the i32 accumulator, whatever `acc_bits` says.
 const I32_MAGNITUDE_BITS: u32 = 31;
@@ -32,7 +39,9 @@ const I32_MAGNITUDE_BITS: u32 = 31;
 /// not.
 const I8_SLICE_BITS: u32 = 6;
 
-/// Configuration of an integer matrix engine.
+/// Configuration of an integer matrix engine: i8 slices, i32 chunk sums
+/// on the host's int8 register tile (VNNI `vpdpbusd` on AVX-512 hosts
+/// that have it, AVX2 `vpmaddwd`, or scalar), A stored as offset bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Int8Engine {
     /// Accumulator width in bits; the i32 kernels cap it at 31 usable
@@ -98,6 +107,12 @@ impl SliceEngine for Int8Engine {
         self.k_block
     }
 
+    /// The int8 register tile's 8-row, row-major A chunks of offset bytes.
+    const LAYOUT_A: PanelLayout = PanelLayout::I8_A;
+    /// The int8 register tile's 32-column B chunks, 4 k values per column,
+    /// each chunk followed by its column sums.
+    const LAYOUT_B: PanelLayout = PanelLayout::I8_B;
+
     /// The slice integer as `i8`: magnitude ≤ 2^β ≤ 64 by the split
     /// invariant, so the narrowing is exact — debug-asserted per element,
     /// and pinned by the `int8_slicing` property suite.
@@ -109,20 +124,18 @@ impl SliceEngine for Int8Engine {
         x as i8
     }
 
-    /// i8 multiplies, i32 accumulation — pure integer arithmetic, exact
-    /// by construction.
+    /// i8 multiplies, i32 accumulation — integer arithmetic, exact modulo
+    /// 2^32 and so exact under the β budget.
     fn engine_call(
         variant: KernelVariant,
         m: usize,
         n: usize,
         kc: usize,
-        a: &[i8],
-        lda: usize,
-        bt: &[i8],
-        ldb: usize,
+        a: PanelChunk<'_, i8>,
+        b: PanelChunk<'_, i8>,
         out: &mut [i32],
     ) {
-        gemm_i8_i32(variant, m, n, kc, a, lda, bt, ldb, out);
+        gemm_i8_i32(variant, m, n, kc, a, b, out);
     }
 
     /// The A100's INT8 Tensor Cores — the device the energy comparison

@@ -1,7 +1,7 @@
 //! Error-free matrix slicing (step 1 of the Ozaki scheme). Every
 //! extraction goes through [`split_panels`]; DESIGN §4 has its exactness.
 
-use me_linalg::Mat;
+use me_linalg::{Mat, PanelLayout, PanelWord};
 use me_numerics::formats::pow2;
 use me_par::WorkerPool;
 
@@ -157,23 +157,42 @@ fn extract<W>(
     mx
 }
 
-/// The next slice of each live line in a block: `rest`, `out` hold the
-/// lines back to back, `exp` and `mx` one entry per line.
-fn extract_lines<W>(
+/// The next slice of each live line in a block: `rest` holds the lines
+/// back to back, `out` the block's run of whole tiles of the slice panel,
+/// `exp` and `mx` one entry per line. Each line is extracted into a line
+/// buffer and packed from there.
+fn extract_lines<W: PanelWord>(
     rest: &mut [f64],
     out: &mut [W],
     exp: &mut [i32],
     mx: &mut [u64],
     beta: u32,
+    pack: &Pack,
     word: &impl Fn(f64, f64) -> W,
 ) {
-    let len = rest.len() / exp.len();
-    let lines = rest.chunks_mut(len).zip(out.chunks_mut(len));
-    for ((line, out), (e, m)) in lines.zip(exp.iter_mut().zip(mx.iter_mut())) {
+    let mut line = vec![W::default(); rest.len() / exp.len()];
+    let lines = rest.chunks_mut(line.len()).zip(exp.iter_mut().zip(mx.iter_mut()));
+    for (li, (x, (e, m))) in lines.enumerate() {
         if (1..INF_BITS).contains(m) {
             *e = ceil_exp(f64::from_bits(*m));
-            *m = extract(line, out, *e, beta, word);
+            *m = extract(x, &mut line, *e, beta, word);
+            pack.layout.put_line(out, li, &line, pack.kb);
         }
+    }
+}
+
+/// Where [`split_panels`] packs each slice: the engine's panel layout and
+/// its k-chunk length.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pack {
+    pub layout: PanelLayout,
+    pub kb: usize,
+}
+
+impl Pack {
+    /// Plain line-major panels of `len`-long lines.
+    pub fn lines(len: usize) -> Self {
+        Pack { layout: PanelLayout::LINES, kb: len.max(1) }
     }
 }
 
@@ -182,8 +201,8 @@ fn extract_lines<W>(
 pub(crate) struct Panels<W> {
     /// Number of lines.
     pub lines: usize,
-    /// Per slice, its line-major panel of words (`line · len + t`), the
-    /// default word past a line's last slice.
+    /// Per slice, its panel of words in the [`Pack`] layout, reading as
+    /// zeros past a line's last slice.
     pub words: Vec<Vec<W>>,
     /// Per slice, each line's scale exponent (0 past its last slice).
     pub exps: Vec<Vec<i32>>,
@@ -196,14 +215,17 @@ pub(crate) struct Panels<W> {
 
 /// Split the `lines` contiguous lines of `rest` (consumed as the residual)
 /// into at most `max_slices` β-bit slices, writing `word(integer, slice
-/// value)` per element. A pool takes each slice's lines in contiguous
-/// blocks; lines never interact, so any pool width gives the serial bits.
-pub(crate) fn split_panels<W: Copy + Default + Send>(
+/// value)` per element straight into each slice's panel in `pack`'s
+/// layout: every slice is packed once, here. A pool takes each slice's
+/// lines in contiguous blocks of whole tiles; lines never interact, so any
+/// pool width gives the serial bits.
+pub(crate) fn split_panels<W: PanelWord + Send + Sync>(
     mut rest: Vec<f64>,
     lines: usize,
     beta: u32,
     max_slices: usize,
     pool: Option<&WorkerPool>,
+    pack: Pack,
     word: impl Fn(f64, f64) -> W + Sync,
 ) -> Panels<W> {
     assert!((1..=26).contains(&beta), "beta out of range: {beta}");
@@ -220,23 +242,24 @@ pub(crate) fn split_panels<W: Copy + Default + Send>(
         })
         .collect();
     mx.resize(lines, 0);
+    let (tile, stride) = (pack.layout.tile, pack.layout.tile_stride(len, pack.kb));
     let (mut words, mut exps) = (Vec::new(), Vec::new());
     while words.len() < max_slices && mx.iter().any(|m| (1..INF_BITS).contains(m)) {
-        let mut panel = vec![W::default(); rest.len()];
+        let mut panel = pack.layout.blank(lines, len, pack.kb);
         let mut exp = vec![0i32; lines];
         match pool {
             Some(p) => {
-                let block = lines.div_ceil(p.threads());
+                let block = lines.div_ceil(p.threads()).next_multiple_of(tile);
                 let mut jobs: Vec<_> = rest
                     .chunks_mut(block * len)
-                    .zip(panel.chunks_mut(block * len))
+                    .zip(panel.chunks_mut(block / tile * stride))
                     .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
                     .collect();
                 p.for_each_mut(&mut jobs, |_, ((r, o), (e, m))| {
-                    extract_lines(r, o, e, m, beta, &word)
+                    extract_lines(r, o, e, m, beta, &pack, &word)
                 });
             }
-            None => extract_lines(&mut rest, &mut panel, &mut exp, &mut mx, beta, &word),
+            None => extract_lines(&mut rest, &mut panel, &mut exp, &mut mx, beta, &pack, &word),
         }
         words.push(panel);
         exps.push(exp);
@@ -309,7 +332,8 @@ fn split_matrix(
 ) -> SplitMatrix {
     let (rest, lines) = lines_of(a, by_rows);
     let size = rest.len();
-    let mut p = split_panels(rest, lines, beta, max_slices, pool, |_, hi| hi);
+    let pack = Pack::lines(size.checked_div(lines).unwrap_or(0));
+    let mut p = split_panels(rest, lines, beta, max_slices, pool, pack, |_, hi| hi);
     if p.words.is_empty() && !p.poisoned.is_empty() {
         p.words.push(vec![0.0; size]);
         p.exps.push(vec![0; lines]);

@@ -199,7 +199,8 @@ where
     E::Word: Bits,
 {
     let (rest, lines) = lines_of(a, old.by_rows);
-    let new = split_panels(rest, lines, old.beta, budget, None, |r, _| E::narrow(r));
+    let pack = Pack::lines(rest.len().checked_div(lines).unwrap_or(0));
+    let new = split_panels(rest, lines, old.beta, budget, None, pack, |r, _| E::narrow(r));
     let want = old_pack::<E>(old);
     assert_eq!(new.exps, old.scale_exp, "{label}: panel exponents");
     assert_eq!(new.words.len(), want.len(), "{label}: panel count");

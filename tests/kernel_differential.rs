@@ -1,7 +1,7 @@
 //! Cross-variant differential testing of the GEMM micro-kernels.
 //!
 //! The SIMD micro-kernel layer (`me_linalg::blas3::ukernel`) claims its
-//! variants — scalar, portable-unrolled, and AVX2+FMA intrinsics — are
+//! variants — scalar, AVX2+FMA and AVX-512F intrinsics — are
 //! **bitwise identical** at every shape and thread count, because every
 //! variant performs exactly one fused multiply-add per accumulator per k
 //! step in ascending-k order. GEMMbench's argument (PAPERS.md) is that
