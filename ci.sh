@@ -21,8 +21,10 @@
 #      proving the dispatch override and the bitwise-identity
 #      contract on each variant independently — the simulated-ME Ozaki
 #      path runs its slice products on the dispatched kernel; the pinned
-#      Ozaki output digest also runs on the optimized build the
-#      benchmark times
+#      Ozaki output digest and the double-double fold differential (every
+#      available variant against the scalar `Accumulator::add`) also run
+#      on the optimized build the benchmark times, where the Ozaki fold
+#      and split are compiled per variant
 #   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM
 #      suites at both test parallelisms (the HostF16-Ozaki tests run with
@@ -102,6 +104,7 @@ for K in $KERNELS; do
         --test paper_headlines
     ME_KERNEL=$K cargo test -q -p me-ozaki
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test pinned_digest
+    ME_KERNEL=$K cargo test -q --release -p me-linalg --test fold_differential
 done
 
 echo "==> half-precision stage: f16/bf16 codec + GEMM suites (both parallelisms)"

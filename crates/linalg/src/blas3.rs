@@ -31,6 +31,7 @@
 
 pub mod autotune;
 pub mod blocking;
+pub mod fold;
 pub mod half;
 pub mod int8;
 pub mod packed;
@@ -39,6 +40,7 @@ pub mod ukernel;
 
 use crate::mat::{Mat, MatMut, Scalar};
 pub use blocking::{blocking_for, set_blocking_override, Blocking, BlockingDispatch, BLOCKING_ENV};
+pub use fold::{fold_tile, FoldSum};
 pub use half::{
     gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind,
     HalfMat,
@@ -48,7 +50,7 @@ pub use packed::{pack_b_matrix, PackedB};
 pub use panel::{PanelChunk, PanelFormat, PanelLayout, PanelWord};
 pub use ukernel::{
     available_variants, avx2_supported, avx512_supported, selected_kernel, set_kernel_override,
-    KernelDispatch, KernelVariant, KERNEL_ENV, MR, NR,
+    KernelDispatch, KernelVariant, VariantWork, KERNEL_ENV, MR, NR,
 };
 
 /// Selector for the GEMM implementation.

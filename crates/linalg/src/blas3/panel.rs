@@ -21,18 +21,29 @@
 //! first line starts a tile is a run of whole tiles, and a pool can split a
 //! panel into disjoint runs of tiles.
 //!
+//! **Writing a panel.** [`PanelLayout::put_lines`] writes consecutive
+//! lines a tile at a time; [`PanelLayout::put_line`] is its one-line form.
+//! A whole tile of an engine layout (`F32_A`, `F32_B`, `I8_B`) is written
+//! by a loop whose tile height and group are compile-time constants, so
+//! the interleave becomes whole-vector shuffles and contiguous stores
+//! rather than one strided store per value.
+//!
 //! **The int8 operand format** lives here, in the two int8 layouts'
-//! [`PanelFormat`], and [`PanelLayout::put_line`] applies it: callers pack
+//! [`PanelFormat`], and [`PanelLayout::put_lines`] applies it: callers pack
 //! plain i8 values. [`PanelLayout::I8_A`] stores each `a` as the bits of
 //! the u8 `a + 128`, the unsigned operand of `vpdpbusd`.
 //! [`PanelLayout::I8_B`] follows each line's chunk with the chunk's
 //! wrapping i32 sum as [`SUM_WORDS`] little-endian bytes, where k values
 //! would come next: each chunk block of a B tile ends in one 128-byte row
 //! of column sums, the kernel's `128·colsum` correction
-//! ([`super::int8`]).
+//! ([`super::int8`]). The caller passes the sums in, so a producer can
+//! take them in the pass that makes the words ([`chunk_sums`] otherwise).
 
 use super::int8::{MR_I8, NR_I8};
 use super::ukernel::{MR, NR};
+
+/// k values per group of the int8 B layout.
+const KG: usize = 4;
 
 /// How a layout stores its words, beyond where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +68,19 @@ pub trait PanelWord: Copy + Default {
     /// [`PanelFormat::ChunkSums`]?
     const INT8: bool = false;
     /// `self` as `format` stores it.
-    #[inline]
+    #[inline(always)]
     fn stored(self, _format: PanelFormat) -> Self {
         self
     }
-    /// The words [`PanelFormat::ChunkSums`] stores after `chunk` (only
-    /// asked of `INT8` types).
-    fn chunk_sum(_chunk: &[Self]) -> [Self; SUM_WORDS] {
+    /// This word's term in a chunk sum: its value for `INT8` types, else
+    /// 0 (so a sum over non-int8 words folds away).
+    #[inline(always)]
+    fn sum_term(self) -> i32 {
+        0
+    }
+    /// The words [`PanelFormat::ChunkSums`] stores for a chunk whose
+    /// [`Self::sum_term`]s add up to `sum` (only asked of `INT8` types).
+    fn sum_words(_sum: i32) -> [Self; SUM_WORDS] {
         [Self::default(); SUM_WORDS]
     }
 }
@@ -75,7 +92,7 @@ impl PanelWord for u16 {}
 impl PanelWord for i8 {
     const INT8: bool = true;
 
-    #[inline]
+    #[inline(always)]
     fn stored(self, format: PanelFormat) -> i8 {
         if format == PanelFormat::Offset {
             self ^ i8::MIN
@@ -84,10 +101,23 @@ impl PanelWord for i8 {
         }
     }
 
-    fn chunk_sum(chunk: &[i8]) -> [i8; SUM_WORDS] {
-        let sum = chunk.iter().fold(0i32, |s, &x| s.wrapping_add(i32::from(x)));
+    #[inline(always)]
+    fn sum_term(self) -> i32 {
+        i32::from(self)
+    }
+
+    fn sum_words(sum: i32) -> [i8; SUM_WORDS] {
         sum.to_le_bytes().map(|b| i8::from_le_bytes([b]))
     }
+}
+
+/// The wrapping sum of each `kb`-long chunk of `words`, as
+/// [`PanelFormat::ChunkSums`] stores it.
+pub fn chunk_sums<W: PanelWord>(words: &[W], kb: usize) -> Vec<i32> {
+    words
+        .chunks(kb.max(1))
+        .map(|c| c.iter().fold(0i32, |s, w| s.wrapping_add(w.sum_term())))
+        .collect()
 }
 
 /// Geometry and format of a packed operand panel (see the module docs).
@@ -159,41 +189,129 @@ impl PanelLayout {
 
     /// Write line `line`'s `words` (its whole k extent) into `panel`, a
     /// panel (or a run of whole tiles of one) in this layout with chunks
-    /// of `kb`, in this layout's format.
-    // me-verify: hot
+    /// of `kb`, in this layout's format. The one-line form of
+    /// [`Self::put_lines`], computing the chunk sums itself.
     pub fn put_line<W: PanelWord>(&self, panel: &mut [W], line: usize, words: &[W], kb: usize) {
+        let sums =
+            if self.format == PanelFormat::ChunkSums { chunk_sums(words, kb) } else { Vec::new() };
+        self.put_lines(panel, line, words, words.len(), &sums, kb);
+    }
+
+    /// Write the lines of length `k` held back to back in `words` as lines
+    /// `first, first + 1, …` of `panel` (a panel, or a run of whole tiles
+    /// of one, in this layout with chunks of `kb`), in this layout's
+    /// format. For [`PanelFormat::ChunkSums`], `sums` holds each line's
+    /// chunk sums ([`chunk_sums`]), line after line; other formats ignore
+    /// it.
+    ///
+    /// A whole tile of the f32 and int8 engine layouts is written by a
+    /// loop whose tile height and group are constants, so the compiler
+    /// turns the interleave into full-width stores; other cases go value
+    /// by value. Inlined, so that it compiles for the instruction set of
+    /// its caller (`KernelVariant::run`).
+    // me-verify: hot
+    #[inline(always)]
+    pub fn put_lines<W: PanelWord>(
+        &self,
+        panel: &mut [W],
+        first: usize,
+        words: &[W],
+        k: usize,
+        sums: &[i32],
+        kb: usize,
+    ) {
         assert!(
             self.format == PanelFormat::Plain || W::INT8,
             "panel layout: int8 format on non-i8 words"
         );
-        let base = (line / self.tile) * self.tile_stride(words.len(), kb);
-        let r = line % self.tile;
-        for (c, chunk) in words.chunks(kb).enumerate() {
-            let g = if self.group == 0 { self.chunk_len(chunk.len()) } else { self.group };
-            let at = base + self.tile * c * self.chunk_len(kb) + r * g;
-            self.put_run(panel, at, chunk, g);
-            if self.format == PanelFormat::ChunkSums {
-                // The sum sits where the next k values would.
-                let p = chunk.len().next_multiple_of(self.k_pad);
-                self.put_run(panel, at + (p / g) * self.tile * g + p % g, &W::chunk_sum(chunk), g);
+        if k == 0 {
+            return;
+        }
+        let chunks = k.div_ceil(kb);
+        let count = words.len() / k;
+        let with_sums = self.format == PanelFormat::ChunkSums;
+        assert!(!with_sums || sums.len() >= count * chunks, "panel layout: chunk sums missing");
+        let stride = self.tile_stride(k, kb);
+        let mut done = 0;
+        while done < count {
+            let line = first + done;
+            let (t, r0) = (line / self.tile, line % self.tile);
+            let rows = (self.tile - r0).min(count - done);
+            let lines = &words[done * k..(done + rows) * k];
+            for c in 0..chunks {
+                let (k0, kc) = (c * kb, kb.min(k - c * kb));
+                let cl = self.chunk_len(kc);
+                let at = t * stride + self.tile * c * self.chunk_len(kb);
+                let block = &mut panel[at..at + self.tile * cl];
+                if self.format == PanelFormat::Offset {
+                    self.put_block(block, r0, rows, lines, k, k0, kc, |w: W| {
+                        w.stored(PanelFormat::Offset)
+                    });
+                } else {
+                    self.put_block(block, r0, rows, lines, k, k0, kc, |w: W| w);
+                }
+                if with_sums {
+                    // The sum sits where the next k values would.
+                    let p = kc.next_multiple_of(self.k_pad);
+                    for r in 0..rows {
+                        let sum = W::sum_words(sums[(done + r) * chunks + c]);
+                        for (i, w) in sum.into_iter().enumerate() {
+                            block[self.value_at(r0 + r, p + i, cl)] = w;
+                        }
+                    }
+                }
             }
+            done += rows;
         }
     }
 
-    /// Store `run`, consecutive k values of one line from the word at
-    /// `at` on, in groups of `g`.
-    #[inline]
-    fn put_run<W: PanelWord>(&self, panel: &mut [W], at: usize, run: &[W], g: usize) {
-        let f = self.format;
-        if g == 1 {
-            for (p, &w) in run.iter().enumerate() {
-                panel[at + p * self.tile] = w.stored(f);
+    /// Where value `p` of row `r` sits in a chunk block whose lines take
+    /// `cl` words.
+    #[inline(always)]
+    fn value_at(&self, r: usize, p: usize, cl: usize) -> usize {
+        let g = if self.group == 0 { cl } else { self.group };
+        (p / g) * self.tile * g + r * g + p % g
+    }
+
+    /// Store values `k0..k0 + kc` of `rows` lines of `lines` (length `k`
+    /// each), mapped by `f`, as rows `r0..r0 + rows` of one chunk block.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn put_block<W: PanelWord>(
+        &self,
+        block: &mut [W],
+        r0: usize,
+        rows: usize,
+        lines: &[W],
+        k: usize,
+        k0: usize,
+        kc: usize,
+        f: impl Fn(W) -> W,
+    ) {
+        // The constant shapes of the f32 layouts, and of the int8 B layout
+        // (only i8 words take it, so other words do not carry its copy).
+        let whole = r0 == 0 && rows == self.tile;
+        match (self.tile, self.group) {
+            (MR, 1) if whole && !W::INT8 => interleave::<W, MR, 1>(block, lines, k, k0, kc, f),
+            (NR, 1) if whole && !W::INT8 => interleave::<W, NR, 1>(block, lines, k, k0, kc, f),
+            (NR_I8, KG) if whole && W::INT8 => {
+                interleave::<W, NR_I8, KG>(block, lines, k, k0, kc, f)
             }
-        } else {
-            for (q, part) in run.chunks(g).enumerate() {
-                let at = at + q * self.tile * g;
-                for (d, &w) in panel[at..at + part.len()].iter_mut().zip(part) {
-                    *d = w.stored(f);
+            (_, 0) => {
+                let cl = self.chunk_len(kc);
+                for (r, line) in lines.chunks_exact(k).take(rows).enumerate() {
+                    let dst = &mut block[(r0 + r) * cl..(r0 + r) * cl + kc];
+                    for (d, &w) in dst.iter_mut().zip(&line[k0..k0 + kc]) {
+                        *d = f(w);
+                    }
+                }
+            }
+            _ => {
+                let cl = self.chunk_len(kc);
+                for (r, line) in lines.chunks_exact(k).take(rows).enumerate() {
+                    for (p, &w) in line[k0..k0 + kc].iter().enumerate() {
+                        block[self.value_at(r0 + r, p, cl)] = f(w);
+                    }
                 }
             }
         }
@@ -217,6 +335,39 @@ impl PanelLayout {
         let stride = self.tile_stride(k, kb);
         let at = (first / self.tile) * stride + self.tile * (k0 / kb) * self.chunk_len(kb);
         PanelChunk { words: &panel[at.min(panel.len())..], stride, layout: *self }
+    }
+}
+
+/// Values `k0..k0 + kc` of the `T` lines of `lines` (length `k` each),
+/// mapped by `f`, into a chunk block of a layout with tile `T` and group
+/// `G`: per group of `G` k values, line after line. `T` and `G` are
+/// constants so the loops unroll into whole-vector shuffles and stores.
+#[inline(always)]
+fn interleave<W: Copy, const T: usize, const G: usize>(
+    block: &mut [W],
+    lines: &[W],
+    k: usize,
+    k0: usize,
+    kc: usize,
+    f: impl Fn(W) -> W,
+) {
+    let src: [&[W]; T] = std::array::from_fn(|r| &lines[r * k + k0..r * k + k0 + kc]);
+    let groups = kc / G;
+    for (q, dst) in block.chunks_exact_mut(T * G).take(groups).enumerate() {
+        for (r, line) in src.iter().enumerate() {
+            for d in 0..G {
+                dst[r * G + d] = f(line[q * G + d]);
+            }
+        }
+    }
+    let tail = kc % G;
+    if tail > 0 {
+        let dst = &mut block[groups * T * G..(groups + 1) * T * G];
+        for (r, line) in src.iter().enumerate() {
+            for d in 0..tail {
+                dst[r * G + d] = f(line[groups * G + d]);
+            }
+        }
     }
 }
 
@@ -335,6 +486,39 @@ mod tests {
         }
         assert_eq!(0i8.stored(PanelFormat::Offset), i8::MIN);
         assert_eq!((-128i8).stored(PanelFormat::Offset), 0);
+    }
+
+    #[test]
+    fn put_lines_matches_put_line_one_line_at_a_time() {
+        // Runs of lines starting on and off a tile, whole tiles (the
+        // constant-shape writers) and partial ones, tail chunks and tail
+        // groups, for every engine layout and a plain 32 × 4 one.
+        let plain = PanelLayout { tile: 32, group: 4, k_pad: 4, format: PanelFormat::Plain };
+        let layouts = [
+            PanelLayout::LINES,
+            PanelLayout::F32_A,
+            PanelLayout::F32_B,
+            PanelLayout::I8_A,
+            PanelLayout::I8_B,
+            plain,
+        ];
+        let value = |line: usize, t: usize| ((line * 37 + t * 11) % 256) as u8 as i8;
+        for l in layouts {
+            for (lines, k, kb) in [(70, 13, 5), (64, 9, 256), (33, 11, 4), (8, 1, 1)] {
+                for first in [0, 1, l.tile] {
+                    let words: Vec<i8> =
+                        (0..lines * k).map(|x| value(first + x / k, x % k)).collect();
+                    let sums: Vec<i32> = words.chunks(k).flat_map(|w| chunk_sums(w, kb)).collect();
+                    let mut want: Vec<i8> = l.blank(first + lines, k, kb);
+                    for (li, line) in words.chunks(k).enumerate() {
+                        l.put_line(&mut want, first + li, line, kb);
+                    }
+                    let mut got: Vec<i8> = l.blank(first + lines, k, kb);
+                    l.put_lines(&mut got, first, &words, k, &sums, kb);
+                    assert_eq!(got, want, "{l:?}, {lines} lines from {first}, k {k}, kb {kb}");
+                }
+            }
+        }
     }
 
     #[test]

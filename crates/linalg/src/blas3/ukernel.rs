@@ -292,6 +292,63 @@ pub fn set_kernel_override(v: Option<KernelVariant>) {
     KernelDispatch::global().set_override(v);
 }
 
+/// Plain Rust loops that [`KernelVariant::run`] compiles once per kernel
+/// variant, for the compiler to vectorize at that variant's width.
+/// Implementations mark [`Self::call`], and every helper its loops call,
+/// `#[inline(always)]`: the loops must be compiled inside each variant's
+/// copy of `run`, not once for baseline x86-64.
+pub trait VariantWork {
+    /// What the work returns.
+    type Output;
+    /// Do the work.
+    fn call(self) -> Self::Output;
+}
+
+impl KernelVariant {
+    /// Run `work` compiled for this variant's instruction set, after
+    /// [`Self::resolve_supported`]: AVX-512F, AVX2, or the baseline. The
+    /// compiler only chooses instructions: it neither fuses a multiply and
+    /// an add into an FMA nor reorders floating-point operations, so the
+    /// work computes the same bits on every variant.
+    pub fn run<K: VariantWork>(self, work: K) -> K::Output {
+        match self.resolve_supported() {
+            // SAFETY: resolved, so `Avx512` means `avx512_supported()`
+            // proved AVX512F, the only feature `run_avx512` enables.
+            KernelVariant::Avx512 => unsafe { run_avx512(work) },
+            // SAFETY: resolved, so `Avx2` means `avx2_supported()` proved
+            // AVX2, the only feature `run_avx2` enables.
+            KernelVariant::Avx2 => unsafe { run_avx2(work) },
+            KernelVariant::Scalar => work.call(),
+        }
+    }
+}
+
+/// [`VariantWork::call`] compiled with AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<K: VariantWork>(work: K) -> K::Output {
+    work.call()
+}
+
+/// [`VariantWork::call`] compiled with AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: VariantWork>(work: K) -> K::Output {
+    work.call()
+}
+
+/// Non-x86 stand-in (never chosen there).
+#[cfg(not(target_arch = "x86_64"))]
+fn run_avx512<K: VariantWork>(work: K) -> K::Output {
+    work.call()
+}
+
+/// Non-x86 stand-in (never chosen there).
+#[cfg(not(target_arch = "x86_64"))]
+fn run_avx2<K: VariantWork>(work: K) -> K::Output {
+    work.call()
+}
+
 /// Run the MR×NR micro-kernel for `variant` over packed micro-panels:
 /// `ap` holds `kc` steps of MR A values, `bp` holds `kc` steps of NR B
 /// values. Returns the accumulator tile; the caller owns the write-back

@@ -228,6 +228,20 @@ pub fn pow2(k: i32) -> f64 {
     }
 }
 
+/// `2^e` for any `e` a product of two Ozaki scale factors can reach:
+/// beyond f64's normal range the power is the product of two [`pow2`]
+/// factors, which rounds to `inf` above and to a subnormal or zero below
+/// as the true power would.
+pub fn pow2_checked(e: i32) -> f64 {
+    if (-1022..=1023).contains(&e) {
+        pow2(e)
+    } else if e > 1023 {
+        pow2(1023) * pow2(e - 1023)
+    } else {
+        pow2(-1022) * pow2((e + 1022).max(-1074))
+    }
+}
+
 /// Checked narrowing conversion `f64 -> f32` for values that must be
 /// exactly representable in `f32`.
 ///

@@ -10,11 +10,10 @@
 //! It also returns the engine's cycle statistics, connecting the algorithm
 //! to the hardware cost model of Table VIII.
 
-use crate::gemm::{fold_tile, pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
+use crate::gemm::{pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
 use crate::split::{lines_of, split_panels, Pack};
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
-use me_linalg::{KernelVariant, Mat};
-use me_numerics::sum::Accumulator;
+use me_linalg::{fold_tile, selected_kernel, KernelVariant, Mat};
 
 /// Result of an engine-executed Ozaki GEMM.
 #[derive(Debug, Clone)]
@@ -51,11 +50,13 @@ pub fn ozaki_gemm_systolic(
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
     // The slice integers as f64 panels (exact in the multiply format).
-    let ints =
-        |(rest, lines)| split_panels(rest, lines, beta, budget, None, Pack::lines(k), |r, _| r);
+    let kernel = selected_kernel();
+    let ints = |(rest, lines)| {
+        split_panels(rest, lines, beta, budget, kernel, None, Pack::lines(k), |r, _| r)
+    };
     let (pa, pb) = (ints(lines_of(a, true)), ints(lines_of(b, false)));
 
-    let mut acc = vec![Accumulator::new(); m * n];
+    let (mut hi, mut lo) = (vec![0.0f64; m * n], vec![0.0f64; m * n]);
     let (computed, skipped) = pair_counts(pa.words.len(), pb.words.len(), cutoff);
     let mut stats = CycleStats { cycles: 0, macs: 0, pe_cycles: 0, tiles: 0 };
 
@@ -74,12 +75,12 @@ pub fn ozaki_gemm_systolic(
                 stats.macs += r.stats.macs;
                 stats.pe_cycles += r.stats.pe_cycles;
                 stats.tiles += r.stats.tiles;
-                fold_tile(r.c.as_slice(), a_exp, b_exp, beta, &mut acc);
+                fold_tile(kernel, r.c.as_slice(), a_exp, b_exp, beta, &mut hi, &mut lo);
             }
         }
     }
 
-    let mut c: Vec<f64> = acc.iter().map(Accumulator::value).collect();
+    let mut c: Vec<f64> = hi.iter().zip(&lo).map(|(h, l)| h + l).collect();
     poison(&mut c, n, &pa.poisoned, &pb.poisoned);
     EngineOzakiResult {
         report: OzakiReport {

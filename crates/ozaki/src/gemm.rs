@@ -21,6 +21,15 @@
 //! thread count. Each substrate gets its own monomorphized copy of the
 //! driver.
 //!
+//! The FP64 work around the engine calls runs on the kernel variant the
+//! call resolved, like the calls themselves. The split is compiled per
+//! variant ([`me_linalg::KernelVariant::run`], see [`crate::split`]). The
+//! accumulators are struct-of-arrays double-doubles (`hi`, `lo`; C is
+//! `hi + lo`), and every engine call's tile is folded into them by
+//! [`me_linalg::fold_tile`]: 8 or 4 lanes of `Accumulator::add`'s
+//! operations, in its order, with no multiply fused into an add. Neither
+//! changes a bit, on any variant (DESIGN §9).
+//!
 //! [`OzakiConfig`], the simulated f16-multiply/f32-accumulate matrix
 //! engine, stores integer-valued `f32` slices and runs every engine call —
 //! in GEMM, GEMV and dot alike — through [`me_linalg::gemm_f32_f32`]: the
@@ -37,10 +46,10 @@ use crate::split::{
 };
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::{
-    gemm_f32_f32, selected_kernel, KernelVariant, Mat, PanelChunk, PanelLayout, PanelWord,
+    fold_tile, gemm_f32_f32, selected_kernel, FoldSum, KernelVariant, Mat, PanelChunk, PanelLayout,
+    PanelWord,
 };
-use me_numerics::formats::{narrow_f32_exact, pow2};
-use me_numerics::sum::Accumulator;
+use me_numerics::formats::narrow_f32_exact;
 use me_par::WorkerPool;
 
 /// Target accuracy / truncation policy.
@@ -165,7 +174,7 @@ pub trait SliceEngine: sealed::Sealed {
     /// The stored slice word: integer-valued `f32`, binary16 bits or `i8`.
     type Word: PanelWord + Send + Sync;
     /// One engine call's chunk sum: `f32`, or `i32` for INT8.
-    type Sum: Copy + Default + Into<f64>;
+    type Sum: FoldSum + Default;
     /// Span and counter names.
     const TRACE: SliceTrace;
 
@@ -254,6 +263,7 @@ impl SliceEngine for OzakiConfig {
     /// The f32 micro-kernel's NR-column micro-panels.
     const LAYOUT_B: PanelLayout = PanelLayout::F32_B;
 
+    #[inline(always)]
     fn narrow(x: f64) -> f32 {
         narrow_f32_exact(x)
     }
@@ -375,8 +385,8 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
 
     let split_span = me_trace::span(names.split, "ozaki");
-    let pa = split_words(engine, k, lines_of(a, true), E::LAYOUT_A, pool);
-    let pb = split_words(engine, k, lines_of(b, false), E::LAYOUT_B, pool);
+    let pa = split_words(engine, k, lines_of(a, true), E::LAYOUT_A, kernel, pool);
+    let pb = split_words(engine, k, lines_of(b, false), E::LAYOUT_B, kernel, pool);
     drop(split_span);
 
     let (s_a, s_b) = (pa.words.len(), pb.words.len());
@@ -407,18 +417,19 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
 
 /// Split `lines` contiguous lines of length `k` into `engine`'s word
 /// panels, at its β and slice budget for inner dimension `k`, each slice
-/// packed once into `layout` (the engine's A or B layout).
+/// packed once into `layout` (the engine's A or B layout), on `kernel`.
 fn split_words<E: SliceEngine>(
     engine: &E,
     k: usize,
     (rest, lines): (Vec<f64>, usize),
     layout: PanelLayout,
+    kernel: KernelVariant,
     pool: Option<&WorkerPool>,
 ) -> Panels<E::Word> {
     let beta = engine.beta(k);
     let (budget, _) = engine.budget_and_cutoff(k, beta);
     let pack = Pack { layout, kb: engine.k_block().max(1) };
-    let panels = split_panels(rest, lines, beta, budget, pool, pack, |r, _| E::narrow(r));
+    let panels = split_panels(rest, lines, beta, budget, kernel, pool, pack, |r, _| E::narrow(r));
     me_trace::counter_add(E::TRACE.panel_packs, panels.words.len() as u64);
     panels
 }
@@ -443,8 +454,8 @@ fn multiply<E: SliceEngine>(
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
     let kb = engine.k_block().max(1);
     let (la, lb) = (E::LAYOUT_A, E::LAYOUT_B);
-    let fold = |r0: usize, acc: &mut [Accumulator]| {
-        let rows = acc.len().checked_div(n).unwrap_or(0);
+    let fold = |r0: usize, (hi, lo): (&mut [f64], &mut [f64])| {
+        let rows = hi.len().checked_div(n).unwrap_or(0);
         if rows == 0 || k == 0 {
             return;
         }
@@ -463,25 +474,27 @@ fn multiply<E: SliceEngine>(
                         let _p = me_trace::span(names.products, "ozaki");
                         E::engine_call(kernel, rows, n, kc, a, b, &mut tile);
                     }
-                    fold_tile(&tile, &ea[r0..r0 + rows], eb, beta, acc);
+                    fold_tile(kernel, &tile, &ea[r0..r0 + rows], eb, beta, hi, lo);
                 }
             }
         }
     };
-    let mut acc: Vec<Accumulator> = vec![Accumulator::new(); m * n];
+    // The accumulators as struct-of-arrays double-doubles: C = hi + lo.
+    let (mut hi, mut lo) = (vec![0.0f64; m * n], vec![0.0f64; m * n]);
     match pool {
         Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
             let rows_per = m.div_ceil(pl.threads()).next_multiple_of(la.tile);
-            let mut panels: Vec<(usize, &mut [Accumulator])> = acc
+            let mut panels: Vec<_> = hi
                 .chunks_mut(rows_per * n)
+                .zip(lo.chunks_mut(rows_per * n))
                 .enumerate()
                 .map(|(t, chunk)| (t * rows_per, chunk))
                 .collect();
-            pl.for_each_mut(&mut panels, |_, (r0, panel)| fold(*r0, panel));
+            pl.for_each_mut(&mut panels, |_, (r0, (h, l))| fold(*r0, (h, l)));
         }
-        _ => fold(0, &mut acc),
+        _ => fold(0, (&mut hi, &mut lo)),
     }
-    let mut c: Vec<f64> = acc.iter().map(Accumulator::value).collect();
+    let mut c: Vec<f64> = hi.iter().zip(&lo).map(|(h, l)| h + l).collect();
     poison(&mut c, n, &pa.poisoned, &pb.poisoned);
     c
 }
@@ -494,48 +507,6 @@ pub(crate) fn poison(c: &mut [f64], n: usize, rows: &[usize], cols: &[usize]) {
     }
     for &j in cols {
         c.iter_mut().skip(j).step_by(n).for_each(|v| *v = f64::NAN);
-    }
-}
-
-/// Fold one engine call's `a_exp.len() × b_exp.len()` chunk tile into the
-/// matching accumulators: exact-zero sums are skipped, every other sum is
-/// scaled back by `2^(e_a[i] + e_b[j] − 2β)`. Every substrate folds
-/// through here, so their per-element add streams agree.
-/// Where every exponent sum of the tile is normal, the scale comes from its
-/// bits and a zero sum selects the unchanged accumulator: no branch, same
-/// adds in the same order.
-pub(crate) fn fold_tile<T: Copy + Into<f64>>(
-    tile: &[T],
-    a_exp: &[i32],
-    b_exp: &[i32],
-    beta: u32,
-    acc: &mut [Accumulator],
-) {
-    let bounds = |e: &[i32]| Some((*e.iter().min()?, *e.iter().max()?));
-    let (Some((a_lo, a_hi)), Some((b_lo, b_hi))) = (bounds(a_exp), bounds(b_exp)) else {
-        return;
-    };
-    let n = b_exp.len();
-    let two_beta = 2 * beta as i32;
-    let normal = a_lo + b_lo - two_beta >= -1022 && a_hi + b_hi - two_beta <= 1023;
-    for ((trow, arow), &e_ai) in tile.chunks_exact(n).zip(acc.chunks_exact_mut(n)).zip(a_exp) {
-        let cells = trow.iter().zip(arow).zip(b_exp);
-        if normal {
-            for ((&s, ac), &e_bj) in cells {
-                let s: f64 = s.into();
-                let scale = f64::from_bits(((e_ai + e_bj - two_beta + 1023) as u64) << 52);
-                let mut sum = *ac;
-                sum.add(s * scale);
-                *ac = if s == 0.0 { *ac } else { sum };
-            }
-        } else {
-            for ((&s, ac), &e_bj) in cells {
-                let s: f64 = s.into();
-                if s != 0.0 {
-                    ac.add(s * pow2_checked(e_ai + e_bj - two_beta));
-                }
-            }
-        }
     }
 }
 
@@ -557,18 +528,6 @@ pub(crate) fn pair_counts(s_a: usize, s_b: usize, cutoff: usize) -> (usize, usiz
     (computed, skipped)
 }
 
-/// Power of two that tolerates the full split exponent range by chaining
-/// two `pow2` factors when the exponent exceeds f64's normal range.
-pub(crate) fn pow2_checked(e: i32) -> f64 {
-    if (-1022..=1023).contains(&e) {
-        pow2(e)
-    } else if e > 1023 {
-        pow2(1023) * pow2(e - 1023)
-    } else {
-        pow2(-1022) * pow2((e + 1022).max(-1074))
-    }
-}
-
 /// Ozaki-scheme dot product (paper §IV-B note (2): the scheme extends to
 /// BLAS-1/2, letting MEs serve those levels' internals).
 ///
@@ -576,11 +535,12 @@ pub(crate) fn pow2_checked(e: i32) -> f64 {
 pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     assert_eq!(x.len(), y.len(), "ozaki_dot: length mismatch");
     let k = x.len();
+    let kernel = selected_kernel().resolve_supported();
     let (px, py) = (
-        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_A, None),
-        split_words(cfg, k, (y.to_vec(), 1), OzakiConfig::LAYOUT_B, None),
+        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_A, kernel, None),
+        split_words(cfg, k, (y.to_vec(), 1), OzakiConfig::LAYOUT_B, kernel, None),
     );
-    multiply(cfg, &px, &py, k, selected_kernel().resolve_supported(), None)[0]
+    multiply(cfg, &px, &py, k, kernel, None)[0]
 }
 
 /// Ozaki-scheme matrix-vector product `y = A·x`: per-row splits of A
@@ -588,11 +548,12 @@ pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
 pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "ozaki_gemv: inner dimension mismatch");
     let k = x.len();
+    let kernel = selected_kernel().resolve_supported();
     let (pa, px) = (
-        split_words(cfg, k, lines_of(a, true), OzakiConfig::LAYOUT_A, None),
-        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_B, None),
+        split_words(cfg, k, lines_of(a, true), OzakiConfig::LAYOUT_A, kernel, None),
+        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_B, kernel, None),
     );
-    multiply(cfg, &pa, &px, k, selected_kernel().resolve_supported(), None)
+    multiply(cfg, &pa, &px, k, kernel, None)
 }
 
 /// Reference product computed with doubled-precision dot products
@@ -623,6 +584,8 @@ pub fn split_for_gemm(a: &Mat<f64>, k: usize, cfg: &OzakiConfig) -> (SplitMatrix
 mod tests {
     use super::*;
     use crate::split::split_cols;
+    use me_numerics::formats::{pow2, pow2_checked};
+    use me_numerics::sum::Accumulator;
     use me_numerics::{max_rel_err, ulp_diff};
 
     fn mk(m: usize, n: usize, seed: u64, range_decades: i32) -> Mat<f64> {

@@ -114,6 +114,7 @@ impl SliceEngine for HostF16Engine {
 
     /// Binary16 bits of the slice integer, exact under the β cap: sign,
     /// exponent rebiased from 1023 to 15, top 10 significand bits.
+    #[inline(always)]
     fn narrow(x: f64) -> u16 {
         let bits = x.to_bits();
         let magnitude = (bits & !(1 << 63)) >> 42;

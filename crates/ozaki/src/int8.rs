@@ -115,13 +115,17 @@ impl SliceEngine for Int8Engine {
 
     /// The slice integer as `i8`: magnitude ≤ 2^β ≤ 64 by the split
     /// invariant, so the narrowing is exact — debug-asserted per element,
-    /// and pinned by the `int8_slicing` property suite.
+    /// and pinned by the `int8_slicing` property suite. Read off the bits
+    /// of `x + 1.5·2^52`, whose significand's low byte holds the integer
+    /// `x` in two's complement (the ulp there is 1): an add and a
+    /// truncation that vectorize, where a saturating `as i8` clamps.
+    #[inline(always)]
     fn narrow(x: f64) -> i8 {
         debug_assert!(
             x.abs() <= 64.0 && x.fract() == 0.0,
             "slice value {x} is not a 6-bit-safe integer"
         );
-        x as i8
+        (x + 6_755_399_441_055_744.0).to_bits() as u8 as i8
     }
 
     /// i8 multiplies, i32 accumulation — integer arithmetic, exact modulo

@@ -1,7 +1,16 @@
 //! Error-free matrix slicing (step 1 of the Ozaki scheme). Every
 //! extraction goes through [`split_panels`]; DESIGN §4 has its exactness.
+//!
+//! Per slice, each tile of lines is extracted into a tile buffer — the
+//! residual update, the narrowing to the engine's word and, for INT8's B,
+//! each chunk's column sum, in one pass per line — and written into the
+//! slice's panel by one [`PanelLayout::put_lines`]. That pass is plain
+//! Rust compiled once per kernel variant ([`KernelVariant::run`]), so it
+//! vectorizes at the width of the variant the engine calls run on; the
+//! compiler only picks instructions, so every variant writes the same
+//! bits.
 
-use me_linalg::{Mat, PanelLayout, PanelWord};
+use me_linalg::{selected_kernel, KernelVariant, Mat, PanelLayout, PanelWord, VariantWork};
 use me_numerics::formats::pow2;
 use me_par::WorkerPool;
 
@@ -102,6 +111,7 @@ const INF_BITS: u64 = 0x7ff0_0000_0000_0000;
 /// Ceiling of log2|x| as an exponent: the smallest `e` with `|x| ≤ 2^e`,
 /// read off the exponent and significand bits (`x` nonzero; `1024` for
 /// an infinity).
+#[inline(always)]
 fn ceil_exp(x: f64) -> i32 {
     let bits = x.to_bits() & MAGNITUDE;
     debug_assert!(bits != 0, "ceil_exp of zero");
@@ -117,15 +127,19 @@ fn ceil_exp(x: f64) -> i32 {
 /// One extraction over `line` at scale exponent `e`: each element `x`
 /// splits into the slice value `hi = round_ties_even(x / q) · q`, `q =
 /// 2^(e − β)`, and the residual `x − hi` left in place, and `out[t] =
-/// word(hi / q, hi)` with `−0` made `+0`. Returns the residual's largest
-/// magnitude bits. The quotient is a multiplication where `2^(β − e)` is
-/// normal, else (subnormal line maxima) a division.
-#[inline]
-fn extract<W>(
+/// word(hi / q, hi)` with `−0` made `+0`. `sums[c]` gets the wrapping sum
+/// of the words of the `c`-th `kb`-long chunk ([`PanelWord::sum_term`]),
+/// taken in the same pass. Returns the residual's largest magnitude bits.
+/// The quotient is a multiplication where `2^(β − e)` is normal, else
+/// (subnormal line maxima) a division.
+#[inline(always)]
+fn extract<W: PanelWord>(
     line: &mut [f64],
     out: &mut [W],
+    sums: &mut [i32],
     e: i32,
     beta: u32,
+    kb: usize,
     word: &impl Fn(f64, f64) -> W,
 ) -> u64 {
     let se = beta as i32 - e;
@@ -133,50 +147,99 @@ fn extract<W>(
     // below 2^-1074 every remaining residual is an exact multiple of the
     // clamped grid, so `hi = x` and the residual terminates at zero.
     let q = pow2((-se).max(-1074));
-    let mut mx = 0;
     if (-1022..=1023).contains(&se) {
         let scale = pow2(se);
-        for (x, w) in line.iter_mut().zip(out) {
-            let y = *x * scale;
+        extract_with(line, out, sums, kb, word, &|x: f64| {
+            let y = x * scale;
             let r = ((y.abs() + ROUND) - ROUND).copysign(y);
-            let hi = r * q;
-            *x -= hi;
-            *w = word(r + 0.0, hi);
-            mx = mx.max(x.to_bits() & MAGNITUDE);
-        }
+            (r, r * q)
+        })
     } else {
-        for (x, w) in line.iter_mut().zip(out) {
-            let hi = (*x / q).round_ties_even() * q;
-            *x -= hi;
+        extract_with(line, out, sums, kb, word, &|x: f64| {
+            let hi = (x / q).round_ties_even() * q;
             // `2^se` may exceed f64 range here: scale in two exact steps.
-            let int = if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) };
+            (if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) }, hi)
+        })
+    }
+}
+
+/// [`extract`]'s pass, with `slice(x)` giving the integer and the slice
+/// value of `x`.
+#[inline(always)]
+fn extract_with<W: PanelWord>(
+    line: &mut [f64],
+    out: &mut [W],
+    sums: &mut [i32],
+    kb: usize,
+    word: &impl Fn(f64, f64) -> W,
+    slice: &impl Fn(f64) -> (f64, f64),
+) -> u64 {
+    let mut mx = 0;
+    for ((xs, ws), sum) in line.chunks_mut(kb).zip(out.chunks_mut(kb)).zip(sums) {
+        let mut s = 0i32;
+        for (x, w) in xs.iter_mut().zip(ws) {
+            let (int, hi) = slice(*x);
+            *x -= hi;
             *w = word(int + 0.0, hi);
+            s = s.wrapping_add(w.sum_term());
             mx = mx.max(x.to_bits() & MAGNITUDE);
         }
+        *sum = s;
     }
     mx
 }
 
 /// The next slice of each live line in a block: `rest` holds the lines
 /// back to back, `out` the block's run of whole tiles of the slice panel,
-/// `exp` and `mx` one entry per line. Each line is extracted into a line
-/// buffer and packed from there.
-fn extract_lines<W: PanelWord>(
-    rest: &mut [f64],
-    out: &mut [W],
-    exp: &mut [i32],
-    mx: &mut [u64],
+/// `exp` and `mx` one entry per line. The lines of one tile are extracted
+/// into a tile buffer, with their chunk sums, and the tile is packed from
+/// there in one [`PanelLayout::put_lines`]; a tile with no live line is
+/// left blank.
+struct ExtractLines<'a, W, F> {
+    rest: &'a mut [f64],
+    out: &'a mut [W],
+    exp: &'a mut [i32],
+    mx: &'a mut [u64],
     beta: u32,
-    pack: &Pack,
-    word: &impl Fn(f64, f64) -> W,
-) {
-    let mut line = vec![W::default(); rest.len() / exp.len()];
-    let lines = rest.chunks_mut(line.len()).zip(exp.iter_mut().zip(mx.iter_mut()));
-    for (li, (x, (e, m))) in lines.enumerate() {
-        if (1..INF_BITS).contains(m) {
-            *e = ceil_exp(f64::from_bits(*m));
-            *m = extract(x, &mut line, *e, beta, word);
-            pack.layout.put_line(out, li, &line, pack.kb);
+    pack: Pack,
+    word: &'a F,
+}
+
+impl<W: PanelWord, F: Fn(f64, f64) -> W> VariantWork for ExtractLines<'_, W, F> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call(self) {
+        let ExtractLines { rest, out, exp, mx, beta, pack, word } = self;
+        let len = rest.len().checked_div(exp.len()).unwrap_or(0);
+        if len == 0 {
+            return;
+        }
+        let (tile, chunks) = (pack.layout.tile, len.div_ceil(pack.kb));
+        let mut buf = vec![W::default(); tile * len];
+        let mut sums = vec![0i32; tile * chunks];
+        let tiles = rest.chunks_mut(tile * len).zip(exp.chunks_mut(tile).zip(mx.chunks_mut(tile)));
+        for (t, (x, (e, m))) in tiles.enumerate() {
+            let rows = e.len();
+            let mut live = false;
+            for (r, ((x, e), m)) in
+                x.chunks_mut(len).zip(e.iter_mut()).zip(m.iter_mut()).enumerate()
+            {
+                let (w, s) =
+                    (&mut buf[r * len..(r + 1) * len], &mut sums[r * chunks..(r + 1) * chunks]);
+                if (1..INF_BITS).contains(m) {
+                    *e = ceil_exp(f64::from_bits(*m));
+                    *m = extract(x, w, s, *e, beta, pack.kb, word);
+                    live = true;
+                } else {
+                    w.fill(W::default());
+                    s.fill(0);
+                }
+            }
+            if live {
+                let (words, sums) = (&buf[..rows * len], &sums[..rows * chunks]);
+                pack.layout.put_lines(out, t * tile, words, len, sums, pack.kb);
+            }
         }
     }
 }
@@ -216,14 +279,17 @@ pub(crate) struct Panels<W> {
 /// Split the `lines` contiguous lines of `rest` (consumed as the residual)
 /// into at most `max_slices` β-bit slices, writing `word(integer, slice
 /// value)` per element straight into each slice's panel in `pack`'s
-/// layout: every slice is packed once, here. A pool takes each slice's
-/// lines in contiguous blocks of whole tiles; lines never interact, so any
-/// pool width gives the serial bits.
+/// layout: every slice is packed once, here, compiled for `kernel`'s
+/// instruction set ([`KernelVariant::run`]; the bits never depend on it).
+/// A pool takes each slice's lines in contiguous blocks of whole tiles;
+/// lines never interact, so any pool width gives the serial bits.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn split_panels<W: PanelWord + Send + Sync>(
     mut rest: Vec<f64>,
     lines: usize,
     beta: u32,
     max_slices: usize,
+    kernel: KernelVariant,
     pool: Option<&WorkerPool>,
     pack: Pack,
     word: impl Fn(f64, f64) -> W + Sync,
@@ -244,6 +310,7 @@ pub(crate) fn split_panels<W: PanelWord + Send + Sync>(
     mx.resize(lines, 0);
     let (tile, stride) = (pack.layout.tile, pack.layout.tile_stride(len, pack.kb));
     let (mut words, mut exps) = (Vec::new(), Vec::new());
+    let word = &word;
     while words.len() < max_slices && mx.iter().any(|m| (1..INF_BITS).contains(m)) {
         let mut panel = pack.layout.blank(lines, len, pack.kb);
         let mut exp = vec![0i32; lines];
@@ -255,11 +322,19 @@ pub(crate) fn split_panels<W: PanelWord + Send + Sync>(
                     .zip(panel.chunks_mut(block / tile * stride))
                     .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
                     .collect();
-                p.for_each_mut(&mut jobs, |_, ((r, o), (e, m))| {
-                    extract_lines(r, o, e, m, beta, &pack, &word)
+                p.for_each_mut(&mut jobs, |_, ((rest, out), (exp, mx))| {
+                    kernel.run(ExtractLines { rest, out, exp, mx, beta, pack, word })
                 });
             }
-            None => extract_lines(&mut rest, &mut panel, &mut exp, &mut mx, beta, &pack, &word),
+            None => kernel.run(ExtractLines {
+                rest: &mut rest,
+                out: &mut panel,
+                exp: &mut exp,
+                mx: &mut mx,
+                beta,
+                pack,
+                word,
+            }),
         }
         words.push(panel);
         exps.push(exp);
@@ -289,12 +364,12 @@ pub(crate) fn lines_of(a: &Mat<f64>, by_rows: bool) -> (Vec<f64>, usize) {
 /// "reduced number of split matrices" mode the paper mentions for
 /// DGEMM-equivalent (rather than exact) accuracy.
 pub fn split_rows(a: &Mat<f64>, beta: u32, max_slices: usize) -> SplitMatrix {
-    split_matrix(a, beta, max_slices, true, None)
+    split_matrix(a, beta, max_slices, true, selected_kernel(), None)
 }
 
 /// Split `B` by columns into β-bit slices (for the right operand of GEMM).
 pub fn split_cols(b: &Mat<f64>, beta: u32, max_slices: usize) -> SplitMatrix {
-    split_matrix(b, beta, max_slices, false, None)
+    split_matrix(b, beta, max_slices, false, selected_kernel(), None)
 }
 
 /// [`split_rows`] with the per-line extractions fanned out over `pool`.
@@ -308,7 +383,7 @@ pub fn split_rows_parallel(
     max_slices: usize,
     pool: &WorkerPool,
 ) -> SplitMatrix {
-    split_matrix(a, beta, max_slices, true, Some(pool))
+    split_matrix(a, beta, max_slices, true, selected_kernel(), Some(pool))
 }
 
 /// [`split_cols`] with the per-line extractions fanned out over `pool`.
@@ -318,7 +393,7 @@ pub fn split_cols_parallel(
     max_slices: usize,
     pool: &WorkerPool,
 ) -> SplitMatrix {
-    split_matrix(b, beta, max_slices, false, Some(pool))
+    split_matrix(b, beta, max_slices, false, selected_kernel(), Some(pool))
 }
 
 /// The dense f64 form of [`split_panels`]: each slice's words are its
@@ -328,12 +403,13 @@ fn split_matrix(
     beta: u32,
     max_slices: usize,
     by_rows: bool,
+    kernel: KernelVariant,
     pool: Option<&WorkerPool>,
 ) -> SplitMatrix {
     let (rest, lines) = lines_of(a, by_rows);
     let size = rest.len();
     let pack = Pack::lines(size.checked_div(lines).unwrap_or(0));
-    let mut p = split_panels(rest, lines, beta, max_slices, pool, pack, |_, hi| hi);
+    let mut p = split_panels(rest, lines, beta, max_slices, kernel, pool, pack, |_, hi| hi);
     if p.words.is_empty() && !p.poisoned.is_empty() {
         p.words.push(vec![0.0; size]);
         p.exps.push(vec![0; lines]);

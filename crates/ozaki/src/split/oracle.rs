@@ -5,9 +5,11 @@
 //! line maxima and lines that run out before the budget.
 
 use super::*;
-use crate::gemm::{pow2_checked, OzakiConfig, SliceEngine};
+use crate::gemm::{OzakiConfig, SliceEngine};
 use crate::host_f16::HostF16Engine;
 use crate::int8::Int8Engine;
+use me_linalg::{available_variants, KernelVariant};
+use me_numerics::formats::pow2_checked;
 use me_numerics::Rng64;
 
 /// The replaced `ceil_exp`: `log2`, then an exact fix-up loop.
@@ -194,20 +196,46 @@ fn assert_same_split(new: &SplitMatrix, old: &SplitMatrix, label: &str) {
     }
 }
 
-fn assert_same_words<E: SliceEngine>(a: &Mat<f64>, old: &SplitMatrix, budget: usize, label: &str)
-where
+/// The engine words `split_panels` writes on `kernel` against the
+/// replaced pack pass: line-major, and in the engine's A and B layouts
+/// (chunks of 10, so tail groups and tail chunks occur; serial and on
+/// `pool`) against the same words packed one line at a time.
+fn assert_same_words<E: SliceEngine>(
+    a: &Mat<f64>,
+    old: &SplitMatrix,
+    budget: usize,
+    kernel: KernelVariant,
+    pool: &WorkerPool,
+    label: &str,
+) where
     E::Word: Bits,
 {
     let (rest, lines) = lines_of(a, old.by_rows);
-    let pack = Pack::lines(rest.len().checked_div(lines).unwrap_or(0));
-    let new = split_panels(rest, lines, old.beta, budget, None, pack, |r, _| E::narrow(r));
+    let len = rest.len().checked_div(lines).unwrap_or(0);
+    let split = |pack, pool| {
+        split_panels(rest.clone(), lines, old.beta, budget, kernel, pool, pack, |r, _| E::narrow(r))
+    };
+    let new = split(Pack::lines(len), None);
     let want = old_pack::<E>(old);
+    let bits = |w: &[E::Word]| w.iter().map(|w| w.bits()).collect::<Vec<u64>>();
     assert_eq!(new.exps, old.scale_exp, "{label}: panel exponents");
     assert_eq!(new.words.len(), want.len(), "{label}: panel count");
     for (p, (x, y)) in new.words.iter().zip(&want).enumerate() {
-        let (x, y): (Vec<u64>, Vec<u64>) =
-            (x.iter().map(|w| w.bits()).collect(), y.iter().map(|w| w.bits()).collect());
-        assert_eq!(x, y, "{label}: panel {p} words");
+        assert_eq!(bits(x), bits(y), "{label}: panel {p} words");
+    }
+    let kb = 10;
+    for layout in [E::LAYOUT_A, E::LAYOUT_B] {
+        for pool in [None, Some(pool)] {
+            let packed = split(Pack { layout, kb }, pool);
+            assert_eq!(packed.words.len(), want.len(), "{label}: {layout:?} panel count");
+            for (p, (x, y)) in packed.words.iter().zip(&want).enumerate() {
+                let mut expect = layout.blank(lines, len, kb);
+                for (li, line) in y.chunks(len.max(1)).enumerate().take(lines) {
+                    layout.put_line(&mut expect, li, line, kb);
+                }
+                assert_eq!(bits(x), bits(&expect), "{label}: {layout:?} panel {p}");
+            }
+        }
     }
 }
 
@@ -223,26 +251,37 @@ fn ceil_exp_matches_log2_fixup() {
 
 #[test]
 fn fused_split_matches_divide_and_round_bitwise() {
+    // Every variant the host runs; 33 lines fill one 32-line int8 B tile
+    // and leave a partial one.
     let pool = WorkerPool::new(3);
-    let mut rng = Rng64::seed_from_u64(11);
-    for beta in [1u32, 3, 5, 6, 8, 11, 17, 23, 26] {
-        for budget in [1usize, 3, 64] {
-            let a = matrix(&mut rng, beta, 13, 24);
-            for by_rows in [true, false] {
-                let label = format!("beta {beta}, budget {budget}, by_rows {by_rows}");
-                let old = old_split(&a, beta, budget, by_rows);
-                let new = split_matrix(&a, beta, budget, by_rows, None);
-                assert_same_split(&new, &old, &label);
-                let pooled = split_matrix(&a, beta, budget, by_rows, Some(&pool));
-                assert_same_split(&pooled, &old, &format!("{label}, 3-wide pool"));
-                if beta <= 23 {
-                    assert_same_words::<OzakiConfig>(&a, &old, budget, &format!("{label}, f32"));
-                }
-                if beta <= 11 {
-                    assert_same_words::<HostF16Engine>(&a, &old, budget, &format!("{label}, f16"));
-                }
-                if beta <= 6 {
-                    assert_same_words::<Int8Engine>(&a, &old, budget, &format!("{label}, i8"));
+    for kernel in available_variants() {
+        let mut rng = Rng64::seed_from_u64(11);
+        for beta in [1u32, 3, 5, 6, 8, 11, 17, 23, 26] {
+            for budget in [1usize, 3, 64] {
+                for (rows, cols) in [(13, 24), (33, 40)] {
+                    let a = matrix(&mut rng, beta, rows, cols);
+                    for by_rows in [true, false] {
+                        let label = format!(
+                            "{kernel}, {rows}x{cols}, beta {beta}, budget {budget}, by_rows {by_rows}"
+                        );
+                        let old = old_split(&a, beta, budget, by_rows);
+                        let new = split_matrix(&a, beta, budget, by_rows, kernel, None);
+                        assert_same_split(&new, &old, &label);
+                        let pooled = split_matrix(&a, beta, budget, by_rows, kernel, Some(&pool));
+                        assert_same_split(&pooled, &old, &format!("{label}, 3-wide pool"));
+                        if beta <= 23 {
+                            let l = format!("{label}, f32");
+                            assert_same_words::<OzakiConfig>(&a, &old, budget, kernel, &pool, &l);
+                        }
+                        if beta <= 11 {
+                            let l = format!("{label}, f16");
+                            assert_same_words::<HostF16Engine>(&a, &old, budget, kernel, &pool, &l);
+                        }
+                        if beta <= 6 {
+                            let l = format!("{label}, i8");
+                            assert_same_words::<Int8Engine>(&a, &old, budget, kernel, &pool, &l);
+                        }
+                    }
                 }
             }
         }

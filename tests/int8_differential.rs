@@ -1,10 +1,11 @@
 //! Cross-variant differential testing of the INT8 Ozaki GEMM — the
 //! integer sibling of `kernel_differential.rs`.
 //!
-//! The INT8 path claims (a) every kernel variant — scalar, portable,
-//! AVX2 `vpmaddubsw` — produces **bitwise identical** results, serial
-//! and at any thread count, because every engine call returns the exact
-//! i32 chunk dot and the recombination order is fixed; and (b) the
+//! The INT8 path claims (a) every kernel variant — the 8×32 AVX-512 VNNI
+//! `vpdpbusd` tile, the same tile on AVX2 `vpmaddwd`, and the scalar
+//! tile — produces **bitwise identical** results, serial and at any
+//! thread count, because every engine call returns the exact i32 chunk
+//! dot and the recombination order is fixed; and (b) the
 //! result is DGEMM-grade accurate against the f64 reference. Enforced
 //! over:
 //!
