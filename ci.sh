@@ -9,62 +9,57 @@
 #      the machine, the schedule real apps see)
 #   4. build + test with --no-default-features (the `trace` feature
 #      compiled out: the no-op probe layer must stay a drop-in)
-#   5. release smoke run of the parallel_scaling bench (exercises the
-#      worker pool + bitwise serial/parallel gates on optimized code)
-#   6. traced smoke run of the same bench (ME_BENCH_TRACE=1): emits
-#      artifacts/parallel_scaling_trace.json + .prom and structurally
-#      validates the Chrome JSON in-process (lanes, span names, events)
-#   7. kernel matrix: the cross-variant differential harness, the
+#   5. kernel matrix: the cross-variant differential harness, the
 #      trace-integration suite, the me-ozaki suite and the paper-headline
 #      goldens under every micro-kernel the host can run (ME_KERNEL=scalar,
 #      avx2 when CPUID has avx2+fma, and avx512 when it has avx512f),
 #      proving the dispatch override and the bitwise-identity
 #      contract on each variant independently — the simulated-ME Ozaki
-#      path runs its slice products on the dispatched kernel; the pinned
+#      path runs its slice products on the dispatched kernel; the
+#      differential harness (serial vs 1/2/8-thread pools), the pinned
 #      Ozaki output digest and the double-double fold differential (every
 #      available variant against the scalar `Accumulator::add`) also run
 #      on the optimized build the benchmark times, where the Ozaki fold
 #      and split are compiled per variant
-#   7b. half-precision stage: the f16/bf16 codec suite (hand-computed
+#   5b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM
 #      suites at both test parallelisms (the HostF16-Ozaki tests run with
-#      the full me-ozaki suite in stages 2, 3 and 7), then a
+#      the full me-ozaki suite in stages 2, 3 and 5), then a
 #      gemm_kernels smoke run (enforces the >= 2x-over-scalar gate on
 #      every SIMD variant the host supports — avx2, avx512 — and the
-#      cross-variant bitwise check; leaves
-#      artifacts/gemm_kernels_ukernel.txt)
-#   8. serve stage: the me-serve fault-injection + stress suites at both
+#      cross-variant bitwise check)
+#   6. serve stage: the me-serve fault-injection + stress suites at both
 #      test parallelisms and a --no-default-features build+test of the
-#      crate alone (the serve_throughput smoke runs once, in stage 9)
-#   8b. weight-cache + autotune stage: the weight_cache and
+#      crate alone (the serve_throughput smoke runs once, in stage 7)
+#   6b. weight-cache + autotune stage: the weight_cache and
 #      prepacked_differential suites with the cache enabled and again
 #      forced off via ME_WEIGHT_CACHE=0 (the serve path must be bitwise
 #      indistinguishable either way), then an autotune_blocking smoke
 #      that sweeps the blocking grid and must leave a parseable
-#      artifacts/autotune.json behind
-#   8c. int8 stage: the INT8-Ozaki slicing property suite and the
+#      autotune.json behind
+#   6c. int8 stage: the INT8-Ozaki slicing property suite and the
 #      cross-variant int8 differential harness at both test
 #      parallelisms and again in release (integer overflow panics in
 #      debug builds and wraps in release, and the int8 path must be
 #      exact in both), then a smoke run of the ozaki_int8 bench
-#      (enforces the >= 2x vectorized engine-call speed gate, the
-#      DGEMM-grade accuracy gate, and the INT8-beats-FP16 energy gate;
-#      leaves artifacts/ozaki_int8.txt behind)
-#   9. serve-scale stage: the lock-free ring linearizability suite, the
+#      (enforces the >= 2x vectorized engine-call speed gate and the
+#      cross-variant bitwise check)
+#   7. serve-scale stage: the lock-free ring linearizability suite, the
 #      golden-digest replay, and the fairness + SLO property suites at
-#      both test parallelisms (stage 8 already runs fault-injection +
+#      both test parallelisms (stage 6 already runs fault-injection +
 #      stress on the ring at both); and a smoke run of the multi-tenant
 #      open-loop replay (enforces the p99-within-SLO gate and exact
-#      global + per-tenant conservation; leaves artifacts/serve_replay.txt;
-#      the same run enforces the >= 2x batched-vs-unbatched gate, the
-#      B-cache >= no-cache gate and the >= 90% steady-state cache hit-rate
-#      gate)
-#  10. me-verify: full static analysis (lints + lock-order + env/hot/fma
+#      global + per-tenant conservation; the same run enforces the >= 2x
+#      batched-vs-unbatched gate and the B-cache >= no-cache gate)
+#   8. me-verify: full static analysis (lints + lock-order + env/hot/fma
 #      rule families, deny warnings) + model audit, uploading
 #      artifacts/verify_report.json and .sarif
-#  11. negative fixtures: me-verify over the committed violation tree
+#   9. negative fixtures: me-verify over the committed violation tree
 #      must FAIL and must name every v2 rule family — proof the
 #      analyzer itself has not regressed into silence
+#
+# Bench smoke runs (ME_BENCH_SMOKE=1) write their artifacts under
+# target/bench-smoke/, never over the committed artifacts/ copies.
 set -eu
 
 cd "$(dirname "$0")"
@@ -82,13 +77,7 @@ echo "==> cargo build + test --workspace --no-default-features (trace compiled o
 cargo build --workspace --no-default-features
 cargo test --workspace -q --no-default-features
 
-echo "==> parallel_scaling smoke (release)"
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench parallel_scaling
-
-echo "==> parallel_scaling traced smoke (release, validates Chrome JSON)"
-ME_BENCH_SMOKE=1 ME_BENCH_TRACE=1 cargo bench -q -p me-bench --features external-bench --bench parallel_scaling
-test -s artifacts/parallel_scaling_trace.json
-test -s artifacts/parallel_scaling_metrics.prom
+SMOKE=target/bench-smoke
 
 echo "==> kernel matrix (ME_KERNEL x differential + trace suites)"
 KERNELS="scalar"
@@ -103,6 +92,7 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --test kernel_differential --test trace_integration \
         --test paper_headlines
     ME_KERNEL=$K cargo test -q -p me-ozaki
+    ME_KERNEL=$K cargo test -q --release --test kernel_differential
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test pinned_digest
     ME_KERNEL=$K cargo test -q --release -p me-linalg --test fold_differential
 done
@@ -114,9 +104,9 @@ RUST_TEST_THREADS=1 cargo test -q -p me-numerics --test half_formats
 RUST_TEST_THREADS=1 cargo test -q -p me-linalg half
 
 echo "==> half-precision stage: gemm_kernels smoke (release, >= 2x SIMD gate)"
-rm -f artifacts/gemm_kernels_ukernel.txt
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench gemm_kernels
-test -s artifacts/gemm_kernels_ukernel.txt
+rm -f $SMOKE/gemm_kernels_ukernel.txt
+ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --bench gemm_kernels
+test -s $SMOKE/gemm_kernels_ukernel.txt
 
 echo "==> serve stage: fault injection + stress (default and single-threaded)"
 cargo test -q -p me-serve --test fault_injection --test stress
@@ -132,10 +122,10 @@ cargo test -q --test prepacked_differential
 ME_WEIGHT_CACHE=0 cargo test -q -p me-serve --test weight_cache
 ME_WEIGHT_CACHE=0 cargo test -q -p me-serve --test fault_injection
 
-echo "==> weight-cache stage: autotune_blocking smoke (writes artifacts/autotune.json)"
-rm -f artifacts/autotune.json
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench autotune_blocking
-test -s artifacts/autotune.json
+echo "==> weight-cache stage: autotune_blocking smoke (writes $SMOKE/autotune.json)"
+rm -f $SMOKE/autotune.json
+ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --bench autotune_blocking
+test -s $SMOKE/autotune.json
 
 echo "==> int8 stage: slicing property + differential suites (both parallelisms, debug + release)"
 cargo test -q -p me-ozaki --test int8_slicing
@@ -145,19 +135,19 @@ RUST_TEST_THREADS=1 cargo test -q --test int8_differential
 cargo test -q --release -p me-ozaki --test int8_slicing
 cargo test -q --release --test int8_differential
 
-echo "==> int8 stage: ozaki_int8 smoke (release, speed/accuracy/energy gates)"
-rm -f artifacts/ozaki_int8.txt
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench ozaki_int8
-test -s artifacts/ozaki_int8.txt
+echo "==> int8 stage: ozaki_int8 smoke (release, speed + bitwise gates)"
+rm -f $SMOKE/ozaki_int8.txt
+ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --bench ozaki_int8
+test -s $SMOKE/ozaki_int8.txt
 
 echo "==> serve-scale stage: ring + differential + fairness suites (both parallelisms)"
 cargo test -q -p me-serve --test ring --test differential --test fairness
 RUST_TEST_THREADS=1 cargo test -q -p me-serve --test ring --test differential --test fairness
 
 echo "==> serve-scale stage: multi-tenant replay smoke (throughput/SLO/conservation gates)"
-rm -f artifacts/serve_replay.txt
-ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --features external-bench --bench serve_throughput
-test -s artifacts/serve_replay.txt
+rm -f $SMOKE/serve_replay.txt
+ME_BENCH_SMOKE=1 cargo bench -q -p me-bench --bench serve_throughput
+test -s $SMOKE/serve_replay.txt
 
 echo "==> me-verify --deny-warnings (json + sarif artifacts)"
 mkdir -p artifacts

@@ -16,13 +16,13 @@
 //! its `kc` matches, and within FLOP-counted tolerance otherwise (the §9
 //! contract — only `kc` is numerically observable).
 //!
-//! `ME_BENCH_SMOKE=1` swaps in `SweepConfig::QUICK` for the CI gate.
+//! `ME_BENCH_SMOKE=1` swaps in `SweepConfig::QUICK` for the CI gate and
+//! sweeps into a fresh `target/bench-smoke/autotune.json`
+//! ([`me_bench::artifact_path`]).
 
-use std::path::Path;
-use std::path::PathBuf;
 use std::time::Instant;
 
-use me_bench::bench_matrix;
+use me_bench::{artifact_path, bench_matrix, smoke};
 use me_linalg::blas3::autotune::{ensure_autotuned, read_artifact, SweepConfig};
 use me_linalg::{blocking_for, gemm_tiled_with_blocking, set_blocking_override, Blocking, Mat};
 
@@ -45,12 +45,8 @@ fn time_blocking(
 }
 
 fn main() {
-    let smoke = std::env::var_os("ME_BENCH_SMOKE").is_some();
-    let config = if smoke { SweepConfig::QUICK } else { SweepConfig::DEFAULT };
-    // Workspace-root artifacts/, next to the other emitted artifacts
-    // (benches run with the package dir as cwd).
-    let path: PathBuf =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("artifacts/autotune.json");
+    let config = if smoke() { SweepConfig::QUICK } else { SweepConfig::DEFAULT };
+    let path = artifact_path("autotune.json");
     let path = path.as_path();
 
     let t0 = Instant::now();

@@ -23,18 +23,20 @@
 //! 1. every result from every arm is bitwise identical to the serial
 //!    `gemm_tiled_with` reference (the speedups are not bought with
 //!    numerics),
-//! 2. batched throughput ≥ 2x unbatched (the PR 5 gate, unchanged),
-//! 3. the B-cache arm is at least as fast as the no-cache arm,
-//! 4. the B-cache arm's steady-state hit rate is ≥ 90 %.
+//! 2. batched throughput ≥ 2x unbatched,
+//! 3. the B-cache arm is at least as fast as the no-cache arm.
 //!
+//! The steady-state hit rate (≥ 90 %) is a `me-serve` test
+//! (`weight_cache::cached_scheduler_matches_uncached_and_serial_bitwise`).
 //! `ME_BENCH_SMOKE=1` shrinks the trace for the CI gate (and raises the
-//! pass count so the hit-rate gate still has a steady state to measure).
+//! pass count so the cache arms still reach a steady state), and writes
+//! the replay report to `target/bench-smoke/` ([`me_bench::artifact_path`]).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use me_bench::bench_matrix;
+use me_bench::{artifact_path, bench_matrix, smoke};
 use me_linalg::{gemm_tiled_with, KernelVariant, Mat};
 use me_serve::{
     Job, Outcome, Scheduler, ServeConfig, StatsSnapshot, SubmitError, TenantId, Ticket,
@@ -90,7 +92,8 @@ fn build_trace(total: usize, seed: u64) -> (Vec<TraceReq>, Vec<Arc<Mat<f64>>>) {
 
 /// Push the trace through one persistent scheduler `passes` times
 /// (submit all, drain all, repeat); returns the total wall time, the
-/// final pass's per-request outputs (trace order), and the counters.
+/// final pass's per-request outputs (trace order), after checking the
+/// scheduler's books are conserved.
 fn run_arm(
     trace: &[TraceReq],
     weights: &[Arc<Mat<f64>>],
@@ -98,7 +101,7 @@ fn run_arm(
     batch_max: usize,
     cache_bytes: usize,
     passes: usize,
-) -> (f64, Vec<Mat<f64>>, StatsSnapshot) {
+) -> (f64, Vec<Mat<f64>>) {
     let sched = Scheduler::new(ServeConfig {
         shards: 1,
         shard_threads: 1,
@@ -134,7 +137,7 @@ fn run_arm(
     let elapsed = t0.elapsed().as_secs_f64();
     let stats = sched.shutdown();
     assert!(stats.is_conserved(), "conservation broken: {stats:?}");
-    (elapsed, outputs, stats)
+    (elapsed, outputs)
 }
 
 fn assert_bitwise(arm: &str, got: &[Mat<f64>], refs: &[Mat<f64>]) {
@@ -147,9 +150,9 @@ fn assert_bitwise(arm: &str, got: &[Mat<f64>], refs: &[Mat<f64>]) {
 }
 
 fn main() {
-    let smoke = std::env::var_os("ME_BENCH_SMOKE").is_some();
-    // Smoke shrinks the trace but replays more passes: the hit-rate gate
-    // needs enough steady-state lookups to drown the cold-pass misses.
+    let smoke = smoke();
+    // Smoke shrinks the trace but replays more passes, so the cache A/B
+    // still compares steady states rather than the cold first pass.
     let (total, reps, passes) = if smoke { (400, 3, 10) } else { (4000, 2, 3) };
     // The cache A/B runs at a small coalescing window (one B-pack per
     // ~12 stacked rows — the regime the cache is for) and on the fastest
@@ -198,13 +201,11 @@ fn main() {
     let mut best_batched = f64::INFINITY;
     let mut best_nocache = f64::INFINITY;
     let mut best_cached = f64::INFINITY;
-    let mut cached_stats = None;
     for _ in 0..reps {
-        let (t_u, out_u, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 1, 0, 1);
-        let (t_b, out_b, _) = run_arm(&trace, &weights, KernelVariant::Scalar, 64, 0, 1);
-        let (t_n, out_n, _) = run_arm(&trace, &weights, fast, cache_batch, 0, passes);
-        let (t_c, out_c, stats_c) =
-            run_arm(&trace, &weights, fast, cache_batch, 64 << 20, passes);
+        let (t_u, out_u) = run_arm(&trace, &weights, KernelVariant::Scalar, 1, 0, 1);
+        let (t_b, out_b) = run_arm(&trace, &weights, KernelVariant::Scalar, 64, 0, 1);
+        let (t_n, out_n) = run_arm(&trace, &weights, fast, cache_batch, 0, passes);
+        let (t_c, out_c) = run_arm(&trace, &weights, fast, cache_batch, 64 << 20, passes);
         assert_bitwise("unbatched", &out_u, &refs);
         assert_bitwise("batched", &out_b, &refs);
         assert_bitwise("batched no-cache", &out_n, &refs_fast);
@@ -213,7 +214,6 @@ fn main() {
         best_batched = best_batched.min(t_b);
         best_nocache = best_nocache.min(t_n / passes as f64);
         best_cached = best_cached.min(t_c / passes as f64);
-        cached_stats = Some(stats_c);
     }
     let speedup_batch = best_unbatched / best_batched;
     let speedup_cache = best_nocache / best_cached;
@@ -239,18 +239,6 @@ fn main() {
         total as f64 / best_cached,
         best_cached
     );
-    let stats = cached_stats.expect("at least one rep ran");
-    let lookups = stats.cache_hits + stats.cache_misses;
-    let hit_rate = stats.cache_hits as f64 / lookups.max(1) as f64;
-    println!(
-        "  B-cache arm: {} batches, {} lookups, {} hits ({:.1}% hit rate), {} evictions, {:.1} MiB of repacks saved",
-        stats.batches,
-        lookups,
-        stats.cache_hits,
-        100.0 * hit_rate,
-        stats.cache_evictions,
-        stats.cache_pack_bytes_saved as f64 / (1024.0 * 1024.0)
-    );
     assert!(
         speedup_batch >= 2.0,
         "acceptance gate: batched serving must be >= 2x unbatched, measured {speedup_batch:.2}x"
@@ -258,11 +246,6 @@ fn main() {
     assert!(
         speedup_cache >= 1.0,
         "acceptance gate: the B-cache arm must not lose to the no-cache arm, measured {speedup_cache:.2}x"
-    );
-    assert!(
-        hit_rate >= 0.9,
-        "acceptance gate: steady-state replay must hit >= 90%, measured {:.1}% over {lookups} lookups",
-        100.0 * hit_rate
     );
 
     run_replay(smoke, fast);
@@ -278,14 +261,13 @@ fn main() {
 // Two in-bench gates:
 //
 //   1. latency SLO — open-loop p99 at 60 % of calibrated capacity stays
-//      under max(250 ms, 3 × closed-loop p99), overridable via
-//      ME_SERVE_SLO_MS;
+//      under max(250 ms, 3 × closed-loop p99);
 //   2. conservation — enqueued == ok + timed_out + shed + failed,
 //      globally and per tenant, with upstream (QueueFull) rejections
 //      accounted separately.
 //
-// The replay writes its report to artifacts/serve_replay.txt before
-// asserting the gates, so a failed gate still leaves the evidence.
+// The replay writes its report to serve_replay.txt (artifact_path)
+// before asserting the gates, so a failed gate still leaves the evidence.
 // ---------------------------------------------------------------------
 
 /// One tenant: a serving model whose GEMM mix this tenant replays.
@@ -578,12 +560,8 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
     );
 
     // Gate 1 SLO: generous floor, or 3x the closed-loop p99, whichever
-    // is larger; ME_SERVE_SLO_MS overrides for exploratory runs.
-    let slo_ns = std::env::var("ME_SERVE_SLO_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(|ms| ms * 1_000_000)
-        .unwrap_or_else(|| (3 * p99_closed).max(250_000_000));
+    // is larger.
+    let slo_ns = (3 * p99_closed).max(250_000_000);
 
     // The replay proper: open loop at 60 % of the calibrated capacity.
     let rate = 0.6 * rate_closed;
@@ -660,12 +638,9 @@ fn run_replay(smoke: bool, variant: KernelVariant) {
         && tenants.iter().map(|t| t.enqueued).sum::<u64>() == stats.enqueued;
     let _ = writeln!(report, "p99_within_slo: {gate_slo}");
     let _ = writeln!(report, "conservation_exact: {gate_conserved}");
-    // Workspace-root artifacts/, next to the other emitted artifacts
-    // (benches run with the package directory as CWD).
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("artifacts");
-    std::fs::create_dir_all(&dir).expect("create artifacts dir");
-    std::fs::write(dir.join("serve_replay.txt"), &report).expect("write replay report");
-    println!("  report: artifacts/serve_replay.txt");
+    let path = artifact_path("serve_replay.txt");
+    std::fs::write(&path, &report).expect("write replay report");
+    println!("  report: {}", path.display());
 
     assert!(
         gate_slo,

@@ -1,19 +1,44 @@
 //! # me-bench
 //!
-//! Benchmark harness on the in-tree criterion-compatible shim
-//! ([`crit`]). Bench binaries (feature `external-bench`):
+//! Four gated benchmark binaries, run with
+//! `cargo bench -p me-bench --bench <name>`:
 //!
-//! - `paper_artifacts` — one benchmark group per paper table/figure: each
-//!   group times the full regeneration of that artifact through the
-//!   pipeline and prints the artifact itself once (so `cargo bench`
-//!   reproduces the paper's rows/series alongside the timings),
-//! - `gemm_kernels` — the BLAS substrate's GEMM code paths (naive /
-//!   blocked / tiled / parallel) on real matrices: the measured-walltime
-//!   analogue of Table II's scalar-vs-vectorized comparison,
-//! - `ozaki` — the real Ozaki-scheme GEMM across accuracy targets and
-//!   input ranges (the algorithmic cost behind Table VIII).
+//! - `gemm_kernels` — single-thread A/B of the packed f64 micro-kernel
+//!   variants; every SIMD variant must be ≥ 2× scalar and bitwise equal
+//!   to it (the measured analogue of Table II's scalar-vs-vectorized row),
+//! - `ozaki_int8` — the packed int8 engine-call A/B (≥ 2× speed gate,
+//!   bitwise check) beside the modeled FP16-vs-INT8 energy table,
+//! - `serve_throughput` — batched vs unbatched serving and the weight-cache
+//!   A/B on a Table V mix, then the multi-tenant open-loop replay (p99
+//!   within SLO, exact conservation),
+//! - `autotune_blocking` — the blocking sweep that writes
+//!   `artifacts/autotune.json`, reloaded and applied.
+//!
+//! `ME_BENCH_SMOKE=1` shrinks each to a CI-sized run whose artifact goes to
+//! `target/bench-smoke/` instead of over the committed `artifacts/` copy.
 
-pub mod crit;
+use std::path::PathBuf;
+
+/// Whether `ME_BENCH_SMOKE` asks for the CI-sized run.
+// me-verify: env-startup
+pub fn smoke() -> bool {
+    std::env::var_os("ME_BENCH_SMOKE").is_some()
+}
+
+/// Where a bench writes its artifact `name`: the workspace-root
+/// `artifacts/` directory, or `target/bench-smoke/` under
+/// `ME_BENCH_SMOKE`, so a smoke run never rewrites a committed artifact.
+/// Creates the directory; exits with status 1 if it cannot.
+pub fn artifact_path(name: &str) -> PathBuf {
+    // Benches run with the package directory as cwd.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = root.join(if smoke() { "target/bench-smoke" } else { "artifacts" });
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("me-bench: cannot create {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+    dir.join(name)
+}
 
 /// Shared helper: deterministic matrix for benches.
 pub fn bench_matrix(rows: usize, cols: usize, seed: u64) -> me_linalg::Mat<f64> {

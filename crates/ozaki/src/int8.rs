@@ -191,12 +191,18 @@ mod tests {
 
     #[test]
     fn int8_engine_reaches_dgemm_accuracy() {
-        let a = ranged_matrix(10, 14, 6.0, 1);
-        let b = ranged_matrix(14, 8, 6.0, 2);
-        let r = ozaki_gemm(&a, &b, &Int8Engine::default());
-        let c_ref = reference_gemm(&a, &b);
-        let err = me_numerics::max_rel_err(r.c.as_slice(), c_ref.as_slice());
-        assert!(err < 1e-12, "int8-engine Ozaki rel err {err}");
+        // A small 1e6-range case, then square n = 24 / 48 at range 1e12.
+        let cases = [
+            (ranged_matrix(10, 14, 6.0, 1), ranged_matrix(14, 8, 6.0, 2)),
+            (ranged_matrix(24, 24, 12.0, 23), ranged_matrix(24, 24, 12.0, 24)),
+            (ranged_matrix(48, 48, 12.0, 23), ranged_matrix(48, 48, 12.0, 24)),
+        ];
+        for (a, b) in &cases {
+            let r = ozaki_gemm(a, b, &Int8Engine::default());
+            let c_ref = reference_gemm(a, b);
+            let err = me_numerics::max_rel_err(r.c.as_slice(), c_ref.as_slice());
+            assert!(err < 1e-12, "int8-engine Ozaki rel err {err} at {}x{}", a.rows(), b.cols());
+        }
     }
 
     #[test]

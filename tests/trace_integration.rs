@@ -1,8 +1,8 @@
 //! End-to-end trace-layer integration: a real pool runs the instrumented
 //! GEMM and Ozaki paths, a modeled timeline joins them, and the exported
 //! Chrome JSON + Prometheus dump must validate with the expected lanes
-//! and span names — the in-process version of the `parallel_scaling
-//! --trace` CI gate.
+//! and span names. This is the repository's check of the Chrome-trace
+//! structure (required spans, named worker lanes, the modeled lane).
 //!
 //! With the `trace` feature disabled the same binary instead asserts the
 //! zero-overhead claim: the span guard is a zero-sized type, the API is
