@@ -1,17 +1,23 @@
-//! The INT8 Ozaki engine-call A/B and the FP16-vs-INT8 substrate record.
+//! The INT8 and f32 Ozaki engine-call A/B and the FP16-vs-INT8 substrate
+//! record.
 //!
 //! One packed 128×128×128 int8 engine call on β = 6 operands is timed on
 //! every variant the host supports (min of fixed-iteration loops). Gates:
 //! every variant returns the scalar i32 tile bit for bit (integer
 //! associativity), and the fastest vectorized variant is ≥ 2× scalar.
-//! Beside it, `ozaki_int8.txt` ([`me_bench::artifact_path`]) records the
-//! host's measured int8 and f16 Ozaki call times and the analytic A100
-//! FP16-ME vs INT8 energy table. The accuracy and energy claims are unit
-//! tests in `me-ozaki` (`int8::tests`, `energy::tests`).
+//! Beside it, one packed 128×128×128 f32 engine call (`gemm_f32_f32`, the
+//! simulated-ME and, after widening, host-f16 slice product) is timed the
+//! same way on values whose sums round; every variant must return the
+//! scalar bits, and its speed is a record, not a gate. `ozaki_int8.txt`
+//! ([`me_bench::artifact_path`]) also records the host's measured int8 and
+//! f16 Ozaki call times and the analytic A100 FP16-ME vs INT8 energy
+//! table. The accuracy and energy claims are unit tests in `me-ozaki`
+//! (`int8::tests`, `energy::tests`).
 
 use me_bench::{artifact_path, smoke};
 use me_linalg::{
-    available_variants, gemm_i8_i32, selected_kernel, vnni_supported, KernelVariant, PanelLayout,
+    available_variants, gemm_f32_f32, gemm_i8_i32, selected_kernel, vnni_supported, KernelVariant,
+    PanelLayout,
 };
 use me_ozaki::perf::ranged_matrix;
 use me_ozaki::{int8_vs_f16_rows, ozaki_gemm, HostF16Engine, Int8Engine};
@@ -37,6 +43,72 @@ fn packed_slices(layout: PanelLayout, n: usize, seed: u64) -> Vec<i8> {
     panel
 }
 
+/// `n × n` deterministic non-integer f32 values in (−1, 1), whose chunk
+/// sums round (so a reordered or split FMA changes bits), packed as `n`
+/// lines of length `n` into `layout`.
+fn packed_f32(layout: PanelLayout, n: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+    let values: Vec<f32> = (0..n * n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        })
+        .collect();
+    let mut panel = layout.blank(n, n, n);
+    for (li, line) in values.chunks(n).enumerate() {
+        layout.put_line(&mut panel, li, line, n);
+    }
+    panel
+}
+
+/// Best-of-`reps` seconds of `f`.
+fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// The f32 engine-call A/B: one row per variant, every variant checked
+/// bit for bit against scalar. A record, not a gate.
+fn f32_engine_rows(n: usize, reps: usize) -> Vec<String> {
+    let (la, lb) = (PanelLayout::F32_A, PanelLayout::F32_B);
+    let (a, b) = (packed_f32(la, n, 5), packed_f32(lb, n, 6));
+    let call = |v: KernelVariant, out: &mut [f32]| {
+        gemm_f32_f32(v, n, n, n, la.chunk(&a, 0, 0, n, n), lb.chunk(&b, 0, 0, n, n), out);
+    };
+    let mut expect = vec![0.0f32; n * n];
+    call(KernelVariant::Scalar, &mut expect);
+    let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rows = vec![
+        format!("# f32 engine call A/B (gemm_f32_f32, 8x32 tile), {n}x{n}x{n} packed, sums round"),
+        "# variant  time_us  gflops  speedup_vs_scalar".to_string(),
+    ];
+    let mut scalar_time = None;
+    let mut out = vec![0.0f32; n * n];
+    for v in available_variants() {
+        let best = best_secs(reps, || call(v, &mut out));
+        assert!(bits(&out) == bits(&expect), "{v} f32 engine call diverged from scalar bits");
+        let scalar = *scalar_time.get_or_insert(best);
+        let line = format!(
+            "{:<9} {:>8.2} {:>7.2} {:>18.2}",
+            v.name(),
+            best * 1e6,
+            2.0 * (n * n * n) as f64 / best / 1e9,
+            scalar / best
+        );
+        println!("bench f32_engine_call/{line}");
+        rows.push(line);
+    }
+    rows.push("# every variant returned the scalar bits".to_string());
+    rows
+}
+
 fn main() {
     let (n, reps) = (128, if smoke() { 5 } else { 30 });
     let a = packed_slices(PanelLayout::I8_A, n, 3);
@@ -60,12 +132,7 @@ fn main() {
     let mut best_vectorized: Option<(KernelVariant, f64)> = None;
     let mut out = vec![0i32; n * n];
     for v in available_variants() {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            call(v, &mut out);
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
+        let best = best_secs(reps, || call(v, &mut out));
         assert!(out == expect, "{v} engine call diverged from scalar on the slice domain");
         if v == KernelVariant::Scalar {
             scalar_time = Some(best);
@@ -89,23 +156,15 @@ fn main() {
         assert!(speedup >= 2.0, "speed gate: {v} is only {speedup:.2}x scalar (need >= 2x)");
         lines.push(format!("# speed gate: {v} {speedup:.2}x scalar (>= 2x) ok"));
     }
+    lines.extend(f32_engine_rows(n, reps));
 
     // Measured record beside the modeled energy table: the host's own
     // int8 and f16 Ozaki call times at the benchmark's n = 128,
     // dispatched kernel, min of 5 calls.
     let am = ranged_matrix(n, n, 16.0, 25);
     let bm = ranged_matrix(n, n, 16.0, 26);
-    let call_ms = |f: &dyn Fn()| {
-        (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let int8_ms = call_ms(&|| drop(ozaki_gemm(&am, &bm, &Int8Engine::default())));
-    let f16_ms = call_ms(&|| drop(ozaki_gemm(&am, &bm, &HostF16Engine::default())));
+    let int8_ms = best_secs(5, || drop(ozaki_gemm(&am, &bm, &Int8Engine::default()))) * 1e3;
+    let f16_ms = best_secs(5, || drop(ozaki_gemm(&am, &bm, &HostF16Engine::default()))) * 1e3;
     lines.push(format!(
         "# measured (record, not a gate): {} kernel, ozaki n={n} range 1e16: host-int8 {int8_ms:.2} ms, \
          host-f16 {f16_ms:.2} ms per call ({:.2}x)",

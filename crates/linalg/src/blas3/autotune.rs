@@ -15,6 +15,11 @@
 //! init — only an explicit [`ensure_autotuned`] / [`read_artifact`] call
 //! consults it, so a stale file can't silently change test behavior.
 //!
+//! The artifact records the host it was swept on ([`HostKey`]: the kernel
+//! variants it could run and its CPU model). [`ensure_autotuned`] only
+//! reuses winners swept on the current host; on any other it re-sweeps
+//! and rewrites the file.
+//!
 //! Every candidate keeps `kc ≥ 128`: `kc` is the one numerically
 //! observable parameter (it sets the per-element FMA grouping, see
 //! [`super::blocking`]), and the repo's bitwise differential suites pin
@@ -30,7 +35,37 @@ use std::time::Instant;
 
 /// Schema version stamped into the artifact; bump on layout changes so
 /// [`read_artifact`] rejects files written by an incompatible build.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
+
+/// The machine a sweep timed: what [`ensure_autotuned`] compares before
+/// it reuses an artifact's winners.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HostKey {
+    /// The names of [`available_variants`], space-separated, in order.
+    pub variants: String,
+    /// The first `model name` in `/proc/cpuinfo`; empty where there is
+    /// none. Characters the artifact reader treats as structure are
+    /// dropped.
+    pub cpu: String,
+}
+
+impl HostKey {
+    /// The host this process runs on.
+    pub fn current() -> HostKey {
+        let names: Vec<&str> = available_variants().iter().map(|v| v.name()).collect();
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|text| {
+                text.lines().find_map(|line| {
+                    let (key, value) = line.split_once(':')?;
+                    (key.trim() == "model name").then(|| value.trim().to_string())
+                })
+            })
+            .unwrap_or_default();
+        let cpu = cpu.chars().filter(|c| !"\"\\{}[]".contains(*c)).collect();
+        HostKey { variants: names.join(" "), cpu }
+    }
+}
 
 /// One sweep winner: the best-timed blocking for one kernel variant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,6 +82,8 @@ pub struct TunedEntry {
 /// shape the timings were taken on (recorded for reproducibility).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AutotuneResult {
+    /// The machine the sweep ran on.
+    pub host: HostKey,
     /// `(m, k, n)` of the timing GEMM.
     pub shape: (usize, usize, usize),
     /// Winners, one per swept variant.
@@ -133,7 +170,7 @@ pub fn sweep(config: SweepConfig) -> AutotuneResult {
             entries.push(TunedEntry { variant, blocking, gflops });
         }
     }
-    AutotuneResult { shape: (m, k, n), entries }
+    AutotuneResult { host: HostKey::current(), shape: (m, k, n), entries }
 }
 
 /// Install the sweep winners as runtime blocking overrides, skipping any
@@ -157,6 +194,8 @@ pub fn to_json(result: &AutotuneResult) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"version\": {ARTIFACT_VERSION},\n"));
+    let HostKey { variants, cpu } = &result.host;
+    out.push_str(&format!("  \"host\": {{\"variants\": \"{variants}\", \"cpu\": \"{cpu}\"}},\n"));
     let (m, k, n) = result.shape;
     out.push_str(&format!("  \"shape\": {{\"m\": {m}, \"k\": {k}, \"n\": {n}}},\n"));
     out.push_str("  \"entries\": [\n");
@@ -183,6 +222,11 @@ pub fn from_json(text: &str) -> Option<AutotuneResult> {
     if json_usize_field(text, "version")? != ARTIFACT_VERSION as usize {
         return None;
     }
+    let host_obj = json_object_after(text, "host")?;
+    let host = HostKey {
+        variants: json_str_field(host_obj, "variants")?.to_string(),
+        cpu: json_str_field(host_obj, "cpu")?.to_string(),
+    };
     let shape_obj = json_object_after(text, "shape")?;
     let shape = (
         json_usize_field(shape_obj, "m")?,
@@ -202,7 +246,7 @@ pub fn from_json(text: &str) -> Option<AutotuneResult> {
         let gflops = json_f64_field(obj, "gflops")?;
         entries.push(TunedEntry { variant, blocking, gflops });
     }
-    Some(AutotuneResult { shape, entries })
+    Some(AutotuneResult { host, shape, entries })
 }
 
 /// Write the artifact JSON to `path`, creating parent directories.
@@ -231,20 +275,27 @@ pub fn read_artifact(path: &Path) -> std::io::Result<Option<AutotuneResult>> {
 }
 
 /// The startup entry point benches and apps call: load `path` if a valid
-/// artifact exists there, else run [`sweep`] with `config` and persist
-/// it; then [`apply`] the winners (honoring `ME_BLOCKING` priority) and
+/// artifact swept on this host ([`HostKey::current`]) exists there, else
+/// run [`sweep`] with `config` and persist it over whatever was there;
+/// then [`apply`] the winners (honoring `ME_BLOCKING` priority) and
 /// return the result. Library code never calls this implicitly.
 pub fn ensure_autotuned(path: &Path, config: SweepConfig) -> std::io::Result<AutotuneResult> {
-    let result = match read_artifact(path)? {
-        Some(cached) => cached,
-        None => {
-            let fresh = sweep(config);
-            write_artifact(path, &fresh)?;
-            fresh
-        }
-    };
+    let result = load_or_sweep(path, config)?;
     apply(&result);
     Ok(result)
+}
+
+/// [`ensure_autotuned`] without the [`apply`]: the artifact at `path` if
+/// it was swept on this host, else a fresh sweep written over it.
+fn load_or_sweep(path: &Path, config: SweepConfig) -> std::io::Result<AutotuneResult> {
+    match read_artifact(path)? {
+        Some(cached) if cached.host == HostKey::current() => Ok(cached),
+        _ => {
+            let fresh = sweep(config);
+            write_artifact(path, &fresh)?;
+            Ok(fresh)
+        }
+    }
 }
 
 // --- minimal schema-specific JSON scanning helpers ---
@@ -297,6 +348,7 @@ mod tests {
 
     fn sample() -> AutotuneResult {
         AutotuneResult {
+            host: HostKey { variants: "scalar avx2".into(), cpu: "Sample CPU @ 2.0GHz".into() },
             shape: (64, 256, 64),
             entries: vec![
                 TunedEntry {
@@ -317,6 +369,7 @@ mod tests {
     fn json_roundtrip() {
         let r = sample();
         let parsed = from_json(&to_json(&r)).expect("roundtrip must parse");
+        assert_eq!(parsed.host, r.host);
         assert_eq!(parsed.shape, r.shape);
         assert_eq!(parsed.entries.len(), r.entries.len());
         for (a, b) in parsed.entries.iter().zip(&r.entries) {
@@ -330,16 +383,51 @@ mod tests {
     fn rejects_foreign_or_stale_json() {
         assert!(from_json("").is_none());
         assert!(from_json("{\"version\": 999, \"entries\": []}").is_none());
-        assert!(from_json("{\"version\": 1}").is_none(), "missing shape/entries");
+        let v = ARTIFACT_VERSION;
+        let bare = format!("{{\"version\": {v}}}");
+        assert!(from_json(&bare).is_none(), "missing host/shape/entries");
+        // A version-1 artifact (no host) is stale.
+        let mut old = to_json(&sample()).replace(&format!("\"version\": {v}"), "\"version\": 1");
+        assert!(from_json(&old).is_none(), "version 1");
+        old = to_json(&sample()).replace("  \"host\"", "  \"hostname\"");
+        assert!(from_json(&old).is_none(), "no host");
         // A valid shell with an undecodable entry fails loudly.
         // `portable` is a retired variant: an artifact naming it is stale.
         for variant in ["warp9", "portable"] {
-            let bad = format!(
-                "{{\"version\": 1, \"shape\": {{\"m\":1,\"k\":1,\"n\":1}},\n \
-                 \"entries\": [{{\"variant\": \"{variant}\", \"mc\":1,\"kc\":1,\"nc\":8,\"gflops\":1}}]}}"
-            );
-            assert!(from_json(&bad).is_none(), "{variant}");
+            let bad = to_json(&sample()).replacen("\"scalar\"", &format!("\"{variant}\""), 1);
+            assert!(bad.contains(variant) && from_json(&bad).is_none(), "{variant}");
         }
+    }
+
+    #[test]
+    fn host_key_names_the_runnable_variants() {
+        let host = HostKey::current();
+        let names: Vec<&str> = available_variants().iter().map(|v| v.name()).collect();
+        assert_eq!(host.variants, names.join(" "));
+        assert!(!host.cpu.contains(['"', '{', '}']), "{host:?}");
+    }
+
+    #[test]
+    fn another_hosts_artifact_is_re_swept_and_this_hosts_is_reused() {
+        let dir = std::env::temp_dir().join(format!("me_autotune_host_{}", std::process::id()));
+        let path = dir.join("autotune.json");
+        let tiny = SweepConfig { m: 8, k: 128, n: 8, reps: 1 };
+        // Forged: the sample's winners, stamped with another machine.
+        let forged = AutotuneResult {
+            host: HostKey { cpu: "Forged CPU".into(), ..HostKey::current() },
+            ..sample()
+        };
+        write_artifact(&path, &forged).expect("write forged artifact");
+        let got = load_or_sweep(&path, tiny).expect("re-sweep");
+        assert_eq!(got.host, HostKey::current());
+        assert_eq!(got.shape, (8, 128, 8), "forged winners were reused");
+        let back = read_artifact(&path).expect("parses").expect("exists");
+        assert_eq!((back.host, back.shape), (got.host, got.shape), "artifact not rewritten");
+        // Stamped with this machine: loaded as it is, no sweep.
+        let ours = AutotuneResult { host: HostKey::current(), ..sample() };
+        write_artifact(&path, &ours).expect("write artifact");
+        assert_eq!(load_or_sweep(&path, tiny).expect("load").shape, ours.shape);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,19 +20,21 @@
 //! - [`gemm_half_f32`] / [`gemm_f32_f32`] — the "engine call" primitive
 //!   beside [`super::gemm_i8_i32`]: one call is one emulated FP16
 //!   matrix-engine product over a k-chunk, on operand panels the caller
-//!   packed once into the micro-kernel's layout ([`super::panel`]). The
-//!   f32 front hands its panels to the micro-kernel as they are; the half
-//!   front first widens each tile's chunk block in one contiguous pass
-//!   (`vcvtph2ps` on AVX-512, the software codec elsewhere). The `me-ozaki`
-//!   HostF16 backend drives the half front and the simulated matrix engine
-//!   the f32 front for their slice products.
+//!   packed once into the engine layouts ([`super::panel`]). It runs on its
+//!   own 8 × 32 register tile (`ukernel::engine_tile`, the int8 tile's
+//!   shape), not the 4 × 8 GEMM micro-kernel. The f32 front hands its
+//!   panels to the tile kernel as they are; the half front first widens
+//!   each tile's chunk block in one contiguous pass (`vcvtph2ps` on
+//!   AVX-512, the software codec elsewhere). The `me-ozaki` HostF16 backend
+//!   drives the half front and the simulated matrix engine the f32 front
+//!   for their slice products.
 //!
 //! Narrowing (f32 → 16 bits) happens only in [`HalfMat`] construction and
 //! uses the round-to-nearest-even codecs from `me_numerics::formats`
 //! ([`F16Bits`] / [`Bf16Bits`]); the compute path never rounds to 16 bits.
 
 use super::panel::{PanelChunk, PanelLayout};
-use super::ukernel::{self, KernelVariant, MR, NR};
+use super::ukernel::{self, KernelVariant, MR, MR_F32, NR, NR_F32};
 use super::{blocking_for, Blocking};
 use crate::mat::{Mat, MatMut};
 use me_numerics::{Bf16Bits, F16Bits};
@@ -378,12 +380,13 @@ pub fn gemm_half_parallel_with(
 /// and the chunk sums are bit-identical to a scalar `mul_add` chain over
 /// the widened operands.
 ///
-/// `a` is the chunk of `m` A rows in [`PanelLayout::F32_A`] and `b` the
-/// chunk of `n` B columns in [`PanelLayout::F32_B`], both packed once by
-/// the caller. Each tile's chunk block is widened in one contiguous pass
-/// (`vcvtph2ps` on AVX-512, the codec elsewhere) and handed to the
-/// f32 core of [`gemm_f32_f32`]. The `me-ozaki` HostF16 backend's slice
-/// product; counted per call on `ukernel.half.<variant>`.
+/// `a` is the chunk of `m` A rows in [`PanelLayout::F32_A`] (8-row
+/// tiles) and `b` the chunk of `n` B columns in [`PanelLayout::F32_B`]
+/// (32-column tiles), both packed once by the caller. Each tile's chunk
+/// block is widened in one contiguous pass (`vcvtph2ps` on AVX-512, the
+/// codec elsewhere) and handed to the f32 core of [`gemm_f32_f32`]. The
+/// `me-ozaki` HostF16 backend's slice product; counted per call on
+/// `ukernel.half.<variant>`.
 // me-verify: hot
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_half_f32(
@@ -401,24 +404,24 @@ pub fn gemm_half_f32(
     }
     let variant = variant.resolve_supported();
     me_trace::counter_add(variant.half_counter(), 1);
-    let (ta, tb) = (m.div_ceil(MR), n.div_ceil(NR));
-    crate::mat::with_pack_scratch::<f32, _>(ta * MR * kc, tb * NR * kc, |apack, bpack| {
-        for (t, dst) in apack.chunks_exact_mut((MR * kc).max(1)).enumerate() {
-            widen_into(variant, kind, a.tile(t, MR * kc), dst);
+    let (ta, tb) = (m.div_ceil(MR_F32), n.div_ceil(NR_F32));
+    crate::mat::with_pack_scratch::<f32, _>(ta * MR_F32 * kc, tb * NR_F32 * kc, |apack, bpack| {
+        for (t, dst) in apack.chunks_exact_mut((MR_F32 * kc).max(1)).enumerate() {
+            widen_into(variant, kind, a.tile(t, MR_F32 * kc), dst);
         }
-        for (t, dst) in bpack.chunks_exact_mut((NR * kc).max(1)).enumerate() {
-            widen_into(variant, kind, b.tile(t, NR * kc), dst);
+        for (t, dst) in bpack.chunks_exact_mut((NR_F32 * kc).max(1)).enumerate() {
+            widen_into(variant, kind, b.tile(t, NR_F32 * kc), dst);
         }
-        let a = PanelChunk::new(apack, MR * kc, PanelLayout::F32_A);
-        let b = PanelChunk::new(bpack, NR * kc, PanelLayout::F32_B);
+        let a = PanelChunk::new(apack, MR_F32 * kc, PanelLayout::F32_A);
+        let b = PanelChunk::new(bpack, NR_F32 * kc, PanelLayout::F32_B);
         engine_core(variant, m, n, kc, a, b, out);
     });
 }
 
-/// [`gemm_half_f32`] on f32 panels, which the micro-kernel reads as they
+/// [`gemm_half_f32`] on f32 panels, which the engine tile reads as they
 /// are: the call only computes. The `me-ozaki` simulated matrix engine
 /// drives this for its integer-valued slice panels, so it shares one
-/// micro-kernel path with the HostF16 backend and differs only in slice
+/// kernel path with the HostF16 backend and differs only in slice
 /// storage. Counted per call on `ukernel.<variant>`.
 // me-verify: hot
 pub fn gemm_f32_f32(
@@ -439,8 +442,10 @@ pub fn gemm_f32_f32(
 }
 
 /// The engine-call core behind [`gemm_half_f32`] and [`gemm_f32_f32`]: the
-/// dispatched micro-kernel per MR×NR tile of the packed chunks, the valid
-/// `m × n` part copied into `out`. `variant` must be resolved.
+/// dispatched engine tile (`ukernel::engine_tile`) per [`MR_F32`] ×
+/// [`NR_F32`] tile of the packed chunks, the valid `m × n` part copied
+/// into `out`. Column tiles run outermost, so one B tile block stays in L1
+/// while the A tiles stream past it. `variant` must be resolved.
 // me-verify: hot
 fn engine_core(
     variant: KernelVariant,
@@ -460,16 +465,16 @@ fn engine_core(
         out[..m * n].fill(0.0);
         return;
     }
-    for it in 0..m.div_ceil(MR) {
-        let ap = a.tile(it, MR * kc);
-        let mr = MR.min(m - it * MR);
-        for jt in 0..n.div_ceil(NR) {
-            let acc = ukernel::micro_kernel(variant, ap, b.tile(jt, NR * kc), kc);
-            let j0 = jt * NR;
-            let nc = NR.min(n - j0);
+    for jt in 0..n.div_ceil(NR_F32) {
+        let bp = b.tile(jt, NR_F32 * kc);
+        let j0 = jt * NR_F32;
+        let nr = NR_F32.min(n - j0);
+        for it in 0..m.div_ceil(MR_F32) {
+            let mr = MR_F32.min(m - it * MR_F32);
+            let acc = ukernel::engine_tile(variant, a.tile(it, MR_F32 * kc), bp, kc, mr, nr);
             for (r, accr) in acc.iter().enumerate().take(mr) {
-                let at = (it * MR + r) * n + j0;
-                out[at..at + nc].copy_from_slice(&accr[..nc]);
+                let at = (it * MR_F32 + r) * n + j0;
+                out[at..at + nr].copy_from_slice(&accr[..nr]);
             }
         }
     }

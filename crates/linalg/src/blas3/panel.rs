@@ -21,6 +21,10 @@
 //! first line starts a tile is a run of whole tiles, and a pool can split a
 //! panel into disjoint runs of tiles.
 //!
+//! The f32 engine layouts ([`PanelLayout::F32_A`], 8-row tiles, and
+//! [`PanelLayout::F32_B`], 32-column tiles, both one k value per group)
+//! and the int8 ones share the 8 × 32 register tile of their engine calls.
+//!
 //! **Writing a panel.** [`PanelLayout::put_lines`] writes consecutive
 //! lines a tile at a time; [`PanelLayout::put_line`] is its one-line form.
 //! A whole tile of an engine layout (`F32_A`, `F32_B`, `I8_B`) is written
@@ -40,7 +44,7 @@
 //! take them in the pass that makes the words ([`chunk_sums`] otherwise).
 
 use super::int8::{MR_I8, NR_I8};
-use super::ukernel::{MR, NR};
+use super::ukernel::{MR_F32, NR_F32};
 
 /// k values per group of the int8 B layout.
 const KG: usize = 4;
@@ -138,13 +142,14 @@ impl PanelLayout {
     /// One line after another, unpadded: the plain line-major form.
     pub const LINES: PanelLayout =
         PanelLayout { tile: 1, group: 0, k_pad: 1, format: PanelFormat::Plain };
-    /// A of the f32 engine call: the [`MR`]-row micro-panels of the f32
-    /// micro-kernel, one k step of MR values after another.
+    /// A of the f32 engine call: [`MR_F32`]-row tiles of its register
+    /// tile, one k step of 8 values after another.
     pub const F32_A: PanelLayout =
-        PanelLayout { tile: MR, group: 1, k_pad: 1, format: PanelFormat::Plain };
-    /// B of the f32 engine call: [`NR`]-column micro-panels.
+        PanelLayout { tile: MR_F32, group: 1, k_pad: 1, format: PanelFormat::Plain };
+    /// B of the f32 engine call: [`NR_F32`]-column tiles, one k step of 32
+    /// values (two 16-lane loads) after another.
     pub const F32_B: PanelLayout =
-        PanelLayout { tile: NR, group: 1, k_pad: 1, format: PanelFormat::Plain };
+        PanelLayout { tile: NR_F32, group: 1, k_pad: 1, format: PanelFormat::Plain };
     /// A of the int8 engine call: [`MR_I8`]-row tiles, each chunk
     /// row-major and padded to whole groups of 4 (the rows an AMX A tile
     /// loads at a stride), stored as offset bytes.
@@ -292,8 +297,12 @@ impl PanelLayout {
         // (only i8 words take it, so other words do not carry its copy).
         let whole = r0 == 0 && rows == self.tile;
         match (self.tile, self.group) {
-            (MR, 1) if whole && !W::INT8 => interleave::<W, MR, 1>(block, lines, k, k0, kc, f),
-            (NR, 1) if whole && !W::INT8 => interleave::<W, NR, 1>(block, lines, k, k0, kc, f),
+            (MR_F32, 1) if whole && !W::INT8 => {
+                interleave::<W, MR_F32, 1>(block, lines, k, k0, kc, f)
+            }
+            (NR_F32, 1) if whole && !W::INT8 => {
+                interleave::<W, NR_F32, 1>(block, lines, k, k0, kc, f)
+            }
             (NR_I8, KG) if whole && W::INT8 => {
                 interleave::<W, NR_I8, KG>(block, lines, k, k0, kc, f)
             }

@@ -27,6 +27,19 @@
 //! kernel variants. `tests/kernel_differential.rs` enforces this over a
 //! seeded shape × alpha/beta × special-value grid rather than asserting it.
 //!
+//! **The f32 engine-call tile.** The Ozaki f32 slice products
+//! (`gemm_f32_f32` / `gemm_half_f32`) do not run on the MR×NR GEMM tile:
+//! `engine_tile` computes an [`MR_F32`] × [`NR_F32`] (8 × 32) tile, the
+//! shape of the int8 engine tile, on panels in `PanelLayout::F32_A` /
+//! `F32_B`. On AVX-512 each row is two `__m512`, 16 accumulators fed by
+//! two B loads and one broadcast per row per k step, where the 4×8 f32
+//! tile keeps two accumulators and permutes three times per step. AVX2
+//! runs the same tile in 4-row × 16-column passes (8 `__m256`
+//! accumulators), the scalar kernel the plain `mul_add` loop. The same
+//! one-FMA-per-accumulator-per-ascending-k contract holds, so the bits
+//! are those of the scalar chain; `crates/linalg/tests/f32_tile_edges.rs`
+//! checks every variant across the tile edges.
+//!
 //! Selection happens once at startup through the [`KernelDispatch`] table:
 //! the `ME_KERNEL` environment variable (`scalar` | `avx2` | `avx512`)
 //! overrides the best-detected default, and benches/tests can override at
@@ -41,6 +54,11 @@ pub const MR: usize = 4;
 /// Micro-tile width in C columns — one 8-lane f32 register, or two 4-lane
 /// f64 registers.
 pub const NR: usize = 8;
+/// Rows of the f32 engine-call register tile (`engine_tile`).
+pub const MR_F32: usize = 8;
+/// Columns of the f32 engine-call register tile: two 16-lane f32
+/// registers.
+pub const NR_F32: usize = 32;
 
 /// Environment variable forcing a kernel variant at startup
 /// (`scalar` | `avx2` | `avx512`, case-insensitive).
@@ -679,6 +697,162 @@ unsafe fn avx512_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
     // stores cover rows 0..2 and 2..4 exactly.
     _mm512_storeu_ps(out_ptr, acc[0]);
     _mm512_storeu_ps(out_ptr.add(16), acc[1]);
+    out
+}
+
+/// One [`MR_F32`] × [`NR_F32`] tile of the f32 engine call: `ap` holds
+/// `kc` steps of 8 A values, `bp` `kc` steps of 32 B values (the
+/// `PanelLayout::F32_A` / `F32_B` tile blocks). Rows from `mr` and
+/// columns from `nr` on are padding the caller drops; a kernel may leave
+/// them unset. Every valid accumulator gets one correctly-rounded FMA per
+/// ascending k step on every variant, so every variant returns the scalar
+/// bits.
+// me-verify: hot
+pub(crate) fn engine_tile(
+    variant: KernelVariant,
+    ap: &[f32],
+    bp: &[f32],
+    kc: usize,
+    mr: usize,
+    nr: usize,
+) -> [[f32; NR_F32]; MR_F32] {
+    assert!(ap.len() >= kc * MR_F32 && bp.len() >= kc * NR_F32, "packed tile too short");
+    assert!(mr <= MR_F32 && nr <= NR_F32, "engine tile: {mr}x{nr} exceeds the tile");
+    #[cfg(target_arch = "x86_64")]
+    {
+        let v = variant.resolve_supported();
+        if v != KernelVariant::Scalar {
+            // SAFETY: resolved, so `Avx512` means `avx512_supported()`
+            // proved AVX512F and `Avx2` that `avx2_supported()` proved
+            // AVX2 and FMA, the features each kernel enables; the asserts
+            // above cover every load either makes.
+            return unsafe {
+                if v == KernelVariant::Avx512 {
+                    engine_tile_avx512(ap, bp, kc)
+                } else {
+                    engine_tile_avx2(ap, bp, kc, mr, nr)
+                }
+            };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = variant;
+    engine_tile_scalar(ap, bp, kc, mr, nr)
+}
+
+/// The scalar engine tile: one `mul_add` per valid accumulator per k step,
+/// ascending k — the chain every other variant reproduces.
+// me-verify: hot
+fn engine_tile_scalar(
+    ap: &[f32],
+    bp: &[f32],
+    kc: usize,
+    mr: usize,
+    nr: usize,
+) -> [[f32; NR_F32]; MR_F32] {
+    let mut acc = [[0.0f32; NR_F32]; MR_F32];
+    for p in 0..kc {
+        let av = &ap[p * MR_F32..(p + 1) * MR_F32];
+        let bv = &bp[p * NR_F32..p * NR_F32 + nr];
+        for (accr, &a) in acc.iter_mut().zip(av).take(mr) {
+            for (accv, &b) in accr.iter_mut().zip(bv) {
+                *accv = a.mul_add(b, *accv);
+            }
+        }
+    }
+    acc
+}
+
+/// 8×32 f32 engine tile on AVX512F: `acc[r]` holds row `r` as two 16-lane
+/// `__m512`, 16 accumulators in all. Per k step: two loads of the 32 B
+/// values, and per row one broadcast of the A value and two
+/// `vfmadd231ps` — one fused multiply-add per accumulator per k step,
+/// ascending k.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX512F (runtime-detected) and
+/// `ap.len() >= 8·kc`, `bp.len() >= 32·kc`.
+// me-verify: hot
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn engine_tile_avx512(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR_F32]; MR_F32] {
+    use std::arch::x86_64::{
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    let mut acc = [[_mm512_setzero_ps(); 2]; MR_F32];
+    for p in 0..kc {
+        // SAFETY (pointers): p < kc, so the two 16-lane B loads end at
+        // most at 32·kc <= bp.len(), and each A read at 8·p + 8 <= ap.len().
+        let b = bp.as_ptr().add(p * NR_F32);
+        let (b0, b1) = (_mm512_loadu_ps(b), _mm512_loadu_ps(b.add(16)));
+        let av = ap.as_ptr().add(p * MR_F32);
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let a = _mm512_set1_ps(*av.add(r));
+            accr[0] = _mm512_fmadd_ps(a, b0, accr[0]);
+            accr[1] = _mm512_fmadd_ps(a, b1, accr[1]);
+        }
+    }
+    let mut out = [[0.0f32; NR_F32]; MR_F32];
+    for (outr, accr) in out.iter_mut().zip(&acc) {
+        // SAFETY: outr is an [f32; 32]; the two 16-lane stores cover it.
+        _mm512_storeu_ps(outr.as_mut_ptr(), accr[0]);
+        _mm512_storeu_ps(outr.as_mut_ptr().add(16), accr[1]);
+    }
+    out
+}
+
+/// The 8×32 f32 engine tile on AVX2+FMA, in passes of 4 rows × 16
+/// columns: 8 `__m256` accumulators, and per k step two loads of B and,
+/// per row, one broadcast of A and two `vfmaddps` — one fused
+/// multiply-add per accumulator per k step, ascending k. Passes wholly
+/// past `mr` rows or `nr` columns are skipped.
+///
+/// # Safety
+///
+/// Caller must guarantee AVX2 and FMA (runtime-detected),
+/// `ap.len() >= 8·kc`, `bp.len() >= 32·kc`, `mr <= 8` and `nr <= 32`.
+// me-verify: hot
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn engine_tile_avx2(
+    ap: &[f32],
+    bp: &[f32],
+    kc: usize,
+    mr: usize,
+    nr: usize,
+) -> [[f32; NR_F32]; MR_F32] {
+    use std::arch::x86_64::{
+        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    const ROWS: usize = 4;
+    const COLS: usize = 16;
+    let mut out = [[0.0f32; NR_F32]; MR_F32];
+    for r0 in (0..mr).step_by(ROWS) {
+        for j0 in (0..nr).step_by(COLS) {
+            let mut acc = [[_mm256_setzero_ps(); 2]; ROWS];
+            for p in 0..kc {
+                // SAFETY (pointers): p < kc, r0 <= 4 and j0 <= 16, so the
+                // two 8-lane B loads end at most at 32·kc <= bp.len(), and
+                // each A read at 8·p + 8 <= ap.len().
+                let b = bp.as_ptr().add(p * NR_F32 + j0);
+                let (b0, b1) = (_mm256_loadu_ps(b), _mm256_loadu_ps(b.add(8)));
+                let av = ap.as_ptr().add(p * MR_F32 + r0);
+                for (r, accr) in acc.iter_mut().enumerate() {
+                    let a = _mm256_broadcast_ss(&*av.add(r));
+                    accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
+                    accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
+                }
+            }
+            for (outr, accr) in out[r0..r0 + ROWS].iter_mut().zip(&acc) {
+                // SAFETY: j0 <= 16 and outr is an [f32; 32], so the two
+                // 8-lane stores end at most at its end.
+                _mm256_storeu_ps(outr.as_mut_ptr().add(j0), accr[0]);
+                _mm256_storeu_ps(outr.as_mut_ptr().add(j0 + 8), accr[1]);
+            }
+        }
+    }
     out
 }
 

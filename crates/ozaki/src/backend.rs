@@ -4,7 +4,7 @@
 //! The repo carries three [`crate::gemm::SliceEngine`]s under one driver:
 //! the simulated f16-multiply/f32-accumulate matrix engine
 //! ([`OzakiConfig`], the paper's Tensor-Core model, integer `f32` slices
-//! on the host's f32 micro-kernel), the host f16 path ([`HostF16Engine`],
+//! on the host's f32 engine tile), the host f16 path ([`HostF16Engine`],
 //! the same kernel core on binary16-stored slices) and the host INT8 path
 //! ([`Int8Engine`], real `i8×i8→i32` micro-kernels). [`OzakiBackend`]
 //! makes the choice a *config*, so callers — the serving layer, the
@@ -22,7 +22,7 @@ use me_par::WorkerPool;
 #[derive(Debug, Clone, Copy)]
 pub enum OzakiBackend {
     /// The simulated f16/f32 matrix engine (Tensor-Core model): integer
-    /// `f32` slice panels on the host's dispatched f32 micro-kernel.
+    /// `f32` slice panels on the host's dispatched f32 engine tile.
     SimulatedMe(OzakiConfig),
     /// Host INT8 kernels (i8×i8→i32 on an 8×32 register tile: AVX-512
     /// VNNI `vpdpbusd` / AVX2 `vpmaddwd` / scalar, per the process

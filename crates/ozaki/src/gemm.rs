@@ -8,7 +8,7 @@
 //! it traces under. The driver behind every GEMM entry point
 //! ([`ozaki_gemm_on`]) does the rest once: split each line of A (rows) and
 //! B (columns) straight into one panel of words per slice, packed as the
-//! split writes it into the engine's micro-panel layout
+//! split writes it into the engine's panel layout
 //! ([`SliceEngine::LAYOUT_A`], [`SliceEngine::LAYOUT_B`]; a layout also
 //! carries any operand format its kernel wants, such as INT8's offset A
 //! bytes and B column sums) — so each slice is packed once per call and
@@ -33,9 +33,9 @@
 //! [`OzakiConfig`], the simulated f16-multiply/f32-accumulate matrix
 //! engine, stores integer-valued `f32` slices and runs every engine call —
 //! in GEMM, GEMV and dot alike — through [`me_linalg::gemm_f32_f32`]: the
-//! packed f32 micro-kernel the host selected at startup
-//! ([`selected_kernel`]), the same core the host-f16 substrate reaches
-//! through `gemm_half_f32`. Each kernel variant performs one
+//! packed 8 × 32 f32 engine tile on the kernel variant the host selected
+//! at startup ([`selected_kernel`]), the same core the host-f16 substrate
+//! reaches through `gemm_half_f32`. Each kernel variant performs one
 //! correctly-rounded FMA per accumulator per ascending k step (DESIGN §9),
 //! so a chunk sum carries the bits of the ascending scalar `mul_add` chain
 //! over the chunk — exact or not — and the result does not depend on the
@@ -258,9 +258,9 @@ impl SliceEngine for OzakiConfig {
         self.k_block
     }
 
-    /// The f32 micro-kernel's MR-row micro-panels.
+    /// The f32 engine call's 8-row tiles.
     const LAYOUT_A: PanelLayout = PanelLayout::F32_A;
-    /// The f32 micro-kernel's NR-column micro-panels.
+    /// The f32 engine call's 32-column tiles.
     const LAYOUT_B: PanelLayout = PanelLayout::F32_B;
 
     #[inline(always)]
@@ -268,7 +268,7 @@ impl SliceEngine for OzakiConfig {
         narrow_f32_exact(x)
     }
 
-    /// f32 multiplies and accumulation on the dispatched micro-kernel
+    /// f32 multiplies and accumulation on the dispatched engine tile
     /// (exactness under the β budget verified by `f32_products_are_exact`).
     fn engine_call(
         variant: KernelVariant,

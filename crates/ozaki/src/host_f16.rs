@@ -5,9 +5,9 @@
 //! in genuine 16-bit IEEE binary16 words and executes every chunk product
 //! through [`me_linalg::gemm_half_f32`] — the engine-call core the
 //! simulated matrix engine ([`crate::gemm::OzakiConfig`]) reaches through
-//! `gemm_f32_f32`, over the host's dispatched micro-kernels (strict
-//! scalar, AVX2, AVX-512). The binary16 panels are packed once per call in
-//! the f32 micro-kernel's layout, and each engine call widens the tile
+//! `gemm_f32_f32`, on the host's dispatched 8 × 32 f32 engine tile
+//! (strict scalar, AVX2, AVX-512). The binary16 panels are packed once per
+//! call in the engine tile's layout, and each engine call widens the tile
 //! blocks it reads in one contiguous pass (`vcvtph2ps` where the variant
 //! has it): the memory traffic and arithmetic of a host-SIMD FP16
 //! emulation. The two substrates differ only in slice storage; the driver
@@ -20,7 +20,7 @@
 //!   `mul_precision` says, so slice integers have magnitude ≤ 2^β ≤ 2048
 //!   and every one is exactly representable: the f16 round trip of each
 //!   panel value is the identity on the simulated panel;
-//! - both substrates pack the same f32 values into the same micro-kernel,
+//! - both substrates pack the same f32 values into the same engine tile,
 //!   which performs exactly one correctly-rounded FMA per accumulator per
 //!   ascending k step (DESIGN §9) — so each chunk sum has the same f32
 //!   bits, before the shared `(p, q) → k-chunk → element` fold.
@@ -107,9 +107,9 @@ impl SliceEngine for HostF16Engine {
         self.k_block
     }
 
-    /// The f32 micro-kernel's MR-row micro-panels, in binary16 words.
+    /// The f32 engine call's 8-row tiles, in binary16 words.
     const LAYOUT_A: PanelLayout = PanelLayout::F32_A;
-    /// The f32 micro-kernel's NR-column micro-panels, in binary16 words.
+    /// The f32 engine call's 32-column tiles, in binary16 words.
     const LAYOUT_B: PanelLayout = PanelLayout::F32_B;
 
     /// Binary16 bits of the slice integer, exact under the β cap: sign,
@@ -129,8 +129,8 @@ impl SliceEngine for HostF16Engine {
     }
 
     /// Binary16 operands widened per tile block in one contiguous pass,
-    /// one f32 FMA per ascending k step on the host's dispatched
-    /// micro-kernels.
+    /// one f32 FMA per ascending k step on the host's dispatched engine
+    /// tile.
     fn engine_call(
         variant: KernelVariant,
         m: usize,

@@ -44,9 +44,7 @@ pub mod split;
 
 pub use backend::{ozaki_gemm_backend, ozaki_gemm_backend_parallel, OzakiBackend};
 pub use bounds::{plan, truncation_bound, SplitPlan};
-pub use energy::{
-    emit_energy_counters, host_f16_vs_me_vs_int8_rows, int8_vs_f16_rows, EnergyRow,
-};
+pub use energy::{host_f16_vs_me_vs_int8_rows, int8_vs_f16_rows, EnergyRow};
 pub use engine_exec::{ozaki_gemm_systolic, EngineOzakiResult};
 pub use gemm::{
     ozaki_dot, ozaki_gemm, ozaki_gemm_on, ozaki_gemm_parallel, ozaki_gemv, OzakiConfig,
