@@ -19,9 +19,10 @@
 //! order depends only on the global KC grid, never on the row partition or
 //! tile membership.
 //!
-//! The packed core's inner MR×NR tile is computed by a runtime-dispatched
-//! micro-kernel ([`ukernel`]): strictly scalar, or hand-written AVX2+FMA
-//! or AVX-512F intrinsics — all bitwise identical by the
+//! The packed core's register blocks (one MR×NR tile, or 8 × 24 for f64
+//! on AVX-512) are computed by a runtime-dispatched micro-kernel
+//! ([`ukernel`]): strictly scalar, or hand-written AVX2+FMA or AVX-512F
+//! intrinsics — all bitwise identical by the
 //! fixed-FMA-order contract, so the dispatch choice (env `ME_KERNEL`, the
 //! benches' `--kernel` flag, or CPUID detection) never changes a result
 //! bit. The `_with` entry points ([`gemm_tiled_with`],
@@ -292,10 +293,16 @@ enum BOperand<'b, T: Scalar> {
 /// Loop order is NC column blocks (outermost) → KC chunks (the shared
 /// grid: every element sees the same k-chunking regardless of the row
 /// partition, so parallel == serial bitwise) → MC cache blocks of packed
-/// A → MR×NR micro-tiles against the B panel — fresh-packed into scratch
-/// or borrowed from a [`PackedB`], byte-identical either way. The MR×NR
-/// tile itself runs the caller-pinned [`ukernel`] variant; the write-back
-/// stays scalar in every variant (part of the bitwise-identity contract).
+/// A → register blocks against the B panel, fresh-packed into scratch or
+/// borrowed from a [`PackedB`], byte-identical either way. Inside an MC
+/// block ([`KernelBlocks`]) groups of B micro-panels are outer and
+/// groups of A micro-panels inner, so the B group stays cache-hot while
+/// A streams. A register block is 8 × 24 (two MR-row A micro-panels × three
+/// NR-column B micro-panels) for f64 on AVX-512 and one MR×NR tile
+/// otherwise; it runs the caller-pinned [`ukernel`] variant, and the
+/// write-back is one `alpha.mul_add` per element in every variant (part
+/// of the bitwise-identity contract). The packed layout is the MR×NR one
+/// for every variant.
 ///
 /// Of `blocking` only `kc` is numerically observable (it sets the
 /// per-element FMA grouping); `mc`/`nc` merely reorder independent
@@ -358,29 +365,84 @@ fn gemm_packed_panel<T: Scalar>(
                         let _t = me_trace::span("gemm.pack_a", "linalg");
                         pack_a(a, r0 + ib, mc, kb, kc, apack);
                     }
-                    // One span per MC block (not per micro-tile: the tile loop
-                    // is too hot); covers the kernel and its write-back.
+                    // One span per MC block (not per register block: that
+                    // loop is too hot); covers the kernel and its write-back.
                     let _t = me_trace::span("gemm.micro_kernel", "linalg");
-                    for it in 0..mc.div_ceil(MR) {
-                        let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-                        let mr = MR.min(mc - it * MR);
-                        for jt in 0..ntiles_n {
-                            let bp = &bpanel[jt * NR * kc..jt * NR * kc + NR * kc];
-                            let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                            let j0 = jb + jt * NR;
-                            let nc = NR.min(n - j0);
-                            for (r, accr) in acc.iter().enumerate().take(mr) {
-                                let crow = &mut c.row_mut(ib + it * MR + r)[j0..j0 + nc];
-                                for (cv, &av) in crow.iter_mut().zip(accr) {
-                                    *cv = alpha.mul_add(av, *cv);
-                                }
-                            }
-                        }
-                    }
+                    KernelBlocks { variant, alpha, apack, bpanel, kc, mc, c, ib, jb, ntiles_n }
+                        .run();
                 }
             }
         }
     });
+}
+
+/// The register-block loop over one packed MC × NC block: `apack` holds
+/// the `mc` rows' MR-row micro-panels, `bpanel` the `ntiles_n` NR-column
+/// micro-panels from C column `jb` on, both `kc` deep. B micro-panel
+/// groups are outer and A micro-panel groups inner, so one group of B
+/// panels stays cache-hot while the A panels stream past it. Each
+/// [`ukernel::block_shape`] group (8 × 24 on AVX-512 f64, one 4 × 8 tile
+/// elsewhere; smaller groups at the block's edges) is computed by
+/// [`ukernel::micro_block`] and added into C rows from `ib` on with one
+/// `alpha.mul_add` per element, clipped to the valid rows and columns.
+/// Shared by the f64/f32 core and the half-precision GEMM.
+///
+/// [`Self::run`] runs the loop through [`KernelVariant::run`], compiled
+/// at the variant's instruction set: on AVX-512 the write-back's
+/// `mul_add` is an inline `vfmadd` over C rows instead of a libm call per
+/// element. Each element still gets one correctly rounded FMA, so the
+/// bits do not depend on the variant.
+pub(crate) struct KernelBlocks<'a, 'c, T: Scalar> {
+    pub(crate) variant: KernelVariant,
+    pub(crate) alpha: T,
+    pub(crate) apack: &'a [T],
+    pub(crate) bpanel: &'a [T],
+    pub(crate) kc: usize,
+    pub(crate) mc: usize,
+    pub(crate) c: &'a mut MatMut<'c, T>,
+    pub(crate) ib: usize,
+    pub(crate) jb: usize,
+    pub(crate) ntiles_n: usize,
+}
+
+impl<T: Scalar> KernelBlocks<'_, '_, T> {
+    /// Run the loop on `self.variant`.
+    // me-verify: hot
+    pub(crate) fn run(self) {
+        self.variant.run(self);
+    }
+}
+
+impl<T: Scalar> VariantWork for KernelBlocks<'_, '_, T> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call(self) {
+        let KernelBlocks { variant, alpha, apack, bpanel, kc, mc, c, ib, jb, ntiles_n } = self;
+        let (ra_blk, cb_blk) = ukernel::block_shape::<T>(variant);
+        let mtiles = mc.div_ceil(MR);
+        let n = c.cols();
+        let mut block: ukernel::Block<T> =
+            [[[T::ZERO; NR]; ukernel::BLOCK_CB]; ukernel::BLOCK_ROWS];
+        for jg in (0..ntiles_n).step_by(cb_blk) {
+            let cb = cb_blk.min(ntiles_n - jg);
+            let bp = &bpanel[jg * NR * kc..(jg + cb) * NR * kc];
+            let j0 = jb + jg * NR;
+            let cols = (cb * NR).min(n - j0);
+            for ig in (0..mtiles).step_by(ra_blk) {
+                let ra = ra_blk.min(mtiles - ig);
+                let ap = &apack[ig * MR * kc..(ig + ra) * MR * kc];
+                ukernel::micro_block(variant, ap, bp, kc, (ra, cb), &mut block);
+                let rows = (ra * MR).min(mc - ig * MR);
+                for (r, acc) in block.iter().enumerate().take(rows) {
+                    let crow = &mut c.row_mut(ib + ig * MR + r)[j0..j0 + cols];
+                    for (cv, &av) in crow.iter_mut().zip(acc.as_flattened()) {
+                        *cv = alpha.mul_add(av, *cv);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Tiled GEMM parallelized over disjoint row panels of C on a persistent
@@ -466,9 +528,9 @@ pub fn gemm_parallel_on_with<T: Scalar>(
     // Resolve the blocking once, outside the workers: every panel must
     // run the same kc grid even if an override lands mid-GEMM.
     let blocking = blocking_for(variant).normalized();
-    // MR-aligned panel boundaries keep whole micro-tiles on one worker;
-    // correctness and bitwise equality hold for any split.
-    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
+    // Block-aligned panel boundaries keep whole 8-row register blocks on
+    // one worker; correctness and bitwise equality hold for any split.
+    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(ukernel::BLOCK_ROWS);
     let mut panels: Vec<(usize, MatMut<'_, T>)> = c.split_rows_mut(rows_per).collect();
     pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
         gemm_packed_panel(variant, blocking, alpha, a, BOperand::Fresh(b), beta, panel, *r0);
@@ -499,7 +561,7 @@ pub fn gemm_parallel_on_prepacked_with<T: Scalar>(
     }
     let variant = variant.resolve_supported();
     let blocking = b.blocking();
-    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
+    let rows_per = m.div_ceil(pool.threads()).next_multiple_of(ukernel::BLOCK_ROWS);
     let mut panels: Vec<(usize, MatMut<'_, T>)> = c.split_rows_mut(rows_per).collect();
     pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
         gemm_packed_panel(variant, blocking, alpha, a, BOperand::Packed(b), beta, panel, *r0);

@@ -276,7 +276,8 @@ pub fn read_artifact(path: &Path) -> std::io::Result<Option<AutotuneResult>> {
 
 /// The startup entry point benches and apps call: load `path` if a valid
 /// artifact swept on this host ([`HostKey::current`]) exists there, else
-/// run [`sweep`] with `config` and persist it over whatever was there;
+/// (none, another host's, or another [`ARTIFACT_VERSION`]'s) run [`sweep`]
+/// with `config` and persist it over whatever was there;
 /// then [`apply`] the winners (honoring `ME_BLOCKING` priority) and
 /// return the result. Library code never calls this implicitly.
 pub fn ensure_autotuned(path: &Path, config: SweepConfig) -> std::io::Result<AutotuneResult> {
@@ -286,9 +287,17 @@ pub fn ensure_autotuned(path: &Path, config: SweepConfig) -> std::io::Result<Aut
 }
 
 /// [`ensure_autotuned`] without the [`apply`]: the artifact at `path` if
-/// it was swept on this host, else a fresh sweep written over it.
+/// it was swept on this host under this [`ARTIFACT_VERSION`], else a
+/// fresh sweep written over it. An artifact of another version is stale
+/// like another host's; I/O errors and files that are not an artifact at
+/// all stay errors.
 fn load_or_sweep(path: &Path, config: SweepConfig) -> std::io::Result<AutotuneResult> {
-    match read_artifact(path)? {
+    let cached = match read_artifact(path) {
+        Ok(cached) => cached,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidData && other_version(path) => None,
+        Err(e) => return Err(e),
+    };
+    match cached {
         Some(cached) if cached.host == HostKey::current() => Ok(cached),
         _ => {
             let fresh = sweep(config);
@@ -296,6 +305,15 @@ fn load_or_sweep(path: &Path, config: SweepConfig) -> std::io::Result<AutotuneRe
             Ok(fresh)
         }
     }
+}
+
+/// Does `path` hold an artifact stamped with a version other than
+/// [`ARTIFACT_VERSION`]?
+fn other_version(path: &Path) -> bool {
+    std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| json_usize_field(&text, "version"))
+        .is_some_and(|v| v != ARTIFACT_VERSION as usize)
 }
 
 // --- minimal schema-specific JSON scanning helpers ---
@@ -427,6 +445,31 @@ mod tests {
         let ours = AutotuneResult { host: HostKey::current(), ..sample() };
         write_artifact(&path, &ours).expect("write artifact");
         assert_eq!(load_or_sweep(&path, tiny).expect("load").shape, ours.shape);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn another_versions_artifact_is_re_swept_and_garbage_stays_loud() {
+        let dir = std::env::temp_dir().join(format!("me_autotune_version_{}", std::process::id()));
+        let path = dir.join("autotune.json");
+        let tiny = SweepConfig { m: 8, k: 128, n: 8, reps: 1 };
+        // A version-1 artifact: no host, the sample's winners.
+        let ours = AutotuneResult { host: HostKey::current(), ..sample() };
+        let current = format!("\"version\": {ARTIFACT_VERSION}");
+        let v1 = to_json(&ours).replace(&current, "\"version\": 1");
+        std::fs::create_dir_all(&dir).expect("create dir");
+        std::fs::write(&path, &v1).expect("write version-1 artifact");
+        // `load_or_sweep` is `ensure_autotuned` without installing the
+        // winners, which would change `kc` under concurrent tests.
+        let got = load_or_sweep(&path, tiny).expect("re-sweep over a version-1 artifact");
+        assert_eq!((got.host, got.shape), (HostKey::current(), (8, 128, 8)), "winners reused");
+        let back = std::fs::read_to_string(&path).expect("artifact rewritten");
+        assert_eq!(json_usize_field(&back, "version"), Some(ARTIFACT_VERSION as usize));
+        // Not an artifact at all: an error, and the file is left alone.
+        std::fs::write(&path, "not json").expect("write garbage");
+        let err = load_or_sweep(&path, tiny).expect_err("garbage must stay loud");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(std::fs::read_to_string(&path).expect("still there"), "not json");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -35,7 +35,7 @@
 
 use super::panel::{PanelChunk, PanelLayout};
 use super::ukernel::{self, KernelVariant, MR, MR_F32, NR, NR_F32};
-use super::{blocking_for, Blocking};
+use super::{blocking_for, Blocking, KernelBlocks};
 use crate::mat::{Mat, MatMut};
 use me_numerics::{Bf16Bits, F16Bits};
 
@@ -276,22 +276,8 @@ fn gemm_half_packed_panel(
                         pack_a_half(a.kind, &a.data, a.cols, r0 + ib, mc, kb, kc, apack);
                     }
                     let _t = me_trace::span("gemm.micro_kernel", "linalg");
-                    for it in 0..mc.div_ceil(MR) {
-                        let ap = &apack[it * MR * kc..(it + 1) * MR * kc];
-                        let mr = MR.min(mc - it * MR);
-                        for jt in 0..ntiles_n {
-                            let bp = &bpanel[jt * NR * kc..jt * NR * kc + NR * kc];
-                            let acc = ukernel::micro_kernel(variant, ap, bp, kc);
-                            let j0 = jb + jt * NR;
-                            let nc = NR.min(n - j0);
-                            for (r, accr) in acc.iter().enumerate().take(mr) {
-                                let crow = &mut c.row_mut(ib + it * MR + r)[j0..j0 + nc];
-                                for (cv, &av) in crow.iter_mut().zip(accr) {
-                                    *cv = alpha.mul_add(av, *cv);
-                                }
-                            }
-                        }
-                    }
+                    KernelBlocks { variant, alpha, apack, bpanel, kc, mc, c, ib, jb, ntiles_n }
+                        .run();
                 }
             }
         }
@@ -359,7 +345,7 @@ pub fn gemm_half_parallel_with(
     let variant = variant.resolve_supported();
     let blocking = blocking_for(variant).normalized();
     let mut run = |pool: &me_par::WorkerPool| {
-        let rows_per = m.div_ceil(pool.threads()).next_multiple_of(MR);
+        let rows_per = m.div_ceil(pool.threads()).next_multiple_of(ukernel::BLOCK_ROWS);
         let mut panels: Vec<(usize, MatMut<'_, f32>)> = c.split_rows_mut(rows_per).collect();
         pool.for_each_mut_tagged(variant.tag(), &mut panels, |_, (r0, panel)| {
             gemm_half_packed_panel(variant, blocking, alpha, a, b, beta, panel, *r0);

@@ -12,17 +12,32 @@
 //!   intrinsics: 4-lane `__m256d` accumulator tiles for f64 (two registers
 //!   per row) and an 8-lane `__m256` sibling for f32, selected only when
 //!   `is_x86_feature_detected!` proves AVX2 *and* FMA at startup.
-//! - [`KernelVariant::Avx512`] — 8-lane `__m512d` tiles for f64 (one
-//!   register per C row) and a 16-lane `__m512` f32 sibling packing two C
-//!   rows per register, AVX512F-only intrinsics, selected when
+//! - [`KernelVariant::Avx512`] — an 8 × 24 f64 register block (below)
+//!   and a 16-lane `__m512` 4 × 8 f32 tile packing two C rows per
+//!   register, AVX512F-only intrinsics, selected when
 //!   `is_x86_feature_detected!("avx512f")` holds.
 //!
-//! **Bitwise-identity contract.** Every variant performs, for each of the
-//! MR×NR accumulators, exactly one fused multiply-add per k step in
-//! ascending-k order. IEEE-754 FMA is correctly rounded, and the hardware
-//! `vfmadd` lanes compute the same correctly-rounded fused result as the
-//! scalar `f64::mul_add` libm path — so all variants return the *same
-//! bits* for the same packed panels, and the parallel GEMM's fixed-kernel
+//! **The AVX-512 f64 register block.** The packed layout is the 4 × 8
+//! one for every variant (`pack_a` writes MR = 4-row A micro-panels,
+//! `pack_b` NR = 8-column B micro-panels). On AVX-512, f64 is computed
+//! over [`BLOCK_RA`] = 2 adjacent A micro-panels × [`BLOCK_CB`] = 3
+//! adjacent B micro-panels at once: 8 × 24 elements in 24 `__m512d`
+//! accumulators, fed per k step by three B loads and eight broadcasts
+//! into 24 `vfmadd231pd`; a 4 × 8 tile holds only four, whose chains at
+//! FMA latency cap it at one FMA per cycle. One const-generic kernel,
+//! `avx512_f64_block::<RA, CB>`, covers the full block and the edge
+//! groups (`<1, 3>`, `<2, 1>`, `<1, 1>`, the last being the 4 × 8
+//! tile). [`micro_block`] is the one entry point:
+//! [`block_shape`] tells the caller how many micro-panels a block spans
+//! (2 × 3 for f64 on AVX-512, 1 × 1 elsewhere), and AVX2, scalar and
+//! every f32 path run their 4 × 8 tile per (A panel, B panel) pair.
+//!
+//! **Bitwise-identity contract.** Every variant performs, for each
+//! accumulator of its tile or block, exactly one fused multiply-add per
+//! k step in ascending-k order. IEEE-754 FMA is correctly rounded, and
+//! the hardware `vfmadd` lanes compute the same correctly-rounded fused
+//! result as the scalar `f64::mul_add` libm path — so all variants return
+//! the *same bits* for the same packed panels, and the parallel GEMM's fixed-kernel
 //! guarantee (serial ≡ parallel at every thread count) extends across
 //! kernel variants. `tests/kernel_differential.rs` enforces this over a
 //! seeded shape × alpha/beta × special-value grid rather than asserting it.
@@ -54,6 +69,19 @@ pub const MR: usize = 4;
 /// Micro-tile width in C columns — one 8-lane f32 register, or two 4-lane
 /// f64 registers.
 pub const NR: usize = 8;
+/// A micro-panels (MR rows each) per register block of the AVX-512 f64
+/// kernel.
+pub(crate) const BLOCK_RA: usize = 2;
+/// B micro-panels (NR columns each) per register block of the AVX-512
+/// f64 kernel.
+pub(crate) const BLOCK_CB: usize = 3;
+/// Rows of the largest register block (8): the parallel fronts cut C into
+/// row panels at multiples of it, so no worker gets a lone 4-row tile
+/// mid-panel.
+pub(crate) const BLOCK_ROWS: usize = BLOCK_RA * MR;
+/// One register block's accumulators as [`micro_block`] writes them: row
+/// `q·MR + r` of A micro-panel `q`, column slot `c` for B micro-panel `c`.
+pub(crate) type Block<T> = [[[T; NR]; BLOCK_CB]; BLOCK_ROWS];
 /// Rows of the f32 engine-call register tile (`engine_tile`).
 pub const MR_F32: usize = 8;
 /// Columns of the f32 engine-call register tile: two 16-lane f32
@@ -367,26 +395,72 @@ fn run_avx2<K: VariantWork>(work: K) -> K::Output {
     work.call()
 }
 
-/// Run the MR×NR micro-kernel for `variant` over packed micro-panels:
-/// `ap` holds `kc` steps of MR A values, `bp` holds `kc` steps of NR B
-/// values. Returns the accumulator tile; the caller owns the write-back
-/// (which stays scalar in every variant, preserving bitwise identity).
+/// The register block `variant` computes for element type `T`, as
+/// (A micro-panels, B micro-panels): [`BLOCK_RA`] × [`BLOCK_CB`] (8 × 24
+/// elements) for f64 on AVX-512, one 4 × 8 tile everywhere else.
+pub(crate) fn block_shape<T: Scalar>(variant: KernelVariant) -> (usize, usize) {
+    if variant == KernelVariant::Avx512 && is::<T, f64>() {
+        (BLOCK_RA, BLOCK_CB)
+    } else {
+        (1, 1)
+    }
+}
+
+/// Compute one register block over packed micro-panels: `ap` holds `ra`
+/// adjacent A micro-panels (`kc` steps of MR values each, as `pack_a`
+/// lays them out), `bp` holds `cb` adjacent B micro-panels (`kc` steps of
+/// NR values each, as `pack_b` lays them out). The MR × NR tile of A
+/// panel `q` and B panel `c` lands in rows `q·MR..(q + 1)·MR`, column slot
+/// `c` of `out`; the caller owns the write-back (which stays scalar in
+/// every variant, preserving bitwise identity).
 ///
-/// `variant` must be supported on this host — public entry points
-/// guarantee that via [`KernelVariant::resolve_supported`].
+/// AVX-512 f64 computes the block in registers (up to 8 × 24, see
+/// [`avx512_f64_block`]); every other variant and element type runs its
+/// 4 × 8 tile once per (A panel, B panel) pair, which [`block_shape`]
+/// keeps at one pair. `variant` must be supported on this host — public
+/// entry points guarantee that via [`KernelVariant::resolve_supported`].
 // me-verify: hot
 #[inline]
-pub(crate) fn micro_kernel<T: Scalar>(
+pub(crate) fn micro_block<T: Scalar>(
     variant: KernelVariant,
     ap: &[T],
     bp: &[T],
     kc: usize,
-) -> [[T; NR]; MR] {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panel too short");
+    (ra, cb): (usize, usize),
+    out: &mut Block<T>,
+) {
+    assert!(
+        (1..=BLOCK_RA).contains(&ra) && (1..=BLOCK_CB).contains(&cb),
+        "register block of {ra}x{cb} micro-panels exceeds {BLOCK_RA}x{BLOCK_CB}"
+    );
+    assert!(ap.len() >= ra * MR * kc && bp.len() >= cb * NR * kc, "packed panel too short");
     match variant {
-        KernelVariant::Scalar => micro_kernel_scalar(ap, bp, kc),
-        KernelVariant::Avx2 => micro_kernel_avx2(variant, ap, bp, kc),
-        KernelVariant::Avx512 => micro_kernel_avx512(variant, ap, bp, kc),
+        KernelVariant::Scalar => tiles(ap, bp, kc, (ra, cb), out, micro_kernel_scalar),
+        KernelVariant::Avx2 => micro_block_avx2(ap, bp, kc, (ra, cb), out),
+        KernelVariant::Avx512 => micro_block_avx512(ap, bp, kc, (ra, cb), out),
+    }
+}
+
+/// Run a 4 × 8 `tile` kernel on every (A panel, B panel) pair of an
+/// `ra` × `cb` block.
+// me-verify: hot
+#[inline(always)]
+fn tiles<T: Scalar>(
+    ap: &[T],
+    bp: &[T],
+    kc: usize,
+    (ra, cb): (usize, usize),
+    out: &mut Block<T>,
+    tile: impl Fn(&[T], &[T], usize) -> [[T; NR]; MR],
+) {
+    for q in 0..ra {
+        let apq = &ap[q * MR * kc..(q + 1) * MR * kc];
+        for c in 0..cb {
+            let acc = tile(apq, &bp[c * NR * kc..(c + 1) * NR * kc], kc);
+            for (outr, accr) in out[q * MR..(q + 1) * MR].iter_mut().zip(acc) {
+                outr[c] = accr;
+            }
+        }
     }
 }
 
@@ -410,46 +484,49 @@ fn micro_kernel_scalar<T: Scalar>(ap: &[T], bp: &[T], kc: usize) -> [[T; NR]; MR
     acc
 }
 
-/// AVX2 dispatcher: picks the f64 or f32 intrinsic kernel by element
-/// type. Reaching this with an unsupported type (impossible for the two
+/// Is `T` the type `U`?
+fn is<T: 'static, U: 'static>() -> bool {
+    std::any::TypeId::of::<T>() == std::any::TypeId::of::<U>()
+}
+
+/// AVX2 dispatcher: picks the f64 or f32 intrinsic tile by element type.
+/// Reaching this with an unsupported type (impossible for the two
 /// `Scalar` impls in this crate) falls back to the scalar kernel.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn micro_kernel_avx2<T: Scalar>(
-    _variant: KernelVariant,
+fn micro_block_avx2<T: Scalar>(
     ap: &[T],
     bp: &[T],
     kc: usize,
-) -> [[T; NR]; MR] {
-    use std::any::TypeId;
-    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panel too short");
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
+    shape: (usize, usize),
+    out: &mut Block<T>,
+) {
+    if is::<T, f64>() {
         // SAFETY: `TypeId` equality proves `T` *is* `f64`, so the slice
-        // reinterpretations are identity casts (same layout, same length),
-        // and `transmute_copy` maps `[[f64; NR]; MR]` back to the equal
-        // type `[[T; NR]; MR]`. `avx2_f64` requires AVX2+FMA, which the
-        // dispatch contract guarantees (the `Avx2` variant is only
-        // selectable when `avx2_supported()` holds), and the panel-length
-        // assert above covers its in-bounds requirement.
+        // and block reinterpretations are identity casts (same layout,
+        // same length). `avx2_f64` requires AVX2+FMA, which the dispatch
+        // contract guarantees (the `Avx2` variant is only selectable when
+        // `avx2_supported()` holds), and `micro_block`'s panel-length
+        // assert covers every tile's in-bounds requirement.
         unsafe {
             let ap64 = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), ap.len());
             let bp64 = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), bp.len());
-            let acc = avx2_f64(ap64, bp64, kc);
-            std::mem::transmute_copy::<[[f64; NR]; MR], [[T; NR]; MR]>(&acc)
+            let out64 = &mut *(out as *mut Block<T>).cast::<Block<f64>>();
+            tiles(ap64, bp64, kc, shape, out64, |a, b, kc| avx2_f64(a, b, kc));
         }
-    } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: as above with `T` == `f32`: identity slice casts, equal
-        // return types, AVX2+FMA guaranteed by the dispatch contract, and
-        // panel lengths asserted in bounds.
+    } else if is::<T, f32>() {
+        // SAFETY: as above with `T` == `f32`: identity casts, AVX2+FMA
+        // guaranteed by the dispatch contract, and panel lengths asserted
+        // in bounds.
         unsafe {
             let ap32 = std::slice::from_raw_parts(ap.as_ptr().cast::<f32>(), ap.len());
             let bp32 = std::slice::from_raw_parts(bp.as_ptr().cast::<f32>(), bp.len());
-            let acc = avx2_f32(ap32, bp32, kc);
-            std::mem::transmute_copy::<[[f32; NR]; MR], [[T; NR]; MR]>(&acc)
+            let out32 = &mut *(out as *mut Block<T>).cast::<Block<f32>>();
+            tiles(ap32, bp32, kc, shape, out32, |a, b, kc| avx2_f32(a, b, kc));
         }
     } else {
-        micro_kernel_scalar(ap, bp, kc)
+        tiles(ap, bp, kc, shape, out, micro_kernel_scalar);
     }
 }
 
@@ -459,13 +536,14 @@ fn micro_kernel_avx2<T: Scalar>(
 // me-verify: hot
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
-fn micro_kernel_avx2<T: Scalar>(
-    _variant: KernelVariant,
+fn micro_block_avx2<T: Scalar>(
     ap: &[T],
     bp: &[T],
     kc: usize,
-) -> [[T; NR]; MR] {
-    micro_kernel_scalar(ap, bp, kc)
+    shape: (usize, usize),
+    out: &mut Block<T>,
+) {
+    tiles(ap, bp, kc, shape, out, micro_kernel_scalar);
 }
 
 /// 4×8 f64 micro-kernel on AVX2+FMA.
@@ -547,47 +625,63 @@ unsafe fn avx2_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
     out
 }
 
-/// AVX-512 dispatcher: picks the f64 or f32 intrinsic kernel by element
-/// type, exactly mirroring [`micro_kernel_avx2`]'s TypeId-proven
-/// identity casts. Unsupported element types fall back to the scalar
+/// AVX-512 dispatcher: f64 runs the register block, split into
+/// [`avx512_f64_block`] instances; f32 runs the 4 × 8 [`avx512_f32`]
+/// tile per pair. Unsupported element types fall back to the scalar
 /// kernel.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn micro_kernel_avx512<T: Scalar>(
-    _variant: KernelVariant,
+fn micro_block_avx512<T: Scalar>(
     ap: &[T],
     bp: &[T],
     kc: usize,
-) -> [[T; NR]; MR] {
-    use std::any::TypeId;
-    assert!(ap.len() >= kc * MR && bp.len() >= kc * NR, "packed panel too short");
-    if TypeId::of::<T>() == TypeId::of::<f64>() {
+    (ra, cb): (usize, usize),
+    out: &mut Block<T>,
+) {
+    if is::<T, f64>() {
         // SAFETY: `TypeId` equality proves `T` *is* `f64`, so the slice
-        // reinterpretations are identity casts (same layout, same length),
-        // and `transmute_copy` maps `[[f64; NR]; MR]` back to the equal
-        // type `[[T; NR]; MR]`. `avx512_f64` requires AVX512F, which the
+        // and block reinterpretations are identity casts (same layout,
+        // same length). `avx512_f64_block` requires AVX512F, which the
         // dispatch contract guarantees (the `Avx512` variant is only
-        // selectable when `avx512_supported()` holds), and the
-        // panel-length assert above covers its in-bounds requirement.
+        // selectable when `avx512_supported()` holds). `micro_block`
+        // asserted `ra <= 2`, `cb <= 3`, `ap.len() >= ra·MR·kc` and
+        // `bp.len() >= cb·NR·kc`, so each instance below gets its
+        // `RA·MR·kc` A values and `CB·NR·kc` B values (B panel `c` starts
+        // at `c·NR·kc`), and `c + CB <= 3` column slots.
         unsafe {
-            let ap64 = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), ap.len());
-            let bp64 = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), bp.len());
-            let acc = avx512_f64(ap64, bp64, kc);
-            std::mem::transmute_copy::<[[f64; NR]; MR], [[T; NR]; MR]>(&acc)
+            let ap = std::slice::from_raw_parts(ap.as_ptr().cast::<f64>(), ap.len());
+            let bp = std::slice::from_raw_parts(bp.as_ptr().cast::<f64>(), bp.len());
+            let out = &mut *(out as *mut Block<T>).cast::<Block<f64>>();
+            match (ra, cb) {
+                (BLOCK_RA, BLOCK_CB) => avx512_f64_block::<BLOCK_RA, BLOCK_CB>(ap, bp, kc, out, 0),
+                (1, BLOCK_CB) => avx512_f64_block::<1, BLOCK_CB>(ap, bp, kc, out, 0),
+                // Edge groups (past the last whole 24 columns): one B
+                // micro-panel at a time.
+                (BLOCK_RA, _) => {
+                    for c in 0..cb {
+                        avx512_f64_block::<BLOCK_RA, 1>(ap, &bp[c * NR * kc..], kc, out, c);
+                    }
+                }
+                _ => {
+                    for c in 0..cb {
+                        avx512_f64_block::<1, 1>(ap, &bp[c * NR * kc..], kc, out, c);
+                    }
+                }
+            }
         }
-    } else if TypeId::of::<T>() == TypeId::of::<f32>() {
-        // SAFETY: as above with `T` == `f32`: identity slice casts, equal
-        // return types, AVX512F guaranteed by the dispatch contract, and
-        // panel lengths asserted in bounds.
+    } else if is::<T, f32>() {
+        // SAFETY: as above with `T` == `f32`: identity casts, AVX512F
+        // guaranteed by the dispatch contract, and panel lengths asserted
+        // in bounds for every 4 × 8 tile.
         unsafe {
             let ap32 = std::slice::from_raw_parts(ap.as_ptr().cast::<f32>(), ap.len());
             let bp32 = std::slice::from_raw_parts(bp.as_ptr().cast::<f32>(), bp.len());
-            let acc = avx512_f32(ap32, bp32, kc);
-            std::mem::transmute_copy::<[[f32; NR]; MR], [[T; NR]; MR]>(&acc)
+            let out32 = &mut *(out as *mut Block<T>).cast::<Block<f32>>();
+            tiles(ap32, bp32, kc, (ra, cb), out32, |a, b, kc| avx512_f32(a, b, kc));
         }
     } else {
-        micro_kernel_scalar(ap, bp, kc)
+        tiles(ap, bp, kc, (ra, cb), out, micro_kernel_scalar);
     }
 }
 
@@ -597,52 +691,73 @@ fn micro_kernel_avx512<T: Scalar>(
 // me-verify: hot
 #[cfg(not(target_arch = "x86_64"))]
 #[inline]
-fn micro_kernel_avx512<T: Scalar>(
-    _variant: KernelVariant,
+fn micro_block_avx512<T: Scalar>(
     ap: &[T],
     bp: &[T],
     kc: usize,
-) -> [[T; NR]; MR] {
-    micro_kernel_scalar(ap, bp, kc)
+    shape: (usize, usize),
+    out: &mut Block<T>,
+) {
+    tiles(ap, bp, kc, shape, out, micro_kernel_scalar);
 }
 
-/// 4×8 f64 micro-kernel on AVX512F.
-///
-/// Register layout: `acc[r]` holds the whole row `r` of the C tile as one
-/// 8-lane `__m512d`. Per k step: one unaligned load of the packed-B row,
-/// then for each of the MR rows one broadcast of the packed-A value and
-/// one `vfmadd231pd` — exactly one fused multiply-add per accumulator per
-/// k step, ascending k, matching the scalar kernel's rounding order lane
-/// for lane (a correctly-rounded FMA is the same bits wherever it runs).
+/// The f64 register block on AVX512F: `RA` adjacent A micro-panels × `CB`
+/// adjacent B micro-panels, `RA·MR` C rows × `CB·NR` columns held in
+/// `RA·MR·CB` 8-lane `__m512d` accumulators (24 for the full 8 × 24
+/// block; the `<1, 1>` instance is the 4 × 8 tile). Per k step: `CB`
+/// unaligned loads of the packed-B rows, then for each of the `RA·MR`
+/// rows one broadcast of the packed-A value and `CB` `vfmadd231pd` —
+/// exactly one fused multiply-add per accumulator per k step, ascending
+/// k, matching the scalar kernel's rounding order lane for lane (a
+/// correctly-rounded FMA is the same bits wherever it runs). Results land
+/// in rows `0..RA·MR`, column slots `c0..c0 + CB` of `out`.
 ///
 /// # Safety
 ///
-/// Caller must guarantee AVX512F is available (runtime-detected) and
-/// `ap.len() >= kc * MR`, `bp.len() >= kc * NR`.
+/// Caller must guarantee AVX512F is available (runtime-detected),
+/// `ap.len() >= RA·MR·kc`, `bp.len() >= CB·NR·kc` (panels `MR·kc` and
+/// `NR·kc` apart, as packed) and `c0 + CB <= BLOCK_CB`.
 // me-verify: hot
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn avx512_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
+unsafe fn avx512_f64_block<const RA: usize, const CB: usize>(
+    ap: &[f64],
+    bp: &[f64],
+    kc: usize,
+    out: &mut Block<f64>,
+    c0: usize,
+) {
     use std::arch::x86_64::{
         _mm512_fmadd_pd, _mm512_loadu_pd, _mm512_set1_pd, _mm512_setzero_pd, _mm512_storeu_pd,
     };
-    let mut acc = [_mm512_setzero_pd(); MR];
+    let mut acc = [[[_mm512_setzero_pd(); CB]; MR]; RA];
     for p in 0..kc {
-        // SAFETY (pointer arithmetic): p < kc and the caller guarantees
-        // bp holds kc * NR elements, so the 8-lane load stays in bounds.
-        let b = _mm512_loadu_pd(bp.as_ptr().add(p * NR));
-        let av = &ap[p * MR..(p + 1) * MR];
-        for (accr, ar) in acc.iter_mut().zip(av) {
-            let a = _mm512_set1_pd(*ar);
-            *accr = _mm512_fmadd_pd(a, b, *accr);
+        // SAFETY (pointer arithmetic): p < kc, c < CB and q < RA, so each
+        // 8-lane B load ends at most at CB·NR·kc <= bp.len() and each A
+        // read at RA·MR·kc <= ap.len().
+        let mut b = [_mm512_setzero_pd(); CB];
+        for (c, bc) in b.iter_mut().enumerate() {
+            *bc = _mm512_loadu_pd(bp.as_ptr().add(c * NR * kc + p * NR));
+        }
+        for (q, accq) in acc.iter_mut().enumerate() {
+            let av = ap.as_ptr().add(q * MR * kc + p * MR);
+            for (r, accr) in accq.iter_mut().enumerate() {
+                let a = _mm512_set1_pd(*av.add(r));
+                for (accv, bc) in accr.iter_mut().zip(&b) {
+                    *accv = _mm512_fmadd_pd(a, *bc, *accv);
+                }
+            }
         }
     }
-    let mut out = [[0.0f64; NR]; MR];
-    for (outr, accr) in out.iter_mut().zip(&acc) {
-        // SAFETY: outr is an [f64; 8]; one 8-lane store covers it exactly.
-        _mm512_storeu_pd(outr.as_mut_ptr(), *accr);
+    for (q, accq) in acc.iter().enumerate() {
+        for (r, accr) in accq.iter().enumerate() {
+            for (c, accv) in accr.iter().enumerate() {
+                // SAFETY: the slot is an [f64; 8]; one 8-lane store
+                // covers it exactly.
+                _mm512_storeu_pd(out[q * MR + r][c0 + c].as_mut_ptr(), *accv);
+            }
+        }
     }
-    out
 }
 
 /// 4×8 f32 micro-kernel on AVX512F: two 16-lane `__m512` accumulators,
@@ -866,9 +981,42 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         };
-        let ap: Vec<f64> = (0..kc * MR).map(|_| next()).collect();
-        let bp: Vec<f64> = (0..kc * NR).map(|_| next()).collect();
+        let ap: Vec<f64> = (0..kc * BLOCK_ROWS).map(|_| next()).collect();
+        let bp: Vec<f64> = (0..kc * BLOCK_CB * NR).map(|_| next()).collect();
         (ap, bp)
+    }
+
+    /// Every block shape of `variant` against the scalar 4 × 8 tile of
+    /// each (A panel, B panel) pair, bit for bit.
+    fn check_blocks<T: Scalar + std::fmt::Debug>(
+        variant: KernelVariant,
+        ap: &[T],
+        bp: &[T],
+        kc: usize,
+    ) {
+        for ra in 1..=BLOCK_RA {
+            for cb in 1..=BLOCK_CB {
+                let mut out = [[[T::ZERO; NR]; BLOCK_CB]; BLOCK_ROWS];
+                micro_block(variant, ap, bp, kc, (ra, cb), &mut out);
+                for q in 0..ra {
+                    for c in 0..cb {
+                        let want = micro_kernel_scalar(
+                            &ap[q * MR * kc..(q + 1) * MR * kc],
+                            &bp[c * NR * kc..(c + 1) * NR * kc],
+                            kc,
+                        );
+                        for (r, wr) in want.iter().enumerate() {
+                            assert_eq!(
+                                &out[q * MR + r][c],
+                                wr,
+                                "{variant} {ra}x{cb} block != scalar at kc={kc} row {} panel {c}",
+                                q * MR + r
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -878,17 +1026,7 @@ mod tests {
         }
         for kc in [1usize, 3, 64, 256] {
             let (ap, bp) = panels(kc, 1000 + kc as u64);
-            let s = micro_kernel_scalar(&ap, &bp, kc);
-            let v = micro_kernel::<f64>(KernelVariant::Avx2, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        s[r][j].to_bits(),
-                        v[r][j].to_bits(),
-                        "avx2 != scalar at kc={kc} r={r} j={j}"
-                    );
-                }
-            }
+            check_blocks(KernelVariant::Avx2, &ap, &bp, kc);
         }
     }
 
@@ -898,35 +1036,21 @@ mod tests {
             eprintln!("ukernel tests: host lacks avx512f; skipping avx512 bitwise pin");
             return;
         }
+        assert_eq!(block_shape::<f64>(KernelVariant::Avx512), (BLOCK_RA, BLOCK_CB));
         for kc in [1usize, 3, 64, 256] {
             let (ap, bp) = panels(kc, 5000 + kc as u64);
-            let s = micro_kernel_scalar(&ap, &bp, kc);
-            let v = micro_kernel::<f64>(KernelVariant::Avx512, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(
-                        s[r][j].to_bits(),
-                        v[r][j].to_bits(),
-                        "avx512 != scalar at kc={kc} r={r} j={j}"
-                    );
-                }
-            }
+            check_blocks(KernelVariant::Avx512, &ap, &bp, kc);
         }
     }
 
     #[test]
     fn f32_variants_agree_bitwise() {
         let kc = 37;
-        let ap: Vec<f32> = (0..kc * MR).map(|i| (i as f32).sin()).collect();
-        let bp: Vec<f32> = (0..kc * NR).map(|i| (i as f32).cos()).collect();
-        let s = micro_kernel_scalar(&ap, &bp, kc);
+        let ap: Vec<f32> = (0..kc * BLOCK_ROWS).map(|i| (i as f32).sin()).collect();
+        let bp: Vec<f32> = (0..kc * BLOCK_CB * NR).map(|i| (i as f32).cos()).collect();
         for v in available_variants() {
-            let got = micro_kernel::<f32>(v, &ap, &bp, kc);
-            for r in 0..MR {
-                for j in 0..NR {
-                    assert_eq!(s[r][j].to_bits(), got[r][j].to_bits(), "{v} r={r} j={j}");
-                }
-            }
+            assert_eq!(block_shape::<f32>(v), (1, 1), "{v}: f32 keeps the 4x8 tile");
+            check_blocks(v, &ap, &bp, kc);
         }
     }
 
