@@ -21,9 +21,11 @@
 #      available variant against the scalar `Accumulator::add`) also run
 #      on the optimized build the benchmark times, where the Ozaki fold
 #      and split are compiled per variant; then, once, the f32 and int8
-#      engine-call tile-edge differentials and the f64 register-block edge
-#      differential in release (each loops over every variant the host
-#      runs itself; release is where codegen could reorder or contract)
+#      engine-call tile-edge differentials, the f64 register-block edge
+#      differential and the AMX engine-call tile-edge differential (AMX
+#      arm against every SIMD arm; says so when the host has no AMX) in
+#      release (each loops over every variant the host runs itself;
+#      release is where codegen could reorder or contract)
 #   5b. half-precision stage: the f16/bf16 codec suite (hand-computed
 #      bit tables + exhaustive 65536-pattern sweeps) and the half GEMM
 #      suites at both test parallelisms (the HostF16-Ozaki tests run with
@@ -101,6 +103,7 @@ for K in $KERNELS; do
 done
 cargo test -q --release -p me-linalg --test f32_tile_edges --test int8_tile_edges \
     --test f64_block_edges
+cargo test -q --release --test amx_tile_edges
 
 echo "==> half-precision stage: f16/bf16 codec + GEMM suites (both parallelisms)"
 cargo test -q -p me-numerics --test half_formats

@@ -23,13 +23,13 @@
 //! on AVX-512) are computed by a runtime-dispatched micro-kernel
 //! ([`ukernel`]): strictly scalar, or hand-written AVX2+FMA or AVX-512F
 //! intrinsics — all bitwise identical by the
-//! fixed-FMA-order contract, so the dispatch choice (env `ME_KERNEL`, the
-//! benches' `--kernel` flag, or CPUID detection) never changes a result
-//! bit. The `_with` entry points ([`gemm_tiled_with`],
+//! fixed-FMA-order contract, so the dispatch choice (env `ME_KERNEL`, a
+//! runtime override, or CPUID detection) never changes a result bit. The `_with` entry points ([`gemm_tiled_with`],
 //! [`gemm_parallel_with`], [`gemm_parallel_on_with`]) pin a variant
 //! explicitly — the differential harness drives those, avoiding global
 //! dispatch state in concurrent tests.
 
+pub mod amx;
 pub mod autotune;
 pub mod blocking;
 pub mod fold;
@@ -42,11 +42,12 @@ pub mod ukernel;
 use crate::mat::{Mat, MatMut, Scalar};
 pub use blocking::{blocking_for, set_blocking_override, Blocking, BlockingDispatch, BLOCKING_ENV};
 pub use fold::{fold_tile, FoldSum};
+pub use amx::{amx_bf16_supported, amx_int8_supported, MR_AMX};
 pub use half::{
-    gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, HalfKind,
-    HalfMat,
+    gemm_bf16_f32, gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with,
+    gemm_half_with, HalfKind, HalfMat,
 };
-pub use int8::{dot_i8_scalar, gemm_i8_i32, vnni_supported, MR_I8, NR_I8};
+pub use int8::{dot_i8_scalar, gemm_i8_i32, gemm_i8_i32_simd, vnni_supported, MR_I8, NR_I8};
 pub use packed::{pack_b_matrix, PackedB};
 pub use panel::{PanelChunk, PanelFormat, PanelLayout, PanelWord};
 pub use ukernel::{

@@ -27,12 +27,15 @@
 //!   each tile's chunk block in one contiguous pass (`vcvtph2ps` on
 //!   AVX-512, the software codec elsewhere). The `me-ozaki` HostF16 backend
 //!   drives the half front and the simulated matrix engine the f32 front
-//!   for their slice products.
+//!   for their slice products. [`gemm_bf16_f32`] is the simulated
+//!   engine's call on an AMX host: bfloat16 panels in the AMX layouts on
+//!   `tdpbf16ps` tiles ([`super::amx`]).
 //!
 //! Narrowing (f32 → 16 bits) happens only in [`HalfMat`] construction and
 //! uses the round-to-nearest-even codecs from `me_numerics::formats`
 //! ([`F16Bits`] / [`Bf16Bits`]); the compute path never rounds to 16 bits.
 
+use super::amx::MR_AMX;
 use super::panel::{PanelChunk, PanelLayout};
 use super::ukernel::{self, KernelVariant, MR, MR_F32, NR, NR_F32};
 use super::{blocking_for, Blocking, KernelBlocks};
@@ -425,6 +428,74 @@ pub fn gemm_f32_f32(
     let variant = variant.resolve_supported();
     me_trace::counter_add(variant.counter(), 1);
     engine_core(variant, m, n, kc, a, b, out);
+}
+
+/// `me-trace` counter of bf16 engine calls run on AMX tiles.
+const AMX_COUNTER: &str = "ukernel.amx.bf16";
+
+/// [`gemm_f32_f32`] on bfloat16 panels in the AMX layouts
+/// ([`PanelLayout::BF16_A`], [`PanelLayout::BF16_B`]): on AMX
+/// `tdpbf16ps` tiles inside `Avx512` when the host has AMX-BF16
+/// ([`super::amx`]), else widened per tile block into the f32 layouts and
+/// run on the variant's engine tile. AMX adds the products of each k pair
+/// in an order of its own, so the two agree bit for bit only where every
+/// partial sum is exact in f32: every word an integer of magnitude at
+/// most 2^8 and `kc · 2^16 ≤ 2^24`. The simulated matrix engine routes
+/// only such slices here. Counted per call on `ukernel.<variant>`, and on
+/// `ukernel.amx.bf16` when on AMX.
+// me-verify: hot
+pub fn gemm_bf16_f32(
+    variant: KernelVariant,
+    m: usize,
+    n: usize,
+    kc: usize,
+    a: PanelChunk<'_, u16>,
+    b: PanelChunk<'_, u16>,
+    out: &mut [f32],
+) {
+    debug_assert!(
+        a.layout() == PanelLayout::BF16_A && b.layout() == PanelLayout::BF16_B,
+        "bf16 engine call: panels not in the bf16 layout"
+    );
+    if m == 0 || n == 0 {
+        return;
+    }
+    let variant = variant.resolve_supported();
+    me_trace::counter_add(variant.counter(), 1);
+    let kcp = kc.next_multiple_of(2);
+    if kc > 0 && super::amx::bf16_on(variant) {
+        me_trace::counter_add(AMX_COUNTER, 1);
+        super::amx::gemm_bf16_f32(m, n, kcp, a, b, out);
+        return;
+    }
+    let widen = |w: u16| HalfKind::Bf16.widen(w);
+    let (ta, tb) = (m.div_ceil(MR_F32), n.div_ceil(NR_F32));
+    crate::mat::with_pack_scratch::<f32, _>(ta * MR_F32 * kc, tb * NR_F32 * kc, |apack, bpack| {
+        // Two 8-row f32 tiles per 16-row bf16 tile; value `p` of row `r`
+        // moves from `r·kcp + p` to `p·8 + r`.
+        for (t, dst) in apack.chunks_exact_mut((MR_F32 * kc).max(1)).enumerate() {
+            let src = &a.tile(t / 2, MR_AMX * kcp)[t % 2 * MR_F32 * kcp..];
+            for (p, step) in dst.chunks_exact_mut(MR_F32).enumerate() {
+                for (r, d) in step.iter_mut().enumerate() {
+                    *d = widen(src[r * kcp + p]);
+                }
+            }
+        }
+        // Value `p` of column `j` moves from `(p / 2)·64 + 2j + p % 2` to
+        // `p·32 + j`.
+        for (t, dst) in bpack.chunks_exact_mut((NR_F32 * kc).max(1)).enumerate() {
+            let src = b.tile(t, NR_F32 * kcp);
+            for (p, step) in dst.chunks_exact_mut(NR_F32).enumerate() {
+                let pair = &src[p / 2 * 2 * NR_F32 + p % 2..];
+                for (j, d) in step.iter_mut().enumerate() {
+                    *d = widen(pair[2 * j]);
+                }
+            }
+        }
+        let a = PanelChunk::new(apack, MR_F32 * kc, PanelLayout::F32_A);
+        let b = PanelChunk::new(bpack, NR_F32 * kc, PanelLayout::F32_B);
+        engine_core(variant, m, n, kc, a, b, out);
+    });
 }
 
 /// The engine-call core behind [`gemm_half_f32`] and [`gemm_f32_f32`]: the

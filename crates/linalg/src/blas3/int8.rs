@@ -18,9 +18,10 @@
 //! of B (32 columns × 4 bytes) and, per row, one 4-byte broadcast of A and
 //! two `vpdpbusd`. Elsewhere the AVX2 kernel runs the same tile four
 //! columns at a time, widening both operands to i16 for `vpmaddwd`, and
-//! the scalar kernel loops. The B layout is AMX's B-tile layout and each A
-//! chunk is row-major, so an AMX `tdpbusd` kernel would need no new
-//! packing.
+//! the scalar kernel loops; each 16-row A panel tile is two such register
+//! tiles. The B layout is AMX's B-tile layout and each A chunk is a
+//! row-major AMX A tile, so on AMX hosts the `tdpbusd` kernel
+//! ([`super::amx`]) reads the same panels.
 //!
 //! **Offset operand.** `vpdpbusd` multiplies *unsigned* bytes of its first
 //! operand by signed bytes of its second. A is therefore stored biased:
@@ -58,6 +59,8 @@ pub const MR_I8: usize = 8;
 pub const NR_I8: usize = 32;
 /// k values per `vpdpbusd` lane.
 const KG: usize = 4;
+/// `me-trace` counter of int8 engine calls run on AMX tiles.
+const AMX_COUNTER: &str = "ukernel.amx.int8";
 
 /// One engine call of the emulated INT8 matrix engine:
 /// `out[i·n + j] = Σ_{p<kc} a_i[p] · b_j[p]`, exact in i32 (overwrite
@@ -67,7 +70,11 @@ const KG: usize = 4;
 /// chunk of `n` B columns in [`PanelLayout::I8_B`], both packed once with
 /// [`PanelLayout::put_line`]. Any i8 values are exact; the caller owns the
 /// budget that the true chunk sums fit i32 (`kc · 2^(2β) < 2^31` for
-/// β-bit slices). Counted per call on `ukernel.int8.<variant>`.
+/// β-bit slices). Runs on AMX `tdpbusd` tiles inside `Avx512` when the
+/// host has AMX-INT8 ([`super::amx`]), else on the variant's SIMD tile
+/// ([`gemm_i8_i32_simd`]); integer sums make both the same i32. Counted
+/// per call on `ukernel.int8.<variant>`, and on `ukernel.amx.int8` when
+/// on AMX.
 // me-verify: hot
 pub fn gemm_i8_i32(
     variant: KernelVariant,
@@ -78,6 +85,38 @@ pub fn gemm_i8_i32(
     b: PanelChunk<'_, i8>,
     out: &mut [i32],
 ) {
+    let v = variant.resolve_supported();
+    engine(v, super::amx::int8_on(v), m, n, kc, (a, b), out);
+}
+
+/// [`gemm_i8_i32`] on the variant's SIMD tile even where AMX would run:
+/// the VNNI `vpdpbusd` tile inside `Avx512` when the host has VNNI, the
+/// AVX2 `vpmaddwd` tile, or the scalar loop. The reference the AMX tile is
+/// checked and timed against.
+// me-verify: hot
+pub fn gemm_i8_i32_simd(
+    variant: KernelVariant,
+    m: usize,
+    n: usize,
+    kc: usize,
+    a: PanelChunk<'_, i8>,
+    b: PanelChunk<'_, i8>,
+    out: &mut [i32],
+) {
+    engine(variant.resolve_supported(), false, m, n, kc, (a, b), out);
+}
+
+/// The engine call on resolved variant `v`, on AMX tiles when `amx`.
+// me-verify: hot
+fn engine(
+    v: KernelVariant,
+    amx: bool,
+    m: usize,
+    n: usize,
+    kc: usize,
+    (a, b): (PanelChunk<'_, i8>, PanelChunk<'_, i8>),
+    out: &mut [i32],
+) {
     assert!(out.len() >= m * n, "gemm_i8_i32: output too short");
     debug_assert!(
         a.layout() == PanelLayout::I8_A && b.layout() == PanelLayout::I8_B,
@@ -86,16 +125,22 @@ pub fn gemm_i8_i32(
     if m == 0 || n == 0 {
         return;
     }
-    let v = variant.resolve_supported();
     me_trace::counter_add(v.int8_counter(), 1);
     if kc == 0 {
         out[..m * n].fill(0);
         return;
     }
     let kcp = kc.next_multiple_of(KG);
+    if amx {
+        me_trace::counter_add(AMX_COUNTER, 1);
+        super::amx::gemm_i8_i32(m, n, kcp, a, b, out);
+        return;
+    }
     let kernel = tile_kernel(v);
+    // Each panel tile of A holds `sub` register tiles, one after another.
+    let sub = PanelLayout::I8_A.tile / MR_I8;
     for it in 0..m.div_ceil(MR_I8) {
-        let ap = a.tile(it, MR_I8 * kcp);
+        let ap = &a.tile(it / sub, sub * MR_I8 * kcp)[it % sub * MR_I8 * kcp..];
         let mr = MR_I8.min(m - it * MR_I8);
         for jt in 0..n.div_ceil(NR_I8) {
             let bp = b.tile(jt, NR_I8 * (kcp + SUM_WORDS));

@@ -23,7 +23,12 @@
 //!
 //! The f32 engine layouts ([`PanelLayout::F32_A`], 8-row tiles, and
 //! [`PanelLayout::F32_B`], 32-column tiles, both one k value per group)
-//! and the int8 ones share the 8 × 32 register tile of their engine calls.
+//! share the 8 × 32 register tile of the f32 engine call; the int8 ones
+//! feed the 8 × 32 int8 register tile two 8-row halves of each 16-row A
+//! tile.
+//! The bf16 layouts ([`PanelLayout::BF16_A`], 16-row row-major tiles, and
+//! [`PanelLayout::BF16_B`], 32-column tiles of k pairs) are AMX tiles as
+//! they stand, like the int8 ones ([`super::amx`]).
 //!
 //! **Writing a panel.** [`PanelLayout::put_lines`] writes consecutive
 //! lines a tile at a time; [`PanelLayout::put_line`] is its one-line form.
@@ -43,7 +48,8 @@
 //! ([`super::int8`]). The caller passes the sums in, so a producer can
 //! take them in the pass that makes the words ([`chunk_sums`] otherwise).
 
-use super::int8::{MR_I8, NR_I8};
+use super::amx::MR_AMX;
+use super::int8::NR_I8;
 use super::ukernel::{MR_F32, NR_F32};
 
 /// k values per group of the int8 B layout.
@@ -150,17 +156,27 @@ impl PanelLayout {
     /// values (two 16-lane loads) after another.
     pub const F32_B: PanelLayout =
         PanelLayout { tile: NR_F32, group: 1, k_pad: 1, format: PanelFormat::Plain };
-    /// A of the int8 engine call: [`MR_I8`]-row tiles, each chunk
-    /// row-major and padded to whole groups of 4 (the rows an AMX A tile
-    /// loads at a stride), stored as offset bytes.
+    /// A of the int8 engine call: [`MR_AMX`]-row tiles (an AMX A tile;
+    /// the SIMD kernels read each as two 8-row register tiles),
+    /// each chunk row-major and padded to whole groups of 4, stored as
+    /// offset bytes.
     pub const I8_A: PanelLayout =
-        PanelLayout { tile: MR_I8, group: 0, k_pad: 4, format: PanelFormat::Offset };
+        PanelLayout { tile: MR_AMX, group: 0, k_pad: 4, format: PanelFormat::Offset };
     /// B of the int8 engine call: [`NR_I8`]-column tiles, each chunk
     /// stored as groups of 4 k values per column, column after column —
     /// one 128-byte row of `vpdpbusd` operands per group (the AMX B-tile
     /// layout) — then one row of the chunk's column sums.
     pub const I8_B: PanelLayout =
         PanelLayout { tile: NR_I8, group: 4, k_pad: 4, format: PanelFormat::ChunkSums };
+    /// A of the bf16 engine call: [`MR_AMX`]-row tiles (an AMX A tile),
+    /// each chunk row-major and padded to whole k pairs.
+    pub const BF16_A: PanelLayout =
+        PanelLayout { tile: MR_AMX, group: 0, k_pad: 2, format: PanelFormat::Plain };
+    /// B of the bf16 engine call: [`NR_F32`]-column tiles, each chunk
+    /// stored as pairs of k values per column, column after column — one
+    /// 128-byte row of two AMX B tiles per pair.
+    pub const BF16_B: PanelLayout =
+        PanelLayout { tile: NR_F32, group: 2, k_pad: 2, format: PanelFormat::Plain };
 
     /// Words one line takes in a chunk of `len` k values: padded, plus
     /// the sum in [`PanelFormat::ChunkSums`].
@@ -293,8 +309,9 @@ impl PanelLayout {
         kc: usize,
         f: impl Fn(W) -> W,
     ) {
-        // The constant shapes of the f32 layouts, and of the int8 B layout
-        // (only i8 words take it, so other words do not carry its copy).
+        // The constant shapes of the f32 and bf16 B layouts, and of the
+        // int8 B layout (only i8 words take it, so other words do not
+        // carry its copy).
         let whole = r0 == 0 && rows == self.tile;
         match (self.tile, self.group) {
             (MR_F32, 1) if whole && !W::INT8 => {
@@ -302,6 +319,9 @@ impl PanelLayout {
             }
             (NR_F32, 1) if whole && !W::INT8 => {
                 interleave::<W, NR_F32, 1>(block, lines, k, k0, kc, f)
+            }
+            (NR_F32, 2) if whole && !W::INT8 => {
+                interleave::<W, NR_F32, 2>(block, lines, k, k0, kc, f)
             }
             (NR_I8, KG) if whole && W::INT8 => {
                 interleave::<W, NR_I8, KG>(block, lines, k, k0, kc, f)
@@ -507,6 +527,8 @@ mod tests {
             PanelLayout::LINES,
             PanelLayout::F32_A,
             PanelLayout::F32_B,
+            PanelLayout::BF16_A,
+            PanelLayout::BF16_B,
             PanelLayout::I8_A,
             PanelLayout::I8_B,
             plain,

@@ -102,7 +102,8 @@ pub enum KernelVariant {
     /// Hand-written AVX2+FMA intrinsics (x86-64 only, runtime-detected).
     Avx2,
     /// Hand-written AVX-512F intrinsics: 8-wide f64 / 16-wide f32 tiles
-    /// (x86-64 only, runtime-detected).
+    /// (x86-64 only, runtime-detected); on AMX hosts the int8 and bf16
+    /// engine calls run on AMX tiles (`blas3::amx`).
     Avx512,
 }
 
@@ -118,7 +119,7 @@ impl KernelVariant {
         Self::ALL.iter().position(|&v| v == self).unwrap_or(0)
     }
 
-    /// Short lower-case name, as accepted by `ME_KERNEL` / `--kernel`.
+    /// Short lower-case name, as accepted by `ME_KERNEL`.
     pub fn name(self) -> &'static str {
         match self {
             KernelVariant::Scalar => "scalar",
@@ -168,7 +169,7 @@ impl KernelVariant {
         }
     }
 
-    /// Parse a `ME_KERNEL` / `--kernel` value (case-insensitive).
+    /// Parse a `ME_KERNEL` value (case-insensitive).
     pub fn parse(s: &str) -> Option<KernelVariant> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(KernelVariant::Scalar),
@@ -331,9 +332,9 @@ pub fn selected_kernel() -> KernelVariant {
     KernelDispatch::global().selected()
 }
 
-/// Install (or clear) the process-wide kernel override — the `--kernel`
-/// flag of the benches and the A/B switch for experiments. Safe with any
-/// variant; unsupported requests degrade to `Scalar` at the GEMM entry.
+/// Install (or clear) the process-wide kernel override — the A/B switch
+/// for benches and experiments. Safe with any variant; unsupported
+/// requests degrade to `Scalar` at the GEMM entry.
 pub fn set_kernel_override(v: Option<KernelVariant>) {
     KernelDispatch::global().set_override(v);
 }
@@ -362,7 +363,7 @@ impl KernelVariant {
             // proved AVX512F, the only feature `run_avx512` enables.
             KernelVariant::Avx512 => unsafe { run_avx512(work) },
             // SAFETY: resolved, so `Avx2` means `avx2_supported()` proved
-            // AVX2, the only feature `run_avx2` enables.
+            // AVX2 and FMA, the features `run_avx2` enables.
             KernelVariant::Avx2 => unsafe { run_avx2(work) },
             KernelVariant::Scalar => work.call(),
         }
@@ -376,9 +377,10 @@ fn run_avx512<K: VariantWork>(work: K) -> K::Output {
     work.call()
 }
 
-/// [`VariantWork::call`] compiled with AVX2.
+/// [`VariantWork::call`] compiled with AVX2 and FMA, so a `mul_add` in
+/// the work is one `vfmadd` rather than a libm call.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn run_avx2<K: VariantWork>(work: K) -> K::Output {
     work.call()
 }

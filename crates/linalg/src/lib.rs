@@ -36,9 +36,10 @@ pub mod mixed;
 pub mod qr;
 
 pub use blas3::{
-    available_variants, avx2_supported, avx512_supported, blocking_for, dot_i8_scalar, fold_tile,
-    gemm, gemm_blocked, gemm_f32_f32, gemm_half, gemm_half_f32,
-    gemm_half_parallel_with, gemm_half_with, gemm_i8_i32, gemm_naive,
+    amx_bf16_supported, amx_int8_supported, available_variants, avx2_supported, avx512_supported,
+    blocking_for, dot_i8_scalar, fold_tile, gemm, gemm_bf16_f32, gemm_blocked, gemm_f32_f32,
+    gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, gemm_i8_i32,
+    gemm_i8_i32_simd, gemm_naive,
     gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with, gemm_parallel_on_with,
     gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with, gemm_tiled_with,
     gemm_tiled_with_blocking, pack_b_matrix, selected_kernel, set_blocking_override,

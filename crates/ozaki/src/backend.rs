@@ -22,11 +22,13 @@ use me_par::WorkerPool;
 #[derive(Debug, Clone, Copy)]
 pub enum OzakiBackend {
     /// The simulated f16/f32 matrix engine (Tensor-Core model): integer
-    /// `f32` slice panels on the host's dispatched f32 engine tile.
+    /// `f32` slice panels on the host's dispatched f32 engine tile, or,
+    /// on an AMX host where every chunk sum is exact, bf16 slice panels
+    /// on AMX `tdpbf16ps` tiles.
     SimulatedMe(OzakiConfig),
-    /// Host INT8 kernels (i8×i8→i32 on an 8×32 register tile: AVX-512
-    /// VNNI `vpdpbusd` / AVX2 `vpmaddwd` / scalar, per the process
-    /// kernel dispatch).
+    /// Host INT8 kernels (i8×i8→i32: AMX `tdpbusd` tiles, or an 8×32
+    /// register tile of AVX-512 VNNI `vpdpbusd` / AVX2 `vpmaddwd` /
+    /// scalar, per the process kernel dispatch).
     HostInt8(Int8Engine),
     /// Host f16 widening kernels (binary16 panels widened to f32 one
     /// contiguous tile block per engine call; scalar / AVX2 / AVX-512 per

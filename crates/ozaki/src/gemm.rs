@@ -39,15 +39,19 @@
 //! correctly-rounded FMA per accumulator per ascending k step (DESIGN §9),
 //! so a chunk sum carries the bits of the ascending scalar `mul_add` chain
 //! over the chunk — exact or not — and the result does not depend on the
-//! kernel the host picked.
+//! kernel the host picked. On an AMX host a GEMM whose slices fit bf16
+//! and whose chunk sums are exact in any order runs instead as
+//! [`Bf16Words`], on the host's own matrix engine: exact sums are the
+//! chain's bits whatever order the engine adds in.
 
 use crate::split::{
     ceil_log2, lines_of, required_beta, split_panels, split_rows, Pack, Panels, SplitMatrix,
 };
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
+use me_linalg::blas3::amx::bf16_on;
 use me_linalg::{
-    fold_tile, gemm_f32_f32, selected_kernel, FoldSum, KernelVariant, Mat, PanelChunk, PanelLayout,
-    PanelWord,
+    fold_tile, gemm_bf16_f32, gemm_f32_f32, selected_kernel, FoldSum, HalfKind, KernelVariant, Mat,
+    PanelChunk, PanelLayout, PanelWord,
 };
 use me_numerics::formats::narrow_f32_exact;
 use me_par::WorkerPool;
@@ -116,9 +120,18 @@ impl OzakiConfig {
 }
 
 pub(crate) mod sealed {
+    use me_linalg::KernelVariant;
+
     /// Closes [`super::SliceEngine`] to the crate's three substrates: the
     /// driver's exactness rests on each implementation's β cap.
-    pub trait Sealed {}
+    pub trait Sealed {
+        /// The bf16-word form the driver runs this engine as, for inner
+        /// dimension `k` on resolved `kernel`, if it has one there: only
+        /// the simulated matrix engine does ([`super::Bf16Words`]).
+        fn bf16_words(&self, _k: usize, _kernel: KernelVariant) -> Option<super::Bf16Words> {
+            None
+        }
+    }
 }
 
 /// The span and counter names one substrate traces under.
@@ -234,7 +247,19 @@ pub trait SliceEngine: sealed::Sealed {
     }
 }
 
-impl sealed::Sealed for OzakiConfig {}
+impl sealed::Sealed for OzakiConfig {
+    /// On an AMX-BF16 host ([`bf16_on`]), the slices where every integer
+    /// fits bf16's 8-bit significand (β ≤ 8) and every partial chunk sum
+    /// is an exact f32 integer in any order (`kc · 2^(2β) ≤ 2^24`): there
+    /// `tdpbf16ps` returns the f32 tile's bits. Every other config, and
+    /// every other kernel, keeps the f32 words.
+    fn bf16_words(&self, k: usize, kernel: KernelVariant) -> Option<Bf16Words> {
+        let beta = self.beta(k);
+        let exact = beta <= BF16_SLICE_BITS
+            && self.effective_k(k) <= (1usize << F32_EXACT_BITS) >> (2 * beta);
+        (exact && bf16_on(kernel)).then_some(Bf16Words(*self))
+    }
+}
 
 impl SliceEngine for OzakiConfig {
     type Word = f32;
@@ -285,6 +310,84 @@ impl SliceEngine for OzakiConfig {
     /// The V100's f16 Tensor Cores, where Table VIII was measured.
     fn charged_on() -> (Device, EngineKind, NumericFormat) {
         (catalog::v100(), EngineKind::MatrixEngine, NumericFormat::F16xF32)
+    }
+}
+
+/// Significand bits of bf16: slice integers of magnitude at most 2^8 are
+/// exact in it.
+const BF16_SLICE_BITS: u32 = 8;
+/// Integers of magnitude at most 2^24 are exact in f32.
+const F32_EXACT_BITS: u32 = 24;
+
+/// The simulated matrix engine ([`OzakiConfig`]) on bfloat16 slice words,
+/// run on the host's AMX `tdpbf16ps` tiles ([`gemm_bf16_f32`]). The driver
+/// takes this form only inside the exact domain
+/// ([`sealed::Sealed::bf16_words`]), where each chunk sum is the exact
+/// integer whatever order AMX adds in, so the bits are those of the f32
+/// tile; the split packs each slice once into the AMX layouts, half the
+/// bytes of the f32 panels. Same β, budget, cutoff and trace names as
+/// the config it wraps.
+#[derive(Debug, Clone, Copy)]
+pub struct Bf16Words(OzakiConfig);
+
+impl sealed::Sealed for Bf16Words {}
+
+impl SliceEngine for Bf16Words {
+    type Word = u16;
+    type Sum = f32;
+    const TRACE: SliceTrace = OzakiConfig::TRACE;
+
+    fn beta(&self, k: usize) -> u32 {
+        self.0.beta(k)
+    }
+
+    fn target(&self) -> TargetAccuracy {
+        self.0.target
+    }
+
+    fn max_slices(&self) -> usize {
+        self.0.max_slices
+    }
+
+    fn k_block(&self) -> usize {
+        self.0.k_block
+    }
+
+    /// AMX A tiles: 16 rows, row-major chunks of k pairs.
+    const LAYOUT_A: PanelLayout = PanelLayout::BF16_A;
+    /// AMX B tiles: 32 columns, k pairs per column.
+    const LAYOUT_B: PanelLayout = PanelLayout::BF16_B;
+
+    /// bfloat16 bits of the slice integer, exact for magnitudes up to 2^8:
+    /// sign, exponent rebiased from 1023 to 127, top 7 significand bits.
+    #[inline(always)]
+    fn narrow(x: f64) -> u16 {
+        let bits = x.to_bits();
+        let magnitude = (bits & !(1 << 63)) >> 45;
+        let rebiased = if magnitude == 0 { 0 } else { magnitude - ((1023 - 127) << 7) };
+        let word = (rebiased | (bits >> 63 << 15)) as u16;
+        debug_assert!(
+            word == HalfKind::Bf16.narrow(narrow_f32_exact(x))
+                && f64::from(HalfKind::Bf16.widen(word)) == x,
+            "slice value {x} is not exactly representable in bfloat16"
+        );
+        word
+    }
+
+    fn engine_call(
+        variant: KernelVariant,
+        m: usize,
+        n: usize,
+        kc: usize,
+        a: PanelChunk<'_, u16>,
+        b: PanelChunk<'_, u16>,
+        out: &mut [f32],
+    ) {
+        gemm_bf16_f32(variant, m, n, kc, a, b, out);
+    }
+
+    fn charged_on() -> (Device, EngineKind, NumericFormat) {
+        OzakiConfig::charged_on()
     }
 }
 
@@ -368,8 +471,24 @@ pub(crate) fn with_pool<R>(
 /// transposed to `n×k` — and folds the scheduled slice-pair engine calls
 /// into per-element accumulators, over the whole grid or over disjoint
 /// row panels, one pool job per panel. Outputs in the row or column of a
-/// line the split poisoned (non-finite, or overflowing) are NaN.
+/// line the split poisoned (non-finite, or overflowing) are NaN. The
+/// simulated matrix engine runs as [`Bf16Words`] where that form exists.
 pub fn ozaki_gemm_on<E: SliceEngine>(
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    engine: &E,
+    kernel: KernelVariant,
+    pool: Option<&WorkerPool>,
+) -> OzakiReport {
+    let kernel = kernel.resolve_supported();
+    match engine.bf16_words(a.cols(), kernel) {
+        Some(bf16) => drive(a, b, &bf16, kernel, pool),
+        None => drive(a, b, engine, kernel, pool),
+    }
+}
+
+/// [`ozaki_gemm_on`] on `engine` as it is, on resolved `kernel`.
+fn drive<E: SliceEngine>(
     a: &Mat<f64>,
     b: &Mat<f64>,
     engine: &E,
@@ -379,7 +498,6 @@ pub fn ozaki_gemm_on<E: SliceEngine>(
     assert_eq!(a.cols(), b.rows(), "ozaki_gemm: inner dimension mismatch");
     let (m, k) = a.shape();
     let n = b.cols();
-    let kernel = kernel.resolve_supported();
     let names = E::TRACE;
     let beta = engine.beta(k);
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);

@@ -11,9 +11,9 @@
 //! ozIMMU follow-up line of work: Uchino & Ozaki 2025).
 //!
 //! [`Int8Engine`] is the [`SliceEngine`] whose products run on genuine
-//! host int8 register tiles ([`me_linalg::gemm_i8_i32`]: an 8×32
-//! `vpdpbusd` tile on AVX-512 VNNI hosts, the same tile on AVX2
-//! `vpmaddwd`, or the scalar loop), dispatched through the same
+//! host int8 kernels ([`me_linalg::gemm_i8_i32`]: AMX `tdpbusd` tiles on
+//! AMX hosts, an 8×32 `vpdpbusd` tile on AVX-512 VNNI hosts, the same
+//! tile on AVX2 `vpmaddwd`, or the scalar loop), dispatched through the same
 //! [`KernelVariant`] table as the floating-point GEMM; the driver is
 //! [`crate::gemm::ozaki_gemm_on`]. Each slice is packed once per call into
 //! `me_linalg`'s int8 layouts, which store A as the offset bytes `a + 128`
@@ -40,8 +40,9 @@ const I32_MAGNITUDE_BITS: u32 = 31;
 const I8_SLICE_BITS: u32 = 6;
 
 /// Configuration of an integer matrix engine: i8 slices, i32 chunk sums
-/// on the host's int8 register tile (VNNI `vpdpbusd` on AVX-512 hosts
-/// that have it, AVX2 `vpmaddwd`, or scalar), A stored as offset bytes.
+/// on the host's int8 kernel (AMX `tdpbusd` or VNNI `vpdpbusd` on
+/// AVX-512 hosts that have them, AVX2 `vpmaddwd`, or scalar), A stored as
+/// offset bytes.
 #[derive(Debug, Clone, Copy)]
 pub struct Int8Engine {
     /// Accumulator width in bits; the i32 kernels cap it at 31 usable

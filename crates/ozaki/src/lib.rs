@@ -17,11 +17,14 @@
 //!    reproduction the inner GEMM genuinely runs in `f32` arithmetic on
 //!    integer-valued matrices, through the host's dispatched f32
 //!    micro-kernel (`me_linalg::gemm_f32_f32`), which is bit-exact for the
-//!    same reason the hardware is. The host-f16 substrate drives the same
-//!    kernel core on binary16-stored slices; the host-INT8 substrate runs
-//!    `i8×i8→i32` kernels. All three are [`SliceEngine`]s under one driver
-//!    ([`gemm::ozaki_gemm_on`]): an engine decides only the slice width β,
-//!    the stored slice word and the engine call.
+//!    same reason the hardware is — or, on an AMX host where every chunk
+//!    sum is exact, on the host's own matrix engine (bf16 slices on
+//!    `tdpbf16ps`). The host-f16 substrate drives the f32 kernel core on
+//!    binary16-stored slices; the host-INT8 substrate runs `i8×i8→i32`
+//!    kernels (AMX `tdpbusd` where the host has it). All three are
+//!    [`SliceEngine`]s under one driver ([`gemm::ozaki_gemm_on`]): an
+//!    engine decides only the slice width β, the stored slice word and the
+//!    engine call.
 //! 3. The exact partial products are scaled back by powers of two (integer
 //!    exponent bookkeeping) and accumulated in a deterministic double-double
 //!    accumulator, giving **bitwise-reproducible** results independent of
