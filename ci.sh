@@ -17,10 +17,12 @@
 #      contract on each variant independently — the simulated-ME Ozaki
 #      path runs its slice products on the dispatched kernel; the
 #      differential harness (serial vs 1/2/8-thread pools), the pinned
-#      Ozaki output digest and the double-double fold differential (every
-#      available variant against the scalar `Accumulator::add`) also run
-#      on the optimized build the benchmark times, where the Ozaki fold
-#      and split are compiled per variant; then, once, the f32 and int8
+#      Ozaki output digest, the Ozaki workspace reuse suite (a reused
+#      per-thread arena against a fresh thread's, bit for bit, with no
+#      growth after warm-up) and the double-double fold differential
+#      (every available variant against the scalar `Accumulator::add`)
+#      also run on the optimized build the benchmark times, where the
+#      Ozaki fold and split are compiled per variant; then, once, the f32 and int8
 #      engine-call tile-edge differentials, the f64 register-block edge
 #      differential and the AMX engine-call tile-edge differential (AMX
 #      arm against every SIMD arm; says so when the host has no AMX) in
@@ -99,6 +101,7 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q -p me-ozaki
     ME_KERNEL=$K cargo test -q --release --test kernel_differential
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test pinned_digest
+    ME_KERNEL=$K cargo test -q --release -p me-ozaki --test workspace_reuse
     ME_KERNEL=$K cargo test -q --release -p me-linalg --test fold_differential
 done
 cargo test -q --release -p me-linalg --test f32_tile_edges --test int8_tile_edges \

@@ -72,8 +72,9 @@ pub enum PanelFormat {
 /// Words of the sum after each line's chunk in [`PanelFormat::ChunkSums`].
 pub const SUM_WORDS: usize = 4;
 
-/// A word a packed panel holds. Only `i8` takes the int8 formats.
-pub trait PanelWord: Copy + Default {
+/// A word a packed panel holds: plain old data, so a panel can live in
+/// an [`crate::AlignedBuf`]. Only `i8` takes the int8 formats.
+pub trait PanelWord: crate::Pod {
     /// Does the type take [`PanelFormat::Offset`] and
     /// [`PanelFormat::ChunkSums`]?
     const INT8: bool = false;
@@ -202,10 +203,23 @@ impl PanelLayout {
         lines.div_ceil(self.tile) * self.tile_stride(k, kb)
     }
 
+    /// The word a blank position holds: zero in this layout's format.
+    pub fn zero<W: PanelWord>(&self) -> W {
+        W::default().stored(self.format)
+    }
+
+    /// Whether a panel of lines of length `k` in chunks of `kb` pads some
+    /// chunk: holds words past a chunk's last k value that no line's
+    /// words or sums land on.
+    pub fn pads(&self, k: usize, kb: usize) -> bool {
+        let full = k >= kb && !kb.is_multiple_of(self.k_pad);
+        full || !(k % kb).is_multiple_of(self.k_pad)
+    }
+
     /// A panel of `lines` lines of length `k` in chunks of `kb` whose every
     /// line reads as zeros, ready for [`Self::put_line`].
     pub fn blank<W: PanelWord>(&self, lines: usize, k: usize, kb: usize) -> Vec<W> {
-        vec![W::default().stored(self.format); self.len(lines, k, kb)]
+        vec![self.zero(); self.len(lines, k, kb)]
     }
 
     /// Write line `line`'s `words` (its whole k extent) into `panel`, a
@@ -548,6 +562,23 @@ mod tests {
                     l.put_lines(&mut got, first, &words, k, &sums, kb);
                     assert_eq!(got, want, "{l:?}, {lines} lines from {first}, k {k}, kb {kb}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn pads_says_whether_a_chunk_has_words_no_value_lands_on() {
+        let plain = |l: PanelLayout| PanelLayout { format: PanelFormat::Plain, ..l };
+        let layouts = [PanelLayout::LINES, PanelLayout::F32_A, plain(PanelLayout::I8_A)];
+        for l in layouts.into_iter().chain([plain(PanelLayout::I8_B), PanelLayout::BF16_B]) {
+            for (k, kb) in [(0, 4), (1, 1), (7, 3), (8, 4), (9, 4), (10, 6), (12, 6), (13, 256)] {
+                let lines = l.tile;
+                let mut panel = vec![u32::MAX; l.len(lines, k, kb)];
+                for line in 0..lines {
+                    l.put_line(&mut panel, line, &vec![0u32; k], kb);
+                }
+                let untouched = panel.contains(&u32::MAX);
+                assert_eq!(l.pads(k, kb), untouched, "{l:?} k {k} kb {kb}");
             }
         }
     }

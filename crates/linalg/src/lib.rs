@@ -47,7 +47,7 @@ pub use blas3::{
     FoldSum, KernelDispatch, KernelVariant, PackedB, PanelChunk, PanelLayout, PanelWord, VariantWork, BLOCKING_ENV, KERNEL_ENV,
 };
 pub use lapack::{getrf, getrs, hpl_residual, hpl_solve, potrf};
-pub use mat::{Mat, MatMut, Scalar};
+pub use mat::{AlignedBuf, Mat, MatMut, Pod, Regions, Scalar};
 pub use eig::{sym_eig, SymEig};
 pub use mixed::{ir_solve, IrResult};
 pub use qr::{lstsq, qr, Qr};

@@ -24,6 +24,7 @@ pub trait Scalar:
     + std::ops::MulAssign
     + Send
     + Sync
+    + Pod
     + 'static
 {
     /// Additive identity.
@@ -300,6 +301,25 @@ impl<T: Scalar> MatMut<'_, T> {
     }
 }
 
+/// Plain-old-data words an [`AlignedBuf`] can be viewed as: `Copy`, no
+/// drop glue, every bit pattern a valid value, alignment at most
+/// [`AlignedBuf::ALIGN`]. Sealed to the primitive floats and integers, so
+/// no other type can claim it.
+pub trait Pod: Copy + Default + Send + Sync + 'static + pod::Sealed {}
+
+mod pod {
+    /// Closes [`super::Pod`] to the types listed beside it.
+    pub trait Sealed {}
+}
+
+macro_rules! pod {
+    ($($t:ty),*) => {$(
+        impl pod::Sealed for $t {}
+        impl Pod for $t {}
+    )*};
+}
+pod!(f64, f32, u64, u32, i32, u16, i8, u8);
+
 /// One 64-byte unit of aligned storage: `#[repr(align(64))]` makes every
 /// `Vec<AlignBlock>` allocation start on a cache-line (and AVX-512-safe)
 /// boundary, which is the alignment guarantee the pack buffers advertise.
@@ -307,15 +327,16 @@ impl<T: Scalar> MatMut<'_, T> {
 #[derive(Clone, Copy)]
 struct AlignBlock([u8; 64]);
 
-/// Growable 64-byte-aligned scratch buffer for GEMM pack panels.
+/// Growable 64-byte-aligned byte arena: the GEMM pack scratch and the
+/// Ozaki workspace.
 ///
-/// Backed by a `Vec` of zero-initialized 64-byte blocks, viewed as
-/// `&mut [T]` on demand: alignment comes from the block type, validity
-/// from zero-filling on growth (every bit pattern is a valid `f32`/`f64`,
-/// the only [`Scalar`] implementors in this crate). Growth is monotone —
-/// a buffer that has served the largest panel of a workload never
-/// allocates again, which the `linalg.pack_scratch_grow` trace counter
-/// makes observable.
+/// Backed by a `Vec` of zero-initialized 64-byte blocks and viewed as
+/// typed [`Pod`] regions on demand ([`Self::regions`]): alignment comes
+/// from the block type, validity from zero-filling on growth (every bit
+/// pattern is a valid `Pod`). Growth is monotone — an arena that has
+/// served the largest request of a workload never allocates again, which
+/// its owner's trace counter (`linalg.pack_scratch_grow`,
+/// `ozaki.workspace_grow`) makes observable.
 pub struct AlignedBuf {
     blocks: Vec<AlignBlock>,
 }
@@ -325,27 +346,42 @@ impl AlignedBuf {
     pub const ALIGN: usize = 64;
 
     /// New empty buffer (no allocation until first use).
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         AlignedBuf { blocks: Vec::new() }
     }
 
-    /// Borrow the first `len` elements as a 64-byte-aligned `&mut [T]`,
-    /// growing (zero-filled) if the current capacity is short. Contents
-    /// persist across calls; callers must not read elements they have not
-    /// written this round.
-    pub fn as_slice_mut<T: Scalar>(&mut self, len: usize) -> &mut [T] {
-        let bytes = len * std::mem::size_of::<T>();
+    /// Bytes the buffer holds.
+    pub fn len_bytes(&self) -> usize {
+        self.blocks.len() * Self::ALIGN
+    }
+
+    /// Hold at least `bytes` bytes, zero-filling what is added; returns
+    /// whether the buffer grew. Contents below the old length persist.
+    pub fn reserve_bytes(&mut self, bytes: usize) -> bool {
         let need = bytes.div_ceil(Self::ALIGN);
-        if need > self.blocks.len() {
-            me_trace::counter_add("linalg.pack_scratch_grow", 1);
+        let grow = need > self.blocks.len();
+        if grow {
             self.blocks.resize(need, AlignBlock([0u8; 64]));
         }
-        // SAFETY: the backing allocation holds `need * 64 >= len *
-        // size_of::<T>()` bytes, 64-byte aligned (>= align_of::<T>() for
-        // any Scalar), and every byte is initialized (zero-filled on
-        // growth, or previously written). `T` is restricted to the plain-
-        // old-data `Scalar` floats, for which all bit patterns are valid.
-        unsafe { std::slice::from_raw_parts_mut(self.blocks.as_mut_ptr().cast::<T>(), len) }
+        grow
+    }
+
+    /// The held bytes as consecutive 64-byte-aligned typed regions, from
+    /// byte 0 on.
+    pub fn regions(&mut self) -> Regions<'_> {
+        Regions { rest: &mut self.blocks, at: 0 }
+    }
+
+    /// Borrow the first `len` elements as a 64-byte-aligned `&mut [T]`,
+    /// growing (zero-filled) if the current capacity is short, and
+    /// counting the growth as `linalg.pack_scratch_grow`. Contents persist
+    /// across calls; callers must not read elements they have not written
+    /// this round.
+    pub fn as_slice_mut<T: Pod>(&mut self, len: usize) -> &mut [T] {
+        if self.reserve_bytes(len * std::mem::size_of::<T>()) {
+            me_trace::counter_add("linalg.pack_scratch_grow", 1);
+        }
+        self.regions().take(len)
     }
 }
 
@@ -355,12 +391,56 @@ impl Default for AlignedBuf {
     }
 }
 
+/// A cursor over an [`AlignedBuf`]'s bytes that hands out disjoint typed
+/// regions in increasing order, each starting on a 64-byte boundary.
+pub struct Regions<'a> {
+    rest: &'a mut [AlignBlock],
+    at: usize,
+}
+
+impl<'a> Regions<'a> {
+    /// Bytes a region of `len` `T`s takes: whole 64-byte blocks.
+    pub const fn bytes<T>(len: usize) -> usize {
+        (len * std::mem::size_of::<T>()).next_multiple_of(AlignedBuf::ALIGN)
+    }
+
+    /// Move on to byte `offset` (a multiple of 64, not behind the cursor).
+    pub fn seek(&mut self, offset: usize) -> &mut Self {
+        assert!(
+            offset >= self.at && offset.is_multiple_of(AlignedBuf::ALIGN),
+            "regions: seek to {offset} from {}",
+            self.at
+        );
+        let skip = (offset - self.at) / AlignedBuf::ALIGN;
+        self.rest = &mut std::mem::take(&mut self.rest)[skip..];
+        self.at = offset;
+        self
+    }
+
+    /// The next `len` `T`s, starting on a 64-byte boundary; the cursor
+    /// moves past the whole blocks they take.
+    pub fn take<T: Pod>(&mut self, len: usize) -> &'a mut [T] {
+        let bytes = Self::bytes::<T>(len);
+        let (head, tail) = std::mem::take(&mut self.rest).split_at_mut(bytes / AlignedBuf::ALIGN);
+        self.rest = tail;
+        self.at += bytes;
+        // SAFETY: `head` is `bytes >= len * size_of::<T>()` bytes of the
+        // buffer, 64-byte aligned (>= align_of::<T>() for every `Pod`),
+        // borrowed mutably and exclusively for `'a` (the split leaves the
+        // cursor only the blocks after it), and every byte is initialized
+        // (zero-filled on growth, or previously written). `Pod` is sealed
+        // to the primitive floats and integers, for which every bit
+        // pattern is a valid value and which have no drop glue.
+        unsafe { std::slice::from_raw_parts_mut(head.as_mut_ptr().cast::<T>(), len) }
+    }
+}
+
 thread_local! {
     /// Per-thread (A-panel, B-panel) pack scratch reused by every GEMM the
     /// thread runs — pool workers are persistent, so steady-state GEMMs
     /// allocate nothing.
     static PACK_SCRATCH: std::cell::RefCell<(AlignedBuf, AlignedBuf)> =
-        std::cell::RefCell::new((AlignedBuf::new(), AlignedBuf::new()));
+        const { std::cell::RefCell::new((AlignedBuf::new(), AlignedBuf::new())) };
 }
 
 /// Run `f` with this thread's reusable 64-byte-aligned pack buffers
@@ -520,6 +600,45 @@ mod tests {
         // than any Scalar's).
         let s4 = buf.as_slice_mut::<f32>(3);
         assert_eq!(s4.as_ptr() as usize % AlignedBuf::ALIGN, 0);
+    }
+
+    #[test]
+    fn regions_are_aligned_disjoint_and_keep_their_bytes() {
+        let mut buf = AlignedBuf::new();
+        assert!(buf.reserve_bytes(1000));
+        assert!(!buf.reserve_bytes(640), "a smaller request must not grow");
+        assert_eq!(buf.len_bytes(), 1024);
+        {
+            let mut r = buf.regions();
+            let a = r.take::<i8>(3);
+            let b = r.take::<f64>(9);
+            let c = r.seek(512).take::<u16>(5);
+            for p in [a.as_ptr() as usize, b.as_ptr() as usize, c.as_ptr() as usize] {
+                assert_eq!(p % AlignedBuf::ALIGN, 0);
+            }
+            assert_eq!(b.as_ptr() as usize - a.as_ptr() as usize, 64);
+            assert_eq!(c.as_ptr() as usize - a.as_ptr() as usize, 512);
+            a.fill(-1);
+            b.fill(2.5);
+            c.fill(7);
+        }
+        // Growth keeps what was written below the old length.
+        assert!(buf.reserve_bytes(4096));
+        let mut r = buf.regions();
+        assert_eq!(r.take::<i8>(3), &[-1, -1, -1]);
+        assert!(r.take::<f64>(9).iter().all(|&v| v == 2.5));
+        assert_eq!(r.seek(512).take::<u16>(5), &[7; 5]);
+        assert_eq!(Regions::bytes::<f64>(9), 128);
+    }
+
+    #[test]
+    #[should_panic(expected = "regions: seek")]
+    fn regions_never_seek_backwards() {
+        let mut buf = AlignedBuf::new();
+        buf.reserve_bytes(256);
+        let mut r = buf.regions();
+        r.take::<f32>(20);
+        r.seek(64);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! to the hardware cost model of Table VIII.
 
 use crate::gemm::{pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
-use crate::split::{lines_of, split_panels, Pack};
+use crate::split::{Call, Pack, Plan, Source};
+use crate::workspace::with_arena;
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
 use me_linalg::{fold_tile, selected_kernel, KernelVariant, Mat};
 
@@ -49,49 +50,52 @@ pub fn ozaki_gemm_systolic(
     let beta = cfg.beta(k);
     let (budget, cutoff) = cfg.budget_and_cutoff(k, beta);
 
-    // The slice integers as f64 panels (exact in the multiply format).
+    // The slice integers as f64 panels (exact in the multiply format), in
+    // the calling thread's workspace.
     let kernel = selected_kernel();
-    let ints = |(rest, lines)| {
-        split_panels(rest, lines, beta, budget, kernel, None, Pack::lines(k), |r, _| r)
-    };
-    let (pa, pb) = (ints(lines_of(a, true)), ints(lines_of(b, false)));
-
-    let (mut hi, mut lo) = (vec![0.0f64; m * n], vec![0.0f64; m * n]);
-    let (computed, skipped) = pair_counts(pa.words.len(), pb.words.len(), cutoff);
+    let pack = Pack::lines(k);
+    let sources = (Source::Rows(a), Source::Cols(b));
+    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, budget), 1, (m * n, 0));
     let mut stats = CycleStats { cycles: 0, macs: 0, pe_cycles: 0, tiles: 0 };
-
-    for (p, (wa, a_exp)) in pa.words.iter().zip(&pa.exps).enumerate() {
-        for (q, (wb, b_exp)) in pb.words.iter().zip(&pb.exps).enumerate() {
-            if p + q >= cutoff {
-                continue;
-            }
-            for k0 in (0..k).step_by(kb) {
-                let kc = kb.min(k - k0);
-                let int_a = Mat::from_fn(m, kc, |i, t| wa[i * k + k0 + t]);
-                let int_b = Mat::from_fn(kc, n, |t, j| wb[j * k + k0 + t]);
-                // The actual engine execution.
-                let r = systolic_gemm(array, &int_a, &int_b);
-                stats.cycles += r.stats.cycles;
-                stats.macs += r.stats.macs;
-                stats.pe_cycles += r.stats.pe_cycles;
-                stats.tiles += r.stats.tiles;
-                fold_tile(kernel, r.c.as_slice(), a_exp, b_exp, beta, &mut hi, &mut lo);
+    let (c, s_a, s_b, split_exact) = with_arena(|arena| {
+        let split = plan.split(arena, kernel, None, &|r, _| r);
+        let Call { hi, lo, a: pa, b: pb, .. } = plan.carve(arena, split);
+        hi.fill(0.0);
+        lo.fill(0.0);
+        for (p, (wa, a_exp)) in pa.iter().enumerate() {
+            for (q, (wb, b_exp)) in pb.iter().enumerate() {
+                if p + q >= cutoff {
+                    continue;
+                }
+                for k0 in (0..k).step_by(kb) {
+                    let kc = kb.min(k - k0);
+                    let int_a = Mat::from_fn(m, kc, |i, t| wa[i * k + k0 + t]);
+                    let int_b = Mat::from_fn(kc, n, |t, j| wb[j * k + k0 + t]);
+                    // The actual engine execution.
+                    let r = systolic_gemm(array, &int_a, &int_b);
+                    stats.cycles += r.stats.cycles;
+                    stats.macs += r.stats.macs;
+                    stats.pe_cycles += r.stats.pe_cycles;
+                    stats.tiles += r.stats.tiles;
+                    fold_tile(kernel, r.c.as_slice(), a_exp, b_exp, beta, hi, lo);
+                }
             }
         }
-    }
-
-    let mut c: Vec<f64> = hi.iter().zip(&lo).map(|(h, l)| h + l).collect();
-    poison(&mut c, n, &pa.poisoned, &pb.poisoned);
+        let mut c: Vec<f64> = hi.iter().zip(lo.iter()).map(|(h, l)| h + l).collect();
+        poison(&mut c, n, pa.poisoned(), pb.poisoned());
+        (c, pa.len(), pb.len(), pa.complete && pb.complete)
+    });
+    let (computed, skipped) = pair_counts(s_a, s_b, cutoff);
     EngineOzakiResult {
         report: OzakiReport {
             c: Mat::from_vec(m, n, c),
-            s_a: pa.words.len(),
-            s_b: pb.words.len(),
+            s_a,
+            s_b,
             products_computed: computed,
             products_skipped: skipped,
             engine_calls: computed * k.div_ceil(kb),
             beta,
-            split_exact: pa.complete && pb.complete,
+            split_exact,
             // Each PE accumulates in ascending k, one rounding per step:
             // the strict scalar kernel's order (bit-identity pinned below).
             kernel: KernelVariant::Scalar,

@@ -44,14 +44,13 @@
 //! [`Bf16Words`], on the host's own matrix engine: exact sums are the
 //! chain's bits whatever order the engine adds in.
 
-use crate::split::{
-    ceil_log2, lines_of, required_beta, split_panels, split_rows, Pack, Panels, SplitMatrix,
-};
+use crate::split::{ceil_log2, required_beta, split_rows, Call, Pack, Panels, Plan, Source, SplitMatrix};
+use crate::workspace::{with_arena, ALIGNED_PANELS};
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::blas3::amx::bf16_on;
 use me_linalg::{
-    fold_tile, gemm_bf16_f32, gemm_f32_f32, selected_kernel, FoldSum, HalfKind, KernelVariant, Mat,
-    PanelChunk, PanelLayout, PanelWord,
+    fold_tile, gemm_bf16_f32, gemm_f32_f32, selected_kernel, AlignedBuf, FoldSum, HalfKind,
+    KernelVariant, Mat, PanelChunk, PanelLayout, PanelWord, Pod,
 };
 use me_numerics::formats::narrow_f32_exact;
 use me_par::WorkerPool;
@@ -187,7 +186,7 @@ pub trait SliceEngine: sealed::Sealed {
     /// The stored slice word: integer-valued `f32`, binary16 bits or `i8`.
     type Word: PanelWord + Send + Sync;
     /// One engine call's chunk sum: `f32`, or `i32` for INT8.
-    type Sum: FoldSum + Default;
+    type Sum: FoldSum + Pod;
     /// Span and counter names.
     const TRACE: SliceTrace;
 
@@ -501,13 +500,12 @@ fn drive<E: SliceEngine>(
     let names = E::TRACE;
     let beta = engine.beta(k);
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
+    let ((s_a, s_b, split_exact), c) =
+        with_split(engine, (Source::Rows(a), Source::Cols(b)), kernel, pool, |call| {
+            let split = (call.a.len(), call.b.len(), call.a.complete && call.b.complete);
+            (split, multiply(engine, call, k, kernel, pool))
+        });
 
-    let split_span = me_trace::span(names.split, "ozaki");
-    let pa = split_words(engine, k, lines_of(a, true), E::LAYOUT_A, kernel, pool);
-    let pb = split_words(engine, k, lines_of(b, false), E::LAYOUT_B, kernel, pool);
-    drop(split_span);
-
-    let (s_a, s_b) = (pa.words.len(), pb.words.len());
     let (computed, skipped) = pair_counts(s_a, s_b, cutoff);
     let engine_calls = computed * k.div_ceil(engine.k_block().max(1));
     for (name, count) in [
@@ -521,109 +519,170 @@ fn drive<E: SliceEngine>(
     }
 
     OzakiReport {
-        c: Mat::from_vec(m, n, multiply(engine, &pa, &pb, k, kernel, pool)),
+        c: Mat::from_vec(m, n, c),
         s_a,
         s_b,
         products_computed: computed,
         products_skipped: skipped,
         engine_calls,
         beta,
-        split_exact: pa.complete && pb.complete,
+        split_exact,
         kernel,
     }
 }
 
-/// Split `lines` contiguous lines of length `k` into `engine`'s word
-/// panels, at its β and slice budget for inner dimension `k`, each slice
-/// packed once into `layout` (the engine's A or B layout), on `kernel`.
-fn split_words<E: SliceEngine>(
+/// Split `sources` (A's lines, then B's, of length `k`) into `engine`'s
+/// word panels in the calling thread's workspace ([`crate::workspace`]),
+/// at its β and slice budget for `k`, each slice packed once into its
+/// layout ([`SliceEngine::LAYOUT_A`], [`SliceEngine::LAYOUT_B`]) on
+/// `kernel`, then run `f` on the split with its accumulators and fold
+/// tiles (one per row panel of [`row_panel`]).
+fn with_split<E: SliceEngine, R>(
     engine: &E,
-    k: usize,
-    (rest, lines): (Vec<f64>, usize),
-    layout: PanelLayout,
+    sources: (Source<'_>, Source<'_>),
     kernel: KernelVariant,
     pool: Option<&WorkerPool>,
-) -> Panels<E::Word> {
+    f: impl FnOnce(Call<'_, E::Word, E::Sum>) -> R,
+) -> R {
+    let (m, n, k) = (sources.0.lines(), sources.1.lines(), sources.0.len());
     let beta = engine.beta(k);
     let (budget, _) = engine.budget_and_cutoff(k, beta);
-    let pack = Pack { layout, kb: engine.k_block().max(1) };
-    let panels = split_panels(rest, lines, beta, budget, kernel, pool, pack, |r, _| E::narrow(r));
-    me_trace::counter_add(E::TRACE.panel_packs, panels.words.len() as u64);
-    panels
+    let kb = engine.k_block().max(1);
+    let packs = (Pack { layout: E::LAYOUT_A, kb }, Pack { layout: E::LAYOUT_B, kb });
+    let rows = row_panel(m, n, pool, E::LAYOUT_A.tile);
+    let jobs = pool.map_or(1, WorkerPool::threads);
+    let fold = (m * n, m.next_multiple_of(rows) * n);
+    let mut plan = Plan::<E::Word, E::Sum>::new(sources, packs, (beta, budget), jobs, fold);
+    with_arena(|arena| {
+        let split_span = me_trace::span(E::TRACE.split, "ozaki");
+        let split = plan.split(arena, kernel, pool, &|r, _| E::narrow(r));
+        drop(split_span);
+        let call = plan.carve(arena, split);
+        let panels = || call.a.iter().chain(call.b.iter()).map(|(w, _)| w);
+        let aligned = panels().filter(|w| w.as_ptr().addr().is_multiple_of(AlignedBuf::ALIGN));
+        me_trace::counter_add(ALIGNED_PANELS, aligned.count() as u64);
+        me_trace::counter_add(E::TRACE.panel_packs, (call.a.len() + call.b.len()) as u64);
+        f(call)
+    })
 }
 
-/// `C = A·B` (row-major `pa.lines × pb.lines`) from the packed word panels
-/// of A's rows and B's columns: each row panel folds every scheduled
-/// engine call in `(p, q)` pair (p outer) → k-chunk → element order, as
-/// `engine_exec` does, so the bits never depend on the partition. Row
-/// panels start on A's tile grid. One `accumulate` span per row panel (on
-/// the worker that owns it), one `products` span per engine call inside it.
+/// Rows per row panel of an `m × n` product on `pool`: one panel per
+/// worker, rounded up to A's `tile` height; all `m` rows serially.
+fn row_panel(m: usize, n: usize, pool: Option<&WorkerPool>, tile: usize) -> usize {
+    match pool {
+        Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
+            m.div_ceil(pl.threads()).next_multiple_of(tile)
+        }
+        _ => m.max(1),
+    }
+}
+
+/// `C = A·B` (row-major `m × n`, the lines of A and B) from the split's
+/// packed word panels: each row panel ([`row_panel`]) folds every
+/// scheduled engine call into its part of the call's accumulators, on
+/// its own fold tile ([`fold_panel`]). Row panels start on A's tile grid.
+/// `C = hi + lo` is written straight into the returned vector.
 fn multiply<E: SliceEngine>(
     engine: &E,
-    pa: &Panels<E::Word>,
-    pb: &Panels<E::Word>,
+    call: Call<'_, E::Word, E::Sum>,
     k: usize,
     kernel: KernelVariant,
     pool: Option<&WorkerPool>,
 ) -> Vec<f64> {
-    let names = E::TRACE;
+    let Call { hi, lo, tiles, a: pa, b: pb } = call;
     let (m, n) = (pa.lines, pb.lines);
     let beta = engine.beta(k);
     let (_, cutoff) = engine.budget_and_cutoff(k, beta);
-    let kb = engine.k_block().max(1);
-    let (la, lb) = (E::LAYOUT_A, E::LAYOUT_B);
-    let fold = |r0: usize, (hi, lo): (&mut [f64], &mut [f64])| {
-        let rows = hi.len().checked_div(n).unwrap_or(0);
-        if rows == 0 || k == 0 {
-            return;
+    let schedule = Schedule { k, kb: engine.k_block().max(1), cutoff, beta, kernel };
+    let rows = row_panel(m, n, pool, E::LAYOUT_A.tile);
+    match pool {
+        Some(pl) if rows < m => {
+            let mut panels: Vec<_> = hi
+                .chunks_mut(rows * n)
+                .zip(lo.chunks_mut(rows * n))
+                .zip(tiles.chunks_mut(rows * n))
+                .enumerate()
+                .map(|(t, panel)| (t * rows, panel))
+                .collect();
+            pl.for_each_mut(&mut panels, |_, (r0, ((hi, lo), tile))| {
+                fold_panel::<E>(&pa, &pb, *r0, (hi, lo, tile), schedule)
+            });
         }
-        let _t = me_trace::span(names.accumulate, "ozaki");
-        let mut tile = vec![E::Sum::default(); rows * n];
-        for (p, (wa, ea)) in pa.words.iter().zip(&pa.exps).enumerate() {
-            for (q, (wb, eb)) in pb.words.iter().zip(&pb.exps).enumerate() {
-                if p + q >= cutoff {
-                    continue;
+        _ => fold_panel::<E>(&pa, &pb, 0, (hi, lo, tiles), schedule),
+    }
+    let mut c: Vec<f64> = hi.iter().zip(lo.iter()).map(|(h, l)| h + l).collect();
+    poison(&mut c, n, pa.poisoned(), pb.poisoned());
+    c
+}
+
+/// What [`fold_panel`] folds: inner dimension `k` in chunks of `kb`,
+/// slice pairs below `cutoff`, width `beta`, engine calls on `kernel`.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    k: usize,
+    kb: usize,
+    cutoff: usize,
+    beta: u32,
+    kernel: KernelVariant,
+}
+
+/// Fold one row panel (rows `r0..`, as many as `hi` holds) of `C = A·B`:
+/// reset its accumulators `hi`/`lo`, then fold every scheduled engine call
+/// into them in `(p, q)` pair (p outer) → k-chunk → element order, as
+/// `engine_exec` does, so the bits never depend on the partition. Each
+/// engine call's sums land in `tile`. One `accumulate` span per row panel
+/// (on the worker that owns it), one `products` span per engine call
+/// inside it.
+// me-verify: hot
+fn fold_panel<E: SliceEngine>(
+    pa: &Panels<'_, E::Word>,
+    pb: &Panels<'_, E::Word>,
+    r0: usize,
+    (hi, lo, tile): (&mut [f64], &mut [f64], &mut [E::Sum]),
+    Schedule { k, kb, cutoff, beta, kernel }: Schedule,
+) {
+    hi.fill(0.0);
+    lo.fill(0.0);
+    let n = pb.lines;
+    let rows = hi.len().checked_div(n).unwrap_or(0);
+    if rows == 0 || k == 0 {
+        return;
+    }
+    let names = E::TRACE;
+    let _t = me_trace::span(names.accumulate, "ozaki");
+    let (la, lb) = (E::LAYOUT_A, E::LAYOUT_B);
+    let tile = &mut tile[..rows * n];
+    for (p, (wa, ea)) in pa.iter().enumerate() {
+        for (q, (wb, eb)) in pb.iter().enumerate() {
+            if p + q >= cutoff {
+                continue;
+            }
+            for k0 in (0..k).step_by(kb) {
+                let kc = kb.min(k - k0);
+                let a = la.chunk(wa, r0, k0, k, kb);
+                let b = lb.chunk(wb, 0, k0, k, kb);
+                {
+                    let _p = me_trace::span(names.products, "ozaki");
+                    E::engine_call(kernel, rows, n, kc, a, b, tile);
                 }
-                for k0 in (0..k).step_by(kb) {
-                    let kc = kb.min(k - k0);
-                    let a = la.chunk(wa, r0, k0, k, kb);
-                    let b = lb.chunk(wb, 0, k0, k, kb);
-                    {
-                        let _p = me_trace::span(names.products, "ozaki");
-                        E::engine_call(kernel, rows, n, kc, a, b, &mut tile);
-                    }
-                    fold_tile(kernel, &tile, &ea[r0..r0 + rows], eb, beta, hi, lo);
-                }
+                fold_tile(kernel, tile, &ea[r0..r0 + rows], eb, beta, hi, lo);
             }
         }
-    };
-    // The accumulators as struct-of-arrays double-doubles: C = hi + lo.
-    let (mut hi, mut lo) = (vec![0.0f64; m * n], vec![0.0f64; m * n]);
-    match pool {
-        Some(pl) if pl.threads() > 1 && m >= 2 && n > 0 => {
-            let rows_per = m.div_ceil(pl.threads()).next_multiple_of(la.tile);
-            let mut panels: Vec<_> = hi
-                .chunks_mut(rows_per * n)
-                .zip(lo.chunks_mut(rows_per * n))
-                .enumerate()
-                .map(|(t, chunk)| (t * rows_per, chunk))
-                .collect();
-            pl.for_each_mut(&mut panels, |_, (r0, (h, l))| fold(*r0, (h, l)));
-        }
-        _ => fold(0, (&mut hi, &mut lo)),
     }
-    let mut c: Vec<f64> = hi.iter().zip(&lo).map(|(h, l)| h + l).collect();
-    poison(&mut c, n, &pa.poisoned, &pb.poisoned);
-    c
 }
 
 /// Set every output in rows `rows` and columns `cols` of the row-major
 /// `c` (`n` columns) to NaN: the split could not represent their line.
-pub(crate) fn poison(c: &mut [f64], n: usize, rows: &[usize], cols: &[usize]) {
-    for &i in rows {
+pub(crate) fn poison(
+    c: &mut [f64],
+    n: usize,
+    rows: impl Iterator<Item = usize>,
+    cols: impl Iterator<Item = usize>,
+) {
+    for i in rows {
         c[i * n..(i + 1) * n].fill(f64::NAN);
     }
-    for &j in cols {
+    for j in cols {
         c.iter_mut().skip(j).step_by(n).for_each(|v| *v = f64::NAN);
     }
 }
@@ -654,11 +713,9 @@ pub fn ozaki_dot(x: &[f64], y: &[f64], cfg: &OzakiConfig) -> f64 {
     assert_eq!(x.len(), y.len(), "ozaki_dot: length mismatch");
     let k = x.len();
     let kernel = selected_kernel().resolve_supported();
-    let (px, py) = (
-        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_A, kernel, None),
-        split_words(cfg, k, (y.to_vec(), 1), OzakiConfig::LAYOUT_B, kernel, None),
-    );
-    multiply(cfg, &px, &py, k, kernel, None)[0]
+    with_split(cfg, (Source::Line(x), Source::Line(y)), kernel, None, |call| {
+        multiply(cfg, call, k, kernel, None)[0]
+    })
 }
 
 /// Ozaki-scheme matrix-vector product `y = A·x`: per-row splits of A
@@ -667,11 +724,9 @@ pub fn ozaki_gemv(a: &Mat<f64>, x: &[f64], cfg: &OzakiConfig) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "ozaki_gemv: inner dimension mismatch");
     let k = x.len();
     let kernel = selected_kernel().resolve_supported();
-    let (pa, px) = (
-        split_words(cfg, k, lines_of(a, true), OzakiConfig::LAYOUT_A, kernel, None),
-        split_words(cfg, k, (x.to_vec(), 1), OzakiConfig::LAYOUT_B, kernel, None),
-    );
-    multiply(cfg, &pa, &px, k, kernel, None)
+    with_split(cfg, (Source::Rows(a), Source::Line(x)), kernel, None, |call| {
+        multiply(cfg, call, k, kernel, None)
+    })
 }
 
 /// Reference product computed with doubled-precision dot products

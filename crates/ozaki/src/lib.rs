@@ -44,6 +44,7 @@ pub mod host_f16;
 pub mod int8;
 pub mod perf;
 pub mod split;
+pub mod workspace;
 
 pub use backend::{ozaki_gemm_backend, ozaki_gemm_backend_parallel, OzakiBackend};
 pub use bounds::{plan, truncation_bound, SplitPlan};

@@ -8,9 +8,13 @@
 //! Rust compiled once per kernel variant ([`KernelVariant::run`]), so it
 //! vectorizes at the width of the variant the engine calls run on; the
 //! compiler only picks instructions, so every variant writes the same
-//! bits.
+//! bits. Lines, panels, exponents and tile buffers live in the calling
+//! thread's workspace ([`crate::workspace`], laid out by [`Plan`]).
 
-use me_linalg::{selected_kernel, KernelVariant, Mat, PanelLayout, PanelWord, VariantWork};
+use crate::workspace::{with_arena, Arena};
+use me_linalg::{
+    selected_kernel, KernelVariant, Mat, PanelLayout, PanelWord, Pod, Regions, VariantWork,
+};
 use me_numerics::formats::pow2;
 use me_par::WorkerPool;
 
@@ -191,15 +195,21 @@ fn extract_with<W: PanelWord>(
 
 /// The next slice of each live line in a block: `rest` holds the lines
 /// back to back, `out` the block's run of whole tiles of the slice panel,
-/// `exp` and `mx` one entry per line. The lines of one tile are extracted
-/// into a tile buffer, with their chunk sums, and the tile is packed from
-/// there in one [`PanelLayout::put_lines`]; a tile with no live line is
-/// left blank.
+/// `exp` and `mx` one entry per line, `buf` and `sums` one tile's words
+/// and chunk sums. The lines of one tile are extracted into `buf`, with
+/// their chunk sums, and the tile is packed from there in one
+/// [`PanelLayout::put_lines`]. The panel is reused storage, so whatever
+/// an engine call reads that no line writes is blanked to the layout's
+/// stored zero first: a tile with no live line, and a live tile's padding
+/// (rows past the last line, k values past a chunk's end). Dead lines get
+/// exponent 0.
 struct ExtractLines<'a, W, F> {
     rest: &'a mut [f64],
     out: &'a mut [W],
     exp: &'a mut [i32],
     mx: &'a mut [u64],
+    buf: &'a mut [W],
+    sums: &'a mut [i32],
     beta: u32,
     pack: Pack,
     word: &'a F,
@@ -208,20 +218,29 @@ struct ExtractLines<'a, W, F> {
 impl<W: PanelWord, F: Fn(f64, f64) -> W> VariantWork for ExtractLines<'_, W, F> {
     type Output = ();
 
+    // me-verify: hot
     #[inline(always)]
     fn call(self) {
-        let ExtractLines { rest, out, exp, mx, beta, pack, word } = self;
+        let ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word } = self;
         let len = rest.len().checked_div(exp.len()).unwrap_or(0);
         if len == 0 {
             return;
         }
-        let (tile, chunks) = (pack.layout.tile, len.div_ceil(pack.kb));
-        let mut buf = vec![W::default(); tile * len];
-        let mut sums = vec![0i32; tile * chunks];
+        let layout = pack.layout;
+        let (tile, chunks) = (layout.tile, len.div_ceil(pack.kb));
+        let (stride, zero) = (layout.tile_stride(len, pack.kb), layout.zero::<W>());
+        let pads = layout.pads(len, pack.kb);
         let tiles = rest.chunks_mut(tile * len).zip(exp.chunks_mut(tile).zip(mx.chunks_mut(tile)));
         for (t, (x, (e, m))) in tiles.enumerate() {
             let rows = e.len();
-            let mut live = false;
+            let live = m.iter().any(|m| (1..INF_BITS).contains(m));
+            if !live || rows < tile || pads {
+                out[t * stride..(t + 1) * stride].fill(zero);
+            }
+            if !live {
+                e.fill(0);
+                continue;
+            }
             for (r, ((x, e), m)) in
                 x.chunks_mut(len).zip(e.iter_mut()).zip(m.iter_mut()).enumerate()
             {
@@ -230,16 +249,14 @@ impl<W: PanelWord, F: Fn(f64, f64) -> W> VariantWork for ExtractLines<'_, W, F> 
                 if (1..INF_BITS).contains(m) {
                     *e = ceil_exp(f64::from_bits(*m));
                     *m = extract(x, w, s, *e, beta, pack.kb, word);
-                    live = true;
                 } else {
+                    *e = 0;
                     w.fill(W::default());
                     s.fill(0);
                 }
             }
-            if live {
-                let (words, sums) = (&buf[..rows * len], &sums[..rows * chunks]);
-                pack.layout.put_lines(out, t * tile, words, len, sums, pack.kb);
-            }
+            let (words, sums) = (&buf[..rows * len], &sums[..rows * chunks]);
+            layout.put_lines(out, t * tile, words, len, sums, pack.kb);
         }
     }
 }
@@ -259,102 +276,376 @@ impl Pack {
     }
 }
 
-/// A matrix's lines split into β-bit slices and packed as words.
+/// Where a split reads one operand's lines from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// The rows of a matrix (A's lines).
+    Rows(&'a Mat<f64>),
+    /// The columns of a matrix (B's lines).
+    Cols(&'a Mat<f64>),
+    /// One line.
+    Line(&'a [f64]),
+}
+
+impl Source<'_> {
+    /// Number of lines.
+    pub fn lines(&self) -> usize {
+        match self {
+            Source::Rows(a) => a.rows(),
+            Source::Cols(b) => b.cols(),
+            Source::Line(_) => 1,
+        }
+    }
+
+    /// Length of each line.
+    pub fn len(&self) -> usize {
+        match self {
+            Source::Rows(a) => a.cols(),
+            Source::Cols(b) => b.rows(),
+            Source::Line(x) => x.len(),
+        }
+    }
+
+    /// Write the lines back to back into `out` (`lines · len` long).
+    fn write(&self, out: &mut [f64]) {
+        match *self {
+            Source::Rows(a) => out.copy_from_slice(a.as_slice()),
+            Source::Line(x) => out.copy_from_slice(x),
+            Source::Cols(b) => {
+                // Eight rows of B at a time, so each pass writes a whole
+                // cache line of every line.
+                let (k, n) = b.shape();
+                if out.is_empty() {
+                    return;
+                }
+                for (p0, rows) in b.as_slice().chunks(8 * n).enumerate() {
+                    for (j, line) in out.chunks_exact_mut(k).enumerate() {
+                        let dst = &mut line[8 * p0..];
+                        for (d, row) in dst.iter_mut().zip(rows.chunks_exact(n)) {
+                            *d = row[j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Slices any line can take at width `beta`. An extraction at scale `e`
+/// leaves a residual of magnitude at most `2^(e − β − 1)`, so the next
+/// scale is at least `β + 1` lower, and a line is exhausted once its grid
+/// `2^(e − β)` reaches `2^-1074`; from a first scale of at most 1024 that
+/// is at most `⌊2098 / (β + 1)⌋ + 2` extractions.
+fn most_slices(beta: u32) -> usize {
+    2098 / (beta as usize + 1) + 2
+}
+
+/// Where one operand's split sits in the workspace arena
+/// ([`crate::workspace`]), and how its slices are laid out there: each
+/// line's residual maximum, then one slot of per-line exponents per
+/// possible slice, then the slice panels one after another. Every slot
+/// is a whole number of 64-byte blocks, so every slice panel starts on a
+/// 64-byte boundary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operand {
+    /// Lines, and the length of each.
+    lines: usize,
+    len: usize,
+    /// Where each slice is packed.
+    pack: Pack,
+    /// Words of one slice panel, and from one panel's start to the next.
+    panel: usize,
+    slot: usize,
+    /// Exponents from one slice's to the next.
+    exp_slot: usize,
+    /// Slices at most.
+    budget: usize,
+    /// Byte offset of the operand in the arena.
+    at: usize,
+}
+
+impl Operand {
+    /// `src` split at width `beta` into at most `budget` slices of `W`s
+    /// packed by `pack`, at byte `at` of the arena.
+    fn new<W>(src: Source<'_>, pack: Pack, beta: u32, budget: usize, at: usize) -> Self {
+        let (lines, len) = (src.lines(), src.len());
+        let panel = pack.layout.len(lines, len, pack.kb);
+        Operand {
+            lines,
+            len,
+            pack,
+            panel,
+            slot: Regions::bytes::<W>(panel) / size_of::<W>(),
+            exp_slot: Regions::bytes::<i32>(lines) / size_of::<i32>(),
+            budget: budget.min(most_slices(beta)),
+            at,
+        }
+    }
+
+    /// Byte offset of the first slice panel.
+    fn panels_at(&self) -> usize {
+        self.at
+            + Regions::bytes::<u64>(self.lines)
+            + Regions::bytes::<i32>(self.budget * self.exp_slot)
+    }
+
+    /// Byte offset just past `slices` slice panels of `W`s.
+    fn end<W>(&self, slices: usize) -> usize {
+        self.panels_at() + slices * self.slot * size_of::<W>()
+    }
+
+    /// The line maxima, the exponent slots and the first `slices` slice
+    /// panels, from `r` (not past the operand).
+    #[allow(clippy::type_complexity)]
+    fn carve<'a, W: Pod>(
+        &self,
+        r: &mut Regions<'a>,
+        slices: usize,
+    ) -> (&'a mut [u64], &'a mut [i32], &'a mut [W]) {
+        let mx = r.seek(self.at).take(self.lines);
+        let exps = r.take(self.budget * self.exp_slot);
+        (mx, exps, r.take(slices * self.slot))
+    }
+}
+
+/// A matrix's lines split into β-bit slices and packed as words: a view
+/// of one operand's slices in the workspace arena.
 #[derive(Debug)]
-pub(crate) struct Panels<W> {
+pub(crate) struct Panels<'a, W> {
     /// Number of lines.
     pub lines: usize,
-    /// Per slice, its panel of words in the [`Pack`] layout, reading as
-    /// zeros past a line's last slice.
-    pub words: Vec<Vec<W>>,
-    /// Per slice, each line's scale exponent (0 past its last slice).
-    pub exps: Vec<Vec<i32>>,
     /// Whether every line's residual reached exactly zero.
     pub complete: bool,
-    /// Lines that hold a non-finite element or whose extraction
-    /// overflowed; they stop splitting.
-    pub poisoned: Vec<usize>,
+    slices: usize,
+    panel: usize,
+    slot: usize,
+    exp_slot: usize,
+    words: &'a [W],
+    exps: &'a [i32],
+    mx: &'a [u64],
 }
 
-/// Split the `lines` contiguous lines of `rest` (consumed as the residual)
-/// into at most `max_slices` β-bit slices, writing `word(integer, slice
-/// value)` per element straight into each slice's panel in `pack`'s
+impl<'a, W: Pod> Panels<'a, W> {
+    /// `op`'s first `slices` slices, carved from `r`.
+    fn new(op: &Operand, r: &mut Regions<'a>, (slices, complete): (usize, bool)) -> Self {
+        let (mx, exps, words) = op.carve::<W>(r, slices);
+        let Operand { lines, panel, slot, exp_slot, .. } = *op;
+        Panels { lines, complete, slices, panel, slot, exp_slot, words, exps, mx }
+    }
+
+    /// Number of slices.
+    pub fn len(&self) -> usize {
+        self.slices
+    }
+
+    /// Slice `p`: its panel of words in the [`Pack`] layout, reading as
+    /// zeros past a line's last slice, and each line's scale exponent (0
+    /// past its last slice).
+    pub fn slice(&self, p: usize) -> (&'a [W], &'a [i32]) {
+        assert!(p < self.slices, "slice {p} of {}", self.slices);
+        (&self.words[p * self.slot..][..self.panel], &self.exps[p * self.exp_slot..][..self.lines])
+    }
+
+    /// Every slice, highest order first.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a [W], &'a [i32])> + '_ {
+        (0..self.slices).map(|p| self.slice(p))
+    }
+
+    /// Lines that hold a non-finite element or whose extraction
+    /// overflowed; they stopped splitting.
+    pub fn poisoned(&self) -> impl Iterator<Item = usize> + 'a {
+        let mx = self.mx;
+        (0..mx.len()).filter(move |&li| mx[li] >= INF_BITS)
+    }
+}
+
+/// The accumulators, fold tiles and split operands of one call, in the
+/// workspace arena ([`Plan::carve`]).
+pub(crate) struct Call<'a, W, S> {
+    /// The double-double accumulators, `C = hi + lo`, row-major.
+    pub hi: &'a mut [f64],
+    pub lo: &'a mut [f64],
+    /// The fold tiles: one engine call's sums per row panel.
+    pub tiles: &'a mut [S],
+    /// A's and B's slices.
+    pub a: Panels<'a, W>,
+    pub b: Panels<'a, W>,
+}
+
+/// Where one call keeps its state in the calling thread's workspace arena
+/// ([`crate::workspace`]), each region starting on a 64-byte boundary.
+/// The split's state — the residual lines (A's, then B's) and each split
+/// job's tile buffer — and the fold's — the accumulators `hi` and `lo`
+/// and the fold tiles (sums `S`) — share the arena's start, since the
+/// fold begins only once the split is done and resets its accumulators
+/// first. After both come A's [`Operand`] and, from the end of A's last
+/// slice panel on, B's, with slice words `W`.
+pub(crate) struct Plan<'s, W, S> {
+    sources: (Source<'s>, Source<'s>),
+    beta: u32,
+    acc: usize,
+    tiles: usize,
+    scratch_at: usize,
+    jobs: usize,
+    job_words: usize,
+    job_sums: usize,
+    a: Operand,
+    b: Operand,
+    _types: std::marker::PhantomData<(W, S)>,
+}
+
+impl<'s, W: PanelWord + Send + Sync, S: Pod> Plan<'s, W, S> {
+    /// A call splitting `sources` (A's lines, B's lines of the same
+    /// length) at width `beta` into at most `budget` slices each, packed
+    /// by `packs`, with `jobs` split jobs at once, `acc` accumulators and
+    /// `tiles` fold-tile sums.
+    pub fn new(
+        sources: (Source<'s>, Source<'s>),
+        packs: (Pack, Pack),
+        (beta, budget): (u32, usize),
+        jobs: usize,
+        (acc, tiles): (usize, usize),
+    ) -> Self {
+        let (sa, sb) = sources;
+        let residual = (sa.lines() * sa.len()).max(sb.lines() * sb.len());
+        let scratch_at = Regions::bytes::<f64>(residual);
+        let tile = packs.0.layout.tile.max(packs.1.layout.tile);
+        let len = sa.len().max(sb.len());
+        let chunks = sa.len().div_ceil(packs.0.kb).max(sb.len().div_ceil(packs.1.kb));
+        let (job_words, job_sums) = (tile * len, tile * chunks);
+        let split_end = scratch_at
+            + Regions::bytes::<W>(jobs * job_words)
+            + Regions::bytes::<i32>(jobs * job_sums);
+        let fold_end = 2 * Regions::bytes::<f64>(acc) + Regions::bytes::<S>(tiles);
+        let a_at = split_end.max(fold_end);
+        Plan {
+            sources,
+            beta,
+            acc,
+            tiles,
+            scratch_at,
+            jobs,
+            job_words,
+            job_sums,
+            a: Operand::new::<W>(sa, packs.0, beta, budget, a_at),
+            b: Operand::new::<W>(sb, packs.1, beta, budget, a_at),
+            _types: std::marker::PhantomData,
+        }
+    }
+
+    /// Split A's lines, then B's, into their slice panels in `arena`
+    /// ([`split_panels`]), writing `word(integer, slice value)` per
+    /// element; returns each operand's slice count and whether its split
+    /// was exact.
+    pub fn split(
+        &mut self,
+        arena: &mut Arena<'_>,
+        kernel: KernelVariant,
+        pool: Option<&WorkerPool>,
+        word: &(impl Fn(f64, f64) -> W + Sync),
+    ) -> [(usize, bool); 2] {
+        let a = split_panels(arena, self, &self.a, self.sources.0, kernel, pool, word);
+        self.b.at = self.a.end::<W>(a.0);
+        let b = split_panels(arena, self, &self.b, self.sources.1, kernel, pool, word);
+        [a, b]
+    }
+
+    /// The accumulators, fold tiles and both operands' slices in `arena`,
+    /// after [`Self::split`] returned `split`.
+    pub fn carve<'a>(&self, arena: &'a mut Arena<'_>, split: [(usize, bool); 2]) -> Call<'a, W, S> {
+        let mut r = arena.regions();
+        let (hi, lo, tiles) = (r.take(self.acc), r.take(self.acc), r.take(self.tiles));
+        let a = Panels::new(&self.a, &mut r, split[0]);
+        let b = Panels::new(&self.b, &mut r, split[1]);
+        Call { hi, lo, tiles, a, b }
+    }
+}
+
+/// Split `src`'s lines (those of `op`, a [`Plan`] operand) into at most
+/// its budget of β-bit slices in `arena`, writing `word(integer, slice
+/// value)` per element straight into each slice's panel in the operand's
 /// layout: every slice is packed once, here, compiled for `kernel`'s
 /// instruction set ([`KernelVariant::run`]; the bits never depend on it).
-/// A pool takes each slice's lines in contiguous blocks of whole tiles;
-/// lines never interact, so any pool width gives the serial bits.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn split_panels<W: PanelWord + Send + Sync>(
-    mut rest: Vec<f64>,
-    lines: usize,
-    beta: u32,
-    max_slices: usize,
+/// The lines are first written into the arena as the residual the split
+/// consumes. A pool takes each slice's lines in contiguous blocks of
+/// whole tiles, each block with its own tile buffer; lines never
+/// interact, so any pool width gives the serial bits. Returns the slice
+/// count and whether every line's residual reached exactly zero.
+// me-verify: hot
+pub(crate) fn split_panels<W: PanelWord + Send + Sync, S: Pod>(
+    arena: &mut Arena<'_>,
+    plan: &Plan<'_, W, S>,
+    op: &Operand,
+    src: Source<'_>,
     kernel: KernelVariant,
     pool: Option<&WorkerPool>,
-    pack: Pack,
-    word: impl Fn(f64, f64) -> W + Sync,
-) -> Panels<W> {
+    word: &(impl Fn(f64, f64) -> W + Sync),
+) -> (usize, bool) {
+    let beta = plan.beta;
     assert!((1..=26).contains(&beta), "beta out of range: {beta}");
-    let len = rest.len().checked_div(lines).unwrap_or(0);
-    // Each line's largest magnitude bits, with every `−0` made `+0` so that
-    // a zero element packs to the all-zero word.
-    let mut mx: Vec<u64> = rest
-        .chunks_mut(len.max(1))
-        .map(|line| {
-            line.iter_mut().fold(0, |m, x| {
+    let (lines, len, pack) = (op.lines, op.len, op.pack);
+    arena.reserve(op.panels_at());
+    {
+        let mut r = arena.regions();
+        let rest = r.take::<f64>(lines * len);
+        src.write(rest);
+        let (mx, _, _) = op.carve::<W>(&mut r, 0);
+        // Each line's largest magnitude bits, with every `−0` made `+0` so
+        // that a zero element packs to the all-zero word.
+        mx.fill(0);
+        for (m, line) in mx.iter_mut().zip(rest.chunks_mut(len.max(1))) {
+            *m = line.iter_mut().fold(0, |m, x| {
                 *x += 0.0;
                 m.max(x.to_bits() & MAGNITUDE)
-            })
-        })
-        .collect();
-    mx.resize(lines, 0);
-    let (tile, stride) = (pack.layout.tile, pack.layout.tile_stride(len, pack.kb));
-    let (mut words, mut exps) = (Vec::new(), Vec::new());
-    let word = &word;
-    while words.len() < max_slices && mx.iter().any(|m| (1..INF_BITS).contains(m)) {
-        let mut panel = pack.layout.blank(lines, len, pack.kb);
-        let mut exp = vec![0i32; lines];
-        match pool {
-            Some(p) => {
-                let block = lines.div_ceil(p.threads()).next_multiple_of(tile);
-                let mut jobs: Vec<_> = rest
-                    .chunks_mut(block * len)
-                    .zip(panel.chunks_mut(block / tile * stride))
-                    .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
-                    .collect();
-                p.for_each_mut(&mut jobs, |_, ((rest, out), (exp, mx))| {
-                    kernel.run(ExtractLines { rest, out, exp, mx, beta, pack, word })
-                });
-            }
-            None => kernel.run(ExtractLines {
-                rest: &mut rest,
-                out: &mut panel,
-                exp: &mut exp,
-                mx: &mut mx,
-                beta,
-                pack,
-                word,
-            }),
+            });
         }
-        words.push(panel);
-        exps.push(exp);
     }
-    Panels {
-        lines,
-        words,
-        exps,
-        complete: mx.iter().all(|&m| m == 0),
-        poisoned: (0..lines).filter(|&li| mx[li] >= INF_BITS).collect(),
+    let mut slices = 0;
+    loop {
+        let (mx, _, _) = op.carve::<W>(&mut arena.regions(), 0);
+        if slices == op.budget || !mx.iter().any(|m| (1..INF_BITS).contains(m)) {
+            return (slices, mx.iter().all(|&m| m == 0));
+        }
+        arena.reserve(op.end::<W>(slices + 1));
+        let mut r = arena.regions();
+        let rest = r.take::<f64>(lines * len);
+        let buf = r.seek(plan.scratch_at).take::<W>(plan.jobs * plan.job_words);
+        let sums = r.take::<i32>(plan.jobs * plan.job_sums);
+        let (mx, exps, panels) = op.carve::<W>(&mut r, slices + 1);
+        let exp = &mut exps[slices * op.exp_slot..][..lines];
+        let out = &mut panels[slices * op.slot..][..op.panel];
+        let work = ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word };
+        match pool {
+            Some(p) => fan_out(p, kernel, work, (plan.job_words, plan.job_sums)),
+            None => kernel.run(work),
+        }
+        slices += 1;
     }
 }
 
-/// `a`'s rows (`by_rows`) or columns as contiguous lines, and their count.
-pub(crate) fn lines_of(a: &Mat<f64>, by_rows: bool) -> (Vec<f64>, usize) {
-    if by_rows {
-        (a.as_slice().to_vec(), a.rows())
-    } else {
-        (a.transpose().as_slice().to_vec(), a.cols())
-    }
+/// `work` as contiguous blocks of whole tiles of its lines, one pool job
+/// each, each job with its own `words`-long tile buffer and `sums` chunk
+/// sums out of `work`'s.
+fn fan_out<W: PanelWord + Send + Sync, F: Fn(f64, f64) -> W + Sync>(
+    pool: &WorkerPool,
+    kernel: KernelVariant,
+    work: ExtractLines<'_, W, F>,
+    (words, sums): (usize, usize),
+) {
+    let ExtractLines { rest, out, exp, mx, buf, sums: sum_buf, beta, pack, word } = work;
+    let (lines, tile) = (exp.len(), pack.layout.tile);
+    let len = rest.len() / lines.max(1);
+    let stride = pack.layout.tile_stride(len, pack.kb);
+    let block = lines.div_ceil(pool.threads()).next_multiple_of(tile);
+    let mut jobs: Vec<_> = rest
+        .chunks_mut(block * len)
+        .zip(out.chunks_mut(block / tile * stride))
+        .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
+        .zip(buf.chunks_mut(words).zip(sum_buf.chunks_mut(sums)))
+        .collect();
+    pool.for_each_mut(&mut jobs, |_, (((rest, out), (exp, mx)), (buf, sums))| {
+        kernel.run(ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word })
+    });
 }
 
 /// Split `A` by rows into β-bit slices (for the left operand of GEMM).
@@ -397,7 +688,7 @@ pub fn split_cols_parallel(
 }
 
 /// The dense f64 form of [`split_panels`]: each slice's words are its
-/// values, reshaped into a matrix of `a`'s shape.
+/// values, copied out of the workspace into a matrix of `a`'s shape.
 fn split_matrix(
     a: &Mat<f64>,
     beta: u32,
@@ -406,27 +697,35 @@ fn split_matrix(
     kernel: KernelVariant,
     pool: Option<&WorkerPool>,
 ) -> SplitMatrix {
-    let (rest, lines) = lines_of(a, by_rows);
-    let size = rest.len();
-    let pack = Pack::lines(size.checked_div(lines).unwrap_or(0));
-    let mut p = split_panels(rest, lines, beta, max_slices, kernel, pool, pack, |_, hi| hi);
-    if p.words.is_empty() && !p.poisoned.is_empty() {
-        p.words.push(vec![0.0; size]);
-        p.exps.push(vec![0; lines]);
+    let src = if by_rows { Source::Rows(a) } else { Source::Cols(a) };
+    let (lines, len) = (src.lines(), src.len());
+    let pack = Pack::lines(len);
+    let jobs = pool.map_or(1, WorkerPool::threads);
+    let sources = (src, Source::Line(&[]));
+    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, max_slices), jobs, (0, 0));
+    let (mut words, mut scale_exp, poisoned, complete) = with_arena(|arena| {
+        let split = plan.split(arena, kernel, pool, &|_, hi| hi);
+        let p = plan.carve(arena, split).a;
+        let words: Vec<Vec<f64>> = p.iter().map(|(w, _)| w.to_vec()).collect();
+        let exps: Vec<Vec<i32>> = p.iter().map(|(_, e)| e.to_vec()).collect();
+        (words, exps, p.poisoned().collect::<Vec<_>>(), p.complete)
+    });
+    if words.is_empty() && !poisoned.is_empty() {
+        words.push(vec![0.0; lines * len]);
+        scale_exp.push(vec![0; lines]);
     }
-    let len = size.checked_div(lines).unwrap_or(0);
-    for &li in &p.poisoned {
-        p.words[0][li * len..(li + 1) * len].fill(f64::NAN);
+    for &li in &poisoned {
+        words[0][li * len..(li + 1) * len].fill(f64::NAN);
     }
     let (r, c) = a.shape();
-    let slices = p.words.into_iter().map(|w| {
+    let slices = words.into_iter().map(|w| {
         if by_rows {
             Mat::from_vec(r, c, w)
         } else {
             Mat::from_vec(c, r, w).transpose()
         }
     });
-    SplitMatrix { slices: slices.collect(), scale_exp: p.exps, beta, complete: p.complete, by_rows }
+    SplitMatrix { slices: slices.collect(), scale_exp, beta, complete, by_rows }
 }
 
 #[cfg(test)]

@@ -196,6 +196,35 @@ fn assert_same_split(new: &SplitMatrix, old: &SplitMatrix, label: &str) {
     }
 }
 
+/// One operand split by [`split_panels`], copied out of the workspace.
+struct Owned<W> {
+    words: Vec<Vec<W>>,
+    exps: Vec<Vec<i32>>,
+}
+
+/// `src` split at `beta` into at most `budget` of `E`'s words, packed by
+/// `pack`, on `kernel` and `pool`.
+fn owned_split<E: SliceEngine>(
+    src: Source<'_>,
+    beta: u32,
+    budget: usize,
+    kernel: KernelVariant,
+    pool: Option<&WorkerPool>,
+    pack: Pack,
+) -> Owned<E::Word> {
+    let jobs = pool.map_or(1, WorkerPool::threads);
+    let sources = (src, Source::Line(&[]));
+    let mut plan = Plan::<E::Word, f64>::new(sources, (pack, pack), (beta, budget), jobs, (0, 0));
+    with_arena(|arena| {
+        let split = plan.split(arena, kernel, pool, &|r, _| E::narrow(r));
+        let p = plan.carve(arena, split).a;
+        Owned {
+            words: p.iter().map(|(w, _)| w.to_vec()).collect(),
+            exps: p.iter().map(|(_, e)| e.to_vec()).collect(),
+        }
+    })
+}
+
 /// The engine words `split_panels` writes on `kernel` against the
 /// replaced pack pass: line-major, and in the engine's A and B layouts
 /// (chunks of 10, so tail groups and tail chunks occur; serial and on
@@ -210,11 +239,9 @@ fn assert_same_words<E: SliceEngine>(
 ) where
     E::Word: Bits,
 {
-    let (rest, lines) = lines_of(a, old.by_rows);
-    let len = rest.len().checked_div(lines).unwrap_or(0);
-    let split = |pack, pool| {
-        split_panels(rest.clone(), lines, old.beta, budget, kernel, pool, pack, |r, _| E::narrow(r))
-    };
+    let src = if old.by_rows { Source::Rows(a) } else { Source::Cols(a) };
+    let (lines, len) = (src.lines(), src.len());
+    let split = |pack, pool| owned_split::<E>(src, old.beta, budget, kernel, pool, pack);
     let new = split(Pack::lines(len), None);
     let want = old_pack::<E>(old);
     let bits = |w: &[E::Word]| w.iter().map(|w| w.bits()).collect::<Vec<u64>>();
