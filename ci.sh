@@ -21,9 +21,13 @@
 #      per-thread arena against a fresh thread's, bit for bit, with no
 #      growth after warm-up) and the double-double fold differential
 #      (every available variant against the scalar `Accumulator::add`)
+#      and the B-pack layout oracle (`packed::tests`: every word of
+#      `pack_b` on each variant and of `pack_b_matrix` on the selected
+#      one, against the DESIGN §12 index formula, NaN-sentinel buffers)
 #      also run on the optimized build the benchmark times, where the
-#      Ozaki fold and split are compiled per variant; then, once, the f32 and int8
-#      engine-call tile-edge differentials, the f64 register-block edge
+#      Ozaki fold and split and the A/B packs are compiled per variant;
+#      then, once, the f32 and int8 engine-call tile-edge
+#      differentials, the f64 register-block edge
 #      differential and the AMX engine-call tile-edge differential (AMX
 #      arm against every SIMD arm; says so when the host has no AMX) in
 #      release (each loops over every variant the host runs itself;
@@ -103,6 +107,7 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test pinned_digest
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test workspace_reuse
     ME_KERNEL=$K cargo test -q --release -p me-linalg --test fold_differential
+    ME_KERNEL=$K cargo test -q --release -p me-linalg --lib packed::tests
 done
 cargo test -q --release -p me-linalg --test f32_tile_edges --test int8_tile_edges \
     --test f64_block_edges

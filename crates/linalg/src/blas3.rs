@@ -226,25 +226,69 @@ pub fn gemm_tiled_prepacked_with<T: Scalar>(
 /// values `A[row0 + it·MR + r][kb + p]` contiguously, zero-padded past
 /// `mc`. The padding rows feed accumulator lanes that are never written
 /// back, so they cost a few FMAs but keep the kernel branch-free.
+///
+/// Each micro-panel reads its MR rows together and is written once, in
+/// order, compiled for `variant`; the bytes are the same on every
+/// variant.
 // me-verify: hot
-fn pack_a<T: Scalar>(a: &Mat<T>, row0: usize, mc: usize, kb: usize, kc: usize, buf: &mut [T]) {
-    for it in 0..mc.div_ceil(MR) {
-        let tile = &mut buf[it * MR * kc..(it + 1) * MR * kc];
-        for r in 0..MR {
-            let li = it * MR + r;
-            if li < mc {
-                let arow = &a.row(row0 + li)[kb..kb + kc];
-                for (p, &v) in arow.iter().enumerate() {
-                    tile[p * MR + r] = v;
+fn pack_a<T: Scalar>(
+    variant: KernelVariant,
+    a: &Mat<T>,
+    row0: usize,
+    mc: usize,
+    kb: usize,
+    kc: usize,
+    buf: &mut [T],
+) {
+    variant.run(PackA { a, row0, mc, kb, kc, buf });
+}
+
+/// [`pack_a`]'s arguments, for [`KernelVariant::run`].
+struct PackA<'a, T: Scalar> {
+    a: &'a Mat<T>,
+    row0: usize,
+    mc: usize,
+    kb: usize,
+    kc: usize,
+    buf: &'a mut [T],
+}
+
+impl<T: Scalar> VariantWork for PackA<'_, T> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call(self) {
+        let PackA { a, row0, mc, kb, kc, buf } = self;
+        let steps = buf[..mc.div_ceil(MR) * MR * kc].as_chunks_mut::<MR>().0;
+        for (it, tile) in steps.chunks_exact_mut(kc).enumerate() {
+            let live = MR.min(mc - it * MR);
+            let rows: [&[T]; MR] = std::array::from_fn(|r| {
+                if r < live {
+                    &a.row(row0 + it * MR + r)[kb..kb + kc]
+                } else {
+                    &[]
+                }
+            });
+            if live == MR {
+                for (p, d) in tile.iter_mut().enumerate() {
+                    *d = std::array::from_fn(|r| rows[r][p]);
                 }
             } else {
-                for p in 0..kc {
-                    tile[p * MR + r] = T::ZERO;
+                for (p, d) in tile.iter_mut().enumerate() {
+                    *d = std::array::from_fn(|r| if r < live { rows[r][p] } else { T::ZERO });
                 }
             }
         }
     }
 }
+
+/// B rows [`pack_b`] moves per pass: for each micro-panel it copies
+/// these rows' NR-wide slices, so every write is a contiguous run of
+/// `PACK_B_ROWS · NR` values (1 KB of f64) and every source row is read
+/// left to right. Walking one B row across all micro-panels instead
+/// scatters NR values into each panel, `NR · kc` elements apart: at the
+/// default `kc` all of them map to the same L1 set.
+const PACK_B_ROWS: usize = 16;
 
 /// Pack the `kc × ncb` window of B at (`kb`, `jb`) into NR-column
 /// micro-panels: micro-panel `jt` stores, for each k step `p`, the NR
@@ -252,8 +296,14 @@ fn pack_a<T: Scalar>(a: &Mat<T>, row0: usize, mc: usize, kb: usize, kc: usize, b
 /// matrix edge. Shared verbatim by the in-scratch fresh path and
 /// [`pack_b_matrix`], which is what makes prepacked panels byte-identical
 /// to fresh ones (the §12 layout contract).
+///
+/// The copy walks B in [`PACK_B_ROWS`]-row blocks and runs compiled for
+/// `variant` (one 64-byte move per f64 tile row on AVX-512). The order
+/// and the instruction set only move values, so the packed bytes are the
+/// same on every variant.
 // me-verify: hot
 pub(crate) fn pack_b<T: Scalar>(
+    variant: KernelVariant,
     b: &Mat<T>,
     kb: usize,
     kc: usize,
@@ -261,15 +311,49 @@ pub(crate) fn pack_b<T: Scalar>(
     ncb: usize,
     buf: &mut [T],
 ) {
-    for p in 0..kc {
-        let brow = b.row(kb + p);
-        for jt in 0..ncb.div_ceil(NR) {
-            let j0 = jb + jt * NR;
-            let w = NR.min(jb + ncb - j0);
-            let dst = &mut buf[jt * NR * kc + p * NR..jt * NR * kc + (p + 1) * NR];
-            dst[..w].copy_from_slice(&brow[j0..j0 + w]);
-            for v in &mut dst[w..] {
-                *v = T::ZERO;
+    variant.run(PackB { b, kb, kc, jb, ncb, buf });
+}
+
+/// [`pack_b`]'s arguments, for [`KernelVariant::run`].
+struct PackB<'a, T: Scalar> {
+    b: &'a Mat<T>,
+    kb: usize,
+    kc: usize,
+    jb: usize,
+    ncb: usize,
+    buf: &'a mut [T],
+}
+
+impl<T: Scalar> VariantWork for PackB<'_, T> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call(self) {
+        let PackB { b, kb, kc, jb, ncb, buf } = self;
+        let full = ncb / NR;
+        let tail = ncb % NR;
+        // One `[T; NR]` per (micro-panel, k step): tile `jt`, step `p` is
+        // `steps[jt·kc + p]`.
+        let steps = buf[..ncb.div_ceil(NR) * NR * kc].as_chunks_mut::<NR>().0;
+        let mut rows: [&[[T; NR]]; PACK_B_ROWS] = [&[]; PACK_B_ROWS];
+        for p0 in (0..kc).step_by(PACK_B_ROWS) {
+            let pe = (p0 + PACK_B_ROWS).min(kc);
+            for (row, p) in rows.iter_mut().zip(p0..pe) {
+                *row = b.row(kb + p)[jb..jb + full * NR].as_chunks().0;
+            }
+            for jt in 0..full {
+                let dst = &mut steps[jt * kc + p0..jt * kc + pe];
+                for (d, row) in dst.iter_mut().zip(&rows) {
+                    *d = row[jt];
+                }
+            }
+            if tail > 0 {
+                let j0 = jb + full * NR;
+                let dst = &mut steps[full * kc + p0..full * kc + pe];
+                for (d, p) in dst.iter_mut().zip(p0..pe) {
+                    d[..tail].copy_from_slice(&b.row(kb + p)[j0..j0 + tail]);
+                    d[tail..].fill(T::ZERO);
+                }
             }
         }
     }
@@ -355,7 +439,7 @@ fn gemm_packed_panel<T: Scalar>(
                 let bpanel: &[T] = match b {
                     BOperand::Fresh(bm) => {
                         let _t = me_trace::span("gemm.pack_b", "linalg");
-                        pack_b(bm, kb, kc, jb, ncb, &mut bpack[..ntiles_n * NR * kc]);
+                        pack_b(variant, bm, kb, kc, jb, ncb, &mut bpack[..ntiles_n * NR * kc]);
                         &bpack[..ntiles_n * NR * kc]
                     }
                     BOperand::Packed(p) => p.panel(bj, bk),
@@ -364,7 +448,7 @@ fn gemm_packed_panel<T: Scalar>(
                     let mc = mc_blk.min(rows - ib);
                     {
                         let _t = me_trace::span("gemm.pack_a", "linalg");
-                        pack_a(a, r0 + ib, mc, kb, kc, apack);
+                        pack_a(variant, a, r0 + ib, mc, kb, kc, apack);
                     }
                     // One span per MC block (not per register block: that
                     // loop is too hot); covers the kernel and its write-back.
@@ -687,6 +771,29 @@ mod tests {
                             "{algo:?} not bitwise-equal to naive at m={m} n={n} k={k}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_a_matches_layout_on_every_variant() {
+        // Micro-panel `it`, step `p`, lane `r` holds A[row0 + it·MR + r][kb + p],
+        // +0 past `mc`; the buffer starts as NaN so an unwritten word shows.
+        let a: Mat<f64> = Mat::from_fn(23, 40, |r, c| (r * 40 + c + 1) as f64);
+        let windows: [(usize, usize, usize, usize); 4] =
+            [(0, 23, 0, 40), (3, 9, 5, 17), (6, 1, 39, 1), (2, 16, 1, 3)];
+        for v in available_variants() {
+            for (row0, mc, kb, kc) in windows {
+                let len = mc.div_ceil(MR) * MR * kc;
+                let mut buf = vec![f64::NAN; len];
+                pack_a(v, &a, row0, mc, kb, kc, &mut buf);
+                for (i, &got) in buf.iter().enumerate() {
+                    let (it, p, r) = (i / (MR * kc), i % (MR * kc) / MR, i % MR);
+                    let row = it * MR + r;
+                    let want = if row < mc { a[(row0 + row, kb + p)] } else { 0.0 };
+                    let at = (row0, mc, kb, kc);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{v} {at:?} word {i}");
                 }
             }
         }

@@ -17,8 +17,8 @@
 //! substrate of me-serve's weight cache.
 
 use super::blocking::Blocking;
-use super::ukernel::NR;
 use super::pack_b;
+use super::ukernel::{selected_kernel, NR};
 use crate::mat::{Mat, Scalar};
 
 /// A B operand packed into the micro-kernel panel layout.
@@ -96,7 +96,8 @@ impl<T: Scalar> PackedB<T> {
 /// Pack a whole `B` matrix into the panel layout under `blocking`
 /// (normalized first). Runs the same `pack_b` routine the fresh-pack
 /// GEMM path uses per `(bj, bk)` iteration, so the stored panels are
-/// byte-identical to what that path builds in scratch.
+/// byte-identical to what that path builds in scratch. The pack runs on
+/// the selected kernel variant, which changes its speed, not its bytes.
 ///
 /// Degenerate shapes (`k == 0` or `n == 0`) pack to an empty payload;
 /// the compute step then reduces to `C ← β·C` exactly like the fresh
@@ -120,6 +121,7 @@ pub fn pack_b_matrix<T: Scalar>(b: &Mat<T>, blocking: Blocking) -> PackedB<T> {
         }
     }
     let mut data = vec![T::ZERO; total];
+    let variant = selected_kernel();
     for bj in 0..nblocks_j {
         let jb = bj * nc;
         let ncb = nc.min(n - jb);
@@ -127,7 +129,7 @@ pub fn pack_b_matrix<T: Scalar>(b: &Mat<T>, blocking: Blocking) -> PackedB<T> {
             let kb = bk * kc;
             let kcb = kc.min(k - kb);
             let idx = bj * nblocks_k + bk;
-            pack_b(b, kb, kcb, jb, ncb, &mut data[offsets[idx]..offsets[idx + 1]]);
+            pack_b(variant, b, kb, kcb, jb, ncb, &mut data[offsets[idx]..offsets[idx + 1]]);
         }
     }
     PackedB { k, n, blocking, nblocks_k, offsets, data }
@@ -162,7 +164,7 @@ mod tests {
                 let kb = bk * blocking.kc;
                 let kcb = blocking.kc.min(k - kb);
                 let mut fresh = vec![0.0f64; ncb.div_ceil(NR) * NR * kcb];
-                pack_b(&b, kb, kcb, jb, ncb, &mut fresh);
+                pack_b(selected_kernel(), &b, kb, kcb, jb, ncb, &mut fresh);
                 assert_eq!(
                     packed.panel(bj, bk),
                     &fresh[..],
@@ -170,6 +172,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `B[r][c] = r·n + c + 1`: every element distinct and nonzero, and
+    /// exact in f32 for every shape below (< 2^24).
+    fn index_mat<T: Scalar>(k: usize, n: usize) -> Mat<T> {
+        Mat::from_fn(k, n, |r, c| T::from_f64((r * n + c + 1) as f64))
+    }
+
+    /// Check `panel` word by word against the §12 definition of the
+    /// `kcb × ncb` window at (`kb`, `jb`), computed from the index
+    /// formula: `panel[jt·NR·kcb + p·NR + j] = B[kb + p][jb + jt·NR + j]`,
+    /// or +0 past the matrix's right edge.
+    fn check_panel<T: Scalar>(
+        b: &Mat<T>,
+        (kb, kcb, jb, ncb): (usize, usize, usize, usize),
+        panel: &[T],
+        what: std::fmt::Arguments<'_>,
+    ) {
+        let n = b.cols();
+        assert_eq!(panel.len(), ncb.div_ceil(NR) * NR * kcb, "{what}: panel length");
+        for (i, &got) in panel.iter().enumerate() {
+            let (jt, p, j) = (i / (NR * kcb), i % (NR * kcb) / NR, i % NR);
+            let col = jb + jt * NR + j;
+            let got = got.to_f64().to_bits();
+            if col < n {
+                let want = ((kb + p) * n + col + 1) as f64;
+                assert_eq!(got, want.to_bits(), "{what}: data word {i} (jt {jt}, p {p}, j {j})");
+            } else {
+                assert_eq!(got, 0f64.to_bits(), "{what}: padding word {i} (jt {jt}, p {p}, j {j})");
+            }
+        }
+    }
+
+    /// The layout oracle: every word `pack_b` writes on every variant the
+    /// host runs, and every word of `pack_b_matrix` on the selected one,
+    /// against [`check_panel`] over shapes straddling the 16-row pack
+    /// block, the NR tile and the 8 × 24 register block.
+    fn layout_oracle<T: Scalar>() {
+        let mut scratch = Vec::new();
+        for k in [1usize, 15, 16, 17, 255, 256, 257, 600] {
+            for n in [1usize, 7, 8, 9, 23, 24, 25, 832, 1030] {
+                let b = index_mat::<T>(k, n);
+                for kc in [1usize, 5, 16, 17, 256] {
+                    for nc in [8usize, 24, 4096] {
+                        oracle_case(&b, Blocking { mc: MR, kc, nc }, &mut scratch);
+                    }
+                }
+            }
+        }
+    }
+
+    /// One oracle shape: `b` packed under `blocking`, whole and panel by
+    /// panel. `pack_b`'s buffer starts as NaN (never a packed value), so
+    /// a word it leaves unwritten shows. One buffer serves every call,
+    /// refilled before each, as the GEMM scratch is reused.
+    fn oracle_case<T: Scalar>(b: &Mat<T>, blocking: Blocking, scratch: &mut Vec<T>) {
+        let ((k, n), Blocking { kc, nc, .. }) = (b.shape(), blocking.normalized());
+        let packed = pack_b_matrix(b, blocking);
+        let mut words = 0;
+        for (bj, jb) in (0..n).step_by(nc).enumerate() {
+            let ncb = nc.min(n - jb);
+            for (bk, kb) in (0..k).step_by(kc).enumerate() {
+                let kcb = kc.min(k - kb);
+                let win = (kb, kcb, jb, ncb);
+                let at = (k, n, kc, nc, bj, bk);
+                let panel = packed.panel(bj, bk);
+                check_panel(b, win, panel, format_args!("pack_b_matrix (k n kc nc bj bk) {at:?}"));
+                let len = panel.len();
+                words += len;
+                for v in crate::blas3::available_variants() {
+                    scratch.clear();
+                    scratch.resize(len, T::from_f64(f64::NAN));
+                    pack_b(v, b, kb, kcb, jb, ncb, scratch);
+                    check_panel(b, win, scratch, format_args!("pack_b {v} {at:?}"));
+                }
+            }
+        }
+        assert_eq!(words * std::mem::size_of::<T>(), packed.bytes(), "{k}x{n} {blocking:?}");
+    }
+
+    #[test]
+    fn pack_b_layout_oracle_f64() {
+        layout_oracle::<f64>();
+    }
+
+    #[test]
+    fn pack_b_layout_oracle_f32() {
+        layout_oracle::<f32>();
     }
 
     #[test]
