@@ -174,7 +174,8 @@ impl AmxRows<'_> {
         let mut best = [f64::NAN; 4];
         if amx_int8_supported() {
             let (a, b, expect) = self.int8;
-            let (ca, cb) = (PanelLayout::I8_A.chunk(a, 0, 0, n, n), PanelLayout::I8_B.chunk(b, 0, 0, n, n));
+            let (ca, cb) =
+                (PanelLayout::I8_A.chunk(a, 0, 0, n, n), PanelLayout::I8_B.chunk(b, 0, 0, n, n));
             let mut out = vec![0i32; n * n];
             best[0] = best_secs(reps, || gemm_i8_i32_simd(v, n, n, n, ca, cb, &mut out));
             assert!(out == expect, "VNNI int8 call diverged from scalar");
@@ -213,9 +214,13 @@ impl AmxRows<'_> {
                 self.windows.len(),
                 self.reps
             ),
-            "# call             time_us    gops  amx_speedup_vs_simd  slowest_window_us".to_string(),
+            "# call             time_us    gops  amx_speedup_vs_simd  slowest_window_us"
+                .to_string(),
         ];
-        let names = [("int8 vnni", "int8 amx", amx_int8_supported()), ("bf16 f32-tile", "bf16 amx", amx_bf16_supported())];
+        let names = [
+            ("int8 vnni", "int8 amx", amx_int8_supported()),
+            ("bf16 f32-tile", "bf16 amx", amx_bf16_supported()),
+        ];
         for (i, (simd, amx, on)) in names.into_iter().enumerate() {
             if on {
                 let (s, a) = (min(2 * i), min(2 * i + 1));
@@ -328,7 +333,9 @@ fn main() {
 
     lines.push(String::new());
     lines.push("# A100 emulated-DGEMM substrate comparison (n=8192, analytic model)".to_string());
-    lines.push("# config  range_1e  slices  products  tflops  watt  joules  gflops_per_j".to_string());
+    lines.push(
+        "# config  range_1e  slices  products  tflops  watt  joules  gflops_per_j".to_string(),
+    );
     for r in int8_vs_f16_rows() {
         lines.push(format!(
             "{:<7} {:>8} {:>7} {:>9} {:>7.2} {:>6.1} {:>8.1} {:>13.3}",

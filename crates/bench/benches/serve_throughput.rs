@@ -84,7 +84,11 @@ fn build_trace(total: usize, seed: u64) -> (Vec<TraceReq>, Vec<Arc<Mat<f64>>>) {
             }
             let m = 1 + rng.range_usize(0, 2); // 1..=2 rows: inference-sized
             let k = weights[bucket].rows();
-            TraceReq { app: apps[bucket].0, a: Arc::new(bench_matrix(m, k, 2000 + i as u64)), bucket }
+            TraceReq {
+                app: apps[bucket].0,
+                a: Arc::new(bench_matrix(m, k, 2000 + i as u64)),
+                bucket,
+            }
         })
         .collect();
     (trace, weights)
@@ -284,11 +288,46 @@ struct ModelTenant {
 }
 
 const MODELS: [ModelTenant; 5] = [
-    ModelTenant { name: "Qwen3-32B", heads: 64, kv_heads: 8, head_dim: 80, intermediate: 25600, weight: 4 },
-    ModelTenant { name: "Qwen3-30B", heads: 16, kv_heads: 16, head_dim: 128, intermediate: 6144, weight: 3 },
-    ModelTenant { name: "Qwen3-235B", heads: 32, kv_heads: 32, head_dim: 128, intermediate: 12288, weight: 2 },
-    ModelTenant { name: "Llama3-70B", heads: 64, kv_heads: 8, head_dim: 128, intermediate: 28672, weight: 2 },
-    ModelTenant { name: "Llama3-405B", heads: 128, kv_heads: 8, head_dim: 128, intermediate: 53248, weight: 1 },
+    ModelTenant {
+        name: "Qwen3-32B",
+        heads: 64,
+        kv_heads: 8,
+        head_dim: 80,
+        intermediate: 25600,
+        weight: 4,
+    },
+    ModelTenant {
+        name: "Qwen3-30B",
+        heads: 16,
+        kv_heads: 16,
+        head_dim: 128,
+        intermediate: 6144,
+        weight: 3,
+    },
+    ModelTenant {
+        name: "Qwen3-235B",
+        heads: 32,
+        kv_heads: 32,
+        head_dim: 128,
+        intermediate: 12288,
+        weight: 2,
+    },
+    ModelTenant {
+        name: "Llama3-70B",
+        heads: 64,
+        kv_heads: 8,
+        head_dim: 128,
+        intermediate: 28672,
+        weight: 2,
+    },
+    ModelTenant {
+        name: "Llama3-405B",
+        heads: 128,
+        kv_heads: 8,
+        head_dim: 128,
+        intermediate: 53248,
+        weight: 1,
+    },
 ];
 
 /// Feature-dimension scale: hidden sizes shrink 1/64 so the replay's
@@ -318,10 +357,7 @@ const SKINNY_M: [usize; 4] = [1, 2, 4, 8];
 /// The full M sweep on the canonical (k = n = 128) shape: each power of
 /// two appears exactly once per replay, spread evenly through the trace.
 fn sweep_ms(cap: usize) -> Vec<usize> {
-    (0..)
-        .map(|i| 1usize << i)
-        .take_while(|&m| m <= cap)
-        .collect()
+    (0..).map(|i| 1usize << i).take_while(|&m| m <= cap).collect()
 }
 
 const CANONICAL_K: usize = 128;
@@ -372,16 +408,10 @@ fn replay_weights() -> Vec<Arc<Mat<f64>>> {
     weights
 }
 
-fn replay_job(
-    spec: ReqSpec,
-    weights: &[Arc<Mat<f64>>],
-    variant: KernelVariant,
-    seed: u64,
-) -> Job {
+fn replay_job(spec: ReqSpec, weights: &[Arc<Mat<f64>>], variant: KernelVariant, seed: u64) -> Job {
     let bucket = if spec.bucket == usize::MAX { weights.len() - 1 } else { spec.bucket };
     let a = Arc::new(bench_matrix(spec.m, spec.k, seed));
-    Job::gemm(variant, 1.0, a, Arc::clone(&weights[bucket]))
-        .with_tenant(TenantId(spec.tenant))
+    Job::gemm(variant, 1.0, a, Arc::clone(&weights[bucket])).with_tenant(TenantId(spec.tenant))
 }
 
 fn replay_config(capacity: usize) -> ServeConfig {

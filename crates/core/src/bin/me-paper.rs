@@ -37,8 +37,23 @@ fn artifact_by_key(key: &str) -> Option<me_core::ExperimentArtifact> {
 }
 
 const KEYS: &[&str] = &[
-    "table1", "table2", "table3", "table4", "table5", "table67", "table8", "fig1", "fig2",
-    "fig3", "fig4", "klog", "dark-silicon", "silicon", "overhead", "blas-level", "scaling",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table67",
+    "table8",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "klog",
+    "dark-silicon",
+    "silicon",
+    "overhead",
+    "blas-level",
+    "scaling",
     "representatives",
 ];
 
@@ -59,7 +74,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("me-paper: reproduce the tables and figures of 'Matrix Engines for HPC' (IPDPS'21)");
+        println!(
+            "me-paper: reproduce the tables and figures of 'Matrix Engines for HPC' (IPDPS'21)"
+        );
         println!("usage: me-paper [--list] [--export DIR] [--trace] [ARTIFACT ...]");
         println!("artifacts: {}", KEYS.join(", "));
         return;

@@ -1,6 +1,8 @@
 //! The experiment drivers.
 
-use me_engine::{catalog, EngineKind, ExecutionModel, GemmShape, NumericFormat, PowerSampler, Seconds, Watts};
+use me_engine::{
+    catalog, EngineKind, ExecutionModel, GemmShape, NumericFormat, PowerSampler, Seconds, Watts,
+};
 use me_model::{MachineMix, MeSpeedup};
 use me_report::chart::{bar_chart, line_chart, BarRow, Series};
 use me_report::table::{fnum, Align, Table};
@@ -43,10 +45,8 @@ pub fn table1() -> ExperimentArtifact {
                 .fold(None::<f64>, |m, p| Some(m.map_or(p, |x| x.max(p))))
         };
         let show = |o: Option<f64>| o.map(|p| fnum(p / 1000.0, 1)).unwrap_or_else(|| "-".into());
-        let dens = d
-            .compute_density(NumericFormat::F16)
-            .map(|x| fnum(x, 1))
-            .unwrap_or_else(|| "-".into());
+        let dens =
+            d.compute_density(NumericFormat::F16).map(|x| fnum(x, 1)).unwrap_or_else(|| "-".into());
         let fmts: Vec<String> = d.me_formats().iter().map(|f| f.label().to_string()).collect();
         t.row(vec![
             d.name.to_string(),
@@ -146,11 +146,7 @@ pub fn fig1() -> ExperimentArtifact {
         id: "Fig 1",
         headline: format!(
             "plateau powers: {} (S/DGEMM near 300W TDP, TCs below; paper Fig 1)",
-            means
-                .iter()
-                .map(|(l, m)| format!("{l}={m:.0}W"))
-                .collect::<Vec<_>>()
-                .join(", ")
+            means.iter().map(|(l, m)| format!("{l}={m:.0}W")).collect::<Vec<_>>().join(", ")
         ),
         rendered: chart,
     }
@@ -286,11 +282,7 @@ pub fn fig3() -> ExperimentArtifact {
         .iter()
         .map(|(name, suite, f)| BarRow {
             label: format!("{} [{}]", name, suite.label()),
-            segments: vec![
-                ('G', f.gemm),
-                ('B', f.blas_non_gemm),
-                ('L', f.lapack),
-            ],
+            segments: vec![('G', f.gemm), ('B', f.blas_non_gemm), ('L', f.lapack)],
         })
         .collect();
     let chart = bar_chart(
@@ -335,7 +327,11 @@ pub fn klog() -> ExperimentArtifact {
     t.row(vec!["symbol coverage".into(), format!("{:.1}%", 100.0 * s.coverage())]);
     t.row(vec![
         "GEMM-linked node-hours".into(),
-        format!("{:.1}M ({:.1}% of covered)", s.gemm_node_hours / 1e6, 100.0 * s.gemm_share_of_covered()),
+        format!(
+            "{:.1}M ({:.1}% of covered)",
+            s.gemm_node_hours / 1e6,
+            100.0 * s.gemm_share_of_covered()
+        ),
     ]);
     ExperimentArtifact {
         id: "Klog (§III-A)",
@@ -417,8 +413,7 @@ pub fn dark_silicon() -> ExperimentArtifact {
     let gov = me_engine::TdpGovernor::new(catalog::v100());
     let shape = GemmShape::square(8192);
     let solo_d = gov.model().gemm(shape, EngineKind::Simd, NumericFormat::F64).unwrap();
-    let solo_h =
-        gov.model().gemm(shape, EngineKind::MatrixEngine, NumericFormat::F16xF32).unwrap();
+    let solo_h = gov.model().gemm(shape, EngineKind::MatrixEngine, NumericFormat::F16xF32).unwrap();
     let both = gov
         .run_concurrent(&[
             (shape, EngineKind::Simd, NumericFormat::F64),
@@ -633,11 +628,9 @@ pub fn overhead_ablation() -> ExperimentArtifact {
         &["Machine", "ideal 4x", "constrained 4x", "ideal inf", "constrained inf"],
     )
     .aligns(&[Align::Left, Align::Right, Align::Right, Align::Right, Align::Right]);
-    for m in [
-        MachineMix::k_computer_default(),
-        MachineMix::anl_default(),
-        MachineMix::future_default(),
-    ] {
+    for m in
+        [MachineMix::k_computer_default(), MachineMix::anl_default(), MachineMix::future_default()]
+    {
         let r4 = me_model::overhead_compare(&m, ov, MeSpeedup::Finite(4.0));
         let ri = me_model::overhead_compare(&m, ov, MeSpeedup::Infinite);
         t.row(vec![
@@ -721,10 +714,8 @@ pub fn export_csv(dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathB
     std::fs::create_dir_all(dir)?;
     let mut written = Vec::new();
     for a in run_all_extended() {
-        let fname = dir.join(format!(
-            "{}.txt",
-            a.id.to_lowercase().replace([' ', '(', ')', '§', '/'], "_")
-        ));
+        let fname = dir
+            .join(format!("{}.txt", a.id.to_lowercase().replace([' ', '(', ')', '§', '/'], "_")));
         std::fs::write(&fname, format!("# {}\n{}\n", a.headline, a.rendered))?;
         written.push(fname);
     }

@@ -95,8 +95,7 @@ impl Device {
 
     /// Whether the device has a matrix engine at all.
     pub fn has_matrix_engine(&self) -> bool {
-        self.me_shape.is_some()
-            || self.peaks.iter().any(|(e, _, _)| *e == EngineKind::MatrixEngine)
+        self.me_shape.is_some() || self.peaks.iter().any(|(e, _, _)| *e == EngineKind::MatrixEngine)
     }
 
     /// The formats the device's matrix engine supports (Table I "Support").
@@ -123,15 +122,11 @@ impl Device {
 
     /// Efficiency half-size for an engine (default values per engine kind).
     pub fn eff_half_for(&self, engine: EngineKind) -> f64 {
-        self.eff_half
-            .iter()
-            .find(|(e, _)| *e == engine)
-            .map(|&(_, h)| h)
-            .unwrap_or(match engine {
-                EngineKind::Scalar => 200.0,
-                EngineKind::Simd => 650.0,
-                EngineKind::MatrixEngine => 2900.0,
-            })
+        self.eff_half.iter().find(|(e, _)| *e == engine).map(|&(_, h)| h).unwrap_or(match engine {
+            EngineKind::Scalar => 200.0,
+            EngineKind::Simd => 650.0,
+            EngineKind::MatrixEngine => 2900.0,
+        })
     }
 
     /// Efficiency scale for an engine (default 1.0).
@@ -360,10 +355,7 @@ pub fn xeon_e5_2650v4_2s() -> Device {
         ],
         eff_half: vec![],
         eff_scale: vec![(Simd, 0.88)],
-        activity_overrides: vec![
-            (Simd, F64, 0.967),
-            (Simd, F32, 0.927),
-        ],
+        activity_overrides: vec![(Simd, F64, 0.967), (Simd, F32, 0.927)],
     }
 }
 
@@ -547,29 +539,12 @@ pub fn a64fx() -> Device {
 
 /// The eight devices of Table I, in the paper's row order.
 pub fn table1_devices() -> Vec<Device> {
-    vec![
-        sapphire_rapids(),
-        power10(),
-        v100(),
-        a100(),
-        tpu_v2(),
-        tpu_v3(),
-        gaudi(),
-        ascend910(),
-    ]
+    vec![sapphire_rapids(), power10(), v100(), a100(), tpu_v2(), tpu_v3(), gaudi(), ascend910()]
 }
 
 /// The seven chips of the paper's Fig 2 (ResNet50 energy-efficiency range).
 pub fn fig2_devices() -> Vec<Device> {
-    vec![
-        xeon_gold_6148(),
-        gtx1060(),
-        gtx1080ti(),
-        rtx2070(),
-        rtx2080ti(),
-        p100(),
-        v100(),
-    ]
+    vec![xeon_gold_6148(), gtx1060(), gtx1080ti(), rtx2070(), rtx2080ti(), p100(), v100()]
 }
 
 /// The GF/mm² compute densities the paper's Table I quotes, as
@@ -670,8 +645,8 @@ mod tests {
         let a = a64fx();
         assert!(!a.has_matrix_engine());
         let d64 = a.compute_density(F64).unwrap();
-        let xeon64 = xeon_gold_6148().peak_gflops(Simd, F64).unwrap()
-            / xeon_gold_6148().die_mm2.unwrap();
+        let xeon64 =
+            xeon_gold_6148().peak_gflops(Simd, F64).unwrap() / xeon_gold_6148().die_mm2.unwrap();
         assert!(d64 > xeon64, "A64FX f64 density {d64} must beat the Xeon {xeon64}");
     }
 

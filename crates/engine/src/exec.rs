@@ -387,7 +387,10 @@ mod tests {
         let m = ExecutionModel::new(v100());
         let small = m.gemm(GemmShape::square(64), MatrixEngine, F16xF32).unwrap();
         let large = m.gemm(GemmShape::square(16384), MatrixEngine, F16xF32).unwrap();
-        assert!(small.gflops < 0.1 * large.gflops, "launch/tile overhead must dominate small GEMMs");
+        assert!(
+            small.gflops < 0.1 * large.gflops,
+            "launch/tile overhead must dominate small GEMMs"
+        );
     }
 
     #[test]

@@ -51,9 +51,10 @@ impl NumericFormat {
     pub fn accumulate_format(self) -> Option<FloatFormat> {
         match self {
             NumericFormat::F64 => Some(FloatFormat::F64),
-            NumericFormat::F32 | NumericFormat::Tf32 | NumericFormat::F16xF32 | NumericFormat::Bf16 => {
-                Some(FloatFormat::F32)
-            }
+            NumericFormat::F32
+            | NumericFormat::Tf32
+            | NumericFormat::F16xF32
+            | NumericFormat::Bf16 => Some(FloatFormat::F32),
             NumericFormat::F16 => Some(FloatFormat::F16),
             NumericFormat::I8 => None,
         }

@@ -34,11 +34,13 @@ pub mod simd;
 pub mod systolic;
 
 pub use catalog::{Device, DeviceKind, EngineKind};
-pub use me_numerics::{Bytes, Flops, Joules, Seconds, Watts};
 pub use exec::{ExecResult, ExecutionModel, GemmShape, HostParallelism};
 pub use format::NumericFormat;
+pub use me_numerics::{Bytes, Flops, Joules, Seconds, Watts};
 pub use memory::MemoryHierarchy;
 pub use power::{PowerModel, TdpGovernor};
 pub use sampler::{PowerSample, PowerSampler, PowerTrace};
 pub use simd::{simd_axpy, simd_dot, SimdStats, VectorUnit};
-pub use systolic::{modeled_cycles, systolic_gemm, systolic_gemv, CycleStats, SystolicArray, SystolicResult};
+pub use systolic::{
+    modeled_cycles, systolic_gemm, systolic_gemv, CycleStats, SystolicArray, SystolicResult,
+};

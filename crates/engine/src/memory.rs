@@ -7,7 +7,6 @@
 //! the staging-overhead ablation — derive from hit/miss accounting instead
 //! of a single bandwidth scalar.
 
-
 /// One cache level.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheLevel {

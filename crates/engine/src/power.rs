@@ -169,9 +169,8 @@ mod tests {
         let shape = GemmShape::square(8192);
         let solo_d = gov.model().gemm(shape, Simd, F64).unwrap();
         let solo_h = gov.model().gemm(shape, MatrixEngine, F16xF32).unwrap();
-        let both = gov
-            .run_concurrent(&[(shape, Simd, F64), (shape, MatrixEngine, F16xF32)])
-            .unwrap();
+        let both =
+            gov.run_concurrent(&[(shape, Simd, F64), (shape, MatrixEngine, F16xF32)]).unwrap();
         assert!(both.throttle < 1.0, "must throttle, got {}", both.throttle);
         assert!(both.ops[0].time_s > solo_d.time_s);
         assert!(both.ops[1].time_s > solo_h.time_s);
@@ -195,16 +194,11 @@ mod tests {
     fn concurrent_energy_accounting_is_consistent() {
         let gov = TdpGovernor::new(v100());
         let shape = GemmShape::square(8192);
-        let both = gov
-            .run_concurrent(&[(shape, Simd, F64), (shape, MatrixEngine, F16xF32)])
-            .unwrap();
+        let both =
+            gov.run_concurrent(&[(shape, Simd, F64), (shape, MatrixEngine, F16xF32)]).unwrap();
         // Summed attributed power must not exceed the combined draw.
         let sum = both.ops.iter().fold(Watts::ZERO, |acc, o| acc + o.avg_power());
-        assert!(
-            sum <= both.combined_power + Watts(1e-9),
-            "{sum} vs {}",
-            both.combined_power
-        );
+        assert!(sum <= both.combined_power + Watts(1e-9), "{sum} vs {}", both.combined_power);
     }
 
     #[test]

@@ -40,12 +40,12 @@ pub mod panel;
 pub mod ukernel;
 
 use crate::mat::{Mat, MatMut, Scalar};
+pub use amx::{amx_bf16_supported, amx_int8_supported, MR_AMX};
 pub use blocking::{blocking_for, set_blocking_override, Blocking, BlockingDispatch, BLOCKING_ENV};
 pub use fold::{fold_tile, FoldSum};
-pub use amx::{amx_bf16_supported, amx_int8_supported, MR_AMX};
 pub use half::{
-    gemm_bf16_f32, gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with,
-    gemm_half_with, HalfKind, HalfMat,
+    gemm_bf16_f32, gemm_f32_f32, gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with,
+    HalfKind, HalfMat,
 };
 pub use int8::{dot_i8_scalar, gemm_i8_i32, gemm_i8_i32_simd, vnni_supported, MR_I8, NR_I8};
 pub use packed::{pack_b_matrix, PackedB};
@@ -192,7 +192,16 @@ pub fn gemm_tiled_with_blocking<T: Scalar>(
     let variant = variant.resolve_supported();
     let _t = me_trace::span(variant.tag(), "linalg");
     let mut view = c.as_view_mut();
-    gemm_packed_panel(variant, blocking.normalized(), alpha, a, BOperand::Fresh(b), beta, &mut view, 0);
+    gemm_packed_panel(
+        variant,
+        blocking.normalized(),
+        alpha,
+        a,
+        BOperand::Fresh(b),
+        beta,
+        &mut view,
+        0,
+    );
 }
 
 /// `C ← α·A·B + β·C` where `B` was packed up front by [`pack_b_matrix`].
@@ -925,11 +934,7 @@ mod tests {
             gemm_tiled(1.0, &a, &b, 1.0, &mut c_ref);
             let mut c = c0.clone();
             gemm_parallel(1.0, &a, &b, 1.0, &mut c, threads);
-            assert_eq!(
-                c.as_slice(),
-                c_ref.as_slice(),
-                "m={m} k={k} n={n} threads={threads}"
-            );
+            assert_eq!(c.as_slice(), c_ref.as_slice(), "m={m} k={k} n={n} threads={threads}");
         }
     }
 
@@ -1006,7 +1011,15 @@ mod tests {
         let b = mk(300, 33, 82);
         let c0 = mk(40, 33, 83);
         let mut c_ref = c0.clone();
-        gemm_tiled_with_blocking(KernelVariant::Scalar, Blocking::DEFAULT, 1.0, &a, &b, 1.0, &mut c_ref);
+        gemm_tiled_with_blocking(
+            KernelVariant::Scalar,
+            Blocking::DEFAULT,
+            1.0,
+            &a,
+            &b,
+            1.0,
+            &mut c_ref,
+        );
         let mut c = c0.clone();
         let same_kc = Blocking { mc: 8, kc: 256, nc: 16 };
         gemm_tiled_with_blocking(KernelVariant::Scalar, same_kc, 1.0, &a, &b, 1.0, &mut c);

@@ -119,10 +119,7 @@ fn detect() -> AmxOps {
     if ret != 0 {
         return AmxOps::default();
     }
-    AmxOps {
-        int8: bit(25),
-        bf16: bit(22),
-    }
+    AmxOps { int8: bit(25), bf16: bit(22) }
 }
 
 /// Off x86-64 Linux there is no AMX to request.
@@ -269,10 +266,7 @@ fn tiles<W: Copy + Default, S: Copy + Default>(
             let j0 = jt * NR_F32;
             for it in (0..a_tiles).step_by(2) {
                 let two = it + 1 < a_tiles;
-                let at = [
-                    a.tile(it, MR_AMX * kcp),
-                    a.tile(it + usize::from(two), MR_AMX * kcp),
-                ];
+                let at = [a.tile(it, MR_AMX * kcp), a.tile(it + usize::from(two), MR_AMX * kcp)];
                 let ap = at.map(|t| t.as_ptr().cast::<u8>());
                 block_init(init_row.0.as_ptr().cast());
                 block_steps(op, two, ap, row_bytes, bp.as_ptr().cast(), steps);

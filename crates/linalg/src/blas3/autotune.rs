@@ -335,7 +335,9 @@ fn json_usize_field(text: &str, key: &str) -> Option<usize> {
 fn json_f64_field(text: &str, key: &str) -> Option<f64> {
     let rest = json_after(text, key)?;
     let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E'))
+        .find(|c: char| {
+            !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e' || c == 'E')
+        })
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }

@@ -116,9 +116,8 @@ impl BlockingDispatch {
     // me-verify: env-startup
     pub fn global() -> &'static BlockingDispatch {
         static TABLE: std::sync::OnceLock<BlockingDispatch> = std::sync::OnceLock::new();
-        TABLE.get_or_init(|| {
-            BlockingDispatch::from_env(std::env::var(BLOCKING_ENV).ok().as_deref())
-        })
+        TABLE
+            .get_or_init(|| BlockingDispatch::from_env(std::env::var(BLOCKING_ENV).ok().as_deref()))
     }
 
     /// Build a table from an optional `ME_BLOCKING` value (exposed for
@@ -144,7 +143,11 @@ impl BlockingDispatch {
                 }
             }
         }
-        BlockingDispatch { defaults, env_set, overrides: std::array::from_fn(|_| AtomicU64::new(0)) }
+        BlockingDispatch {
+            defaults,
+            env_set,
+            overrides: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
     }
 
     /// The blocking GEMMs with `variant` run right now: the runtime
@@ -222,7 +225,10 @@ mod tests {
     #[test]
     fn parse_triples() {
         assert_eq!(Blocking::parse("64,256,4096"), Some(Blocking { mc: 64, kc: 256, nc: 4096 }));
-        assert_eq!(Blocking::parse(" 32 , 128 , 512 "), Some(Blocking { mc: 32, kc: 128, nc: 512 }));
+        assert_eq!(
+            Blocking::parse(" 32 , 128 , 512 "),
+            Some(Blocking { mc: 32, kc: 128, nc: 512 })
+        );
         // nc rounds up to an NR multiple, mc clamps to MR.
         assert_eq!(Blocking::parse("1,7,9"), Some(Blocking { mc: MR, kc: 7, nc: 16 }));
         for bad in ["", "64", "64,256", "64,256,0", "0,1,8", "a,b,c", "1,2,3,4"] {

@@ -95,11 +95,7 @@ pub fn fold_tile<T: FoldSum>(
     );
     let two_beta = 2 * beta as i32;
     let normal = a_lo + b_lo - two_beta >= -1022 && a_hi + b_hi - two_beta <= 1023;
-    let done = if normal {
-        fold_simd(variant, tile, a_exp, b_exp, two_beta, hi, lo)
-    } else {
-        0
-    };
+    let done = if normal { fold_simd(variant, tile, a_exp, b_exp, two_beta, hi, lo) } else { 0 };
     fold_scalar(tile, a_exp, b_exp, two_beta, done, hi, lo);
 }
 

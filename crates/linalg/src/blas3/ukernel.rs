@@ -566,8 +566,7 @@ fn micro_block_avx2<T: Scalar>(
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
     use std::arch::x86_64::{
-        _mm256_broadcast_sd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd,
-        _mm256_storeu_pd,
+        _mm256_broadcast_sd, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_setzero_pd, _mm256_storeu_pd,
     };
     let mut acc = [[_mm256_setzero_pd(); 2]; MR];
     for p in 0..kc {
@@ -605,8 +604,7 @@ unsafe fn avx2_f64(ap: &[f64], bp: &[f64], kc: usize) -> [[f64; NR]; MR] {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn avx2_f32(ap: &[f32], bp: &[f32], kc: usize) -> [[f32; NR]; MR] {
     use std::arch::x86_64::{
-        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
     let mut acc = [_mm256_setzero_ps(); MR];
     for p in 0..kc {
@@ -940,8 +938,7 @@ unsafe fn engine_tile_avx2(
     nr: usize,
 ) -> [[f32; NR_F32]; MR_F32] {
     use std::arch::x86_64::{
-        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
     const ROWS: usize = 4;
     const COLS: usize = 16;

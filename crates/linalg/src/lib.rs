@@ -39,15 +39,15 @@ pub use blas3::{
     amx_bf16_supported, amx_int8_supported, available_variants, avx2_supported, avx512_supported,
     blocking_for, dot_i8_scalar, fold_tile, gemm, gemm_bf16_f32, gemm_blocked, gemm_f32_f32,
     gemm_half, gemm_half_f32, gemm_half_parallel_with, gemm_half_with, gemm_i8_i32,
-    gemm_i8_i32_simd, gemm_naive,
-    gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with, gemm_parallel_on_with,
-    gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with, gemm_tiled_with,
-    gemm_tiled_with_blocking, pack_b_matrix, selected_kernel, set_blocking_override,
-    set_kernel_override, vnni_supported, Blocking, BlockingDispatch, GemmAlgo, HalfKind, HalfMat,
-    FoldSum, KernelDispatch, KernelVariant, PackedB, PanelChunk, PanelLayout, PanelWord, VariantWork, BLOCKING_ENV, KERNEL_ENV,
+    gemm_i8_i32_simd, gemm_naive, gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with,
+    gemm_parallel_on_with, gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with,
+    gemm_tiled_with, gemm_tiled_with_blocking, pack_b_matrix, selected_kernel,
+    set_blocking_override, set_kernel_override, vnni_supported, Blocking, BlockingDispatch,
+    FoldSum, GemmAlgo, HalfKind, HalfMat, KernelDispatch, KernelVariant, PackedB, PanelChunk,
+    PanelLayout, PanelWord, VariantWork, BLOCKING_ENV, KERNEL_ENV,
 };
+pub use eig::{sym_eig, SymEig};
 pub use lapack::{getrf, getrs, hpl_residual, hpl_solve, potrf};
 pub use mat::{AlignedBuf, Mat, MatMut, Pod, Regions, Scalar};
-pub use eig::{sym_eig, SymEig};
 pub use mixed::{ir_solve, IrResult};
 pub use qr::{lstsq, qr, Qr};

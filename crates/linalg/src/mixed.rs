@@ -109,7 +109,8 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
         };
-        let a = Mat::from_fn(n, n, |i, j| if i == j { 4.0 + next().abs() } else { next() / n as f64 });
+        let a =
+            Mat::from_fn(n, n, |i, j| if i == j { 4.0 + next().abs() } else { next() / n as f64 });
         let b: Vec<f64> = (0..n).map(|_| next()).collect();
         (a, b)
     }

@@ -63,8 +63,7 @@ fn every_variant_matches_scalar_dots_across_tile_edges() {
                 let pa = pack(PanelLayout::I8_A, &a, m, kc);
                 for n in DIMS {
                     let pb = pack(PanelLayout::I8_B, &bt, n, kc);
-                    let want: Vec<i32> =
-                        (0..m * n).map(|x| dots[x / n * LINES + x % n]).collect();
+                    let want: Vec<i32> = (0..m * n).map(|x| dots[x / n * LINES + x % n]).collect();
                     for &v in &variants {
                         let ca = PanelLayout::I8_A.chunk(&pa, 0, 0, kc, kc.max(1));
                         let cb = PanelLayout::I8_B.chunk(&pb, 0, 0, kc, kc.max(1));

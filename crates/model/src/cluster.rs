@@ -6,7 +6,6 @@
 //! analysis of a GEMM-bearing application: as node counts grow, the
 //! GEMM fraction (and therefore the ME's leverage) shrinks.
 
-
 /// An interconnect in the α-β model.
 #[derive(Debug, Clone, Copy)]
 pub struct Interconnect {
@@ -134,14 +133,7 @@ mod tests {
 
     #[test]
     fn efficiency_decays() {
-        let pts = strong_scale(
-            100.0,
-            0.5,
-            1e6,
-            1e7,
-            Interconnect::hpc_fabric(),
-            &[1, 64, 4096],
-        );
+        let pts = strong_scale(100.0, 0.5, 1e6, 1e7, Interconnect::hpc_fabric(), &[1, 64, 4096]);
         let e: Vec<f64> = pts.iter().map(|p| p.efficiency(100.0)).collect();
         assert!((e[0] - 1.0).abs() < 1e-9);
         assert!(e[1] < 1.0 && e[2] < e[1]);
@@ -158,14 +150,7 @@ mod tests {
     fn me_leverage_at_scale() {
         // Compose with the Amdahl model: a 4x ME applied to the *measured*
         // GEMM share at 4096 nodes buys less than at 1 node.
-        let pts = strong_scale(
-            100.0,
-            0.7681,
-            8e6,
-            8e7,
-            Interconnect::hpc_fabric(),
-            &[1, 4096],
-        );
+        let pts = strong_scale(100.0, 0.7681, 8e6, 8e7, Interconnect::hpc_fabric(), &[1, 4096]);
         let saving = |share: f64| share * (1.0 - 1.0 / 4.0);
         let s1 = saving(pts[0].gemm_share_of_total());
         let s4096 = saving(pts[1].gemm_share_of_total());

@@ -56,10 +56,7 @@ impl MachineMix {
     /// Construct a mix, validating shares and fractions.
     pub fn new(name: &str, entries: Vec<MixEntry>) -> MachineMix {
         let share_sum: f64 = entries.iter().map(|e| e.share).sum();
-        assert!(
-            (share_sum - 1.0).abs() < 1e-6,
-            "{name}: shares sum to {share_sum}, expected 1"
-        );
+        assert!((share_sum - 1.0).abs() < 1e-6, "{name}: shares sum to {share_sum}, expected 1");
         for e in &entries {
             assert!(
                 (0.0..=1.0).contains(&e.accelerable),
@@ -86,10 +83,7 @@ impl MachineMix {
     /// Sweep the reduction over a range of speedups (for the continuous
     /// Fig 4 ablation curve).
     pub fn sweep(&self, speedups: &[f64]) -> Vec<(f64, f64)> {
-        speedups
-            .iter()
-            .map(|&s| (s, self.node_hour_reduction(MeSpeedup::Finite(s))))
-            .collect()
+        speedups.iter().map(|&s| (s, self.node_hour_reduction(MeSpeedup::Finite(s)))).collect()
     }
 
     /// The machine-wide accelerable fraction (the `s → ∞` reduction).

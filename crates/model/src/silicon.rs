@@ -9,7 +9,6 @@
 //! workload's GEMM fraction it answers which investment buys more
 //! machine-level throughput — the paper's central trade-off, quantified.
 
-
 /// An option for spending die area.
 #[derive(Debug, Clone)]
 pub struct SiliconOption {
@@ -51,11 +50,8 @@ pub fn break_even_gemm_fraction(
     }
     // Bisect on the GEMM fraction.
     let wins = |f: f64| {
-        let me = SiliconOption {
-            name: "me".into(),
-            density_gf_mm2: me_density,
-            applicable_fraction: f,
-        };
+        let me =
+            SiliconOption { name: "me".into(), density_gf_mm2: me_density, applicable_fraction: f };
         let gen = SiliconOption {
             name: "general".into(),
             density_gf_mm2: general_density,
@@ -130,9 +126,13 @@ mod tests {
         // And it is consistent: just above wins, just below loses.
         let mut m = me();
         m.applicable_fraction = be + 0.02;
-        assert!(machine_speedup(&m, 100.0, 15_700.0) >= machine_speedup(&general(), 100.0, 15_700.0));
+        assert!(
+            machine_speedup(&m, 100.0, 15_700.0) >= machine_speedup(&general(), 100.0, 15_700.0)
+        );
         m.applicable_fraction = be - 0.02;
-        assert!(machine_speedup(&m, 100.0, 15_700.0) <= machine_speedup(&general(), 100.0, 15_700.0));
+        assert!(
+            machine_speedup(&m, 100.0, 15_700.0) <= machine_speedup(&general(), 100.0, 15_700.0)
+        );
     }
 
     #[test]

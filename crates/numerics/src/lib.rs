@@ -27,7 +27,9 @@ pub mod units;
 
 pub use dd::{dd_dot, Dd};
 pub use error::{max_abs, max_rel_err, rel_err, ulp_diff};
-pub use formats::{narrow_f32_exact, Bf16, Bf16Bits, FloatFormat, RoundedValue, Tf32, F16, F16Bits};
+pub use formats::{
+    narrow_f32_exact, Bf16, Bf16Bits, F16Bits, FloatFormat, RoundedValue, Tf32, F16,
+};
 pub use rng::Rng64;
-pub use units::{Bytes, Flops, Joules, Seconds, Watts};
 pub use sum::{kahan_sum, neumaier_sum, pairwise_sum, reproducible_sum, Accumulator};
+pub use units::{Bytes, Flops, Joules, Seconds, Watts};

@@ -7,7 +7,7 @@
 //! exponent-binned fixed-point sum — yields bit-identical results no matter
 //! how the work was partitioned. This module provides those accumulators.
 
-use crate::eft::{two_sum, fast_two_sum};
+use crate::eft::{fast_two_sum, two_sum};
 
 /// Kahan compensated summation.
 pub fn kahan_sum(xs: &[f64]) -> f64 {
@@ -188,7 +188,8 @@ mod tests {
 
     #[test]
     fn accumulator_merge_associates() {
-        let xs: Vec<f64> = (0..64).map(|i| (i as f64).exp2() * if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let xs: Vec<f64> =
+            (0..64).map(|i| (i as f64).exp2() * if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
         let mut whole = Accumulator::new();
         for &x in &xs {
             whole.add(x);

@@ -62,10 +62,7 @@ fn f16_hand_computed_bit_table() {
     ];
     for &(x, want, why) in table {
         let got = F16Bits::from_f32(x).to_bits();
-        assert_eq!(
-            got, want,
-            "f16({x:e}): got {got:#06x}, want {want:#06x} ({why})"
-        );
+        assert_eq!(got, want, "f16({x:e}): got {got:#06x}, want {want:#06x} ({why})");
     }
 }
 
@@ -106,10 +103,7 @@ fn bf16_hand_computed_bit_table() {
     ];
     for &(x, want, why) in table {
         let got = Bf16Bits::from_f32(x).to_bits();
-        assert_eq!(
-            got, want,
-            "bf16({x:e}): got {got:#06x}, want {want:#06x} ({why})"
-        );
+        assert_eq!(got, want, "bf16({x:e}): got {got:#06x}, want {want:#06x} ({why})");
     }
 }
 

@@ -48,12 +48,7 @@ pub fn plan(cfg: &OzakiConfig, k: usize, spread_bits: u32) -> SplitPlan {
             }
         }
     }
-    SplitPlan {
-        beta,
-        slices,
-        products,
-        rel_error_bound: truncation_bound(beta, cutoff, k),
-    }
+    SplitPlan { beta, slices, products, rel_error_bound: truncation_bound(beta, cutoff, k) }
 }
 
 /// Rigorous bound on the dropped mass of a cut at `p + q ≥ cutoff`:

@@ -167,11 +167,7 @@ mod tests {
         let rows = int8_vs_f16_rows();
         // Within each substrate, slices grow monotonically with range.
         for cfg in ["f16-me", "int8"] {
-            let s: Vec<usize> = rows
-                .iter()
-                .filter(|r| r.config == cfg)
-                .map(|r| r.slices)
-                .collect();
+            let s: Vec<usize> = rows.iter().filter(|r| r.config == cfg).map(|r| r.slices).collect();
             assert!(s[0] <= s[1] && s[1] <= s[2], "{cfg}: {s:?}");
         }
     }

@@ -144,7 +144,8 @@ mod tests {
     fn cycle_stats_accumulate() {
         let a = ranged_matrix(8, 8, 4.0, 3);
         let b = ranged_matrix(8, 8, 4.0, 4);
-        let r = ozaki_gemm_systolic(&a, &b, &OzakiConfig::dgemm_tc(), &SystolicArray::tensor_core());
+        let r =
+            ozaki_gemm_systolic(&a, &b, &OzakiConfig::dgemm_tc(), &SystolicArray::tensor_core());
         assert!(r.engine_stats.cycles > 0);
         assert!(r.engine_stats.macs > 0);
         // MACs = products × m × n × k.

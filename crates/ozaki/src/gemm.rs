@@ -44,7 +44,9 @@
 //! [`Bf16Words`], on the host's own matrix engine: exact sums are the
 //! chain's bits whatever order the engine adds in.
 
-use crate::split::{ceil_log2, required_beta, split_rows, Call, Pack, Panels, Plan, Source, SplitMatrix};
+use crate::split::{
+    ceil_log2, required_beta, split_rows, Call, Pack, Panels, Plan, Source, SplitMatrix,
+};
 use crate::workspace::{with_arena, ALIGNED_PANELS};
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::blas3::amx::bf16_on;
@@ -1266,8 +1268,7 @@ mod parallel_tests {
             for threads in [1usize, 2, 3, 5] {
                 let r = ozaki_gemm_parallel(&a, &b, &cfg, threads);
                 let (_, cutoff) = cfg.budget_and_cutoff(a.cols(), r.beta);
-                let analytic: usize =
-                    (0..r.s_a).map(|p| r.s_b.min(cutoff.saturating_sub(p))).sum();
+                let analytic: usize = (0..r.s_a).map(|p| r.s_b.min(cutoff.saturating_sub(p))).sum();
                 assert_eq!(
                     r.products_computed, analytic,
                     "threads={threads}: counter must match the closed form"

@@ -142,9 +142,8 @@ pub(crate) fn charge_emulated(
     products: usize,
 ) -> EmulatedGemmPerf {
     let shape = GemmShape::square(n);
-    let engine_gemm = model
-        .gemm(shape, engine_kind, engine_fmt)
-        .expect("engine gemm on the charged device");
+    let engine_gemm =
+        model.gemm(shape, engine_kind, engine_fmt).expect("engine gemm on the charged device");
     let engine_time = engine_gemm.time_s * products as f64;
     let engine_energy = engine_gemm.energy_j * products as f64;
 
@@ -213,9 +212,12 @@ pub fn table8_rows() -> Vec<Table8Row> {
         gflops_per_joule: dg.gflops_per_joule(),
     });
 
-    for (cfg, name) in [(OzakiConfig::sgemm_tc(), "SGEMM-TC"), (OzakiConfig::dgemm_tc(), "DGEMM-TC")]
+    for (cfg, name) in
+        [(OzakiConfig::sgemm_tc(), "SGEMM-TC"), (OzakiConfig::dgemm_tc(), "DGEMM-TC")]
     {
-        for (decades, label) in [(8.0, "input range: 1e+8"), (16.0, "input range: 1e+16"), (32.0, "input range: 1e+32")] {
+        for (decades, label) in
+            [(8.0, "input range: 1e+8"), (16.0, "input range: 1e+16"), (32.0, "input range: 1e+32")]
+        {
             let p = project_emulated(n, decades, &cfg, 48, 0x5eed + decades as u64);
             rows.push(Table8Row {
                 implementation: name.into(),
@@ -256,7 +258,13 @@ mod tests {
         let s16 = get("SGEMM-TC", "1e+16");
         let s32 = get("SGEMM-TC", "1e+32");
         assert!(s8.tflops < s.tflops);
-        assert!(s8.tflops > s16.tflops && s16.tflops > s32.tflops, "{} {} {}", s8.tflops, s16.tflops, s32.tflops);
+        assert!(
+            s8.tflops > s16.tflops && s16.tflops > s32.tflops,
+            "{} {} {}",
+            s8.tflops,
+            s16.tflops,
+            s32.tflops
+        );
 
         let d8 = get("DGEMM-TC", "1e+8");
         let d16 = get("DGEMM-TC", "1e+16");

@@ -754,7 +754,7 @@ mod tests {
         assert_eq!(required_beta(1024, 24, 11), 6); // (23-10)/2
         assert_eq!(required_beta(16, 24, 11), 9); // (23-4)/2
         assert_eq!(required_beta(1, 24, 11), 11); // clamped to mul precision
-        // f64 accumulate allows wide slices, clamped by f16 multiply.
+                                                  // f64 accumulate allows wide slices, clamped by f16 multiply.
         assert_eq!(required_beta(1024, 53, 11), 11);
     }
 
@@ -774,8 +774,8 @@ mod tests {
         // The step must show up in the beta budget.
         assert_eq!(required_beta(8192, 24, 11), 5); // (23-13)/2
         assert_eq!(required_beta(8193, 24, 11), 4); // (23-14)/2
-        // Regression: (2^53 + 1) as f64 rounds to 2^53, so the float
-        // ⌈log₂⌉ came back 53 instead of 54 — one slice bit too generous.
+                                                    // Regression: (2^53 + 1) as f64 rounds to 2^53, so the float
+                                                    // ⌈log₂⌉ came back 53 instead of 54 — one slice bit too generous.
         assert_eq!(required_beta((1usize << 53) + 1, 120, 64), 32);
     }
 

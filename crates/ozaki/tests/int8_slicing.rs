@@ -15,11 +15,11 @@
 //!    correctly rounded reference dot (f64 expansion arithmetic via
 //!    two_prod/two_sum, summed without error and rounded once).
 
+use me_linalg::Mat;
 use me_numerics::eft::{two_prod, two_sum};
 use me_numerics::Rng64;
 use me_ozaki::int8::Int8Engine;
 use me_ozaki::{ozaki_gemm, split_cols, split_rows, SliceEngine, TargetAccuracy};
-use me_linalg::Mat;
 
 /// Draw one entry: moderate values salted with the special values the
 /// slicing must survive — exact ±0, subnormals, and huge/tiny exponents
@@ -141,10 +141,7 @@ fn slice_bits_capped_at_six_everywhere() {
             for k in [1usize, 7, 256, 100_000, 1 << 20] {
                 let e = Int8Engine { acc_bits, k_block, ..Int8Engine::default() };
                 let beta = e.beta(k);
-                assert!(
-                    (1..=6).contains(&beta),
-                    "acc={acc_bits} kb={k_block} k={k}: beta {beta}"
-                );
+                assert!((1..=6).contains(&beta), "acc={acc_bits} kb={k_block} k={k}: beta {beta}");
                 assert!(
                     k_block.min(k) << (2 * beta) < 1 << 31,
                     "acc={acc_bits} kb={k_block} k={k}: beta {beta} overflows i32"

@@ -9,9 +9,7 @@
 
 use me_linalg::{selected_kernel, Mat};
 use me_ozaki::perf::ranged_matrix;
-use me_ozaki::{
-    ozaki_gemm_on, HostF16Engine, Int8Engine, OzakiConfig, OzakiReport, SliceEngine,
-};
+use me_ozaki::{ozaki_gemm_on, HostF16Engine, Int8Engine, OzakiConfig, OzakiReport, SliceEngine};
 use me_par::WorkerPool;
 
 /// One traced call of `engine`, and the counters it left.

@@ -38,7 +38,8 @@ const ZERO_COL: usize = 1;
 
 /// The shapes (m, k, n): full tiles, ragged tiles over two k-chunks, one
 /// long line each, and a small square.
-const SHAPES: [(usize, usize, usize); 4] = [(128, 128, 128), (37, 300, 29), (1, 700, 1), (9, 14, 9)];
+const SHAPES: [(usize, usize, usize); 4] =
+    [(128, 128, 128), (37, 300, 29), (1, 700, 1), (9, 14, 9)];
 /// Input ranges, in decades.
 const RANGES: [f64; 3] = [2.0, 16.0, 30.0];
 
@@ -192,7 +193,8 @@ fn reused_workspace_matches_a_fresh_one_and_stops_growing() {
     let fresh: Vec<Vec<u64>> = std::thread::scope(|s| {
         let pool = &pool;
         let calls = cases.iter().flat_map(|case| CALLS.map(|call| (call, case)));
-        calls.map(|(call, case)| s.spawn(move || run(call, case, pool)).join().expect("fresh call"))
+        calls
+            .map(|(call, case)| s.spawn(move || run(call, case, pool)).join().expect("fresh call"))
             .collect()
     });
 

@@ -167,8 +167,7 @@ impl WorkerPool {
         // SAFETY: erases the borrow lifetime from the trait-object type.
         // The pointer is only dereferenced while this call is blocked (see
         // the safety argument above), during which `f` is alive.
-        let obj: &'static (dyn Fn(usize) + Sync + 'static) =
-            unsafe { std::mem::transmute(obj) };
+        let obj: &'static (dyn Fn(usize) + Sync + 'static) = unsafe { std::mem::transmute(obj) };
         let ptr = JobPtr(obj as *const (dyn Fn(usize) + Sync));
         {
             let mut st = self.shared.lock();

@@ -20,8 +20,8 @@
 //! - [`Profile`] — the per-class runtime fractions with the paper's
 //!   exclusion rule applied.
 
-use std::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Classification of a profiled region, mirroring Fig 3's legend.
@@ -122,31 +122,76 @@ pub fn classify_symbol(symbol: &str) -> RegionClass {
     if core == "gemm" || core == "gemm3m" || core == "gemmt" || core == "matmul" {
         return RegionClass::Gemm;
     }
-    if matches!(
-        core,
-        "symm" | "hemm" | "syrk" | "herk" | "syr2k" | "her2k" | "trmm" | "trsm"
-    ) {
+    if matches!(core, "symm" | "hemm" | "syrk" | "herk" | "syr2k" | "her2k" | "trmm" | "trsm") {
         return RegionClass::BlasL3NonGemm;
     }
     if matches!(
         core,
-        "gemv" | "gbmv" | "symv" | "sbmv" | "spmv" | "trmv" | "tbmv" | "tpmv" | "trsv"
-            | "tbsv" | "tpsv" | "ger" | "syr" | "spr" | "syr2" | "spr2" | "hemv" | "her" | "her2"
+        "gemv"
+            | "gbmv"
+            | "symv"
+            | "sbmv"
+            | "spmv"
+            | "trmv"
+            | "tbmv"
+            | "tpmv"
+            | "trsv"
+            | "tbsv"
+            | "tpsv"
+            | "ger"
+            | "syr"
+            | "spr"
+            | "syr2"
+            | "spr2"
+            | "hemv"
+            | "her"
+            | "her2"
     ) {
         return RegionClass::BlasL2;
     }
     if matches!(
         core,
-        "dot" | "dotu" | "dotc" | "axpy" | "scal" | "copy" | "swap" | "nrm2" | "asum"
-            | "amax" | "iamax" | "rot" | "rotg" | "rotm" | "rotmg" | "sdot" | "dsdot"
+        "dot"
+            | "dotu"
+            | "dotc"
+            | "axpy"
+            | "scal"
+            | "copy"
+            | "swap"
+            | "nrm2"
+            | "asum"
+            | "amax"
+            | "iamax"
+            | "rot"
+            | "rotg"
+            | "rotm"
+            | "rotmg"
+            | "sdot"
+            | "dsdot"
     ) {
         return RegionClass::BlasL1;
     }
     if matches!(
         core,
-        "getrf" | "getrs" | "gesv" | "potrf" | "potrs" | "posv" | "geqrf" | "orgqr"
-            | "ormqr" | "gesvd" | "gesdd" | "syev" | "syevd" | "syevr" | "geev" | "getri"
-            | "trtrs" | "laswp" | "gels"
+        "getrf"
+            | "getrs"
+            | "gesv"
+            | "potrf"
+            | "potrs"
+            | "posv"
+            | "geqrf"
+            | "orgqr"
+            | "ormqr"
+            | "gesvd"
+            | "gesdd"
+            | "syev"
+            | "syevd"
+            | "syevr"
+            | "geev"
+            | "getri"
+            | "trtrs"
+            | "laswp"
+            | "gels"
     ) {
         return if scalapack { RegionClass::ScaLapack } else { RegionClass::Lapack };
     }
@@ -494,11 +539,8 @@ impl Profiler {
     pub fn enter(&self, class: RegionClass, name: &str) -> RegionGuard<'_> {
         let path = CALL_STACK.with(|s| {
             let mut st = s.borrow_mut();
-            let path = if st.is_empty() {
-                name.to_string()
-            } else {
-                format!("{}/{}", st.join("/"), name)
-            };
+            let path =
+                if st.is_empty() { name.to_string() } else { format!("{}/{}", st.join("/"), name) };
             st.push(name.to_string());
             path
         });

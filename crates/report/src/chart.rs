@@ -26,9 +26,8 @@ impl BarRow {
 /// `max_value` of `None` auto-scales to the largest bar; `width` is the
 /// character width of a full-scale bar.
 pub fn bar_chart(title: &str, rows: &[BarRow], width: usize, max_value: Option<f64>) -> String {
-    let maxv = max_value
-        .unwrap_or_else(|| rows.iter().map(|r| r.total()).fold(0.0, f64::max))
-        .max(1e-300);
+    let maxv =
+        max_value.unwrap_or_else(|| rows.iter().map(|r| r.total()).fold(0.0, f64::max)).max(1e-300);
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(0);
     let mut out = String::new();
     out.push_str(title);
@@ -63,12 +62,7 @@ pub struct Series {
 }
 
 /// Render an ASCII line chart of one or more series on a shared grid.
-pub fn line_chart(
-    title: &str,
-    series: &[Series],
-    width: usize,
-    height: usize,
-) -> String {
+pub fn line_chart(title: &str, series: &[Series], width: usize, height: usize) -> String {
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
@@ -77,9 +71,8 @@ pub fn line_chart(
         out.push_str("(no data)\n");
         return out;
     }
-    let (xmin, xmax) = all.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| {
-        (lo.min(x), hi.max(x))
-    });
+    let (xmin, xmax) =
+        all.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(x, _)| (lo.min(x), hi.max(x)));
     let (ymin, ymax) =
         all.iter().fold((f64::MAX, f64::MIN), |(lo, hi), &(_, y)| (lo.min(y), hi.max(y)));
     let xspan = (xmax - xmin).max(1e-300);
@@ -121,10 +114,7 @@ mod tests {
 
     #[test]
     fn stacked_bars_draw_segments() {
-        let rows = vec![BarRow {
-            label: "x".into(),
-            segments: vec![('G', 0.5), ('o', 0.5)],
-        }];
+        let rows = vec![BarRow { label: "x".into(), segments: vec![('G', 0.5), ('o', 0.5)] }];
         let c = bar_chart("s", &rows, 8, Some(1.0));
         assert!(c.contains("GGGGoooo"), "got: {c}");
     }

@@ -218,11 +218,7 @@ impl WeightCache {
             }
         }
         while inner.bytes_used + bytes > self.capacity_bytes {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k)
+            let Some(victim) = inner.map.iter().min_by_key(|(_, e)| e.last_use).map(|(k, _)| *k)
             else {
                 break;
             };

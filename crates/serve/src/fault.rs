@@ -223,7 +223,10 @@ mod tests {
     #[test]
     fn delays_respect_the_bound() {
         let cfg = FaultConfig { p_delay: 1.0, max_delay: Duration::from_micros(10), ..chaotic() };
-        let plan = FaultPlan::new(3, FaultConfig { p_panic: 0.0, p_transient: 0.0, p_force_timeout: 0.0, ..cfg });
+        let plan = FaultPlan::new(
+            3,
+            FaultConfig { p_panic: 0.0, p_transient: 0.0, p_force_timeout: 0.0, ..cfg },
+        );
         for req in 0..256u64 {
             match plan.decide(FaultStage::Enqueue, req, 0) {
                 Fault::Delay(d) => assert!(d < Duration::from_micros(10)),

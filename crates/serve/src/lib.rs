@@ -94,11 +94,7 @@ pub fn resolve_shards(requested: usize) -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-        .max(1)
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4).max(1)
 }
 
 /// Environment variable consulted by [`resolve_weight_cache`] when the
@@ -154,10 +150,8 @@ pub fn resolve_tenant_weights(requested: &[u64]) -> Vec<u64> {
         return requested.iter().map(|&w| w.max(1)).collect();
     }
     if let Ok(raw) = std::env::var(TENANT_WEIGHTS_ENV) {
-        let parsed: Option<Vec<u64>> = raw
-            .split(',')
-            .map(|part| part.trim().parse::<u64>().ok().map(|w| w.max(1)))
-            .collect();
+        let parsed: Option<Vec<u64>> =
+            raw.split(',').map(|part| part.trim().parse::<u64>().ok().map(|w| w.max(1))).collect();
         if let Some(weights) = parsed {
             if !weights.is_empty() {
                 return weights;

@@ -353,11 +353,8 @@ impl Ticket {
                 else {
                     break;
                 };
-                let (guard, _) = self
-                    .state
-                    .ready
-                    .wait_timeout(slot, left)
-                    .unwrap_or_else(|e| e.into_inner());
+                let (guard, _) =
+                    self.state.ready.wait_timeout(slot, left).unwrap_or_else(|e| e.into_inner());
                 slot = guard;
             }
         }

@@ -178,8 +178,7 @@ impl<T> MpmcRing<T> {
                         // ownership of the value to this thread and the
                         // slot back to the ring.
                         let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        slot.seq
-                            .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
+                        slot.seq.store(pos.wrapping_add(self.mask + 1), Ordering::Release);
                         return Some(value);
                     }
                     Err(current) => pos = current,

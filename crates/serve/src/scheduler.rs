@@ -283,11 +283,8 @@ impl Scheduler {
         let stats = Arc::new(ServeStats::new(tenant_weights.len()));
         let order = Arc::new(AtomicU64::new(0));
         let cache_bytes = crate::resolve_weight_cache(config.weight_cache_bytes);
-        let cache = if cache_bytes == 0 {
-            None
-        } else {
-            Some(Arc::new(WeightCache::new(cache_bytes)))
-        };
+        let cache =
+            if cache_bytes == 0 { None } else { Some(Arc::new(WeightCache::new(cache_bytes))) };
         let mut queues = Vec::with_capacity(nshards);
         let mut threads = Vec::with_capacity(nshards);
         for i in 0..nshards {
@@ -663,8 +660,8 @@ impl FairState {
             }
             // Cap the bank at one quantum so credit cannot accumulate
             // across cycles the tenant spent unserved.
-            self.deficit[j] = (self.deficit[j] + self.weights[j] as i64)
-                .min(self.weights[j] as i64);
+            self.deficit[j] =
+                (self.deficit[j] + self.weights[j] as i64).min(self.weights[j] as i64);
             if self.deficit[j] > 0 {
                 return ready.iter().position(|p| p.tenant as usize == j);
             }
@@ -882,9 +879,7 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 fn execute_batch(ctx: &ShardCtx, pool: &me_par::WorkerPool, batch: Vec<Pending>) -> Vec<Pending> {
     let _b = me_trace::span("serve.batch", "serve");
     ServeStats::bump(&ctx.stats.batches);
-    ctx.stats
-        .batched_requests
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
+    ctx.stats.batched_requests.fetch_add(batch.len() as u64, Ordering::Relaxed);
     ServeStats::record_max(&ctx.stats.max_batch, batch.len() as u64);
     me_trace::hist_record("serve.batch_size", batch.len() as u64);
 
@@ -1033,7 +1028,9 @@ fn execute_stacked_gemm(ctx: &ShardCtx, pool: &me_par::WorkerPool, slots: &mut [
     let packed: Option<Arc<PackedB<f64>>> =
         ctx.cache.as_ref().map(|wc| wc.get_or_pack(key, &b, variant));
     let run = catch_unwind(AssertUnwindSafe(|| match &packed {
-        Some(p) => gemm_parallel_on_prepacked_with(pool, variant, alpha, &a_stack, p, 0.0, &mut c_stack),
+        Some(p) => {
+            gemm_parallel_on_prepacked_with(pool, variant, alpha, &a_stack, p, 0.0, &mut c_stack)
+        }
         None => gemm_parallel_on_with(pool, variant, alpha, &a_stack, &b, 0.0, &mut c_stack),
     }));
     match run {
@@ -1086,17 +1083,14 @@ fn attempt_one(
 /// it on the shard thread with the whole pool at its disposal; larger
 /// fan-outs run one serial request per pool lane.
 fn execute_fan_out(ctx: &ShardCtx, pool: &me_par::WorkerPool, slots: &mut [Slot]) {
-    let runnable: Vec<usize> = slots
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.pre.is_none())
-        .map(|(i, _)| i)
-        .collect();
+    let runnable: Vec<usize> =
+        slots.iter().enumerate().filter(|(_, s)| s.pre.is_none()).map(|(i, _)| i).collect();
     let cache = ctx.cache.as_deref();
     if let [only] = runnable[..] {
         let fault = execute_fault(ctx, &slots[only].pending);
         let key = slots[only].pending.key;
-        slots[only].result = Some(attempt_one(&slots[only].pending.job, key, cache, fault, pool, true));
+        slots[only].result =
+            Some(attempt_one(&slots[only].pending.job, key, cache, fault, pool, true));
         return;
     }
     let mut work: Vec<(&Pending, &mut Option<ExecResult>, Fault)> = Vec::new();

@@ -135,11 +135,8 @@ fn sole_backlogged_tenant_is_served_fifo() {
     // Submission order == resolution order for the post-plug stream
     // (orders() sorted by stamp; with one bucket and batch_max 1 the
     // stamps must be consecutive and increasing).
-    let post: Vec<u64> = resolved
-        .iter()
-        .map(|&(order, _)| order)
-        .filter(|&o| o > plug_order)
-        .collect();
+    let post: Vec<u64> =
+        resolved.iter().map(|&(order, _)| order).filter(|&o| o > plug_order).collect();
     assert_eq!(post.len(), 120);
     for pair in post.windows(2) {
         assert_eq!(pair[1], pair[0] + 1, "single-tenant stream reordered or interleaved");
@@ -157,8 +154,13 @@ fn tenant_books_balance_and_fold_modulo() {
     let tickets: Vec<_> = (0..90u32)
         .map(|i| {
             // Tenant ids 0..9 fold into 3 slots: id % 3.
-            let job = Job::gemm(KernelVariant::Scalar, 1.0, mat(2, 3, 4_000 + u64::from(i)), Arc::clone(&b))
-                .with_tenant(TenantId(i % 9));
+            let job = Job::gemm(
+                KernelVariant::Scalar,
+                1.0,
+                mat(2, 3, 4_000 + u64::from(i)),
+                Arc::clone(&b),
+            )
+            .with_tenant(TenantId(i % 9));
             sched.submit(job).expect("fits")
         })
         .collect();

@@ -107,10 +107,7 @@ fn run_plan(seed: u64, width: usize, tally: &mut Tally) {
         [stats.enqueued, stats.completed_ok, stats.timed_out, stats.shed, stats.failed],
         "seed {seed} width {width}: tenant ledgers must sum to the global books"
     );
-    assert!(
-        stats.is_conserved(),
-        "seed {seed} width {width}: conservation broken: {stats:?}"
-    );
+    assert!(stats.is_conserved(), "seed {seed} width {width}: conservation broken: {stats:?}");
     assert_eq!(stats.enqueued, 6, "seed {seed} width {width}");
     assert_eq!(stats.double_resolves, 0, "seed {seed} width {width}: duplicated completion");
     tally.retries += stats.retries;
@@ -293,10 +290,7 @@ fn dead_on_requeue_retries_resolve_timed_out_immediately() {
     let elapsed = started.elapsed();
     assert!(stats.is_conserved(), "{stats:?}");
     assert_eq!(stats.timed_out, 4, "every always-transient request must time out: {stats:?}");
-    assert!(
-        stats.retries_timed_out >= 4,
-        "dead-on-requeue retries must be accounted: {stats:?}"
-    );
+    assert!(stats.retries_timed_out >= 4, "dead-on-requeue retries must be accounted: {stats:?}");
     assert!(
         elapsed < backoff,
         "dead retries must not serve their backoff: drained in {elapsed:?} \

@@ -36,12 +36,7 @@ struct Tagged {
 /// pushing `per_producer` tagged values each (spinning on full), popping
 /// until every value is accounted for. Returns each consumer's pop
 /// stream in arrival order.
-fn stress(
-    producers: u32,
-    consumers: u32,
-    capacity: usize,
-    per_producer: u64,
-) -> Vec<Vec<Tagged>> {
+fn stress(producers: u32, consumers: u32, capacity: usize, per_producer: u64) -> Vec<Vec<Tagged>> {
     let ring: Arc<MpmcRing<Tagged>> = Arc::new(MpmcRing::new(capacity));
     let done = Arc::new(AtomicBool::new(false));
     let mut prod_handles = Vec::new();
@@ -90,10 +85,7 @@ fn stress(
         h.join().expect("producer panicked");
     }
     done.store(true, Ordering::Release);
-    cons_handles
-        .into_iter()
-        .map(|h| h.join().expect("consumer panicked"))
-        .collect()
+    cons_handles.into_iter().map(|h| h.join().expect("consumer panicked")).collect()
 }
 
 /// Assert the exactly-once contract over the union of all pop streams.
@@ -124,9 +116,7 @@ fn exactly_once_across_widths() {
     // (producers, consumers) grids at the issue's widths; capacity far
     // smaller than the traffic so wraparound recycles every slot many
     // times over.
-    for &(producers, consumers) in
-        &[(1u32, 1u32), (2, 2), (8, 8), (32, 4), (4, 32), (32, 32)]
-    {
+    for &(producers, consumers) in &[(1u32, 1u32), (2, 2), (8, 8), (32, 4), (4, 32), (32, 32)] {
         let per_producer = 20_000 / u64::from(producers).max(1);
         let streams = stress(producers, consumers, 64, per_producer);
         assert_exactly_once(&streams, producers, per_producer);
@@ -207,11 +197,7 @@ fn seeded_interleavings_match_vecdeque_model() {
                 let want = model.pop_front();
                 assert_eq!(got, want, "seed {seed}: pop diverged from model");
             }
-            assert_eq!(
-                ring.is_empty(),
-                model.is_empty(),
-                "seed {seed}: emptiness diverged"
-            );
+            assert_eq!(ring.is_empty(), model.is_empty(), "seed {seed}: emptiness diverged");
         }
         // Drain and compare the tails.
         while let Some(want) = model.pop_front() {

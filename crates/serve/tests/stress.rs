@@ -105,10 +105,7 @@ fn ten_k_storm_drains_without_deadlock() {
     assert_eq!(stats.double_resolves, 0);
     // A 10k storm against a single-digit drain rate must coalesce: the
     // batching layer is what this scheduler exists for.
-    assert!(
-        stats.max_batch >= 2,
-        "storm never coalesced a batch: {stats:?}"
-    );
+    assert!(stats.max_batch >= 2, "storm never coalesced a batch: {stats:?}");
 }
 
 /// Snapshot monotonicity: while submitters hammer a live scheduler,
@@ -224,6 +221,7 @@ fn shedding_bounds_the_backlog() {
     let stats = sched.shutdown();
     assert!(stats.is_conserved(), "{stats:?}");
     assert!(stats.shed > 0, "backlog of 32 over watermark 4 must shed: {stats:?}");
-    let shed_ids: Vec<u64> = followers.iter().filter(|t| t.resolutions() == 1).map(|t| t.id()).collect();
+    let shed_ids: Vec<u64> =
+        followers.iter().filter(|t| t.resolutions() == 1).map(|t| t.id()).collect();
     assert_eq!(shed_ids.len(), 32, "every follower resolved exactly once");
 }

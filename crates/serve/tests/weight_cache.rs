@@ -26,16 +26,14 @@ use me_linalg::{
     set_blocking_override, Blocking, KernelVariant, Mat,
 };
 use me_numerics::Rng64;
-use me_serve::{BucketKey, Job, Outcome, Scheduler, ServeConfig};
 use me_serve::WeightCache;
+use me_serve::{BucketKey, Job, Outcome, Scheduler, ServeConfig};
 
 /// Serialize tests: the stale-kc case mutates the process-wide blocking
 /// override, which every pack and every fresh GEMM reads.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    GATE.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+    GATE.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn mat(rows: usize, cols: usize, seed: u64) -> Arc<Mat<f64>> {
@@ -108,11 +106,7 @@ fn evicted_entry_stays_valid_mid_compute() {
     let _ = cache.get_or_pack(key_of(&b2, variant), &b2, variant);
     assert_eq!(cache.len(), 1, "one-entry capacity must have evicted b1");
     assert_eq!(cache.stats().evictions, 1);
-    assert_eq!(
-        cache.keys_lru_order(),
-        vec![key_of(&b2, variant)],
-        "only b2 remains resident"
-    );
+    assert_eq!(cache.keys_lru_order(), vec![key_of(&b2, variant)], "only b2 remains resident");
 
     // The evicted panels must still compute, bitwise equal to a fresh
     // pack: the Arc we hold is the only thing keeping them alive.
@@ -250,9 +244,7 @@ fn cached_scheduler_matches_uncached_and_serial_bitwise() {
     assert!(uncached_sched.cache_stats().is_none(), "cache_stats is None when disabled");
     let uncached_stats = uncached_sched.shutdown();
 
-    for (i, ((c, u), (variant, a, b))) in
-        cached.iter().zip(&uncached).zip(&requests).enumerate()
-    {
+    for (i, ((c, u), (variant, a, b))) in cached.iter().zip(&uncached).zip(&requests).enumerate() {
         assert_eq!(c, u, "request {i} ({variant:?}): cached and uncached bytes diverge");
         let mut serial = Mat::zeros(a.rows(), b.cols());
         gemm_tiled_with(*variant, 1.0, a.as_ref(), b.as_ref(), 0.0, &mut serial);

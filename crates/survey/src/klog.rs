@@ -240,8 +240,7 @@ pub fn attribute_gemm(jobs: &[JobRecord]) -> KlogSummary {
 
 /// Per-domain node-hour shares of a corpus (input to Fig 4a).
 pub fn domain_node_hours(jobs: &[JobRecord]) -> Vec<(KDomain, f64)> {
-    let mut acc: Vec<(KDomain, f64)> =
-        KDomain::shares().iter().map(|&(d, _)| (d, 0.0)).collect();
+    let mut acc: Vec<(KDomain, f64)> = KDomain::shares().iter().map(|&(d, _)| (d, 0.0)).collect();
     for j in jobs {
         if let Some(e) = acc.iter_mut().find(|(d, _)| *d == j.domain) {
             e.1 += j.node_hours;
@@ -288,11 +287,7 @@ mod tests {
         let total: f64 = by_domain.iter().map(|(_, h)| h).sum();
         for (d, share) in KDomain::shares() {
             let got = by_domain.iter().find(|(x, _)| *x == d).unwrap().1 / total;
-            assert!(
-                (got - share).abs() < 0.03,
-                "{}: share {got} vs report {share}",
-                d.label()
-            );
+            assert!((got - share).abs() < 0.03, "{}: share {got} vs report {share}", d.label());
         }
     }
 

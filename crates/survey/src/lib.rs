@@ -16,5 +16,5 @@
 pub mod klog;
 pub mod spack;
 
-pub use klog::{generate_k_corpus, KDomain, KlogSummary, JobRecord};
+pub use klog::{generate_k_corpus, JobRecord, KDomain, KlogSummary};
 pub use spack::{spack_ecosystem, DistanceRow, PackageGraph};

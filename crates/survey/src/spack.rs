@@ -140,8 +140,7 @@ impl PackageGraph {
         let dist = g.distances();
         let total = g.len().max(1);
         let count_at = |d: u32| dist.iter().filter(|x| **x == Some(d)).count();
-        let reachable_nonzero =
-            dist.iter().filter(|x| matches!(x, Some(d) if *d >= 1)).count();
+        let reachable_nonzero = dist.iter().filter(|x| matches!(x, Some(d) if *d >= 1)).count();
         let pct = |c: usize| 100.0 * c as f64 / total as f64;
         vec![
             DistanceRow { label: "0", count: count_at(0), percent: pct(count_at(0)) },
@@ -471,10 +470,7 @@ impl PackageGraph {
         let counts = self.dependent_counts();
         let mut idx: Vec<usize> = (0..self.packages.len()).collect();
         idx.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
-        idx.into_iter()
-            .take(top)
-            .map(|i| (self.packages[i].name.as_str(), counts[i]))
-            .collect()
+        idx.into_iter().take(top).map(|i| (self.packages[i].name.as_str(), counts[i])).collect()
     }
 
     /// Histogram of dependency distances: (distance, count) plus the
@@ -517,8 +513,7 @@ mod query_tests {
         // At least a few of the 14 providers must appear among the top-20
         // most-depended-on packages (every distance-1 package anchors on
         // one of them).
-        let provider_hits =
-            top.iter().filter(|(n, _)| BLAS_PROVIDERS.contains(n)).count();
+        let provider_hits = top.iter().filter(|(n, _)| BLAS_PROVIDERS.contains(n)).count();
         assert!(provider_hits >= 3, "only {provider_hits} providers in the top 20: {top:?}");
     }
 

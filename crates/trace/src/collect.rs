@@ -97,12 +97,7 @@ impl Local {
             .map(str::to_string)
             .unwrap_or_else(|| format!("thread-{tid}"));
         lock(&THREAD_NAMES).insert(tid, name);
-        Local {
-            tid,
-            events: Vec::new(),
-            counters: BTreeMap::new(),
-            hists: BTreeMap::new(),
-        }
+        Local { tid, events: Vec::new(), counters: BTreeMap::new(), hists: BTreeMap::new() }
     }
 
     fn flush(&mut self) {
@@ -306,13 +301,7 @@ pub fn emit_virtual_sample(lane: &str, name: impl Into<Cow<'static, str>>, t_ns:
     }
     let tid = virtual_lane_id(lane);
     let mut shard = lock(shard_for(tid));
-    shard.samples.push(CounterSample {
-        name: name.into(),
-        tid,
-        virtual_lane: true,
-        t_ns,
-        value,
-    });
+    shard.samples.push(CounterSample { name: name.into(), tid, virtual_lane: true, t_ns, value });
 }
 
 /// Drain the collector into a [`Trace`] snapshot. Flushes the *calling*
@@ -451,10 +440,7 @@ mod tests {
         let ev = tr.events.iter().find(|e| e.name == "modeled.dgemm");
         assert!(ev.is_some_and(|e| e.virtual_lane && e.dur_ns == 1_000_000));
         assert_eq!(tr.samples.len(), 1);
-        assert!(tr
-            .virtual_lanes
-            .values()
-            .any(|n| n == "v100"));
+        assert!(tr.virtual_lanes.values().any(|n| n == "v100"));
     }
 
     #[test]

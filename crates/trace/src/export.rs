@@ -50,7 +50,10 @@ fn push_meta(out: &mut String, pid: u64, tid: u64, kind: &str, name: &str, first
         out.push_str(",\n");
     }
     *first = false;
-    let _ = write!(out, "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\"");
+    let _ = write!(
+        out,
+        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\"args\":{{\"name\":\""
+    );
     escape_json(name, out);
     out.push_str("\"}}");
 }
@@ -153,9 +156,7 @@ impl Trace {
 /// Sanitize a metric name for Prometheus: `[a-zA-Z0-9_]`, dots and
 /// dashes become underscores.
 fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' })
-        .collect()
+    name.chars().map(|c| if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' }).collect()
 }
 
 /// What [`validate_chrome_trace`] learned about a trace file: event
@@ -186,17 +187,12 @@ pub struct ChromeSummary {
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeSummary, String> {
     let value = Parser::new(json).parse_document()?;
     let top = value.as_object().ok_or("top level is not an object")?;
-    let events = field(top, "traceEvents")?
-        .as_array()
-        .ok_or("traceEvents is not an array")?;
+    let events = field(top, "traceEvents")?.as_array().ok_or("traceEvents is not an array")?;
     let mut summary = ChromeSummary::default();
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
-            .ok_or_else(|| format!("event {i} is not an object"))?;
-        let ph = field(obj, "ph")?
-            .as_str()
-            .ok_or_else(|| format!("event {i}: ph is not a string"))?;
+        let obj = ev.as_object().ok_or_else(|| format!("event {i} is not an object"))?;
+        let ph =
+            field(obj, "ph")?.as_str().ok_or_else(|| format!("event {i}: ph is not a string"))?;
         let pid = num_field(obj, "pid", i)?;
         let tid = num_field(obj, "tid", i)?;
         let name = field(obj, "name")
@@ -265,9 +261,7 @@ fn field<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
 
 fn num_field(obj: &[(String, Json)], key: &str, i: usize) -> Result<u64, String> {
     let v = field(obj, key).map_err(|e| format!("event {i}: {e}"))?;
-    let f = v
-        .as_f64()
-        .ok_or_else(|| format!("event {i}: {key} is not a number"))?;
+    let f = v.as_f64().ok_or_else(|| format!("event {i}: {key} is not a number"))?;
     if f < 0.0 || f.fract() != 0.0 {
         return Err(format!("event {i}: {key} is not a non-negative integer"));
     }
@@ -359,10 +353,7 @@ impl<'a> Parser<'a> {
 
     fn peek(&mut self) -> Result<u8, String> {
         self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
+        self.bytes.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
     }
 
     fn consume(&mut self, b: u8) -> Result<(), String> {
@@ -438,18 +429,12 @@ impl<'a> Parser<'a> {
         self.consume(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or("unterminated string")?;
+            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
                 b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or("unterminated escape")?;
+                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -466,10 +451,9 @@ impl<'a> Parser<'a> {
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             self.pos += 4;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => {
@@ -493,11 +477,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_keyword(&mut self) -> Result<Json, String> {
-        for (word, value) in [
-            ("true", Json::Bool(true)),
-            ("false", Json::Bool(false)),
-            ("null", Json::Null),
-        ] {
+        for (word, value) in
+            [("true", Json::Bool(true)), ("false", Json::Bool(false)), ("null", Json::Null)]
+        {
             if self.bytes[self.pos..].starts_with(word.as_bytes()) {
                 self.pos += word.len();
                 return Ok(value);
@@ -515,8 +497,8 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number")?;
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -642,10 +624,7 @@ mod tests {
         let json = "{\"traceEvents\":[{\"ph\":\"M\",\"pid\":1,\"tid\":0,\
                     \"name\":\"thread_name\",\"args\":{\"name\":\"w\\u00e9\\t\\\"x\\\"\"}}]}";
         let s = validate_chrome_trace(json).unwrap();
-        assert_eq!(
-            s.measured_lanes.get(&0).map(String::as_str),
-            Some("wé\t\"x\"")
-        );
+        assert_eq!(s.measured_lanes.get(&0).map(String::as_str), Some("wé\t\"x\""));
     }
 
     #[test]

@@ -89,8 +89,7 @@ fn concurrent_random_spans_yield_well_nested_monotonic_trace() {
     let trace = me_trace::take_snapshot();
 
     // Every span the threads emitted is present and on a measured lane.
-    let spans: Vec<&TraceEvent> =
-        trace.events.iter().filter(|e| e.cat == "sweep").collect();
+    let spans: Vec<&TraceEvent> = trace.events.iter().filter(|e| e.cat == "sweep").collect();
     let total = trace.counters.get("sweep.spans").copied().unwrap_or(0);
     assert!(total >= NTHREADS * ROUNDS as u64, "at least one span per round");
     assert_eq!(spans.len() as u64, total, "span count matches counter");
@@ -103,8 +102,7 @@ fn concurrent_random_spans_yield_well_nested_monotonic_trace() {
     tids.dedup();
     assert!(tids.len() as u64 >= NTHREADS, "one lane per sweep thread");
     for tid in tids {
-        let lane: Vec<&TraceEvent> =
-            spans.iter().filter(|e| e.tid == tid).copied().collect();
+        let lane: Vec<&TraceEvent> = spans.iter().filter(|e| e.tid == tid).copied().collect();
         for pair in lane.windows(2) {
             assert!(
                 pair[0].start_ns <= pair[1].start_ns,

@@ -133,13 +133,7 @@ mod tests {
     use crate::Severity;
 
     fn diag(file: &str, line: usize, rule: &'static str) -> Diagnostic {
-        Diagnostic {
-            file: file.into(),
-            line,
-            rule,
-            severity: Severity::Error,
-            message: "m".into(),
-        }
+        Diagnostic { file: file.into(), line, rule, severity: Severity::Error, message: "m".into() }
     }
 
     #[test]
@@ -167,7 +161,11 @@ mod tests {
 
     #[test]
     fn suppresses_up_to_count_lowest_lines_first() {
-        let diags = vec![diag("f.rs", 30, "no-unwrap"), diag("f.rs", 10, "no-unwrap"), diag("f.rs", 20, "no-unwrap")];
+        let diags = vec![
+            diag("f.rs", 30, "no-unwrap"),
+            diag("f.rs", 10, "no-unwrap"),
+            diag("f.rs", 20, "no-unwrap"),
+        ];
         let entries = parse_allowlist("f.rs no-unwrap 2\n").expect("parses");
         let left = apply_allowlist(diags, &entries);
         assert_eq!(left.len(), 1);
@@ -176,7 +174,11 @@ mod tests {
 
     #[test]
     fn other_rules_and_files_unaffected() {
-        let diags = vec![diag("f.rs", 1, "no-unwrap"), diag("f.rs", 2, "float-eq"), diag("g.rs", 3, "no-unwrap")];
+        let diags = vec![
+            diag("f.rs", 1, "no-unwrap"),
+            diag("f.rs", 2, "float-eq"),
+            diag("g.rs", 3, "no-unwrap"),
+        ];
         let entries = parse_allowlist("f.rs no-unwrap 99\n").expect("parses");
         let left = apply_allowlist(diags, &entries);
         assert_eq!(left.len(), 2);

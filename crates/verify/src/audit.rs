@@ -217,11 +217,9 @@ pub fn audit_mix(mix: &MachineMix) -> Vec<String> {
 /// the typed energy-accounting identities.
 pub fn audit_model() -> Vec<String> {
     let mut v = Vec::new();
-    for mix in [
-        MachineMix::k_computer_default(),
-        MachineMix::anl_default(),
-        MachineMix::future_default(),
-    ] {
+    for mix in
+        [MachineMix::k_computer_default(), MachineMix::anl_default(), MachineMix::future_default()]
+    {
         v.extend(audit_mix(&mix));
     }
     // BERT occupancy (Fig 4c input) must be a proper fraction.
@@ -284,7 +282,10 @@ mod tests {
     fn broken_fixture_trips_every_power_and_peak_check() {
         let v = audit_device(&broken_device());
         assert!(v.iter().any(|m| m.contains("exceeds TDP")), "{v:#?}");
-        assert!(v.iter().any(|m| m.contains("must be positive") && m.contains("Gflop/s")), "{v:#?}");
+        assert!(
+            v.iter().any(|m| m.contains("must be positive") && m.contains("Gflop/s")),
+            "{v:#?}"
+        );
         assert!(v.iter().any(|m| m.contains("bandwidth")), "{v:#?}");
         assert!(v.iter().any(|m| m.contains("duplicate peak")), "{v:#?}");
     }

@@ -51,7 +51,20 @@ pub fn fma_contract(rel_path: &str, masked: &MaskedSource) -> Vec<Diagnostic> {
         // Plain assignments: `lhs = rhs` with both `*` and `+`/`-` bare.
         if b == b'=' {
             let prev_op = i > 0
-                && matches!(bytes[i - 1], b'=' | b'<' | b'>' | b'!' | b'+' | b'-' | b'*' | b'/' | b'%' | b'&' | b'|' | b'^');
+                && matches!(
+                    bytes[i - 1],
+                    b'=' | b'<'
+                        | b'>'
+                        | b'!'
+                        | b'+'
+                        | b'-'
+                        | b'*'
+                        | b'/'
+                        | b'%'
+                        | b'&'
+                        | b'|'
+                        | b'^'
+                );
             let next_op = bytes.get(i + 1).is_some_and(|&c| c == b'=' || c == b'>');
             if prev_op || next_op {
                 i += 1;
@@ -158,7 +171,8 @@ mod tests {
 
     #[test]
     fn split_mul_add_assignment_is_flagged() {
-        let src = "fn dot(acc: &mut [f64], a: &[f64], b: &[f64]) { acc[0] = acc[0] + a[0] * b[0]; }";
+        let src =
+            "fn dot(acc: &mut [f64], a: &[f64], b: &[f64]) { acc[0] = acc[0] + a[0] * b[0]; }";
         let d = run("src/ukernel.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, "fma-contract");

@@ -230,10 +230,8 @@ fn find_fns(masked: &MaskedSource, braces: &[(usize, usize)]) -> Vec<FnInfo> {
                 b'(' | b'[' => depth += 1,
                 b')' | b']' => depth = depth.saturating_sub(1),
                 b'{' if depth == 0 => {
-                    let close = braces
-                        .iter()
-                        .find(|&&(open, _)| open == k)
-                        .map(|&(_, close)| close);
+                    let close =
+                        braces.iter().find(|&&(open, _)| open == k).map(|&(_, close)| close);
                     body = close.map(|c| (k, c + 1));
                     break;
                 }
@@ -259,10 +257,8 @@ fn find_fns(masked: &MaskedSource, braces: &[(usize, usize)]) -> Vec<FnInfo> {
 fn find_annotations(src: &str, masked: &MaskedSource) -> Vec<AnnLine> {
     let mut anns = Vec::new();
     for (idx, &line_start) in masked.line_starts.iter().enumerate() {
-        let line_end = masked
-            .line_starts
-            .get(idx + 1)
-            .map_or(src.len(), |&next| next.saturating_sub(1));
+        let line_end =
+            masked.line_starts.get(idx + 1).map_or(src.len(), |&next| next.saturating_sub(1));
         let line = &src[line_start..line_end.max(line_start)];
         // Doc comments are prose, not annotations.
         if masked.doc_lines.get(idx).copied().unwrap_or(false) {
@@ -280,11 +276,8 @@ fn find_annotations(src: &str, masked: &MaskedSource) -> Vec<AnnLine> {
             continue;
         };
         let keys_text = &line[mark + ANN_MARKER.len()..];
-        let keys: Vec<String> = keys_text
-            .split(',')
-            .map(|k| k.trim().to_string())
-            .filter(|k| !k.is_empty())
-            .collect();
+        let keys: Vec<String> =
+            keys_text.split(',').map(|k| k.trim().to_string()).filter(|k| !k.is_empty()).collect();
         anns.push(AnnLine { line_idx: idx, offset: line_start + mark, keys, attached: false });
     }
     anns
@@ -293,17 +286,11 @@ fn find_annotations(src: &str, masked: &MaskedSource) -> Vec<AnnLine> {
 /// Attach each annotation to the `fn` item it precedes (or shares a
 /// header line with), walking down over doc comments, attributes, other
 /// comments, and blank lines.
-fn attach_annotations(
-    src: &str,
-    masked: &MaskedSource,
-    fns: &mut [FnInfo],
-    anns: &mut [AnnLine],
-) {
+fn attach_annotations(src: &str, masked: &MaskedSource, fns: &mut [FnInfo], anns: &mut [AnnLine]) {
     for ann in anns.iter_mut() {
         // Trailing form: annotation on a fn header line.
-        if let Some(f) = fns
-            .iter_mut()
-            .find(|f| f.header_line == ann.line_idx + 1 && f.fn_offset < ann.offset)
+        if let Some(f) =
+            fns.iter_mut().find(|f| f.header_line == ann.line_idx + 1 && f.fn_offset < ann.offset)
         {
             f.keys.extend(ann.keys.iter().cloned());
             ann.attached = true;

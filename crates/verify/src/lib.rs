@@ -91,9 +91,7 @@ impl Report {
     /// always do; warnings only under `deny_warnings`.
     pub fn failed(&self, deny_warnings: bool) -> bool {
         !self.audit_violations.is_empty()
-            || self.diagnostics.iter().any(|d| {
-                d.severity == Severity::Error || deny_warnings
-            })
+            || self.diagnostics.iter().any(|d| d.severity == Severity::Error || deny_warnings)
     }
 }
 
@@ -168,11 +166,7 @@ pub fn verify_tree(root: &Path, allowlist: &[AllowEntry]) -> io::Result<Report> 
     let mut lock_files = Vec::new();
     for path in &files {
         let src = fs::read_to_string(path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
+        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
         let masked = scan::mask_source(&src);
         let file_ir = ir::FileIr::build(&src, &masked);
         diags.extend(lint_masked(&rel, &src, &masked, &file_ir));

@@ -117,11 +117,9 @@ fn has_adjacent_safety(idx: usize, masked_lines: &[&str], src_lines: &[&str]) ->
 /// library code. `.unwrap_or_else(..)` and friends are fine (the match
 /// requires the exact call), as are the assert macros.
 fn no_unwrap(path: &str, m: &MaskedSource, diags: &mut Vec<Diagnostic>) {
-    for (needle, what) in [
-        (".unwrap()", "`.unwrap()`"),
-        (".expect(", "`.expect(..)`"),
-        ("panic!", "`panic!`"),
-    ] {
+    for (needle, what) in
+        [(".unwrap()", "`.unwrap()`"), (".expect(", "`.expect(..)`"), ("panic!", "`panic!`")]
+    {
         for at in find_all(&m.masked, needle) {
             if m.in_test(at) {
                 continue;
@@ -247,10 +245,7 @@ fn missing_docs(path: &str, src: &str, m: &MaskedSource, diags: &mut Vec<Diagnos
         if documented_above(idx, &masked_lines, &src_lines, &m.doc_lines) {
             continue;
         }
-        let name = rest
-            .split(|c: char| !c.is_alphanumeric() && c != '_')
-            .next()
-            .unwrap_or("");
+        let name = rest.split(|c: char| !c.is_alphanumeric() && c != '_').next().unwrap_or("");
         diags.push(Diagnostic {
             file: path.to_string(),
             line: idx + 1,
@@ -359,7 +354,10 @@ fn is_nonzero_float_literal(tok: &str) -> bool {
     if t.is_empty() || !t.starts_with(|c: char| c.is_ascii_digit()) {
         return false;
     }
-    let has_float_shape = t.contains('.') || t.contains('e') || t.contains('E') || t.len() < tok.trim_start_matches('-').len();
+    let has_float_shape = t.contains('.')
+        || t.contains('e')
+        || t.contains('E')
+        || t.len() < tok.trim_start_matches('-').len();
     if !has_float_shape {
         return false;
     }

@@ -218,7 +218,8 @@ fn find_guards(
     while let Some(p) = text[from..close].find("let") {
         let at = from + p;
         from = at + 3;
-        if (at > 0 && is_ident_byte(bytes[at - 1])) || (at + 3 < close && is_ident_byte(bytes[at + 3]))
+        if (at > 0 && is_ident_byte(bytes[at - 1]))
+            || (at + 3 < close && is_ident_byte(bytes[at + 3]))
         {
             continue;
         }
@@ -437,11 +438,7 @@ pub fn lock_order(files: &[FileLocks]) -> Vec<Diagnostic> {
     let adj: Vec<(&str, &str)> =
         edges.iter().map(|e| (e.held.as_str(), e.acquired.as_str())).collect();
     for e in &edges {
-        let cyclic = if e.held == e.acquired {
-            true
-        } else {
-            reaches(&adj, &e.acquired, &e.held)
-        };
+        let cyclic = if e.held == e.acquired { true } else { reaches(&adj, &e.acquired, &e.held) };
         if !cyclic {
             continue;
         }
@@ -556,7 +553,10 @@ mod tests {
         let l = analyze(src);
         assert_eq!(l.waits.len(), 1);
         let w = &l.waits[0];
-        assert_eq!((w.released.as_str(), w.held.as_str(), w.condvar.as_str()), ("state", "submit", "cv"));
+        assert_eq!(
+            (w.released.as_str(), w.held.as_str(), w.condvar.as_str()),
+            ("state", "submit", "cv")
+        );
     }
 
     #[test]

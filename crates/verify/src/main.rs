@@ -161,9 +161,7 @@ fn main() -> ExitCode {
 
     let json = output::to_json(&report, opts.deny_warnings);
     let sarif = output::to_sarif(&report);
-    for (path, body) in
-        [(&opts.json_out, &json), (&opts.sarif_out, &sarif)]
-    {
+    for (path, body) in [(&opts.json_out, &json), (&opts.sarif_out, &sarif)] {
         if let Some(p) = path {
             if let Err(e) = std::fs::write(p, body) {
                 eprintln!("me-verify: cannot write {}: {e}", p.display());

@@ -523,7 +523,8 @@ mod tests {
 
     #[test]
     fn cfg_test_mod_region_is_marked() {
-        let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap() }\n}\nfn after() {}\n";
+        let src =
+            "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap() }\n}\nfn after() {}\n";
         let m = mask_source(src);
         let unwrap_at = m.masked.find(".unwrap()").expect("unwrap stays in masked code");
         assert!(m.in_test(unwrap_at), "unwrap inside cfg(test) mod");

@@ -94,8 +94,7 @@ fn oversized_budgets_warn_stale_and_update_allow_shrinks_them() {
     let entries = parse_allowlist(allow_text).expect("allowlist parses");
     let report = verify_tree(&tree.root, &entries).expect("scan succeeds");
     assert_eq!(report.suppressed, 1);
-    let stale: Vec<_> =
-        report.diagnostics.iter().filter(|d| d.rule == "stale-allow").collect();
+    let stale: Vec<_> = report.diagnostics.iter().filter(|d| d.rule == "stale-allow").collect();
     assert_eq!(stale.len(), 1, "{:#?}", report.diagnostics);
     assert_eq!(stale[0].severity, Severity::Warning);
     assert_eq!(stale[0].file, "verify.allow");

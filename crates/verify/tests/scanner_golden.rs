@@ -49,8 +49,7 @@ fn findings_match_the_expect_markers_exactly() {
 fn comment_and_string_contents_are_blanked() {
     let src = fixture_source();
     let m = mask_source(&src);
-    let masked_line =
-        |n: usize| m.masked.lines().nth(n - 1).expect("masked keeps line structure");
+    let masked_line = |n: usize| m.masked.lines().nth(n - 1).expect("masked keeps line structure");
 
     // The nested block comment blanks to whitespace, including the
     // inner `*/` that a non-nesting lexer would stop at.

@@ -25,12 +25,7 @@ fn workspace_verifies_clean_with_the_committed_allowlist() {
     assert!(
         report.diagnostics.is_empty(),
         "non-allowlisted diagnostics:\n{}",
-        report
-            .diagnostics
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
+        report.diagnostics.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("\n")
     );
     assert!(report.audit_violations.is_empty(), "audit: {:#?}", report.audit_violations);
     assert!(report.files_scanned >= 60, "only {} files scanned", report.files_scanned);
@@ -100,8 +95,7 @@ pub fn undocumented() {}
     let tree = ScratchTree::new("seeded", "bad.rs", seeded);
     let report = verify_tree(&tree.root, &[]).expect("scan succeeds");
     assert_eq!(report.files_scanned, 1);
-    let fired: Vec<(&str, usize)> =
-        report.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
+    let fired: Vec<(&str, usize)> = report.diagnostics.iter().map(|d| (d.rule, d.line)).collect();
     assert!(fired.contains(&("no-unwrap", 5)), "{fired:?}");
     assert!(fired.contains(&("no-unwrap", 7)), "panic! flagged: {fired:?}");
     assert!(fired.contains(&("float-eq", 6)), "{fired:?}");

@@ -248,10 +248,8 @@ pub fn run_dl_benchmark(
     // Power: weighted by phase; transfers run the device near idle.
     let p = |activity: f64| device.idle_w + (device.tdp_w - device.idle_w) * activity;
     let simd_act = device.activity(EngineKind::Simd, NumericFormat::F32);
-    let avg_power = (p(tc_power_share) * tc_time
-        + p(simd_act * 0.9) * other_time
-        + p(0.15) * mem_time)
-        / total;
+    let avg_power =
+        (p(tc_power_share) * tc_time + p(simd_act * 0.9) * other_time + p(0.15) * mem_time) / total;
     let energy = avg_power * total;
 
     let (tc_time_s, other_time_s) =
@@ -309,8 +307,8 @@ pub fn table4_rows() -> Vec<Table4Row> {
         .map(|m| {
             let fp32 = run_dl_benchmark(m, &v100, PrecisionMode::Fp32).expect("fp32 runs");
             let mixed = run_dl_benchmark(m, &v100, PrecisionMode::Mixed).expect("V100 has TCs");
-            let speedup = (fp32.tc_time_s + fp32.other_time_s)
-                / (mixed.tc_time_s + mixed.other_time_s);
+            let speedup =
+                (fp32.tc_time_s + fp32.other_time_s) / (mixed.tc_time_s + mixed.other_time_s);
             Table4Row {
                 benchmark: m.name,
                 speedup,
@@ -410,11 +408,7 @@ mod tests {
         ];
         for (name, target) in targets {
             let r = row(name);
-            assert!(
-                (r.pct_tc - target).abs() < 6.0,
-                "{name}: %TC {} vs paper {target}",
-                r.pct_tc
-            );
+            assert!((r.pct_tc - target).abs() < 6.0, "{name}: %TC {} vs paper {target}", r.pct_tc);
         }
     }
 
@@ -488,8 +482,10 @@ mod tests {
         // Paper: consumer → datacenter fp32 energy efficiency improves only
         // marginally (less than ~3x across the whole range).
         let pts = fig2_points();
-        let fp32: Vec<&Fig2Point> =
-            pts.iter().filter(|p| p.mode == PrecisionMode::Fp32 && !p.device.contains("Xeon")).collect();
+        let fp32: Vec<&Fig2Point> = pts
+            .iter()
+            .filter(|p| p.mode == PrecisionMode::Fp32 && !p.device.contains("Xeon"))
+            .collect();
         let min = fp32.iter().map(|p| p.samples_per_joule).fold(f64::MAX, f64::min);
         let max = fp32.iter().map(|p| p.samples_per_joule).fold(0.0f64, f64::max);
         assert!(max / min < 3.5, "GPU fp32 efficiency spread {}x", max / min);

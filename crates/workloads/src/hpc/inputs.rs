@@ -78,21 +78,13 @@ pub fn effective_regions(bench: &Benchmark, input: InputSize) -> Vec<Region> {
         return bench.regions.clone();
     }
     let extra = dense_weight / others.len() as f64;
-    others
-        .into_iter()
-        .map(|r| Region { kernel: r.kernel, weight: r.weight + extra })
-        .collect()
+    others.into_iter().map(|r| Region { kernel: r.kernel, weight: r.weight + extra }).collect()
 }
 
 /// Profile a benchmark at a given input size.
 pub fn profile_with_input(bench: &Benchmark, input: InputSize) -> Fig3Fractions {
     let regions = effective_regions(bench, input);
-    let tmp = Benchmark {
-        name: bench.name,
-        suite: bench.suite,
-        domain: bench.domain,
-        regions,
-    };
+    let tmp = Benchmark { name: bench.name, suite: bench.suite, domain: bench.domain, regions };
     let profiler = Profiler::new();
     super::run_benchmark(&tmp, &profiler, input.scale_factor());
     profiler.profile().fig3_fractions()

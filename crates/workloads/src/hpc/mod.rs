@@ -178,10 +178,7 @@ pub fn profile_benchmark(bench: &Benchmark, scale: usize) -> Fig3Fractions {
 
 /// Profile all 77 benchmarks: one (name, fractions) row per Fig 3 bar.
 pub fn profile_all(scale: usize) -> Vec<(&'static str, Suite, Fig3Fractions)> {
-    all_benchmarks()
-        .iter()
-        .map(|b| (b.name, b.suite, profile_benchmark(b, scale)))
-        .collect()
+    all_benchmarks().iter().map(|b| (b.name, b.suite, profile_benchmark(b, scale))).collect()
 }
 
 #[cfg(test)]
@@ -259,9 +256,8 @@ mod tests {
     fn only_the_papers_benchmarks_have_gemm() {
         // Fig 3 / §III-D3: nine benchmarks perform GEMM; everything else
         // must profile to zero GEMM.
-        let gemm_apps = [
-            "HPL", "Laghos", "NTChem", "Nekbone", "botsspar", "bt331", "milc", "dmilc", "socorro",
-        ];
+        let gemm_apps =
+            ["HPL", "Laghos", "NTChem", "Nekbone", "botsspar", "bt331", "milc", "dmilc", "socorro"];
         for b in all_benchmarks() {
             let has = b.gemm_weight() > 0.0;
             let expected = gemm_apps.contains(&b.name);

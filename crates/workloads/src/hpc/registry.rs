@@ -216,11 +216,8 @@ mod tests {
         // Fig 4a picks RIKEN representatives: FFB, MODYLAS, QCD (material
         // science), NTChem (chemistry), NICAM (geoscience), NGSA (biology),
         // mVMC (physics).
-        let names: Vec<&str> = all_benchmarks()
-            .iter()
-            .filter(|b| b.suite == Suite::Riken)
-            .map(|b| b.name)
-            .collect();
+        let names: Vec<&str> =
+            all_benchmarks().iter().filter(|b| b.suite == Suite::Riken).map(|b| b.name).collect();
         for n in ["FFB", "MODYLAS", "QCD", "NTChem", "NICAM", "NGSA", "mVMC", "FFVC"] {
             assert!(names.contains(&n), "missing RIKEN benchmark {n}");
         }

@@ -163,9 +163,29 @@ pub fn execute_kernel(id: KernelId, n: usize) -> KernelStats {
 pub fn all_kernels() -> Vec<KernelId> {
     use KernelId::*;
     vec![
-        Gemm, BlockGemm, LuFactor, Cholesky, SymEig, Trsm, Syrk, Gemv, VectorOps, Stencil7, Stencil27,
-        SpMV, CgIteration, Fft, MdForces, NBody, LatticeSu3, SmithWaterman, GraphBfs, McLookup,
-        AmrRefine, Sort, IntegerLogic,
+        Gemm,
+        BlockGemm,
+        LuFactor,
+        Cholesky,
+        SymEig,
+        Trsm,
+        Syrk,
+        Gemv,
+        VectorOps,
+        Stencil7,
+        Stencil27,
+        SpMV,
+        CgIteration,
+        Fft,
+        MdForces,
+        NBody,
+        LatticeSu3,
+        SmithWaterman,
+        GraphBfs,
+        McLookup,
+        AmrRefine,
+        Sort,
+        IntegerLogic,
     ]
 }
 

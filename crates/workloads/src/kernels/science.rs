@@ -225,8 +225,9 @@ pub fn fft_kernel(n: usize) -> KernelStats {
 /// (O(n²) reference loop, the CoMD/MODYLAS pattern).
 pub fn md_kernel(n: usize) -> KernelStats {
     let mut state = seeded(25);
-    let pos: Vec<[f64; 3]> =
-        (0..n).map(|_| [lcg(&mut state) * 10.0, lcg(&mut state) * 10.0, lcg(&mut state) * 10.0]).collect();
+    let pos: Vec<[f64; 3]> = (0..n)
+        .map(|_| [lcg(&mut state) * 10.0, lcg(&mut state) * 10.0, lcg(&mut state) * 10.0])
+        .collect();
     let mut forces = vec![[0.0f64; 3]; n];
     let cutoff2 = 6.25;
     let mut pair_flops = 0u64;
@@ -314,7 +315,8 @@ pub fn su3_kernel(n: usize) -> KernelStats {
             }
         }
         // renormalize to keep bounded
-        let norm: f64 = y.iter().flatten().map(|(r, i)| r * r + i * i).sum::<f64>().sqrt().max(1e-30);
+        let norm: f64 =
+            y.iter().flatten().map(|(r, i)| r * r + i * i).sum::<f64>().sqrt().max(1e-30);
         for row in &mut y {
             for v in row.iter_mut() {
                 v.0 /= norm;
@@ -354,11 +356,7 @@ pub fn smith_waterman_kernel(n: usize) -> KernelStats {
         }
         prev = cur;
     }
-    KernelStats {
-        flops: 0.0,
-        bytes: (n * n * 8) as f64,
-        checksum: best as f64,
-    }
+    KernelStats { flops: 0.0, bytes: (n * n * 8) as f64, checksum: best as f64 }
 }
 
 /// BFS over a deterministic synthetic graph with `n` vertices.
@@ -411,11 +409,7 @@ pub fn mc_lookup_kernel(n: usize) -> KernelStats {
         let f = (e - grid[idx]) / (grid[idx + 1] - grid[idx]);
         acc += xs[idx] * (1.0 - f) + xs[idx + 1] * f;
     }
-    KernelStats {
-        flops: 5.0 * n as f64,
-        bytes: (n as f64) * 12.0 * 8.0,
-        checksum: acc,
-    }
+    KernelStats { flops: 5.0 * n as f64, bytes: (n as f64) * 12.0 * 8.0, checksum: acc }
 }
 
 /// AMR refinement flagging: mark cells of an `n×n` grid whose gradient
@@ -447,10 +441,12 @@ pub fn amr_kernel(n: usize) -> KernelStats {
 /// media/compression codes' data shuffling).
 pub fn sort_kernel(n: usize) -> KernelStats {
     let mut state = seeded(31);
-    let mut keys: Vec<u64> = (0..n).map(|_| {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        state >> 16
-    }).collect();
+    let mut keys: Vec<u64> = (0..n)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 16
+        })
+        .collect();
     keys.sort_unstable();
     let check = keys.iter().step_by((n / 17).max(1)).fold(0u64, |a, &k| a.wrapping_add(k));
     KernelStats {
@@ -477,11 +473,7 @@ pub fn integer_logic_kernel(n: usize) -> KernelStats {
             _ => acc = acc.wrapping_mul(2654435761),
         }
     }
-    KernelStats {
-        flops: 0.0,
-        bytes: n as f64 * 16.0,
-        checksum: (acc % (1u64 << 52)) as f64,
-    }
+    KernelStats { flops: 0.0, bytes: n as f64 * 16.0, checksum: (acc % (1u64 << 52)) as f64 }
 }
 
 #[cfg(test)]

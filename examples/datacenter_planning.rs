@@ -10,18 +10,12 @@
 use matrix_engines::prelude::*;
 
 fn main() {
-    let machines = [
-        MachineMix::k_computer_default(),
-        MachineMix::anl_default(),
-        MachineMix::future_default(),
-    ];
+    let machines =
+        [MachineMix::k_computer_default(), MachineMix::anl_default(), MachineMix::future_default()];
 
     for m in &machines {
         println!("=== {} ===", m.name);
-        println!(
-            "{:<18} {:<22} {:>7} {:>13}",
-            "domain", "representative", "share", "accelerable"
-        );
+        println!("{:<18} {:<22} {:>7} {:>13}", "domain", "representative", "share", "accelerable");
         for e in &m.entries {
             println!(
                 "{:<18} {:<22} {:>6.1}% {:>12.1}%",
@@ -31,19 +25,13 @@ fn main() {
                 100.0 * e.accelerable
             );
         }
-        println!(
-            "machine-wide accelerable fraction: {:.1}%",
-            100.0 * m.total_accelerable()
-        );
+        println!("machine-wide accelerable fraction: {:.1}%", 100.0 * m.total_accelerable());
         println!("ME speedup sweep (node-hours saved):");
         for (s, r) in m.sweep(&[1.0, 2.0, 4.0, 8.0, 16.0, 64.0]) {
             let bar = "#".repeat((r * 200.0) as usize);
             println!("  {s:>5.0}x  {:>5.1}%  {bar}", 100.0 * r);
         }
-        println!(
-            "  inf    {:>5.1}%\n",
-            100.0 * m.node_hour_reduction(MeSpeedup::Infinite)
-        );
+        println!("  inf    {:>5.1}%\n", 100.0 * m.node_hour_reduction(MeSpeedup::Infinite));
     }
 
     // The AI-share lever of Fig 4c: when does a ME investment break even?

@@ -22,13 +22,15 @@ fn main() {
         me_workloads::Suite::SpecOmp,
         me_workloads::Suite::SpecMpi,
     ] {
-        let in_suite: Vec<f64> = rows
-            .iter()
-            .filter(|(_, s, _)| *s == suite)
-            .map(|(_, _, f)| f.gemm)
-            .collect();
+        let in_suite: Vec<f64> =
+            rows.iter().filter(|(_, s, _)| *s == suite).map(|(_, _, f)| f.gemm).collect();
         let mean = in_suite.iter().sum::<f64>() / in_suite.len() as f64;
-        println!("  {:<9} {:>5.1}% over {} benchmarks", suite.label(), 100.0 * mean, in_suite.len());
+        println!(
+            "  {:<9} {:>5.1}% over {} benchmarks",
+            suite.label(),
+            100.0 * mean,
+            in_suite.len()
+        );
     }
 
     // --- §III-A: the K-computer symbol-table attribution ---

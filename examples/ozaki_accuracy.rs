@@ -23,10 +23,9 @@ fn main() {
         let a = ranged_matrix(n, n, decades, 11);
         let b = ranged_matrix(n, n, decades, 23);
         let c_ref = reference_gemm(&a, &b);
-        for (cfg, label) in [
-            (OzakiConfig::sgemm_tc(), "SGEMM-TC"),
-            (OzakiConfig::dgemm_tc(), "DGEMM-TC"),
-        ] {
+        for (cfg, label) in
+            [(OzakiConfig::sgemm_tc(), "SGEMM-TC"), (OzakiConfig::dgemm_tc(), "DGEMM-TC")]
+        {
             let r = ozaki_gemm(&a, &b, &cfg);
             let err = me_numerics::max_rel_err(r.c.as_slice(), c_ref.as_slice());
             println!(
@@ -48,14 +47,13 @@ fn main() {
     let cfg = OzakiConfig { target: TargetAccuracy::Exact, ..OzakiConfig::dgemm_tc() };
     let r = ozaki_gemm(&a, &b, &cfg);
     let c_ref = reference_gemm(&a, &b);
-    let worst_ulp = r
-        .c
-        .as_slice()
-        .iter()
-        .zip(c_ref.as_slice())
-        .map(|(&x, &y)| me_numerics::ulp_diff(x, y))
-        .max()
-        .unwrap();
+    let worst_ulp =
+        r.c.as_slice()
+            .iter()
+            .zip(c_ref.as_slice())
+            .map(|(&x, &y)| me_numerics::ulp_diff(x, y))
+            .max()
+            .unwrap();
     println!(
         "  {} products, worst deviation from doubled-precision reference: {} ulp",
         r.products_computed, worst_ulp
@@ -64,9 +62,8 @@ fn main() {
     // Bitwise reproducibility: recompute row partitions and compare bits.
     let top = matrix_engines::linalg::Mat::from_fn(12, 24, |i, j| a[(i, j)]);
     let r_top = ozaki_gemm(&top, &b, &cfg);
-    let identical = (0..12).all(|i| {
-        (0..24).all(|j| r_top.c[(i, j)].to_bits() == r.c[(i, j)].to_bits())
-    });
+    let identical =
+        (0..12).all(|i| (0..24).all(|j| r_top.c[(i, j)].to_bits() == r.c[(i, j)].to_bits()));
     println!(
         "  row-partitioned recomputation bit-identical: {identical} (the paper's reproducibility claim)"
     );

@@ -38,7 +38,9 @@ fn main() {
     println!("\nHPL-style solve (n={n}): scaled residual {residual:.3e} (passes < 16)");
 
     // --- 3. Ozaki scheme: f64 GEMM emulated on an f16 engine (§IV-B) ---
-    let a = Mat::from_fn(16, 16, |i, j| ((i * 31 + j * 17) as f64).sin() * 1e4f64.powf(((i + j) % 3) as f64 - 1.0));
+    let a = Mat::from_fn(16, 16, |i, j| {
+        ((i * 31 + j * 17) as f64).sin() * 1e4f64.powf(((i + j) % 3) as f64 - 1.0)
+    });
     let bm = Mat::from_fn(16, 16, |i, j| ((i + 2 * j) as f64).cos());
     let rep = ozaki_gemm(&a, &bm, &OzakiConfig::dgemm_tc());
     println!(
@@ -63,7 +65,9 @@ fn main() {
 
     // --- 5. The cost-benefit punchline (§IV-A, Fig 4) ---
     println!();
-    for mix in [MachineMix::k_computer_default(), MachineMix::anl_default(), MachineMix::future_default()] {
+    for mix in
+        [MachineMix::k_computer_default(), MachineMix::anl_default(), MachineMix::future_default()]
+    {
         let r4 = mix.node_hour_reduction(MeSpeedup::Finite(4.0));
         let ri = mix.node_hour_reduction(MeSpeedup::Infinite);
         println!(

@@ -54,14 +54,14 @@ pub mod prelude {
         catalog, Device, EngineKind, ExecutionModel, GemmShape, HostParallelism, NumericFormat,
         PowerSampler, TdpGovernor,
     };
-    pub use me_par::WorkerPool;
     pub use me_linalg::{gemm, ir_solve, sym_eig, GemmAlgo, Mat};
     pub use me_model::{MachineMix, MeSpeedup};
     pub use me_numerics::{Bf16, FloatFormat, Tf32, F16};
     pub use me_ozaki::{
-        ozaki_gemm, ozaki_gemm_backend, ozaki_gemm_parallel, Int8Engine,
-        OzakiBackend, OzakiConfig, TargetAccuracy,
+        ozaki_gemm, ozaki_gemm_backend, ozaki_gemm_parallel, Int8Engine, OzakiBackend, OzakiConfig,
+        TargetAccuracy,
     };
+    pub use me_par::WorkerPool;
     pub use me_profiler::{Profiler, RegionClass};
     pub use me_serve::{Job, Outcome, Scheduler, ServeConfig};
     pub use me_survey::{generate_k_corpus, spack_ecosystem};

@@ -76,26 +76,14 @@ fn pack<W: PanelWord>(
 
 /// Exact dot of values `k0..k0 + kc` of A line `i` and B line `j`.
 fn dot(a: &[i32], bt: &[i32], (i, j): (usize, usize), (k, k0, kc): (usize, usize, usize)) -> i64 {
-    let (ra, rb) = (
-        &a[i * k + k0..i * k + k0 + kc],
-        &bt[j * k + k0..j * k + k0 + kc],
-    );
-    ra.iter()
-        .zip(rb)
-        .map(|(&x, &y)| i64::from(x) * i64::from(y))
-        .sum()
+    let (ra, rb) = (&a[i * k + k0..i * k + k0 + kc], &bt[j * k + k0..j * k + k0 + kc]);
+    ra.iter().zip(rb).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
 }
 
 /// Panic at the first output that differs from `want`.
 fn check<T: PartialEq + std::fmt::Debug>(label: &str, n: usize, out: &[T], want: &[T]) {
     if let Some(x) = (0..want.len()).find(|&x| out[x] != want[x]) {
-        panic!(
-            "{label}: ({}, {}) {:?} != {:?}",
-            x / n,
-            x % n,
-            out[x],
-            want[x]
-        );
+        panic!("{label}: ({}, {}) {:?} != {:?}", x / n, x % n, out[x], want[x]);
     }
 }
 
@@ -163,17 +151,10 @@ fn cases(
     k: usize,
     kb: usize,
 ) -> (Int8Case, Bf16Case) {
-    let i8s = |x: &[i32]| {
-        x.iter()
-            .map(|&v| i8::try_from(v).expect("int8 pattern"))
-            .collect::<Vec<_>>()
-    };
+    let i8s =
+        |x: &[i32]| x.iter().map(|&v| i8::try_from(v).expect("int8 pattern")).collect::<Vec<_>>();
     let f32s = |x: &[i32]| x.iter().map(|&v| v as f32).collect::<Vec<_>>();
-    let bf16s = |x: &[i32]| {
-        x.iter()
-            .map(|&v| HalfKind::Bf16.narrow(v as f32))
-            .collect::<Vec<_>>()
-    };
+    let bf16s = |x: &[i32]| x.iter().map(|&v| HalfKind::Bf16.narrow(v as f32)).collect::<Vec<_>>();
     let (fa, fb) = (f32s(abf), f32s(bbf));
     for (w, f) in bf16s(abf).iter().zip(&fa) {
         assert_eq!(HalfKind::Bf16.widen(*w), *f, "bf16 words must be exact");
@@ -211,27 +192,16 @@ fn amx_and_simd_arms_match_exact_dots_across_tile_edges() {
     let mut rng = Rng64::seed_from_u64(0xa3c);
     for kc in KCS {
         for pattern in 0..5 {
-            let (a8, b8) = (
-                lines(pattern, 64, kc, &mut rng),
-                lines(pattern, 64, kc, &mut rng),
-            );
+            let (a8, b8) = (lines(pattern, 64, kc, &mut rng), lines(pattern, 64, kc, &mut rng));
             let bf = |rng: &mut Rng64| lines(pattern.min(3), 256, kc, rng);
             let (abf, bbf) = (bf(&mut rng), bf(&mut rng));
             let full = |a: &[i32], b: &[i32]| -> Vec<i64> {
-                (0..LINES * LINES)
-                    .map(|x| dot(a, b, (x / LINES, x % LINES), (kc, 0, kc)))
-                    .collect()
+                (0..LINES * LINES).map(|x| dot(a, b, (x / LINES, x % LINES), (kc, 0, kc))).collect()
             };
             let (d8, dbf) = (full(&a8, &b8), full(&abf, &bbf));
-            assert!(
-                dbf.iter().all(|d| d.abs() <= 1 << 24),
-                "bf16 sums stay exact in f32"
-            );
+            assert!(dbf.iter().all(|d| d.abs() <= 1 << 24), "bf16 sums stay exact in f32");
             if pattern < 2 && kc == 256 {
-                assert!(
-                    dbf.iter().all(|d| d.abs() == 1 << 24),
-                    "the exactness edge is reached"
-                );
+                assert!(dbf.iter().all(|d| d.abs() == 1 << 24), "the exactness edge is reached");
             }
             let kb = kc.max(1);
             for m in DIMS {
@@ -241,13 +211,7 @@ fn amx_and_simd_arms_match_exact_dots_across_tile_edges() {
                     let want8: Vec<i32> = (0..m * n).map(|x| d8[at(x)] as i32).collect();
                     let wantf: Vec<f32> = (0..m * n).map(|x| dbf[at(x)] as f32).collect();
                     let label = format!("m {m} n {n} kc {kc} pattern {pattern}");
-                    run_arms(
-                        &label,
-                        (&i8c, &bfc),
-                        (m, n),
-                        (0, kc, kc, kb),
-                        (&want8, &wantf),
-                    );
+                    run_arms(&label, (&i8c, &bfc), (m, n), (0, kc, kc, kb), (&want8, &wantf));
                 }
             }
         }
@@ -269,20 +233,12 @@ fn two_chunks_of_one_panel_match_exact_dots() {
         let (i8c, bfc) = cases((&a8, &b8), (&abf, &bbf), (m, n), k, kb);
         for k0 in [0, kb] {
             let kc = kb.min(k - k0);
-            let want8: Vec<i32> = (0..m * n)
-                .map(|x| dot(&a8, &b8, (x / n, x % n), (k, k0, kc)) as i32)
-                .collect();
-            let wantf: Vec<f32> = (0..m * n)
-                .map(|x| dot(&abf, &bbf, (x / n, x % n), (k, k0, kc)) as f32)
-                .collect();
+            let want8: Vec<i32> =
+                (0..m * n).map(|x| dot(&a8, &b8, (x / n, x % n), (k, k0, kc)) as i32).collect();
+            let wantf: Vec<f32> =
+                (0..m * n).map(|x| dot(&abf, &bbf, (x / n, x % n), (k, k0, kc)) as f32).collect();
             let label = format!("m {m} n {n} chunk at {k0}");
-            run_arms(
-                &label,
-                (&i8c, &bfc),
-                (m, n),
-                (k0, kc, k, kb),
-                (&want8, &wantf),
-            );
+            run_arms(&label, (&i8c, &bfc), (m, n), (k0, kc, k, kb), (&want8, &wantf));
         }
     }
 }
@@ -291,10 +247,7 @@ fn two_chunks_of_one_panel_match_exact_dots() {
 /// k-chunks), serial, on `kernel`.
 fn digest(cfg: &OzakiConfig, kernel: KernelVariant) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (s, (m, k, n)) in [(128, 128, 128), (37, 300, 29), (19, 600, 23)]
-        .into_iter()
-        .enumerate()
-    {
+    for (s, (m, k, n)) in [(128, 128, 128), (37, 300, 29), (19, 600, 23)].into_iter().enumerate() {
         let a = ranged_matrix(m, k, 16.0, 40 + s as u64);
         let b = ranged_matrix(k, n, 16.0, 50 + s as u64);
         for x in ozaki_gemm_on(&a, &b, cfg, kernel, None).c.as_slice() {
@@ -313,34 +266,17 @@ fn simulated_me_outside_the_bf16_domain_never_reaches_amx() {
     // no call lands on AMX, and the bits are those of the scalar chain.
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     announce_skip();
-    let wide = OzakiConfig {
-        acc_precision: 40,
-        ..OzakiConfig::dgemm_tc()
-    };
+    let wide = OzakiConfig { acc_precision: 40, ..OzakiConfig::dgemm_tc() };
     let scalar = digest(&wide, KernelVariant::Scalar);
     me_trace::set_enabled(true);
     let avx512 = digest(&wide, KernelVariant::Avx512);
     me_trace::set_enabled(false);
     let trace = me_trace::take_snapshot();
     let count = |name: &str| trace.counters.get(name).copied().unwrap_or(0);
-    assert_eq!(
-        count("ukernel.amx.bf16"),
-        0,
-        "acc_precision 40 reached the AMX bf16 tile"
-    );
-    assert_eq!(
-        count("ukernel.amx.int8"),
-        0,
-        "the simulated engine reached the AMX int8 tile"
-    );
-    assert_eq!(
-        avx512, scalar,
-        "acc_precision 40: Avx512 bits differ from the scalar chain"
-    );
-    assert_eq!(
-        scalar, 0xceb2_06ab_9f68_f4cb,
-        "acc_precision 40 digest {scalar:#018x}"
-    );
+    assert_eq!(count("ukernel.amx.bf16"), 0, "acc_precision 40 reached the AMX bf16 tile");
+    assert_eq!(count("ukernel.amx.int8"), 0, "the simulated engine reached the AMX int8 tile");
+    assert_eq!(avx512, scalar, "acc_precision 40: Avx512 bits differ from the scalar chain");
+    assert_eq!(scalar, 0xceb2_06ab_9f68_f4cb, "acc_precision 40 digest {scalar:#018x}");
     // The default config is inside the domain: on an AMX host its calls
     // do land on AMX, with the scalar chain's bits.
     let tc = OzakiConfig::dgemm_tc();
@@ -351,9 +287,5 @@ fn simulated_me_outside_the_bf16_domain_never_reaches_amx() {
     if me_trace::compiled() && amx_bf16_supported() {
         assert!(trace.counters.get("ukernel.amx.bf16").copied().unwrap_or(0) > 0);
     }
-    assert_eq!(
-        on_amx,
-        digest(&tc, KernelVariant::Scalar),
-        "dgemm_tc: AMX bits differ"
-    );
+    assert_eq!(on_amx, digest(&tc, KernelVariant::Scalar), "dgemm_tc: AMX bits differ");
 }

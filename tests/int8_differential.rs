@@ -21,8 +21,8 @@
 //! - first-mismatch (i, j, bits) reporting, as in the f64 harness.
 
 use matrix_engines::linalg::{available_variants, KernelVariant, Mat};
-use matrix_engines::ozaki::gemm::reference_gemm;
 use matrix_engines::ozaki::gemm::ozaki_gemm_on;
+use matrix_engines::ozaki::gemm::reference_gemm;
 use matrix_engines::ozaki::int8::Int8Engine;
 use matrix_engines::ozaki::TargetAccuracy;
 use matrix_engines::par::WorkerPool;
@@ -72,7 +72,14 @@ fn assert_bitwise(label: &str, got: &Mat<f64>, want: &Mat<f64>) {
 /// Componentwise accuracy envelope: |c − ref| ≤ tol · Σ_p |a_ip||b_pj|,
 /// bounded above by tol · ‖a_i‖₁ · max_p |b_pj| — the backward-error
 /// shape that stays meaningful where random signs cancel.
-fn assert_accurate(label: &str, c: &Mat<f64>, c_ref: &Mat<f64>, a: &Mat<f64>, b: &Mat<f64>, tol: f64) {
+fn assert_accurate(
+    label: &str,
+    c: &Mat<f64>,
+    c_ref: &Mat<f64>,
+    a: &Mat<f64>,
+    b: &Mat<f64>,
+    tol: f64,
+) {
     let (m, n) = c.shape();
     let k = a.cols();
     let a_norm: Vec<f64> = (0..m).map(|i| (0..k).map(|p| a[(i, p)].abs()).sum()).collect();
@@ -117,11 +124,8 @@ fn configs() -> [(Int8Engine, f64, &'static str); 3] {
 fn int8_grid_variants_bitwise_and_accurate() {
     let variants = available_variants();
     let cfgs = configs();
-    let truncated = (
-        Int8Engine { max_slices: 2, ..Int8Engine::sgemm_equivalent() },
-        5e-3,
-        "sgemm-trunc2",
-    );
+    let truncated =
+        (Int8Engine { max_slices: 2, ..Int8Engine::sgemm_equivalent() }, 5e-3, "sgemm-trunc2");
     let mut cycle = 0usize;
     for &m in &DIMS {
         for &k in &DIMS {
@@ -210,11 +214,7 @@ fn int8_full_cross_on_focused_shapes() {
             for &v in &variants {
                 for &t in &THREADS {
                     let r = ozaki_gemm_on(&a, &b, engine, v, Some(&WorkerPool::new(t)));
-                    assert_bitwise(
-                        &format!("{cname} {v} t={t} m={m} k={k} n={n}"),
-                        &r.c,
-                        &r_ref.c,
-                    );
+                    assert_bitwise(&format!("{cname} {v} t={t} m={m} k={k} n={n}"), &r.c, &r_ref.c);
                 }
             }
         }

@@ -174,9 +174,7 @@ fn alpha_beta_cross_on_small_shapes() {
                             let mut c = c0.clone();
                             gemm_tiled_with(v, alpha, &a, &b, beta, &mut c);
                             assert_bitwise_f64(
-                                &format!(
-                                    "{v} m={m} k={k} n={n} alpha={alpha} beta={beta}"
-                                ),
+                                &format!("{v} m={m} k={k} n={n} alpha={alpha} beta={beta}"),
                                 &c,
                                 &c_ref,
                             );
@@ -285,9 +283,7 @@ fn half_variants_bitwise_identical_across_grid_and_threads() {
                     let mut rng = Rng64::seed_from_u64(seed);
                     let a = gen_half(&mut rng, kind, m, k);
                     let b = gen_half(&mut rng, kind, k, n);
-                    let c0 = Mat::<f32>::from_fn(m, n, |_, _| {
-                        rng.range_f64(-1.0, 1.0) as f32
-                    });
+                    let c0 = Mat::<f32>::from_fn(m, n, |_, _| rng.range_f64(-1.0, 1.0) as f32);
                     let mut c_ref = c0.clone();
                     gemm_half_with(KernelVariant::Scalar, 1.5f32, &a, &b, -0.5f32, &mut c_ref);
                     for &v in &variants {
@@ -330,19 +326,11 @@ fn half_alpha_beta_cross_on_small_shapes() {
                     let mut rng = Rng64::seed_from_u64(seed);
                     let a = gen_half(&mut rng, kind, m, k);
                     let b = gen_half(&mut rng, kind, k, n);
-                    let c0 =
-                        Mat::<f32>::from_fn(m, n, |_, _| rng.range_f64(-1.0, 1.0) as f32);
+                    let c0 = Mat::<f32>::from_fn(m, n, |_, _| rng.range_f64(-1.0, 1.0) as f32);
                     for &alpha in &coeffs {
                         for &beta in &coeffs {
                             let mut c_ref = c0.clone();
-                            gemm_half_with(
-                                KernelVariant::Scalar,
-                                alpha,
-                                &a,
-                                &b,
-                                beta,
-                                &mut c_ref,
-                            );
+                            gemm_half_with(KernelVariant::Scalar, alpha, &a, &b, beta, &mut c_ref);
                             for &v in &variants {
                                 let mut c = c0.clone();
                                 gemm_half_with(v, alpha, &a, &b, beta, &mut c);

@@ -38,12 +38,7 @@ fn gen_vec(rng: &mut Rng64, n: usize) -> Vec<f64> {
 /// Frobenius norm of `M − N`.
 fn fro_diff(m: &Mat<f64>, n: &Mat<f64>) -> f64 {
     assert_eq!(m.shape(), n.shape());
-    m.as_slice()
-        .iter()
-        .zip(n.as_slice())
-        .map(|(&a, &b)| (a - b) * (a - b))
-        .sum::<f64>()
-        .sqrt()
+    m.as_slice().iter().zip(n.as_slice()).map(|(&a, &b)| (a - b) * (a - b)).sum::<f64>().sqrt()
 }
 
 fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
@@ -233,8 +228,10 @@ fn blas1_matches_naive_references_f64() {
         assert!((blas1::dot(&x, &y) - dref).abs() <= tol, "case {case}: dot");
 
         // nrm2 via the reference dot.
-        assert!((blas1::nrm2(&x) - x.iter().map(|v| v * v).sum::<f64>().sqrt()).abs() <= tol,
-            "case {case}: nrm2");
+        assert!(
+            (blas1::nrm2(&x) - x.iter().map(|v| v * v).sum::<f64>().sqrt()).abs() <= tol,
+            "case {case}: nrm2"
+        );
 
         // asum is a plain abs-sum; identical fold order ⇒ exact.
         let aref: f64 = x.iter().fold(0.0, |acc, &v| acc + v.abs());
@@ -307,7 +304,14 @@ fn blas1_f32_agrees_with_promoted_f64_reference() {
 // ---------------------------------------------------------------------
 
 /// Naive `y ← α·op(A)·x + β·y` reference, plain double loop, no FMA.
-fn gemv_ref(alpha: f64, a: &Mat<f64>, x: &[f64], beta: f64, y: &[f64], transposed: bool) -> Vec<f64> {
+fn gemv_ref(
+    alpha: f64,
+    a: &Mat<f64>,
+    x: &[f64],
+    beta: f64,
+    y: &[f64],
+    transposed: bool,
+) -> Vec<f64> {
     let (out_len, in_len) = if transposed { (a.cols(), a.rows()) } else { (a.rows(), a.cols()) };
     assert_eq!(x.len(), in_len);
     assert_eq!(y.len(), out_len);
@@ -380,9 +384,12 @@ fn trsv_inverts_triangular_products() {
     for case in 0..CASES {
         let n = rng.range_usize(1, 17);
         let x_true = gen_vec(&mut rng, n);
-        for (tri, unit) in
-            [(Triangle::Lower, false), (Triangle::Lower, true), (Triangle::Upper, false), (Triangle::Upper, true)]
-        {
+        for (tri, unit) in [
+            (Triangle::Lower, false),
+            (Triangle::Lower, true),
+            (Triangle::Upper, false),
+            (Triangle::Upper, true),
+        ] {
             let a = Mat::from_fn(n, n, |i, j| {
                 let in_tri = match tri {
                     Triangle::Lower => i >= j,

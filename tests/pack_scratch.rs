@@ -61,10 +61,7 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
         gemm_tiled(1.0, &sa, &sb, 0.0, &mut sc);
     }
     let steady = drain_grow_count();
-    assert_eq!(
-        steady, 0,
-        "serial steady state allocated: {steady} scratch growths after warm-up"
-    );
+    assert_eq!(steady, 0, "serial steady state allocated: {steady} scratch growths after warm-up");
 
     // --- Parallel path: per-worker scratch on a persistent pool ------
     // Warm-up is nondeterministic here: each pool thread grows its own
@@ -79,10 +76,7 @@ fn pack_scratch_reaches_zero_allocation_steady_state() {
     let mut rounds = 0;
     while streak < 3 {
         rounds += 1;
-        assert!(
-            rounds <= 50,
-            "pool never reached a zero-allocation steady state in {rounds} runs"
-        );
+        assert!(rounds <= 50, "pool never reached a zero-allocation steady state in {rounds} runs");
         gemm_parallel_on(&pool, 1.0, &a, &b, 0.0, &mut cp);
         if drain_grow_count() == 0 {
             streak += 1;

@@ -108,14 +108,10 @@ fn table4_dl_speedup_bands() {
 #[test]
 fn fig2_resnet_energy() {
     let pts = me_workloads::dl::fig2_points();
-    let v_fp32 = pts
-        .iter()
-        .find(|p| p.device.contains("V100") && p.mode == PrecisionMode::Fp32)
-        .unwrap();
-    let v_mixed = pts
-        .iter()
-        .find(|p| p.device.contains("V100") && p.mode == PrecisionMode::Mixed)
-        .unwrap();
+    let v_fp32 =
+        pts.iter().find(|p| p.device.contains("V100") && p.mode == PrecisionMode::Fp32).unwrap();
+    let v_mixed =
+        pts.iter().find(|p| p.device.contains("V100") && p.mode == PrecisionMode::Mixed).unwrap();
     assert!(v_mixed.throughput / v_fp32.throughput > 1.6);
     assert!((v_mixed.power_w - v_fp32.power_w).abs() / v_fp32.power_w < 0.25);
 }
@@ -134,10 +130,8 @@ fn fig3_fractions_full_pipeline() {
     // Only 9 of 77 have direct GEMM; 12 have any dense-library usage.
     let with_gemm = rows.iter().filter(|(_, _, f)| f.gemm > 0.0).count();
     assert_eq!(with_gemm, 9);
-    let with_dense = rows
-        .iter()
-        .filter(|(_, _, f)| f.gemm + f.blas_non_gemm + f.lapack > 0.0)
-        .count();
+    let with_dense =
+        rows.iter().filter(|(_, _, f)| f.gemm + f.blas_non_gemm + f.lapack > 0.0).count();
     assert!((10..=12).contains(&with_dense), "dense users: {with_dense}");
 }
 
@@ -165,10 +159,7 @@ fn fig4_from_measured_fractions() {
 fn table8_hierarchy() {
     let rows = me_ozaki::table8_rows();
     let t = |imp: &str, cond: &str| {
-        rows.iter()
-            .find(|r| r.implementation == imp && r.condition.contains(cond))
-            .unwrap()
-            .tflops
+        rows.iter().find(|r| r.implementation == imp && r.condition.contains(cond)).unwrap().tflops
     };
     // cuBLAS order: GemmEx >> Sgemm > Dgemm.
     assert!(t("cublasGemmEx", "") > 6.0 * t("cublasSgemm", ""));
@@ -263,11 +254,7 @@ fn golden_fig4_node_hour_reductions() {
     ];
     for (mix, s, pinned) in golden {
         let r = mix.node_hour_reduction(s);
-        assert!(
-            (r - pinned).abs() < 1e-6,
-            "{} @ {s:?} drifted: {r} vs pinned {pinned}",
-            mix.name
-        );
+        assert!((r - pinned).abs() < 1e-6, "{} @ {s:?} drifted: {r} vs pinned {pinned}", mix.name);
     }
 }
 
@@ -277,10 +264,7 @@ fn golden_fig4_node_hour_reductions() {
 fn golden_table8_ozaki() {
     let rows = me_ozaki::table8_rows();
     let t = |imp: &str, cond: &str| {
-        rows.iter()
-            .find(|r| r.implementation == imp && r.condition.contains(cond))
-            .unwrap()
-            .tflops
+        rows.iter().find(|r| r.implementation == imp && r.condition.contains(cond)).unwrap().tflops
     };
     let golden: [(&str, &str, f64); 9] = [
         ("cublasGemmEx", "", 92.3188),
@@ -347,9 +331,9 @@ fn int8_matches_f16_emulation_at_equal_slice_count() {
 /// FP16-vs-INT8 substrate ordering from the energy model.
 #[test]
 fn golden_int8_ozaki() {
+    use matrix_engines::ozaki::gemm::reference_gemm;
     use matrix_engines::ozaki::int8::Int8Engine;
     use matrix_engines::ozaki::{int8_vs_f16_rows, project_emulated};
-    use matrix_engines::ozaki::gemm::reference_gemm;
     let a = Mat::from_fn(20, 24, |i, j| ((i * 7 + j * 3) as f64).sin() * 100.0);
     let b = Mat::from_fn(24, 16, |i, j| ((i + j * 5) as f64).cos());
     let c_ref = reference_gemm(&a, &b);
@@ -468,7 +452,18 @@ fn run_all_artifacts() {
     let arts = me_core::run_all();
     assert_eq!(arts.len(), 12);
     let ids: Vec<&str> = arts.iter().map(|a| a.id).collect();
-    for want in ["Table I", "Table II", "Table III", "Table IV", "Table V", "Table VIII", "Fig 1", "Fig 2", "Fig 3", "Fig 4"] {
+    for want in [
+        "Table I",
+        "Table II",
+        "Table III",
+        "Table IV",
+        "Table V",
+        "Table VIII",
+        "Fig 1",
+        "Fig 2",
+        "Fig 3",
+        "Fig 4",
+    ] {
         assert!(ids.contains(&want), "missing artifact {want}");
     }
 }

@@ -28,11 +28,11 @@ fn gen_mat(rng: &mut Rng64, rows: usize, cols: usize) -> Mat<f64> {
 #[test]
 fn prepacked_gemm_is_bitwise_identical_to_fresh_pack() {
     let shapes = [
-        (1usize, 4usize, 8usize),  // single-row inference request
-        (4, 8, 8),                 // exactly one MR × NR tile
-        (7, 13, 11),               // ragged on every dimension
-        (33, 80, 56),              // multiple blocks with edge tiles
-        (64, 129, 96),             // k crosses a kc=128 chunk boundary
+        (1usize, 4usize, 8usize), // single-row inference request
+        (4, 8, 8),                // exactly one MR × NR tile
+        (7, 13, 11),              // ragged on every dimension
+        (33, 80, 56),             // multiple blocks with edge tiles
+        (64, 129, 96),            // k crosses a kc=128 chunk boundary
     ];
     let blockings = [
         Blocking::DEFAULT,

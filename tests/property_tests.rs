@@ -120,10 +120,7 @@ fn gemm_variants_agree() {
         for algo in [GemmAlgo::Blocked, GemmAlgo::Tiled, GemmAlgo::Parallel] {
             let mut c = Mat::zeros(m, n);
             gemm(algo, 1.0, &a, &b, 0.0, &mut c);
-            assert!(
-                c.max_abs_diff(&c0) < 1e-12,
-                "case {case}: {algo:?} deviates on {m}x{k}x{n}"
-            );
+            assert!(c.max_abs_diff(&c0) < 1e-12, "case {case}: {algo:?} deviates on {m}x{k}x{n}");
         }
     }
 }

@@ -46,7 +46,12 @@ fn fifo_order_within_a_bucket() {
     let tickets: Vec<_> = (0..48)
         .map(|i| {
             sched
-                .submit(Job::gemm(KernelVariant::Scalar, 1.0, mat(1 + i % 3, 5, 10 + i as u64), Arc::clone(&b)))
+                .submit(Job::gemm(
+                    KernelVariant::Scalar,
+                    1.0,
+                    mat(1 + i % 3, 5, 10 + i as u64),
+                    Arc::clone(&b),
+                ))
                 .expect("queue has room")
         })
         .collect();
@@ -167,10 +172,7 @@ fn conservation_counters_balance_after_drain() {
     assert_eq!(stats.enqueued, accepted);
     assert_eq!(stats.rejected_full, rejected);
     assert_eq!(accepted + rejected, 400);
-    assert_eq!(
-        stats.completed_ok + stats.timed_out + stats.shed + stats.failed,
-        stats.enqueued
-    );
+    assert_eq!(stats.completed_ok + stats.timed_out + stats.shed + stats.failed, stats.enqueued);
     assert!(stats.timed_out > 0, "the zero-deadline requests must time out");
     // Submissions after shutdown are rejected and never counted enqueued.
     let late = Scheduler::new(ServeConfig { shards: 1, shard_threads: 1, ..Default::default() });
@@ -203,8 +205,8 @@ fn startup_autotune_persists_then_reuses_artifact() {
     };
 
     let first = Scheduler::new(cfg());
-    let after_first = std::fs::read_to_string(&path)
-        .expect("first startup must persist the autotune artifact");
+    let after_first =
+        std::fs::read_to_string(&path).expect("first startup must persist the autotune artifact");
     assert!(after_first.contains("\"entries\""), "artifact shape: {after_first}");
     first.shutdown();
 
@@ -217,7 +219,9 @@ fn startup_autotune_persists_then_reuses_artifact() {
     // The loaded winners still serve jobs correctly end to end.
     let a = mat(6, 24, 91);
     let b = mat(24, 5, 92);
-    let t = second.submit(Job::gemm(KernelVariant::Scalar, 1.0, Arc::clone(&a), Arc::clone(&b))).unwrap();
+    let t = second
+        .submit(Job::gemm(KernelVariant::Scalar, 1.0, Arc::clone(&a), Arc::clone(&b)))
+        .unwrap();
     let out = t.wait();
     match out.outcome {
         Outcome::Ok(c) => {

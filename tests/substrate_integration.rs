@@ -20,10 +20,8 @@ fn systolic_utilization_tracks_model_efficiency() {
         let a = Mat::from_fn(16, k, |i, j| ((i + j) % 5) as f64 - 2.0);
         let b = Mat::from_fn(k, 16, |i, j| ((i * j) % 3) as f64 - 1.0);
         let sim = systolic_gemm(&arr, &a, &b);
-        let eff = model.efficiency(
-            EngineKind::MatrixEngine,
-            GemmShape { m: 16, n: 16, k }.mean_dim(),
-        );
+        let eff =
+            model.efficiency(EngineKind::MatrixEngine, GemmShape { m: 16, n: 16, k }.mean_dim());
         assert!(sim.stats.utilization() > last_util, "k={k}");
         assert!(eff > last_eff, "k={k}");
         last_util = sim.stats.utilization();
@@ -45,12 +43,8 @@ fn ozaki_through_all_layers() {
     let parallel = me_ozaki::ozaki_gemm_parallel(&a, &b, &cfg, 4);
     let engine = me_ozaki::ozaki_gemm_systolic(&a, &b, &cfg, &SystolicArray::tensor_core());
 
-    for ((x, y), z) in plain
-        .c
-        .as_slice()
-        .iter()
-        .zip(parallel.c.as_slice())
-        .zip(engine.report.c.as_slice())
+    for ((x, y), z) in
+        plain.c.as_slice().iter().zip(parallel.c.as_slice()).zip(engine.report.c.as_slice())
     {
         assert_eq!(x.to_bits(), y.to_bits(), "parallel mismatch");
         assert_eq!(x.to_bits(), z.to_bits(), "engine mismatch");
@@ -71,7 +65,8 @@ fn ozaki_through_all_layers() {
 #[test]
 fn ir_recovers_what_low_precision_loses() {
     let n = 32;
-    let a = Mat::from_fn(n, n, |i, j| if i == j { 6.0 } else { ((i * 13 + j * 7) % 11) as f64 / 22.0 });
+    let a =
+        Mat::from_fn(n, n, |i, j| if i == j { 6.0 } else { ((i * 13 + j * 7) % 11) as f64 / 22.0 });
     let b: Vec<f64> = (0..n).map(|i| ((i * 3) % 7) as f64 - 3.0).collect();
 
     // Pure f16 solve: factorize the demoted matrix, no refinement.
@@ -114,14 +109,14 @@ fn staging_overhead_is_second_order_for_gemm() {
     let h = me_engine::MemoryHierarchy::v100_like();
     let model = ExecutionModel::new(catalog::v100());
     let n = 4096;
-    let tc = model
-        .gemm(GemmShape::square(n), EngineKind::MatrixEngine, NumericFormat::F16xF32)
-        .unwrap();
+    let tc =
+        model.gemm(GemmShape::square(n), EngineKind::MatrixEngine, NumericFormat::F16xF32).unwrap();
     let staging = h.staging_time(n, n, n, 2);
     assert!(staging < 0.5 * tc.time_s, "staging {staging} vs TC gemm {}", tc.time_s);
     // While for a GEMV-shaped op the ME's advantage is already gone before
     // staging (level factor 1/4), making staging the last straw.
-    let l2_factor = model.blas_level_factor(EngineKind::MatrixEngine, me_engine::exec::BlasLevel::L2);
+    let l2_factor =
+        model.blas_level_factor(EngineKind::MatrixEngine, me_engine::exec::BlasLevel::L2);
     assert!(l2_factor <= 0.25);
 }
 

@@ -74,9 +74,8 @@ fn exercise_stack() {
         let r = model.gemm(shape, engine, fmt).expect("v100 supports this mode");
         t_ns = r.emit_modeled_span("v100 (modeled)", name, t_ns);
     }
-    let r = model
-        .gemm(shape, EngineKind::Simd, NumericFormat::F64)
-        .expect("v100 supports f64 SIMD");
+    let r =
+        model.gemm(shape, EngineKind::Simd, NumericFormat::F64).expect("v100 supports f64 SIMD");
     let sampler = PowerSampler::new(matrix_engines::numerics::Watts(model.device().idle_w));
     let power = sampler.trace_op(
         "modeled_power_w",
