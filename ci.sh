@@ -2,6 +2,7 @@
 # Offline CI gate for the matrix-engines workspace.
 #
 # Stages, fail-fast, no network and no external crates:
+#   0. layout: `cargo fmt --all -- --check` against rustfmt.toml
 #   1. release build of every workspace package, compiler warnings denied
 #   2. full test suite at default test parallelism (worker pools contend
 #      with the test harness's own threads)
@@ -24,6 +25,9 @@
 #      and the B-pack layout oracle (`packed::tests`: every word of
 #      `pack_b` on each variant and of `pack_b_matrix` on the selected
 #      one, against the DESIGN §12 index formula, NaN-sentinel buffers)
+#      and the split oracle (`split::`: the per-slice pass over the
+#      panel-order residual, the AVX-512 kernel included, against the
+#      divide-and-round split and one-line packs, every word and layout)
 #      also run on the optimized build the benchmark times, where the
 #      Ozaki fold and split and the A/B packs are compiled per variant;
 #      then, once, the f32 and int8 engine-call tile-edge
@@ -75,6 +79,9 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "==> cargo fmt --all -- --check (rustfmt.toml layout)"
+cargo fmt --all -- --check
+
 echo "==> cargo build --release --workspace (RUSTFLAGS=-D warnings)"
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
@@ -108,6 +115,7 @@ for K in $KERNELS; do
     ME_KERNEL=$K cargo test -q --release -p me-ozaki --test workspace_reuse
     ME_KERNEL=$K cargo test -q --release -p me-linalg --test fold_differential
     ME_KERNEL=$K cargo test -q --release -p me-linalg --lib packed::tests
+    ME_KERNEL=$K cargo test -q --release -p me-ozaki --lib split::
 done
 cargo test -q --release -p me-linalg --test f32_tile_edges --test int8_tile_edges \
     --test f64_block_edges

@@ -37,6 +37,7 @@ pub mod half;
 pub mod int8;
 pub mod packed;
 pub mod panel;
+pub mod slice;
 pub mod ukernel;
 
 use crate::mat::{Mat, MatMut, Scalar};
@@ -49,7 +50,8 @@ pub use half::{
 };
 pub use int8::{dot_i8_scalar, gemm_i8_i32, gemm_i8_i32_simd, vnni_supported, MR_I8, NR_I8};
 pub use packed::{pack_b_matrix, PackedB};
-pub use panel::{PanelChunk, PanelFormat, PanelLayout, PanelWord};
+pub use panel::{PanelChunk, PanelFormat, PanelLayout, PanelWord, SUM_WORDS};
+pub use slice::{slice_pass, SliceLanes, SliceWord};
 pub use ukernel::{
     available_variants, avx2_supported, avx512_supported, selected_kernel, set_kernel_override,
     KernelDispatch, KernelVariant, VariantWork, KERNEL_ENV, MR, NR,

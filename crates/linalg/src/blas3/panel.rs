@@ -32,10 +32,9 @@
 //!
 //! **Writing a panel.** [`PanelLayout::put_lines`] writes consecutive
 //! lines a tile at a time; [`PanelLayout::put_line`] is its one-line form.
-//! A whole tile of an engine layout (`F32_A`, `F32_B`, `I8_B`) is written
-//! by a loop whose tile height and group are compile-time constants, so
-//! the interleave becomes whole-vector shuffles and contiguous stores
-//! rather than one strided store per value.
+//! They serve tests and benches; the Ozaki split writes its panels from a
+//! residual kept in the panel's own order ([`PanelLayout::slot`] names
+//! each position), one slice pass at a time ([`super::slice`]).
 //!
 //! **The int8 operand format** lives here, in the two int8 layouts'
 //! [`PanelFormat`], and [`PanelLayout::put_lines`] applies it: callers pack
@@ -51,9 +50,6 @@
 use super::amx::MR_AMX;
 use super::int8::NR_I8;
 use super::ukernel::{MR_F32, NR_F32};
-
-/// k values per group of the int8 B layout.
-const KG: usize = 4;
 
 /// How a layout stores its words, beyond where.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,7 +177,7 @@ impl PanelLayout {
 
     /// Words one line takes in a chunk of `len` k values: padded, plus
     /// the sum in [`PanelFormat::ChunkSums`].
-    fn chunk_len(&self, len: usize) -> usize {
+    pub fn chunk_len(&self, len: usize) -> usize {
         let tail = if self.format == PanelFormat::ChunkSums { SUM_WORDS } else { 0 };
         len.next_multiple_of(self.k_pad) + tail
     }
@@ -238,14 +234,6 @@ impl PanelLayout {
     /// format. For [`PanelFormat::ChunkSums`], `sums` holds each line's
     /// chunk sums ([`chunk_sums`]), line after line; other formats ignore
     /// it.
-    ///
-    /// A whole tile of the f32 and int8 engine layouts is written by a
-    /// loop whose tile height and group are constants, so the compiler
-    /// turns the interleave into full-width stores; other cases go value
-    /// by value. Inlined, so that it compiles for the instruction set of
-    /// its caller (`KernelVariant::run`).
-    // me-verify: hot
-    #[inline(always)]
     pub fn put_lines<W: PanelWord>(
         &self,
         panel: &mut [W],
@@ -300,6 +288,17 @@ impl PanelLayout {
         }
     }
 
+    /// Where position `p` of chunk `c` of line `line` sits in a panel of
+    /// lines of length `k` in chunks of `kb`: below the chunk's length `p`
+    /// is the line's value `c · kb + p`; past it come the chunk's k pads
+    /// and, in [`PanelFormat::ChunkSums`], its sum.
+    pub fn slot(&self, line: usize, c: usize, p: usize, k: usize, kb: usize) -> usize {
+        let cl = self.chunk_len(kb.min(k - c * kb));
+        (line / self.tile) * self.tile_stride(k, kb)
+            + self.tile * c * self.chunk_len(kb)
+            + self.value_at(line % self.tile, p, cl)
+    }
+
     /// Where value `p` of row `r` sits in a chunk block whose lines take
     /// `cl` words.
     #[inline(always)]
@@ -310,7 +309,6 @@ impl PanelLayout {
 
     /// Store values `k0..k0 + kc` of `rows` lines of `lines` (length `k`
     /// each), mapped by `f`, as rows `r0..r0 + rows` of one chunk block.
-    #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn put_block<W: PanelWord>(
         &self,
@@ -323,39 +321,10 @@ impl PanelLayout {
         kc: usize,
         f: impl Fn(W) -> W,
     ) {
-        // The constant shapes of the f32 and bf16 B layouts, and of the
-        // int8 B layout (only i8 words take it, so other words do not
-        // carry its copy).
-        let whole = r0 == 0 && rows == self.tile;
-        match (self.tile, self.group) {
-            (MR_F32, 1) if whole && !W::INT8 => {
-                interleave::<W, MR_F32, 1>(block, lines, k, k0, kc, f)
-            }
-            (NR_F32, 1) if whole && !W::INT8 => {
-                interleave::<W, NR_F32, 1>(block, lines, k, k0, kc, f)
-            }
-            (NR_F32, 2) if whole && !W::INT8 => {
-                interleave::<W, NR_F32, 2>(block, lines, k, k0, kc, f)
-            }
-            (NR_I8, KG) if whole && W::INT8 => {
-                interleave::<W, NR_I8, KG>(block, lines, k, k0, kc, f)
-            }
-            (_, 0) => {
-                let cl = self.chunk_len(kc);
-                for (r, line) in lines.chunks_exact(k).take(rows).enumerate() {
-                    let dst = &mut block[(r0 + r) * cl..(r0 + r) * cl + kc];
-                    for (d, &w) in dst.iter_mut().zip(&line[k0..k0 + kc]) {
-                        *d = f(w);
-                    }
-                }
-            }
-            _ => {
-                let cl = self.chunk_len(kc);
-                for (r, line) in lines.chunks_exact(k).take(rows).enumerate() {
-                    for (p, &w) in line[k0..k0 + kc].iter().enumerate() {
-                        block[self.value_at(r0 + r, p, cl)] = f(w);
-                    }
-                }
+        let cl = self.chunk_len(kc);
+        for (r, line) in lines.chunks_exact(k).take(rows).enumerate() {
+            for (p, &w) in line[k0..k0 + kc].iter().enumerate() {
+                block[self.value_at(r0 + r, p, cl)] = f(w);
             }
         }
     }
@@ -378,39 +347,6 @@ impl PanelLayout {
         let stride = self.tile_stride(k, kb);
         let at = (first / self.tile) * stride + self.tile * (k0 / kb) * self.chunk_len(kb);
         PanelChunk { words: &panel[at.min(panel.len())..], stride, layout: *self }
-    }
-}
-
-/// Values `k0..k0 + kc` of the `T` lines of `lines` (length `k` each),
-/// mapped by `f`, into a chunk block of a layout with tile `T` and group
-/// `G`: per group of `G` k values, line after line. `T` and `G` are
-/// constants so the loops unroll into whole-vector shuffles and stores.
-#[inline(always)]
-fn interleave<W: Copy, const T: usize, const G: usize>(
-    block: &mut [W],
-    lines: &[W],
-    k: usize,
-    k0: usize,
-    kc: usize,
-    f: impl Fn(W) -> W,
-) {
-    let src: [&[W]; T] = std::array::from_fn(|r| &lines[r * k + k0..r * k + k0 + kc]);
-    let groups = kc / G;
-    for (q, dst) in block.chunks_exact_mut(T * G).take(groups).enumerate() {
-        for (r, line) in src.iter().enumerate() {
-            for d in 0..G {
-                dst[r * G + d] = f(line[q * G + d]);
-            }
-        }
-    }
-    let tail = kc % G;
-    if tail > 0 {
-        let dst = &mut block[groups * T * G..(groups + 1) * T * G];
-        for (r, line) in src.iter().enumerate() {
-            for d in 0..tail {
-                dst[r * G + d] = f(line[groups * G + d]);
-            }
-        }
     }
 }
 

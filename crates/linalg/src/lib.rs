@@ -42,9 +42,10 @@ pub use blas3::{
     gemm_i8_i32_simd, gemm_naive, gemm_parallel, gemm_parallel_on, gemm_parallel_on_prepacked_with,
     gemm_parallel_on_with, gemm_parallel_with, gemm_tiled, gemm_tiled_prepacked_with,
     gemm_tiled_with, gemm_tiled_with_blocking, pack_b_matrix, selected_kernel,
-    set_blocking_override, set_kernel_override, vnni_supported, Blocking, BlockingDispatch,
-    FoldSum, GemmAlgo, HalfKind, HalfMat, KernelDispatch, KernelVariant, PackedB, PanelChunk,
-    PanelLayout, PanelWord, VariantWork, BLOCKING_ENV, KERNEL_ENV,
+    set_blocking_override, set_kernel_override, slice_pass, vnni_supported, Blocking,
+    BlockingDispatch, FoldSum, GemmAlgo, HalfKind, HalfMat, KernelDispatch, KernelVariant, PackedB,
+    PanelChunk, PanelFormat, PanelLayout, PanelWord, SliceLanes, SliceWord, VariantWork,
+    BLOCKING_ENV, KERNEL_ENV, SUM_WORDS,
 };
 pub use eig::{sym_eig, SymEig};
 pub use lapack::{getrf, getrs, hpl_residual, hpl_solve, potrf};

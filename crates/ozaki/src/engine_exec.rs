@@ -11,7 +11,7 @@
 //! to the hardware cost model of Table VIII.
 
 use crate::gemm::{pair_counts, poison, OzakiConfig, OzakiReport, SliceEngine};
-use crate::split::{Call, Pack, Plan, Source};
+use crate::split::{Call, Pack, Plan, Source, Words};
 use crate::workspace::with_arena;
 use me_engine::systolic::{systolic_gemm, CycleStats, SystolicArray};
 use me_linalg::{fold_tile, selected_kernel, KernelVariant, Mat};
@@ -55,10 +55,10 @@ pub fn ozaki_gemm_systolic(
     let kernel = selected_kernel();
     let pack = Pack::lines(k);
     let sources = (Source::Rows(a), Source::Cols(b));
-    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, budget), 1, (m * n, 0));
+    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, budget), (m * n, 0));
     let mut stats = CycleStats { cycles: 0, macs: 0, pe_cycles: 0, tiles: 0 };
     let (c, s_a, s_b, split_exact) = with_arena(|arena| {
-        let split = plan.split(arena, kernel, None, &|r, _| r);
+        let split = plan.split(arena, kernel, None, &Words { narrow: |r, _| r, simd: None });
         let Call { hi, lo, a: pa, b: pb, .. } = plan.carve(arena, split);
         hi.fill(0.0);
         lo.fill(0.0);

@@ -45,14 +45,14 @@
 //! chain's bits whatever order the engine adds in.
 
 use crate::split::{
-    ceil_log2, required_beta, split_rows, Call, Pack, Panels, Plan, Source, SplitMatrix,
+    ceil_log2, required_beta, split_rows, Call, Pack, Panels, Plan, Source, SplitMatrix, Words,
 };
 use crate::workspace::{with_arena, ALIGNED_PANELS};
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
 use me_linalg::blas3::amx::bf16_on;
 use me_linalg::{
     fold_tile, gemm_bf16_f32, gemm_f32_f32, selected_kernel, AlignedBuf, FoldSum, HalfKind,
-    KernelVariant, Mat, PanelChunk, PanelLayout, PanelWord, Pod,
+    KernelVariant, Mat, PanelChunk, PanelLayout, PanelWord, Pod, SliceWord,
 };
 use me_numerics::formats::narrow_f32_exact;
 use me_par::WorkerPool;
@@ -210,6 +210,9 @@ pub trait SliceEngine: sealed::Sealed {
 
     /// Narrow a scaled slice integer into the stored word, exactly.
     fn narrow(x: f64) -> Self::Word;
+    /// The vector conversion that gives [`Self::narrow`]'s bits on the
+    /// AVX-512 split ([`me_linalg::slice_pass`]).
+    const SIMD_WORD: SliceWord;
     /// One engine call on kernel `variant` over one k-chunk of the packed
     /// panels: `out[i·n + j] = Σ_{p<kc} a_i[p] · b_j[p]` for the `m` rows of
     /// `a` and the `n` columns of `b`.
@@ -294,6 +297,8 @@ impl SliceEngine for OzakiConfig {
         narrow_f32_exact(x)
     }
 
+    const SIMD_WORD: SliceWord = SliceWord::F32;
+
     /// f32 multiplies and accumulation on the dispatched engine tile
     /// (exactness under the β budget verified by `f32_products_are_exact`).
     fn engine_call(
@@ -329,7 +334,7 @@ const F32_EXACT_BITS: u32 = 24;
 /// bytes of the f32 panels. Same β, budget, cutoff and trace names as
 /// the config it wraps.
 #[derive(Debug, Clone, Copy)]
-pub struct Bf16Words(OzakiConfig);
+pub struct Bf16Words(pub(crate) OzakiConfig);
 
 impl sealed::Sealed for Bf16Words {}
 
@@ -374,6 +379,8 @@ impl SliceEngine for Bf16Words {
         );
         word
     }
+
+    const SIMD_WORD: SliceWord = SliceWord::Bf16;
 
     fn engine_call(
         variant: KernelVariant,
@@ -552,12 +559,12 @@ fn with_split<E: SliceEngine, R>(
     let kb = engine.k_block().max(1);
     let packs = (Pack { layout: E::LAYOUT_A, kb }, Pack { layout: E::LAYOUT_B, kb });
     let rows = row_panel(m, n, pool, E::LAYOUT_A.tile);
-    let jobs = pool.map_or(1, WorkerPool::threads);
     let fold = (m * n, m.next_multiple_of(rows) * n);
-    let mut plan = Plan::<E::Word, E::Sum>::new(sources, packs, (beta, budget), jobs, fold);
+    let mut plan = Plan::<E::Word, E::Sum>::new(sources, packs, (beta, budget), fold);
     with_arena(|arena| {
         let split_span = me_trace::span(E::TRACE.split, "ozaki");
-        let split = plan.split(arena, kernel, pool, &|r, _| E::narrow(r));
+        let words = Words { narrow: |r, _| E::narrow(r), simd: Some(E::SIMD_WORD) };
+        let split = plan.split(arena, kernel, pool, &words);
         drop(split_span);
         let call = plan.carve(arena, split);
         let panels = || call.a.iter().chain(call.b.iter()).map(|(w, _)| w);

@@ -34,7 +34,7 @@
 use crate::gemm::{sealed, slice_trace, SliceEngine, SliceTrace, TargetAccuracy};
 use crate::split::required_beta;
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
-use me_linalg::{gemm_half_f32, HalfKind, KernelVariant, PanelChunk, PanelLayout};
+use me_linalg::{gemm_half_f32, HalfKind, KernelVariant, PanelChunk, PanelLayout, SliceWord};
 use me_numerics::formats::narrow_f32_exact;
 
 /// Significand bits of binary16: integers up to 2^11 are exact in it.
@@ -127,6 +127,8 @@ impl SliceEngine for HostF16Engine {
         );
         half
     }
+
+    const SIMD_WORD: SliceWord = SliceWord::F16;
 
     /// Binary16 operands widened per tile block in one contiguous pass,
     /// one f32 FMA per ascending k step on the host's dispatched engine

@@ -29,7 +29,7 @@
 use crate::gemm::{sealed, slice_trace, SliceEngine, SliceTrace, TargetAccuracy};
 use crate::split::required_beta;
 use me_engine::{catalog, Device, EngineKind, NumericFormat};
-use me_linalg::{gemm_i8_i32, KernelVariant, PanelChunk, PanelLayout};
+use me_linalg::{gemm_i8_i32, KernelVariant, PanelChunk, PanelLayout, SliceWord};
 
 /// Magnitude bits of the i32 accumulator, whatever `acc_bits` says.
 const I32_MAGNITUDE_BITS: u32 = 31;
@@ -128,6 +128,8 @@ impl SliceEngine for Int8Engine {
         );
         (x + 6_755_399_441_055_744.0).to_bits() as u8 as i8
     }
+
+    const SIMD_WORD: SliceWord = SliceWord::I8;
 
     /// i8 multiplies, i32 accumulation — integer arithmetic, exact modulo
     /// 2^32 and so exact under the β budget.

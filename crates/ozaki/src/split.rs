@@ -1,19 +1,23 @@
 //! Error-free matrix slicing (step 1 of the Ozaki scheme). Every
 //! extraction goes through [`split_panels`]; DESIGN §4 has its exactness.
 //!
-//! Per slice, each tile of lines is extracted into a tile buffer — the
-//! residual update, the narrowing to the engine's word and, for INT8's B,
-//! each chunk's column sum, in one pass per line — and written into the
-//! slice's panel by one [`PanelLayout::put_lines`]. That pass is plain
-//! Rust compiled once per kernel variant ([`KernelVariant::run`]), so it
-//! vectorizes at the width of the variant the engine calls run on; the
-//! compiler only picks instructions, so every variant writes the same
-//! bits. Lines, panels, exponents and tile buffers live in the calling
-//! thread's workspace ([`crate::workspace`], laid out by [`Plan`]).
+//! Each operand's residual is kept in the order its engine's
+//! [`PanelLayout`] stores words, so that residual `i` becomes word `i` of
+//! every slice panel; padding rows, k pads and INT8 sum slots hold `+0`.
+//! [`Source::write`] fills it once per call, with each line's maximum.
+//! Each slice is then one elementwise pass over it ([`slice_pass`], in
+//! me-linalg): the residual update, the narrowing to the engine's word
+//! straight into the slice panel and, for INT8's B, each chunk's sum —
+//! the explicit AVX-512 kernel on that variant, plain Rust compiled per
+//! variant ([`KernelVariant::run`]) elsewhere, the same bits on every
+//! one. Residual, panels and exponents live in the calling thread's
+//! workspace ([`crate::workspace`], laid out by [`Plan`]).
 
 use crate::workspace::{with_arena, Arena};
+use me_linalg::blas3::ukernel::MR_F32;
 use me_linalg::{
-    selected_kernel, KernelVariant, Mat, PanelLayout, PanelWord, Pod, Regions, VariantWork,
+    selected_kernel, slice_pass, KernelVariant, Mat, PanelFormat, PanelLayout, PanelWord, Pod,
+    Regions, SliceLanes, SliceWord, VariantWork, SUM_WORDS,
 };
 use me_numerics::formats::pow2;
 use me_par::WorkerPool;
@@ -104,9 +108,6 @@ impl SplitMatrix {
     }
 }
 
-/// `1.5 · 2^52`: for `|y| ≤ 2^51`, `((|y| + ROUND) − ROUND)` is `|y|`
-/// rounded to an integer, ties to even.
-const ROUND: f64 = 6_755_399_441_055_744.0;
 /// Every bit of an f64 but the sign.
 const MAGNITUDE: u64 = !(1 << 63);
 /// Magnitude bits of `+inf`: at or above it an element is not finite.
@@ -128,135 +129,252 @@ fn ceil_exp(x: f64) -> i32 {
     }
 }
 
-/// One extraction over `line` at scale exponent `e`: each element `x`
-/// splits into the slice value `hi = round_ties_even(x / q) · q`, `q =
-/// 2^(e − β)`, and the residual `x − hi` left in place, and `out[t] =
-/// word(hi / q, hi)` with `−0` made `+0`. `sums[c]` gets the wrapping sum
-/// of the words of the `c`-th `kb`-long chunk ([`PanelWord::sum_term`]),
-/// taken in the same pass. Returns the residual's largest magnitude bits.
-/// The quotient is a multiplication where `2^(β − e)` is normal, else
-/// (subnormal line maxima) a division.
-#[inline(always)]
-fn extract<W: PanelWord>(
-    line: &mut [f64],
-    out: &mut [W],
-    sums: &mut [i32],
-    e: i32,
+/// The shape of one operand's split: slice width β, where each slice is
+/// packed, and the length of each line.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
     beta: u32,
-    kb: usize,
-    word: &impl Fn(f64, f64) -> W,
+    pack: Pack,
+    len: usize,
+}
+
+/// Lines per tile of any layout a split packs, and lanes per period of
+/// any grouped one (`tile · group`: 8, 32, 64 or 128).
+const MAX_TILE: usize = 32;
+const MAX_PERIOD: usize = 128;
+
+/// How a split stores each element: `narrow(integer, slice value)`, and
+/// the AVX-512 conversion that gives the same word from the integer,
+/// where there is one ([`slice_pass`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Words<F> {
+    pub narrow: F,
+    pub simd: Option<SliceWord>,
+}
+
+/// Slices a split takes per visit to a tile, while the tile's residual
+/// stays in cache: each line's next exponent needs only its own
+/// residual, so a tile runs several slices before the next tile starts.
+const BATCH: usize = 4;
+
+/// The next `batch` slices of the lines of a run of whole tiles: `rest`
+/// is the tiles' residual in panel order, `out[k]` their words in slice
+/// `k`'s panel (`rest[i]` becomes `out[k][i]`), `exp[k]` their lines'
+/// exponents in slice `k`, `mx` one maximum per line.
+struct SliceTiles<'a, W, F> {
+    rest: &'a mut [f64],
+    out: [&'a mut [W]; BATCH],
+    exp: [&'a mut [i32]; BATCH],
+    mx: &'a mut [u64],
+    batch: usize,
+    shape: Shape,
+    words: &'a Words<F>,
+    kernel: KernelVariant,
+}
+
+impl<W: PanelWord, F: Fn(f64, f64) -> W> VariantWork for SliceTiles<'_, W, F> {
+    /// Bit `k` set: some line was live at slice `k`.
+    type Output = u32;
+
+    // me-verify: hot
+    #[inline(always)]
+    fn call(self) -> u32 {
+        let SliceTiles { rest, mut out, mut exp, mx, batch, shape, words, kernel } = self;
+        let (tile, kb) = (shape.pack.layout.tile, shape.pack.kb);
+        if shape.len == 0 {
+            return 0;
+        }
+        let stride = shape.pack.layout.tile_stride(shape.len, kb);
+        let (mut live, mut lanes) = (0, TileLanes::new());
+        for (t, (x, m)) in rest.chunks_mut(stride).zip(mx.chunks_mut(tile)).enumerate() {
+            for (k, (out, exp)) in out.iter_mut().zip(exp.iter_mut()).take(batch).enumerate() {
+                let (w, e) = (&mut out[t * stride..][..stride], &mut exp[t * tile..][..m.len()]);
+                if slice_tile(x, w, e, m, &mut lanes, shape, words, kernel) {
+                    live |= 1 << k;
+                }
+            }
+        }
+        live
+    }
+}
+
+/// One tile's lanes for [`slice_pass`], reused tile after tile: line `r`
+/// of the tile has lanes `r · g .. (r + 1) · g` of a grouped layout's
+/// period, lane `r` of a row-major one.
+struct TileLanes {
+    scale: [f64; MAX_PERIOD],
+    grid: [f64; MAX_PERIOD],
+    max: [u64; MAX_PERIOD],
+    sum: [i64; MAX_PERIOD],
+}
+
+impl TileLanes {
+    fn new() -> Self {
+        TileLanes {
+            scale: [0.0; MAX_PERIOD],
+            grid: [0.0; MAX_PERIOD],
+            max: [0; MAX_PERIOD],
+            sum: [0; MAX_PERIOD],
+        }
+    }
+}
+
+/// One tile's next slice: its residual `x` and words `w` (one tile
+/// stride each), its lines' exponents `e` and maxima `m`. Each live line
+/// gets its scale exponent from its maximum, and the tile's residual is
+/// split by [`slice_pass`], one chunk block at a time, the lines' factors
+/// at their lanes; every word of the tile is written, since padding,
+/// dead lines and sum slots hold `+0` (and get zero factors). INT8 B's
+/// chunk sums are written from the lane sums. A line whose `2^(β − e)` is
+/// not normal, or at the top binade, is split element by element instead
+/// ([`split_line`]); a line whose slice overflowed has its residual
+/// zeroed. A tile with no live line gets the layout's zero words; dead
+/// lines get exponent 0. Returns whether any line was live.
+// me-verify: hot
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn slice_tile<W: PanelWord, F: Fn(f64, f64) -> W>(
+    x: &mut [f64],
+    w: &mut [W],
+    e: &mut [i32],
+    m: &mut [u64],
+    lanes: &mut TileLanes,
+    shape: Shape,
+    words: &Words<F>,
+    kernel: KernelVariant,
+) -> bool {
+    let Shape { beta, pack: Pack { layout, kb }, len } = shape;
+    let (tile, gw) = (layout.tile, layout.group.max(1));
+    let width = tile * gw;
+    let (mut live, mut odd) = (0u64, 0u64);
+    for r in 0..tile {
+        // Zero factors keep a zero residual zero and give zero words.
+        let (mut s, mut q) = (0.0, 0.0);
+        if r < m.len() {
+            e[r] = 0;
+            if (1..INF_BITS).contains(&m[r]) {
+                live |= 1 << r;
+                e[r] = ceil_exp(f64::from_bits(m[r]));
+                let se = beta as i32 - e[r];
+                // Lines at the top binade (`e = 1024`) split element by
+                // element too: their slice can round up to `2^1024`.
+                if (-1022..=1023).contains(&se) && e[r] < 1024 {
+                    (s, q) = (pow2(se), pow2(-se));
+                } else {
+                    odd |= 1 << r;
+                }
+            }
+        }
+        lanes.scale[r * gw..(r + 1) * gw].fill(s);
+        lanes.grid[r * gw..(r + 1) * gw].fill(q);
+    }
+    if live == 0 {
+        w.fill(layout.zero());
+        return false;
+    }
+    let sums = layout.format == PanelFormat::ChunkSums;
+    lanes.max[..width].fill(0);
+    for c in 0..len.div_ceil(kb) {
+        let kc = kb.min(len - c * kb);
+        let cl = layout.chunk_len(kc);
+        let at = tile * c * layout.chunk_len(kb);
+        // A row-major chunk is one run of `cl` per line; a grouped one
+        // repeats the lanes, and its values and pads end before its sums.
+        let (run, n) = match layout.group {
+            0 => (cl, tile * cl),
+            _ => (1, tile * kc.next_multiple_of(layout.k_pad)),
+        };
+        if sums {
+            lanes.sum[..width].fill(0);
+        }
+        let pass = SliceLanes {
+            scale: &lanes.scale[..width],
+            grid: &lanes.grid[..width],
+            max: &mut lanes.max[..width],
+            sum: if sums { &mut lanes.sum[..width] } else { &mut [] },
+        };
+        let (xb, wb) = (&mut x[at..at + n], &mut w[at..at + n]);
+        slice_pass(kernel, xb, wb, run, pass, layout.format, &words.narrow, words.simd);
+        if sums {
+            // Each line's chunk sum sits where its next k values would:
+            // in the row of groups after the block's values.
+            for (r, s) in lanes.sum[..width].chunks_exact(gw).enumerate() {
+                let s: i64 = s.iter().sum();
+                w[at + n + r * gw..][..SUM_WORDS].copy_from_slice(&W::sum_words(s as i32));
+            }
+        }
+    }
+    for (r, m) in m.iter_mut().enumerate() {
+        if live & (1 << r) == 0 {
+            continue;
+        }
+        *m = if odd & (1 << r) != 0 {
+            split_line(x, w, r, e[r], shape, &words.narrow)
+        } else {
+            lanes.max[r * gw..(r + 1) * gw].iter().copied().fold(0, u64::max)
+        };
+        if *m >= INF_BITS {
+            zero_line(x, r, shape.pack, len);
+        }
+    }
+    true
+}
+
+/// Line `r` of a tile's next slice at scale exponent `e`, element by
+/// element, for a `2^(β − e)` outside f64's normal range or a line at the
+/// top binade: each element `x` splits into `hi = round_ties_even(x / q)
+/// · q`, `q = 2^(e − β)`, and the residual `x − hi`, and its word is
+/// `narrow(hi / q, hi)` (the integer scaled in two exact steps where
+/// `2^(β − e)` exceeds f64's range), with its chunk's sum. Where `2^(β −
+/// e)` is normal the integer is `round_ties_even(x · 2^(β − e))`, as in
+/// [`slice_pass`], so a first slice that rounds up to `2^1024` still
+/// stores its integer. Returns the residual's largest magnitude bits.
+fn split_line<W: PanelWord>(
+    x: &mut [f64],
+    w: &mut [W],
+    r: usize,
+    e: i32,
+    Shape { beta, pack: Pack { layout, kb }, len }: Shape,
+    narrow: &impl Fn(f64, f64) -> W,
 ) -> u64 {
     let se = beta as i32 - e;
     // Clamp the grid at the smallest subnormal: once `2^(e − β)` falls
     // below 2^-1074 every remaining residual is an exact multiple of the
     // clamped grid, so `hi = x` and the residual terminates at zero.
     let q = pow2((-se).max(-1074));
-    if (-1022..=1023).contains(&se) {
-        let scale = pow2(se);
-        extract_with(line, out, sums, kb, word, &|x: f64| {
-            let y = x * scale;
-            let r = ((y.abs() + ROUND) - ROUND).copysign(y);
-            (r, r * q)
-        })
-    } else {
-        extract_with(line, out, sums, kb, word, &|x: f64| {
-            let hi = (x / q).round_ties_even() * q;
-            // `2^se` may exceed f64 range here: scale in two exact steps.
-            (if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) }, hi)
-        })
-    }
-}
-
-/// [`extract`]'s pass, with `slice(x)` giving the integer and the slice
-/// value of `x`.
-#[inline(always)]
-fn extract_with<W: PanelWord>(
-    line: &mut [f64],
-    out: &mut [W],
-    sums: &mut [i32],
-    kb: usize,
-    word: &impl Fn(f64, f64) -> W,
-    slice: &impl Fn(f64) -> (f64, f64),
-) -> u64 {
     let mut mx = 0;
-    for ((xs, ws), sum) in line.chunks_mut(kb).zip(out.chunks_mut(kb)).zip(sums) {
-        let mut s = 0i32;
-        for (x, w) in xs.iter_mut().zip(ws) {
-            let (int, hi) = slice(*x);
-            *x -= hi;
-            *w = word(int + 0.0, hi);
-            s = s.wrapping_add(w.sum_term());
-            mx = mx.max(x.to_bits() & MAGNITUDE);
+    for c in 0..len.div_ceil(kb) {
+        let kc = kb.min(len - c * kb);
+        let mut sum = 0i64;
+        for p in 0..kc {
+            let i = layout.slot(r, c, p, len, kb);
+            let (int, hi) = if (-1022..=1023).contains(&se) {
+                let int = (x[i] * pow2(se)).round_ties_even();
+                (int, int * q)
+            } else {
+                let hi = (x[i] / q).round_ties_even() * q;
+                (if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) }, hi)
+            };
+            x[i] -= hi;
+            w[i] = narrow(int + 0.0, hi).stored(layout.format);
+            sum += int as i64;
+            mx = mx.max(x[i].to_bits() & MAGNITUDE);
         }
-        *sum = s;
+        if layout.format == PanelFormat::ChunkSums {
+            let end = kc.next_multiple_of(layout.k_pad);
+            for (i, b) in W::sum_words(sum as i32).into_iter().enumerate() {
+                w[layout.slot(r, c, end + i, len, kb)] = b;
+            }
+        }
     }
     mx
 }
 
-/// The next slice of each live line in a block: `rest` holds the lines
-/// back to back, `out` the block's run of whole tiles of the slice panel,
-/// `exp` and `mx` one entry per line, `buf` and `sums` one tile's words
-/// and chunk sums. The lines of one tile are extracted into `buf`, with
-/// their chunk sums, and the tile is packed from there in one
-/// [`PanelLayout::put_lines`]. The panel is reused storage, so whatever
-/// an engine call reads that no line writes is blanked to the layout's
-/// stored zero first: a tile with no live line, and a live tile's padding
-/// (rows past the last line, k values past a chunk's end). Dead lines get
-/// exponent 0.
-struct ExtractLines<'a, W, F> {
-    rest: &'a mut [f64],
-    out: &'a mut [W],
-    exp: &'a mut [i32],
-    mx: &'a mut [u64],
-    buf: &'a mut [W],
-    sums: &'a mut [i32],
-    beta: u32,
-    pack: Pack,
-    word: &'a F,
-}
-
-impl<W: PanelWord, F: Fn(f64, f64) -> W> VariantWork for ExtractLines<'_, W, F> {
-    type Output = ();
-
-    // me-verify: hot
-    #[inline(always)]
-    fn call(self) {
-        let ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word } = self;
-        let len = rest.len().checked_div(exp.len()).unwrap_or(0);
-        if len == 0 {
-            return;
-        }
-        let layout = pack.layout;
-        let (tile, chunks) = (layout.tile, len.div_ceil(pack.kb));
-        let (stride, zero) = (layout.tile_stride(len, pack.kb), layout.zero::<W>());
-        let pads = layout.pads(len, pack.kb);
-        let tiles = rest.chunks_mut(tile * len).zip(exp.chunks_mut(tile).zip(mx.chunks_mut(tile)));
-        for (t, (x, (e, m))) in tiles.enumerate() {
-            let rows = e.len();
-            let live = m.iter().any(|m| (1..INF_BITS).contains(m));
-            if !live || rows < tile || pads {
-                out[t * stride..(t + 1) * stride].fill(zero);
-            }
-            if !live {
-                e.fill(0);
-                continue;
-            }
-            for (r, ((x, e), m)) in
-                x.chunks_mut(len).zip(e.iter_mut()).zip(m.iter_mut()).enumerate()
-            {
-                let (w, s) =
-                    (&mut buf[r * len..(r + 1) * len], &mut sums[r * chunks..(r + 1) * chunks]);
-                if (1..INF_BITS).contains(m) {
-                    *e = ceil_exp(f64::from_bits(*m));
-                    *m = extract(x, w, s, *e, beta, pack.kb, word);
-                } else {
-                    *e = 0;
-                    w.fill(W::default());
-                    s.fill(0);
-                }
-            }
-            let (words, sums) = (&buf[..rows * len], &sums[..rows * chunks]);
-            layout.put_lines(out, t * tile, words, len, sums, pack.kb);
+/// Zero line `r`'s residual in a tile of `len`-long lines (panel order).
+fn zero_line(x: &mut [f64], r: usize, Pack { layout, kb }: Pack, len: usize) {
+    for c in 0..len.div_ceil(kb) {
+        for p in 0..kb.min(len - c * kb) {
+            x[layout.slot(r, c, p, len, kb)] = 0.0;
         }
     }
 }
@@ -306,27 +424,155 @@ impl Source<'_> {
         }
     }
 
-    /// Write the lines back to back into `out` (`lines · len` long).
-    fn write(&self, out: &mut [f64]) {
+    /// The lines as a strided view: value `p` of line `li` is
+    /// `data[li · line + p · step]`.
+    fn view(&self) -> (&[f64], usize, usize) {
         match *self {
-            Source::Rows(a) => out.copy_from_slice(a.as_slice()),
-            Source::Line(x) => out.copy_from_slice(x),
-            Source::Cols(b) => {
-                // Eight rows of B at a time, so each pass writes a whole
-                // cache line of every line.
-                let (k, n) = b.shape();
-                if out.is_empty() {
-                    return;
+            Source::Rows(a) => (a.as_slice(), a.cols(), 1),
+            Source::Cols(b) => (b.as_slice(), 1, b.cols()),
+            Source::Line(x) => (x, 0, 1),
+        }
+    }
+
+    /// Write the lines into `out` as the residual a split consumes, in
+    /// `pack`'s panel order (`out` is one panel long): each value where
+    /// its word goes, every `−0` made `+0` so that a zero packs to the
+    /// all-zero word, and `+0` wherever no value lands (padding rows, k
+    /// pads, chunk sums). Each line's largest magnitude bits go to `mx`;
+    /// a line holding ±inf or NaN keeps its maximum, at least `+inf`'s
+    /// bits (the poison mark), and a zero residual. Inlined into
+    /// [`Gather`], so it compiles per variant.
+    #[inline(always)]
+    fn write(&self, pack: Pack, out: &mut [f64], mx: &mut [u64]) {
+        let (data, line, step) = self.view();
+        let (lines, len) = (self.lines(), self.len());
+        let Pack { layout, kb } = pack;
+        let (tile, g) = (layout.tile, layout.group);
+        let magnitude = |v: &f64| v.to_bits() & MAGNITUDE;
+        // Positions no value lands on hold `+0`.
+        let full = lines.is_multiple_of(tile) && !layout.pads(len, kb);
+        if !full || layout.format == PanelFormat::ChunkSums {
+            out.fill(0.0);
+        }
+        mx.fill(0);
+        if len == 0 || lines == 0 {
+            return;
+        }
+        if step == 1 {
+            for (li, m) in mx.iter_mut().enumerate() {
+                *m = data[li * line..][..len].iter().map(magnitude).fold(0, u64::max);
+            }
+        } else {
+            // `line` is 1: value `p` of every line is one row of `data`.
+            for row in data.chunks_exact(step) {
+                for (m, v) in mx.iter_mut().zip(row) {
+                    *m = (*m).max(magnitude(v));
                 }
-                for (p0, rows) in b.as_slice().chunks(8 * n).enumerate() {
-                    for (j, line) in out.chunks_exact_mut(k).enumerate() {
-                        let dst = &mut line[8 * p0..];
-                        for (d, row) in dst.iter_mut().zip(rows.chunks_exact(n)) {
-                            *d = row[j];
+            }
+        }
+        let width = tile * g;
+        let stride = layout.tile_stride(len, kb);
+        for (t, tx) in out.chunks_mut(stride).enumerate() {
+            let first = t * tile;
+            let rows = tile.min(lines - first);
+            for c in 0..len.div_ceil(kb) {
+                let (k0, kc) = (c * kb, kb.min(len - c * kb));
+                let cl = layout.chunk_len(kc);
+                let block = &mut tx[tile * c * layout.chunk_len(kb)..][..tile * cl];
+                // The values of the tile's line `r`, where `step` is 1.
+                let own = |r: usize| &data[(first + r) * line + k0..][..kc];
+                if g == 0 && step == 1 {
+                    // Line `r`'s values form one run of `cl` words.
+                    for r in 0..rows {
+                        put(block[r * cl..][..kc].iter_mut(), own(r).iter());
+                    }
+                } else if g == 0 {
+                    // `line` is 1: eight values of each line at a time, so
+                    // each pass over the lines reads whole cache lines of
+                    // eight rows of `data`.
+                    for p in (0..kc).step_by(MR_F32) {
+                        let values = &data[(k0 + p) * step + first..];
+                        for r in 0..rows {
+                            let src = values[r..].iter().step_by(step);
+                            put(block[r * cl + p..][..MR_F32.min(kc - p)].iter_mut(), src);
+                        }
+                    }
+                } else if step == 1 && (g, tile, rows) == (1, MR_F32, MR_F32) {
+                    // A whole `F32_A` tile: its 8 lines transposed.
+                    interleave::<MR_F32>(block, std::array::from_fn(own));
+                } else if step == 1 {
+                    // Line `r`'s `g` values of a group sit at `r · g` in
+                    // the group's row of `width` words.
+                    for r in 0..rows {
+                        let groups = block[r * g..].chunks_mut(width).zip(own(r).chunks(g));
+                        for (dst, vs) in groups {
+                            put(dst.iter_mut(), vs.iter());
+                        }
+                    }
+                } else {
+                    // `line` is 1: value `p` of the tile's lines is
+                    // contiguous.
+                    let values = |p: usize| &data[(k0 + p) * step + first..][..rows];
+                    for (q, row) in block.chunks_exact_mut(width).take(kc.div_ceil(g)).enumerate() {
+                        let p = q * g;
+                        match g {
+                            1 => put(row.iter_mut(), values(p).iter()),
+                            2 if p + 2 <= kc => interleave::<2>(row, [values(p), values(p + 1)]),
+                            4 if p + 4 <= kc => interleave::<4>(
+                                row,
+                                [values(p), values(p + 1), values(p + 2), values(p + 3)],
+                            ),
+                            _ => {
+                                for d in 0..g.min(kc - p) {
+                                    put(row[d..].iter_mut().step_by(g), values(p + d).iter());
+                                }
+                            }
                         }
                     }
                 }
             }
+            for r in 0..rows {
+                if mx[first + r] >= INF_BITS {
+                    zero_line(tx, r, pack, len);
+                }
+            }
+        }
+    }
+}
+
+/// [`Source::write`] of `src` in `pack`'s order into `out`, maxima into
+/// `mx`, as a [`VariantWork`].
+struct Gather<'a> {
+    src: Source<'a>,
+    pack: Pack,
+    out: &'a mut [f64],
+    mx: &'a mut [u64],
+}
+
+impl VariantWork for Gather<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn call(self) {
+        self.src.write(self.pack, self.out, self.mx)
+    }
+}
+
+/// Copy `src` into `dst`, every `−0` made `+0`.
+#[inline(always)]
+fn put<'a, 'b>(dst: impl Iterator<Item = &'a mut f64>, src: impl Iterator<Item = &'b f64>) {
+    for (d, &v) in dst.zip(src) {
+        *d = v + 0.0;
+    }
+}
+
+/// One row of groups of `G` values: value `j` of line `r`'s group,
+/// `src[j][r]`, at `row[r · G + j]`, every `−0` made `+0`.
+#[inline(always)]
+fn interleave<const G: usize>(row: &mut [f64], src: [&[f64]; G]) {
+    for (r, dst) in row.chunks_exact_mut(G).take(src[0].len()).enumerate() {
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s[r] + 0.0;
         }
     }
 }
@@ -474,21 +720,17 @@ pub(crate) struct Call<'a, W, S> {
 
 /// Where one call keeps its state in the calling thread's workspace arena
 /// ([`crate::workspace`]), each region starting on a 64-byte boundary.
-/// The split's state — the residual lines (A's, then B's) and each split
-/// job's tile buffer — and the fold's — the accumulators `hi` and `lo`
-/// and the fold tiles (sums `S`) — share the arena's start, since the
-/// fold begins only once the split is done and resets its accumulators
-/// first. After both come A's [`Operand`] and, from the end of A's last
-/// slice panel on, B's, with slice words `W`.
+/// The split's state — the residual, one slice panel long, in panel
+/// order (A's, then B's) — and the fold's — the accumulators `hi` and
+/// `lo` and the fold tiles (sums `S`) — share the arena's start, since
+/// the fold begins only once the split is done and resets its
+/// accumulators first. After both come A's [`Operand`] and, from the end
+/// of A's last slice panel on, B's, with slice words `W`.
 pub(crate) struct Plan<'s, W, S> {
     sources: (Source<'s>, Source<'s>),
     beta: u32,
     acc: usize,
     tiles: usize,
-    scratch_at: usize,
-    jobs: usize,
-    job_words: usize,
-    job_sums: usize,
     a: Operand,
     b: Operand,
     _types: std::marker::PhantomData<(W, S)>,
@@ -497,56 +739,36 @@ pub(crate) struct Plan<'s, W, S> {
 impl<'s, W: PanelWord + Send + Sync, S: Pod> Plan<'s, W, S> {
     /// A call splitting `sources` (A's lines, B's lines of the same
     /// length) at width `beta` into at most `budget` slices each, packed
-    /// by `packs`, with `jobs` split jobs at once, `acc` accumulators and
-    /// `tiles` fold-tile sums.
+    /// by `packs`, with `acc` accumulators and `tiles` fold-tile sums.
     pub fn new(
         sources: (Source<'s>, Source<'s>),
         packs: (Pack, Pack),
         (beta, budget): (u32, usize),
-        jobs: usize,
         (acc, tiles): (usize, usize),
     ) -> Self {
         let (sa, sb) = sources;
-        let residual = (sa.lines() * sa.len()).max(sb.lines() * sb.len());
-        let scratch_at = Regions::bytes::<f64>(residual);
-        let tile = packs.0.layout.tile.max(packs.1.layout.tile);
-        let len = sa.len().max(sb.len());
-        let chunks = sa.len().div_ceil(packs.0.kb).max(sb.len().div_ceil(packs.1.kb));
-        let (job_words, job_sums) = (tile * len, tile * chunks);
-        let split_end = scratch_at
-            + Regions::bytes::<W>(jobs * job_words)
-            + Regions::bytes::<i32>(jobs * job_sums);
+        let mut a = Operand::new::<W>(sa, packs.0, beta, budget, 0);
+        let mut b = Operand::new::<W>(sb, packs.1, beta, budget, 0);
+        let split_end = Regions::bytes::<f64>(a.panel.max(b.panel));
         let fold_end = 2 * Regions::bytes::<f64>(acc) + Regions::bytes::<S>(tiles);
-        let a_at = split_end.max(fold_end);
-        Plan {
-            sources,
-            beta,
-            acc,
-            tiles,
-            scratch_at,
-            jobs,
-            job_words,
-            job_sums,
-            a: Operand::new::<W>(sa, packs.0, beta, budget, a_at),
-            b: Operand::new::<W>(sb, packs.1, beta, budget, a_at),
-            _types: std::marker::PhantomData,
-        }
+        (a.at, b.at) = (split_end.max(fold_end), split_end.max(fold_end));
+        Plan { sources, beta, acc, tiles, a, b, _types: std::marker::PhantomData }
     }
 
     /// Split A's lines, then B's, into their slice panels in `arena`
-    /// ([`split_panels`]), writing `word(integer, slice value)` per
-    /// element; returns each operand's slice count and whether its split
-    /// was exact.
+    /// ([`split_panels`]), storing each element as `words` says; returns
+    /// each operand's slice count and whether its split was exact.
     pub fn split(
         &mut self,
         arena: &mut Arena<'_>,
         kernel: KernelVariant,
         pool: Option<&WorkerPool>,
-        word: &(impl Fn(f64, f64) -> W + Sync),
+        words: &Words<impl Fn(f64, f64) -> W + Sync>,
     ) -> [(usize, bool); 2] {
-        let a = split_panels(arena, self, &self.a, self.sources.0, kernel, pool, word);
+        let shape = |op: &Operand| Shape { beta: self.beta, pack: op.pack, len: op.len };
+        let a = split_panels(arena, &self.a, shape(&self.a), self.sources.0, kernel, pool, words);
         self.b.at = self.a.end::<W>(a.0);
-        let b = split_panels(arena, self, &self.b, self.sources.1, kernel, pool, word);
+        let b = split_panels(arena, &self.b, shape(&self.b), self.sources.1, kernel, pool, words);
         [a, b]
     }
 
@@ -561,44 +783,46 @@ impl<'s, W: PanelWord + Send + Sync, S: Pod> Plan<'s, W, S> {
     }
 }
 
-/// Split `src`'s lines (those of `op`, a [`Plan`] operand) into at most
-/// its budget of β-bit slices in `arena`, writing `word(integer, slice
-/// value)` per element straight into each slice's panel in the operand's
-/// layout: every slice is packed once, here, compiled for `kernel`'s
-/// instruction set ([`KernelVariant::run`]; the bits never depend on it).
-/// The lines are first written into the arena as the residual the split
-/// consumes. A pool takes each slice's lines in contiguous blocks of
-/// whole tiles, each block with its own tile buffer; lines never
-/// interact, so any pool width gives the serial bits. Returns the slice
-/// count and whether every line's residual reached exactly zero.
+/// Split `src`'s lines (those of `op`, a [`Plan`] operand of `shape`)
+/// into at most its budget of β-bit slices in `arena`, storing each
+/// element as `words` says straight into each slice's panel in the
+/// operand's layout: every slice is packed once, here, compiled for
+/// `kernel`'s instruction set ([`KernelVariant::run`]; the bits never
+/// depend on it). The lines are first written into the arena as the
+/// residual the split consumes, in the panel's order, so that each slice
+/// is one elementwise pass over it ([`slice_pass`]). Slices go in batches
+/// of up to [`BATCH`], each tile taking the whole batch in turn; a batch
+/// counts its slices up to the last one with a live line (liveness only
+/// ever ends), and any later panel of it is left unused. A pool takes the
+/// lines in contiguous blocks of whole tiles; lines never interact, so
+/// any pool width gives the serial bits. Returns the slice count and
+/// whether every line's residual reached exactly zero.
 // me-verify: hot
-pub(crate) fn split_panels<W: PanelWord + Send + Sync, S: Pod>(
+fn split_panels<W: PanelWord + Send + Sync>(
     arena: &mut Arena<'_>,
-    plan: &Plan<'_, W, S>,
     op: &Operand,
+    shape: Shape,
     src: Source<'_>,
     kernel: KernelVariant,
     pool: Option<&WorkerPool>,
-    word: &(impl Fn(f64, f64) -> W + Sync),
+    words: &Words<impl Fn(f64, f64) -> W + Sync>,
 ) -> (usize, bool) {
-    let beta = plan.beta;
+    let beta = shape.beta;
     assert!((1..=26).contains(&beta), "beta out of range: {beta}");
-    let (lines, len, pack) = (op.lines, op.len, op.pack);
+    let layout = op.pack.layout;
+    assert!(
+        layout.tile <= MAX_TILE
+            && layout.tile * layout.group <= MAX_PERIOD
+            && (layout.group == 0 || layout.group.is_power_of_two())
+            && (layout.format != PanelFormat::ChunkSums || layout.group == SUM_WORDS),
+        "split: no lane pattern for {layout:?}"
+    );
     arena.reserve(op.panels_at());
     {
         let mut r = arena.regions();
-        let rest = r.take::<f64>(lines * len);
-        src.write(rest);
+        let rest = r.take::<f64>(op.panel);
         let (mx, _, _) = op.carve::<W>(&mut r, 0);
-        // Each line's largest magnitude bits, with every `−0` made `+0` so
-        // that a zero element packs to the all-zero word.
-        mx.fill(0);
-        for (m, line) in mx.iter_mut().zip(rest.chunks_mut(len.max(1))) {
-            *m = line.iter_mut().fold(0, |m, x| {
-                *x += 0.0;
-                m.max(x.to_bits() & MAGNITUDE)
-            });
-        }
+        kernel.run(Gather { src, pack: op.pack, out: rest, mx });
     }
     let mut slices = 0;
     loop {
@@ -606,46 +830,56 @@ pub(crate) fn split_panels<W: PanelWord + Send + Sync, S: Pod>(
         if slices == op.budget || !mx.iter().any(|m| (1..INF_BITS).contains(m)) {
             return (slices, mx.iter().all(|&m| m == 0));
         }
-        arena.reserve(op.end::<W>(slices + 1));
+        let batch = BATCH.min(op.budget - slices);
+        arena.reserve(op.end::<W>(slices + batch));
         let mut r = arena.regions();
-        let rest = r.take::<f64>(lines * len);
-        let buf = r.seek(plan.scratch_at).take::<W>(plan.jobs * plan.job_words);
-        let sums = r.take::<i32>(plan.jobs * plan.job_sums);
-        let (mx, exps, panels) = op.carve::<W>(&mut r, slices + 1);
-        let exp = &mut exps[slices * op.exp_slot..][..lines];
-        let out = &mut panels[slices * op.slot..][..op.panel];
-        let work = ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word };
-        match pool {
-            Some(p) => fan_out(p, kernel, work, (plan.job_words, plan.job_sums)),
-            None => kernel.run(work),
+        let rest = r.take::<f64>(op.panel);
+        let (mx, exps, panels) = op.carve::<W>(&mut r, slices + batch);
+        let (mut exps, mut panels) =
+            (&mut exps[slices * op.exp_slot..], &mut panels[slices * op.slot..]);
+        let mut out: [&mut [W]; BATCH] = Default::default();
+        let mut exp: [&mut [i32]; BATCH] = Default::default();
+        for (o, e) in out.iter_mut().zip(exp.iter_mut()).take(batch) {
+            let (w, rest) = std::mem::take(&mut panels).split_at_mut(op.panel);
+            (*o, panels) = (w, &mut rest[op.slot - op.panel..]);
+            let (x, rest) = std::mem::take(&mut exps).split_at_mut(op.lines);
+            (*e, exps) = (x, &mut rest[op.exp_slot - op.lines..]);
         }
-        slices += 1;
+        let work = SliceTiles { rest, out, exp, mx, batch, shape, words, kernel };
+        let live = match pool {
+            Some(p) => fan_out(p, work),
+            None => kernel.run(work),
+        };
+        slices += live.trailing_ones() as usize;
     }
 }
 
 /// `work` as contiguous blocks of whole tiles of its lines, one pool job
-/// each, each job with its own `words`-long tile buffer and `sums` chunk
-/// sums out of `work`'s.
+/// each; returns the union of the jobs' live bits.
 fn fan_out<W: PanelWord + Send + Sync, F: Fn(f64, f64) -> W + Sync>(
     pool: &WorkerPool,
-    kernel: KernelVariant,
-    work: ExtractLines<'_, W, F>,
-    (words, sums): (usize, usize),
-) {
-    let ExtractLines { rest, out, exp, mx, buf, sums: sum_buf, beta, pack, word } = work;
-    let (lines, tile) = (exp.len(), pack.layout.tile);
-    let len = rest.len() / lines.max(1);
-    let stride = pack.layout.tile_stride(len, pack.kb);
-    let block = lines.div_ceil(pool.threads()).next_multiple_of(tile);
+    work: SliceTiles<'_, W, F>,
+) -> u32 {
+    let SliceTiles { rest, out, exp, mx, batch, shape, words, kernel } = work;
+    let tile = shape.pack.layout.tile;
+    let stride = shape.pack.layout.tile_stride(shape.len, shape.pack.kb);
+    let block = mx.len().div_ceil(pool.threads()).next_multiple_of(tile);
+    let words_per_job = block / tile * stride;
+    let mut outs = out.map(|o| o.chunks_mut(words_per_job));
+    let mut exps = exp.map(|e| e.chunks_mut(block));
     let mut jobs: Vec<_> = rest
-        .chunks_mut(block * len)
-        .zip(out.chunks_mut(block / tile * stride))
-        .zip(exp.chunks_mut(block).zip(mx.chunks_mut(block)))
-        .zip(buf.chunks_mut(words).zip(sum_buf.chunks_mut(sums)))
+        .chunks_mut(words_per_job)
+        .zip(mx.chunks_mut(block))
+        .map(|(rest, mx)| {
+            let out = outs.each_mut().map(|o| o.next().unwrap_or_default());
+            (rest, out, exps.each_mut().map(|e| e.next().unwrap_or_default()), mx, 0)
+        })
         .collect();
-    pool.for_each_mut(&mut jobs, |_, (((rest, out), (exp, mx)), (buf, sums))| {
-        kernel.run(ExtractLines { rest, out, exp, mx, buf, sums, beta, pack, word })
+    pool.for_each_mut(&mut jobs, |_, (rest, out, exp, mx, live)| {
+        let (out, exp) = (out.each_mut().map(|o| &mut **o), exp.each_mut().map(|e| &mut **e));
+        *live = kernel.run(SliceTiles { rest, out, exp, mx, batch, shape, words, kernel });
     });
+    jobs.iter().fold(0, |live, job| live | job.4)
 }
 
 /// Split `A` by rows into β-bit slices (for the left operand of GEMM).
@@ -700,11 +934,10 @@ fn split_matrix(
     let src = if by_rows { Source::Rows(a) } else { Source::Cols(a) };
     let (lines, len) = (src.lines(), src.len());
     let pack = Pack::lines(len);
-    let jobs = pool.map_or(1, WorkerPool::threads);
     let sources = (src, Source::Line(&[]));
-    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, max_slices), jobs, (0, 0));
+    let mut plan = Plan::<f64, f64>::new(sources, (pack, pack), (beta, max_slices), (0, 0));
     let (mut words, mut scale_exp, poisoned, complete) = with_arena(|arena| {
-        let split = plan.split(arena, kernel, pool, &|_, hi| hi);
+        let split = plan.split(arena, kernel, pool, &Words { narrow: |_, hi| hi, simd: None });
         let p = plan.carve(arena, split).a;
         let words: Vec<Vec<f64>> = p.iter().map(|(w, _)| w.to_vec()).collect();
         let exps: Vec<Vec<i32>> = p.iter().map(|(_, e)| e.to_vec()).collect();

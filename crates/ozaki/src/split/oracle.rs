@@ -1,11 +1,13 @@
 //! Property test: the fused split against the divide-and-`round_ties_even`
 //! extraction and the separate pack pass it replaced, bit for bit — the
 //! `SplitMatrix` slices, `scale_exp` and `complete`, and every engine's
-//! panel words — over ties, signed zeros, grids below 2^-1022, subnormal
-//! line maxima and lines that run out before the budget.
+//! panel words (f32, binary16, bfloat16 and i8) — over ties, signed
+//! zeros, grids below 2^-1022, subnormal line maxima, top-binade lines
+//! and lines that run out before the budget; and lines holding ±inf or
+//! NaN, which must pack zero words with exponent 0 in every layout.
 
 use super::*;
-use crate::gemm::{OzakiConfig, SliceEngine};
+use crate::gemm::{Bf16Words, OzakiConfig, SliceEngine};
 use crate::host_f16::HostF16Engine;
 use crate::int8::Int8Engine;
 use me_linalg::{available_variants, KernelVariant};
@@ -175,15 +177,31 @@ fn line(rng: &mut Rng64, kind: usize, beta: u32, len: usize) -> Vec<f64> {
             // Few significant bits: the residual runs out early.
             4 => (rng.range_usize(0, 64) as f64 - 32.0) * pow2(rng.range_usize(0, 8) as i32),
             // Wide range across the line.
-            _ => rng.range_f64(-1.0, 1.0) * pow2(rng.range_usize(0, 120) as i32 - 60),
+            5 => rng.range_f64(-1.0, 1.0) * pow2(rng.range_usize(0, 120) as i32 - 60),
+            // The top binade, maximum below `1.25 · 2^1023`: exponent
+            // 1024, and a first slice that does not round up to `2^1024`.
+            6 if rng.chance(0.5) => rng.range_f64(-1.25, 1.25) * pow2(1023),
+            6 => rng.range_f64(-1.0, 1.0),
+            // ±inf or NaN among moderate values.
+            _ => match rng.range_usize(0, 8) {
+                0 => f64::INFINITY,
+                1 => f64::NEG_INFINITY,
+                2 => f64::NAN,
+                _ => rng.range_f64(-1.0, 1.0),
+            },
         })
         .enumerate()
         .map(|(t, v)| if kind == 0 && t == 0 { pow2(10) } else { v })
         .collect()
 }
 
+/// Kinds of [`line`] that hold only finite values.
+const FINITE_KINDS: usize = 7;
+/// The kind of [`line`] that holds ±inf or NaN.
+const NON_FINITE: usize = FINITE_KINDS;
+
 fn matrix(rng: &mut Rng64, beta: u32, rows: usize, cols: usize) -> Mat<f64> {
-    let lines: Vec<Vec<f64>> = (0..rows).map(|i| line(rng, i % 6, beta, cols)).collect();
+    let lines: Vec<Vec<f64>> = (0..rows).map(|i| line(rng, i % FINITE_KINDS, beta, cols)).collect();
     Mat::from_fn(rows, cols, |i, j| lines[i][j])
 }
 
@@ -200,6 +218,8 @@ fn assert_same_split(new: &SplitMatrix, old: &SplitMatrix, label: &str) {
 struct Owned<W> {
     words: Vec<Vec<W>>,
     exps: Vec<Vec<i32>>,
+    complete: bool,
+    poisoned: Vec<usize>,
 }
 
 /// `src` split at `beta` into at most `budget` of `E`'s words, packed by
@@ -212,15 +232,17 @@ fn owned_split<E: SliceEngine>(
     pool: Option<&WorkerPool>,
     pack: Pack,
 ) -> Owned<E::Word> {
-    let jobs = pool.map_or(1, WorkerPool::threads);
     let sources = (src, Source::Line(&[]));
-    let mut plan = Plan::<E::Word, f64>::new(sources, (pack, pack), (beta, budget), jobs, (0, 0));
+    let mut plan = Plan::<E::Word, f64>::new(sources, (pack, pack), (beta, budget), (0, 0));
     with_arena(|arena| {
-        let split = plan.split(arena, kernel, pool, &|r, _| E::narrow(r));
+        let words = Words { narrow: |r, _| E::narrow(r), simd: Some(E::SIMD_WORD) };
+        let split = plan.split(arena, kernel, pool, &words);
         let p = plan.carve(arena, split).a;
         Owned {
             words: p.iter().map(|(w, _)| w.to_vec()).collect(),
             exps: p.iter().map(|(_, e)| e.to_vec()).collect(),
+            complete: p.complete,
+            poisoned: p.poisoned().collect(),
         }
     })
 }
@@ -266,6 +288,77 @@ fn assert_same_words<E: SliceEngine>(
     }
 }
 
+/// `bad`, which is `good` with the lines `lines` made to hold ±inf or
+/// NaN, split by [`split_panels`] on `kernel` (serially and on `pool`),
+/// line-major and in `E`'s A and B layouts: every slice's words and
+/// exponents are those of `good` with those lines zero — the stored zero
+/// in every layout, exponent 0 — the split is not complete, and
+/// `Panels::poisoned` lists exactly those lines.
+#[allow(clippy::too_many_arguments)]
+fn assert_poisoned_lines<E: SliceEngine>(
+    (bad, good): (&Mat<f64>, &Mat<f64>),
+    lines: &[usize],
+    by_rows: bool,
+    (beta, budget): (u32, usize),
+    kernel: KernelVariant,
+    pool: &WorkerPool,
+    label: &str,
+) where
+    E::Word: Bits,
+{
+    let src = |m| if by_rows { Source::Rows(m) } else { Source::Cols(m) };
+    let len = src(bad).len();
+    let bits = |w: &[E::Word]| w.iter().map(|w| w.bits()).collect::<Vec<u64>>();
+    for layout in [PanelLayout::LINES, E::LAYOUT_A, E::LAYOUT_B] {
+        let kb = if layout == PanelLayout::LINES { len.max(1) } else { 10 };
+        for pool in [None, Some(pool)] {
+            let l = format!("{label}, {layout:?}, pool {}", pool.is_some());
+            let split =
+                |m| owned_split::<E>(src(m), beta, budget, kernel, pool, Pack { layout, kb });
+            let (got, want) = (split(bad), split(good));
+            assert_eq!(got.poisoned, lines, "{l}: poisoned lines");
+            assert!(!got.complete, "{l}: a split with a poisoned line is not complete");
+            assert_eq!(got.exps, want.exps, "{l}: exponents");
+            assert!(got.exps.iter().all(|e| lines.iter().all(|&li| e[li] == 0)), "{l}: exponent");
+            assert_eq!(got.words.len(), want.words.len(), "{l}: panel count");
+            for (p, (x, y)) in got.words.iter().zip(&want.words).enumerate() {
+                assert_eq!(bits(x), bits(y), "{l}: panel {p} words");
+            }
+        }
+    }
+}
+
+/// [`assert_poisoned_lines`] on a matrix of [`matrix`]'s lines with lines
+/// 1 and `rows − 2` made to hold ±inf or NaN, for `E`.
+#[allow(clippy::too_many_arguments)]
+fn poison_some_lines<E: SliceEngine>(
+    rng: &mut Rng64,
+    good: &Mat<f64>,
+    by_rows: bool,
+    (beta, budget): (u32, usize),
+    kernel: KernelVariant,
+    pool: &WorkerPool,
+    label: &str,
+) where
+    E::Word: Bits,
+{
+    let (rows, cols) = good.shape();
+    let (nlines, len) = if by_rows { (rows, cols) } else { (cols, rows) };
+    let lines = [1, nlines - 2];
+    let (mut bad, mut zeroed) = (good.clone(), good.clone());
+    for &li in &lines {
+        let values = line(rng, NON_FINITE, beta, len);
+        for (p, v) in values.into_iter().enumerate() {
+            let at = if by_rows { (li, p) } else { (p, li) };
+            // At least one non-finite value per line.
+            bad[at] = if p == li % len { f64::NAN } else { v };
+            zeroed[at] = 0.0;
+        }
+    }
+    let l = format!("{label}, non-finite lines");
+    assert_poisoned_lines::<E>((&bad, &zeroed), &lines, by_rows, (beta, budget), kernel, pool, &l);
+}
+
 #[test]
 fn ceil_exp_matches_log2_fixup() {
     let mut rng = Rng64::seed_from_u64(7);
@@ -296,17 +389,38 @@ fn fused_split_matches_divide_and_round_bitwise() {
                         assert_same_split(&new, &old, &label);
                         let pooled = split_matrix(&a, beta, budget, by_rows, kernel, Some(&pool));
                         assert_same_split(&pooled, &old, &format!("{label}, 3-wide pool"));
+                        let shape = (beta, budget);
                         if beta <= 23 {
                             let l = format!("{label}, f32");
                             assert_same_words::<OzakiConfig>(&a, &old, budget, kernel, &pool, &l);
+                            let r = &mut rng;
+                            poison_some_lines::<OzakiConfig>(
+                                r, &a, by_rows, shape, kernel, &pool, &l,
+                            );
                         }
                         if beta <= 11 {
                             let l = format!("{label}, f16");
                             assert_same_words::<HostF16Engine>(&a, &old, budget, kernel, &pool, &l);
+                            let r = &mut rng;
+                            poison_some_lines::<HostF16Engine>(
+                                r, &a, by_rows, shape, kernel, &pool, &l,
+                            );
+                        }
+                        if beta <= 8 {
+                            let l = format!("{label}, bf16");
+                            assert_same_words::<Bf16Words>(&a, &old, budget, kernel, &pool, &l);
+                            let r = &mut rng;
+                            poison_some_lines::<Bf16Words>(
+                                r, &a, by_rows, shape, kernel, &pool, &l,
+                            );
                         }
                         if beta <= 6 {
                             let l = format!("{label}, i8");
                             assert_same_words::<Int8Engine>(&a, &old, budget, kernel, &pool, &l);
+                            let r = &mut rng;
+                            poison_some_lines::<Int8Engine>(
+                                r, &a, by_rows, shape, kernel, &pool, &l,
+                            );
                         }
                     }
                 }

@@ -1,10 +1,10 @@
 //! One reused, 64-byte-aligned workspace per thread for every Ozaki call.
 //!
 //! An Ozaki call keeps a lot of state for a short time: A's rows and B's
-//! transposed columns as residual lines, every slice of both operands
-//! packed into the engine's panel layouts with its per-line exponents,
-//! the split's tile buffers, the fold tiles and the double-double
-//! accumulators `hi`/`lo`. All of it lives in one byte arena per thread
+//! columns as a residual in the engine's panel order, every slice of
+//! both operands packed into the engine's panel layouts with its
+//! per-line exponents, the fold tiles and the double-double accumulators
+//! `hi`/`lo`. All of it lives in one byte arena per thread
 //! ([`me_linalg::AlignedBuf`]), shared by every substrate and every entry
 //! point (GEMM, dot, GEMV, the dense split, the systolic executor), and
 //! laid out per call by [`crate::split::Plan`]. Every region starts on a
