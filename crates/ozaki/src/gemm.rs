@@ -334,7 +334,7 @@ const F32_EXACT_BITS: u32 = 24;
 /// bytes of the f32 panels. Same β, budget, cutoff and trace names as
 /// the config it wraps.
 #[derive(Debug, Clone, Copy)]
-pub struct Bf16Words(pub(crate) OzakiConfig);
+pub struct Bf16Words(OzakiConfig);
 
 impl sealed::Sealed for Bf16Words {}
 

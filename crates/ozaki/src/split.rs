@@ -327,8 +327,10 @@ fn slice_tile<W: PanelWord, F: Fn(f64, f64) -> W>(
 /// `narrow(hi / q, hi)` (the integer scaled in two exact steps where
 /// `2^(β − e)` exceeds f64's range), with its chunk's sum. Where `2^(β −
 /// e)` is normal the integer is `round_ties_even(x · 2^(β − e))`, as in
-/// [`slice_pass`], so a first slice that rounds up to `2^1024` still
-/// stores its integer. Returns the residual's largest magnitude bits.
+/// [`slice_pass`], and where it is below that range (`q > 2^1022`) it is
+/// `round_ties_even(x / q)`, so a first slice that rounds up to `2^1024`
+/// still stores its integer. Returns the residual's largest magnitude
+/// bits.
 fn split_line<W: PanelWord>(
     x: &mut [f64],
     w: &mut [W],
@@ -351,9 +353,15 @@ fn split_line<W: PanelWord>(
             let (int, hi) = if (-1022..=1023).contains(&se) {
                 let int = (x[i] * pow2(se)).round_ties_even();
                 (int, int * q)
+            } else if se < 0 {
+                // A grid above 2^1022 (β = 1 at the top binade): `x / q`
+                // is exact, and the integer is kept even where `hi`
+                // rounds up to 2^1024.
+                let int = (x[i] / q).round_ties_even();
+                (int, int * q)
             } else {
                 let hi = (x[i] / q).round_ties_even() * q;
-                (if se > 1023 { hi * pow2(1023) * pow2(se - 1023) } else { hi * pow2(se) }, hi)
+                (hi * pow2(1023) * pow2(se - 1023), hi)
             };
             x[i] -= hi;
             w[i] = narrow(int + 0.0, hi).stored(layout.format);

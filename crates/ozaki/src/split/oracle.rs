@@ -4,7 +4,9 @@
 //! panel words (f32, binary16, bfloat16 and i8) — over ties, signed
 //! zeros, grids below 2^-1022, subnormal line maxima, top-binade lines
 //! and lines that run out before the budget; and lines holding ±inf or
-//! NaN, which must pack zero words with exponent 0 in every layout.
+//! NaN, which must pack zero words with exponent 0 in every layout. At
+//! β = 1 a top-binade line whose first slice overflows stores its integer
+//! and is poisoned.
 
 use super::*;
 use crate::gemm::{Bf16Words, OzakiConfig, SliceEngine};
@@ -425,6 +427,28 @@ fn fused_split_matches_divide_and_round_bitwise() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn beta_1_top_binade_overflow_stores_its_integer_and_poisons_the_line() {
+    // At β = 1 a line maximum in the top binade has the grid 2^1023,
+    // above f64's normal `2^(β − e)`: 1.75 · 2^1023 rounds up to the
+    // integer 2, whose slice value 2^1024 overflows. The integer is
+    // stored, the line is poisoned and the other line splits as usual.
+    let a = Mat::from_vec(2, 2, vec![1.75 * pow2(1023), 1.0, 0.75, -0.5]);
+    for kernel in available_variants() {
+        for layout in [PanelLayout::LINES, PanelLayout::I8_A] {
+            let kb = if layout == PanelLayout::LINES { 2 } else { 10 };
+            let label = format!("{kernel}, {layout:?}");
+            let pack = Pack { layout, kb };
+            let p = owned_split::<Int8Engine>(Source::Rows(&a), 1, 64, kernel, None, pack);
+            assert_eq!(p.poisoned, [0], "{label}: poisoned lines");
+            assert!(!p.complete, "{label}: complete");
+            assert_eq!(p.exps[0], [1024, 0], "{label}: slice 0 exponents");
+            let want = Int8Engine::narrow(2.0).stored(layout.format);
+            assert_eq!(p.words[0][layout.slot(0, 0, 0, 2, kb)], want, "{label}: slice 0 word");
         }
     }
 }
